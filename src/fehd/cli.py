@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
     bn.add_argument("--timeout", type=float, default=None)
     bn.add_argument("--plain", action="store_true",
                     help="disable fixed-point acceleration (comparison mode)")
-    bn.add_argument("--parallel-cases", action="store_true")
 
     du = sub.add_parser("dump-ast", help="print the parsed formula AST as JSON")
     du.add_argument("--formula", required=True)

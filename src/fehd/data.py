@@ -238,7 +238,7 @@ def build_mask(ds: Dataset,
 
     def knock_out(bad: np.ndarray, reason: str):
         hit = bad & keep
-        n = int(hit.sum())
+        n = np.count_nonzero(hit)
         if n:
             counts[reason] = counts.get(reason, 0) + n
             keep[hit] = False

@@ -12,18 +12,22 @@ partial pivoting.  Which solver runs depends on the problem:
   projected out (Gaure 2013; Correia 2017).  The plain sweep map on the
   dimension-2 coefficients is exactly one Jacobi step on that system, so the
   Krylov solve reaches the same fixed point in far fewer passes on poorly
-  connected graphs;
+  connected graphs.  The operator is applied through the weighted cross-table
+  of the two dimensions, built once per call, so the iterations never walk
+  the rows;
 * otherwise (slopes, or three or more dimensions): the sweep map is iterated
   as a fixed-point problem on the coefficients of dimensions 2..Q (dimension
   1 is solved in closed form inside each sweep) and accelerated with the
   Irons-Tuck update.
 
-Every solver counts the same unit of work, a sweep: one group-sum and one
-gather over the rows per dimension.  All solvers stop a column when the move a
-plain sweep would make from its current iterate is at most ``tol`` in the sup
-norm.  Each target column runs its own iteration and is frozen the moment it
-converges, so a batched run reproduces the single-column trajectories bit for
-bit.
+Every solver counts its work in sweeps.  On the fixed-point paths a sweep is
+one group-sum and one gather over the rows per dimension.  On the
+conjugate-gradient path it is one product with the Schur complement, two
+passes over the nonzeros of the cross-table (at most one per row), or the
+initial residual.  All solvers stop a column when the move a plain sweep
+would make from its current iterate is at most ``tol`` in the sup norm.  Each
+target column runs its own iteration and is frozen the moment it converges,
+so a batched run reproduces the single-column trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import FactorIndex
 
@@ -229,8 +234,7 @@ class _DimWork:
         if self.simple and not dim.intercept:
             raise DemeanError("dimension with neither intercept nor slopes")
         if self.simple:
-            wvec = w if w is not None else np.ones(n)
-            self.wsum = np.bincount(self.g, weights=wvec, minlength=self.G)
+            self.wsum = np.bincount(self.g, weights=w, minlength=self.G)
             self.Z = None
             self.w = w
             self.dropped = np.zeros((self.G, 1), dtype=bool)
@@ -396,55 +400,60 @@ def _schur_pcg(drv: _Driver, S: np.ndarray, coef0: np.ndarray, r: np.ndarray,
 
     With D1, D2 the dummy matrices of the two dimensions, W the weights and P1
     the W-projection on D1's columns, the dimension-2 coefficients b solve
-    A b = D2'W (I - P1) y with A = D2'W (I - P1) D2.  The preconditioner is
-    D = diag(D2'W D2), the group weights, so D^-1 (c - A b) is exactly the move
+    A b = D2'W (I - P1) y with A = D2'W (I - P1) D2.  Through the cross-table
+    C = D1'W D2, built once per call, A p = W2 p - C' (C p / W1), where W1 and
+    W2 are the group weights: a product costs two passes over the nonzeros of
+    C (the observed group pairs, at most n of them) and none over the rows.
+    The preconditioner is D = diag(W2), so D^-1 (c - A b) is exactly the move
     a plain sweep would make from b; a column stops once its sup norm is at
-    most ``tol``.  Forming the initial residual is one sweep and each product
-    A p is one sweep (a gather and a group-sum per dimension).  The row
-    residuals (I - P1)(y - D2 b) and the dimension-1 coefficients are updated
-    from the projection (I - P1) D2 p formed inside each product.
+    most ``tol``.  Forming the initial residual counts as one sweep and each
+    product as one sweep.  The dimension-1 coefficients follow the iterate in
+    coefficient space (a = a0 - C (b - b0) / W1); the rows are read once to
+    form the initial residual and written once at the end, with the residuals
+    y - D2 b - D1 a.
 
     Precondition: r == targets - D2 S.  Mutates S, coef0 and r in place
     (r becomes the residuals).  Returns per-column (CG steps, converged).
     """
     w1, w2 = drv.works
-    n, T = r.shape
-    buf = np.empty(n)
-    u = np.empty(n)
+    # C = D1'W D2, the summed weight of each observed group pair; without
+    # weights the row buffer holds the unit weights while C is built
+    buf = np.ones(w1.n) if w1.w is None else np.empty(w1.n)
+    C = sp.csr_matrix((buf if w1.w is None else w1.w, (w1.g, w2.g)),
+                      shape=(w1.G, w2.G))
+    Ct = C.T  # CSC view of the same arrays
+    T = r.shape[1]
     steps = np.zeros(T, dtype=np.int64)
     converged = np.zeros(T, dtype=bool)
     for j in range(T):
         e = r[:, j]
-        b = S[:, j].copy()
+        db = np.zeros(w2.G)
         a = w1.group_sum(e) / w1.wsum
-        np.take(a, w1.g, out=buf)
-        e -= buf
-        res = w2.group_sum(e)
+        res = w2.group_sum(e) - Ct @ a
         z = res / w2.wsum
         p = z.copy()
         rz = float(np.dot(res, z))
         k = 0
         while k < max_iter and np.abs(z).max() > tol:
-            np.take(p, w2.g, out=u)
-            m = w1.group_sum(u) / w1.wsum
-            np.take(m, w1.g, out=buf)
-            u -= buf  # u = (I - P1) D2 p
-            Ap = w2.group_sum(u)
+            m = (C @ p) / w1.wsum
+            Ap = w2.wsum * p - Ct @ m
             k += 1
             pAp = float(np.dot(p, Ap))
             if not pAp > 0.0:
                 break  # no descent direction left: report the column unconverged
             alpha = rz / pAp
-            b += alpha * p
+            db += alpha * p
             a -= alpha * m
             res -= alpha * Ap
-            u *= alpha
-            e -= u
             z = res / w2.wsum
             rz_new = float(np.dot(res, z))
             p = z + (rz_new / rz) * p
             rz = rz_new
-        S[:, j] = b
+        np.take(db, w2.g, out=buf)
+        e -= buf
+        np.take(a, w1.g, out=buf)
+        e -= buf
+        S[:, j] += db
         coef0[:, 0, j] = a
         steps[j] = k
         converged[j] = np.abs(z).max() <= tol
@@ -461,13 +470,14 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     pure-intercept dimensions (weighted or not) and ``accelerate`` set, the
     dimension-2 coefficients are found by Jacobi-preconditioned conjugate
     gradients on their Schur complement; there one sweep is the initial
-    residual or one operator product.  Otherwise the coefficients of dimensions
-    2..Q are iterated to their fixed point, Irons-Tuck accelerated unless
-    ``accelerate`` is False; there one sweep is one application of the sweep
-    map.  Each target converges independently (sup-norm move of a plain sweep
-    <= tol) and is frozen once converged; ``sweeps`` reports the slowest
-    column's sweep count.  ``init_state`` warm-starts the coefficients of
-    dimensions 2..Q (``fe_coef[1:]`` flattened to (sum G_q L_q, n_targets)).
+    residual or one operator product on the cross-table.  Otherwise the
+    coefficients of dimensions 2..Q are iterated to their fixed point,
+    Irons-Tuck accelerated unless ``accelerate`` is False; there one sweep is
+    one application of the sweep map.  Each target converges independently
+    (sup-norm move of a plain sweep <= tol) and is frozen once converged;
+    ``sweeps`` reports the slowest column's sweep count.  ``init_state``
+    warm-starts the coefficients of dimensions 2..Q (``fe_coef[1:]``
+    flattened to (sum G_q L_q, n_targets)).
     ``consume_targets`` lets the solver reuse (and destroy) the problem's
     target buffer; only set it on throwaway problems.
     """

@@ -184,7 +184,6 @@ class FitResult:
     sample_label: str = ""
     # retained internals (used by on-the-fly vcov and fixef recovery)
     _weights: Optional[np.ndarray] = None
-    _demean_result: Optional[DemeanResult] = None
     _dims: Optional[list[FeDim]] = None
     _fixef_target: Optional[np.ndarray] = None
     _fixef_parts: Optional[tuple] = None  # (response, [(coef, x column), ...])
@@ -652,7 +651,14 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         RES = _stack_f([R[:, solved[m][0]] for m in members])
         if kept_cols:
             Gamma = np.column_stack([solved[m][3] for m in members])
-            RES -= _stack_f([R[:, j] for j in kept_cols]) @ Gamma
+            lo = kept_cols[0]
+            if kept_cols == tuple(range(lo, lo + len(kept_cols))):
+                X = R[:, lo:lo + len(kept_cols)]  # a view: no n-row copy
+            else:
+                X = _stack_f([R[:, j] for j in kept_cols])
+            # RES -= X Gamma in place, without an n-row temporary
+            gemm = scipy.linalg.get_blas_funcs("gemm", (X, Gamma))
+            RES = gemm(-1.0, X, Gamma, beta=1.0, c=RES, overwrite_c=True)
         for j, m in enumerate(members):
             resid[m] = np.ascontiguousarray(RES[:, j])
 
@@ -858,6 +864,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     warm_state = None
     total_demean_iters = 0
     total_sweeps = 0
+    demean_converged = True
     converged = False
     Xt = None
     zt = None
@@ -877,6 +884,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                       consume_targets=True)
         total_demean_iters += dres.iterations
         total_sweeps += dres.sweeps
+        demean_converged = demean_converged and dres.converged
         warm_state = _state_from_coefs(dres)
         zt = dres.residuals[:, 0]
         Xt = dres.residuals[:, 1:]
@@ -929,7 +937,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         residuals=r, fitted=mu, xtx_inv=xtx_inv, scores=scores, dof=dof,
         convergence=Convergence(demean_iterations=total_demean_iters,
                                 demean_sweeps=total_sweeps,
-                                demean_converged=True,
+                                demean_converged=demean_converged,
                                 irls_iterations=irls_iters, irls_converged=converged),
         family=family, lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
         mask=frame.mask, has_intercept=frame.has_intercept,

@@ -731,10 +731,6 @@ def _part_steps(terms) -> list[list]:
     return [head + step + tail for step in _stepwise_steps(node.kind, node.args)]
 
 
-def n_steps(terms) -> int:
-    return len(_part_steps(terms))
-
-
 def expand_models(spec: FormulaSpec) -> list[ModelSpec]:
     """Cartesian expansion into concrete models: lhs-major, then rhs step, then fe step."""
     rhs_steps = _part_steps(spec.rhs)

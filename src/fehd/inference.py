@@ -16,7 +16,10 @@ import numpy as np
 import scipy.stats
 from scipy.special import gammaln
 
-from .data import DataError, Dataset, make_factor_index
+from .data import DataError, Dataset, _factor_codes
+# unused here; still bound because the benchmark's tracing test
+# (perfbench/tests/test_tracing.py) looks the name up in this module
+from .data import make_factor_index  # noqa: F401
 from .estimators import EstimationError, FitResult
 
 __all__ = [
@@ -103,11 +106,6 @@ def default_lag(kind: str, n_periods: int) -> int:
 # VCOV computation
 # ---------------------------------------------------------------------------
 
-def _cluster_codes(ds: Dataset, fit: FitResult, name: str) -> tuple[np.ndarray, int]:
-    idx = make_factor_index(ds, fit.mask, [name])
-    return idx.group_of_row, idx.n_groups
-
-
 def _cluster_meat(scores: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
     K = scores.shape[1]
     S = np.empty((n_groups, K))
@@ -168,7 +166,7 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
     elif spec.kind == "cluster":
         if ds is None:
             raise EstimationError("cluster vcov needs the dataset for the cluster column")
-        codes, G = _cluster_codes(ds, fit, spec.factors[0])
+        codes, G = _factor_codes(ds, fit.mask, spec.factors[0])
         if G <= 1:
             raise EstimationError(
                 f"cluster variable {spec.factors[0]!r} has a single cluster; "
@@ -182,8 +180,8 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
     elif spec.kind == "twoway":
         if ds is None:
             raise EstimationError("twoway vcov needs the dataset for the cluster columns")
-        c1, G1 = _cluster_codes(ds, fit, spec.factors[0])
-        c2, G2 = _cluster_codes(ds, fit, spec.factors[1])
+        c1, G1 = _factor_codes(ds, fit.mask, spec.factors[0])
+        c2, G2 = _factor_codes(ds, fit.mask, spec.factors[1])
         if G1 <= 1 or G2 <= 1:
             raise EstimationError("twoway clustering needs at least two clusters per factor")
         c12, G12 = _pair_codes(c1, G1, c2, G2)
@@ -215,7 +213,7 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
         n_periods = len(np.unique(times))
         lag = spec.lag if spec.lag is not None else default_lag(spec.kind, n_periods)
         if spec.kind == "nw":
-            ucodes, _ = _cluster_codes(ds, fit, unit_name)
+            ucodes, _ = _factor_codes(ds, fit.mask, unit_name)
             meat = scores.T @ scores
             for l in range(1, lag + 1):
                 a, b = _lag_pairs(ucodes, times, l)
@@ -229,7 +227,7 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
             V = A_inv @ meat @ A_inv * c
             label = f"Newey-West (L={lag})"
         else:
-            tcodes, GT = _cluster_codes(ds, fit, time_name)
+            tcodes, GT = _factor_codes(ds, fit.mask, time_name)
             if GT <= 1:
                 raise EstimationError("dk vcov needs at least two time periods")
             Kc = scores.shape[1]

@@ -20,7 +20,7 @@ from . import formula as fml
 from .data import (CategoricalColumn, DataError, Dataset, evaluate_subset)
 from .demean import DemeanError, DemeanProblem, demean
 from .estimators import (EstimationError, FitResult, ModelFrame, build_frame,
-                         finish_ols_group, fit_2sls, fit_glm_irls)
+                         finish_ols_group, fit_2sls, fit_glm_irls, fit_ols)
 
 __all__ = ["MultiOptions", "FitRecord", "MultiResult", "run_multi"]
 

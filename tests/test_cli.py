@@ -134,6 +134,13 @@ class TestSimulateBench:
                                  "--data", out])
         assert code == 0 and "x1" in text
 
+    def test_ols_offset_exit_zero(self, tmp_path):
+        out = str(tmp_path / "panel.csv")
+        run_cli(["simulate", "--n", "2e3", "--seed", "5", "--out", out])
+        code, text, _ = run_cli(["fit", "--formula", "y ~ x1 | indiv_id + firm_id",
+                                 "--data", out, "--offset", "x2"])
+        assert code == 0 and "x1" in text
+
     def test_bench_smoke(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         code, *_ = run_cli(["bench", "--sizes", "1000", "--cases", "simple2fe",

@@ -202,6 +202,33 @@ class TestTwoFeConjugateGradient:
         assert warm.converged and warm.sweeps == 1 and warm.iterations == 0
         assert np.allclose(warm.residuals, cold.residuals, atol=1e-12)
 
+    def test_disconnected_weighted_chain_matches_dummy_oracle(self, rng):
+        y1, a1, b1 = chain_two_fe(rng)
+        y2, a2, b2 = chain_two_fe(rng)
+        y = np.concatenate([y1, y2])
+        c1 = np.concatenate([a1, a2 + 60])
+        c2 = np.concatenate([b1, b2 + 12])
+        w = rng.uniform(0.5, 2.0, len(y))
+        res = demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))],
+                                   weights=w, tol=1e-13))
+        oracle = dummy_residualize(y[:, None], [(c1, 120, None, True), (c2, 24, None, True)],
+                                   weights=w)
+        assert res.converged
+        assert np.allclose(res.residuals, oracle, atol=1e-9)
+        a, b = res.fe_coef
+        assert np.allclose(res.residuals[:, 0], y - a[c1, 0, 0] - b[c2, 0, 0], atol=1e-10)
+
+    def test_row_order_does_not_change_residuals(self, rng):
+        y, c1, c2 = chain_two_fe(rng)
+        perm = rng.permutation(len(y))
+        dims = lambda order: [FeDim(fidx(c1[order])), FeDim(fidx(c2[order]))]
+        ident = np.arange(len(y))
+        base = demean(DemeanProblem(targets=y, dims=dims(ident), tol=1e-12))
+        shuffled = demean(DemeanProblem(targets=y[perm], dims=dims(perm), tol=1e-12))
+        unshuffled = np.empty_like(shuffled.residuals)
+        unshuffled[perm] = shuffled.residuals
+        assert np.abs(unshuffled - base.residuals).max() <= 1e-12
+
 class TestRecoverFixef:
     def test_single_fe_group_means(self):
         y = np.array([1.0, 2, 3, 4, 10.0])

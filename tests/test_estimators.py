@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
 from fehd.estimators import (EstimationError, fit_2sls, fit_glm_irls, fit_model,
                              fit_ols, fixef, pivoted_cholesky_kept)
@@ -213,6 +214,18 @@ class TestGlm:
         oracle, _ = dummy_irls(y, np.column_stack([np.ones(n), x]), [],
                                family="poisson", weights=w)
         assert np.abs(fit.coef - oracle).max() < 1e-6
+
+    def test_inner_demean_convergence_reported(self):
+        ds = simulate_panel(DgpConfig(n=10_000, seed=0))
+        rng = np.random.default_rng(1)
+        ycount = rng.poisson(np.exp(ds.numeric("y") - 1)).astype(float)
+        ds = ds.with_columns({"ycount": NumericColumn(ycount)})
+        formula = "ycount ~ x1 | indiv_id + firm_id_difficult"
+        capped = fit_glm_irls(formula, ds, family="poisson", demean_max_iter=1)
+        assert capped.convergence.irls_converged
+        assert not capped.convergence.demean_converged
+        full = fit_glm_irls(formula, ds, family="poisson")
+        assert full.convergence.demean_converged
 
 
 class TestFixef:

@@ -37,6 +37,17 @@ class TestPooling:
         assert np.abs(fits[1].coef - solo2.coef).max() <= 1e-12
         assert np.abs(fits[0].residuals - solo1.residuals).max() <= 1e-12
 
+    def test_pooled_collinear_drop_equals_standalone(self, panel):
+        # x3 is dropped, so the kept design (x1, x2) is not a block of the
+        # batched matrix's columns
+        ds = panel.with_columns({"x3": NumericColumn(0.5 * panel.numeric("x1"))})
+        multi = run_multi("c(y1, y2) ~ x1 + x3 + x2 | f1 + f2", ds, MultiOptions())
+        for fit, lhs in zip(multi.fits(), ("y1", "y2")):
+            solo = fit_ols(f"{lhs} ~ x1 + x3 + x2 | f1 + f2", ds)
+            assert fit.coef_names == solo.coef_names == ["x1", "x2"]
+            assert np.abs(fit.coef - solo.coef).max() <= 1e-12
+            assert np.abs(fit.residuals - solo.residuals).max() <= 1e-12
+
     def test_one_batch_for_shared_structure(self, panel):
         multi = run_multi("c(y1, y2) ~ x1 | f1 + f2", panel, MultiOptions())
         assert len(multi.shared_work_report) == 1
@@ -47,6 +58,15 @@ class TestPooling:
         multi = run_multi("y1 ~ x1 | sw(f1, f2)", panel, MultiOptions())
         assert len(multi.shared_work_report) == 2
         assert all(r["models"] == 1 for r in multi.shared_work_report)
+
+    def test_offset_ols_equals_shifted_dependent(self, panel):
+        multi = run_multi("y1 ~ x1 | f1 + f2", panel, MultiOptions(offset="x2"))
+        shifted = panel.with_columns({"ys": NumericColumn(
+            panel.numeric("y1") - panel.numeric("x2"))})
+        solo = fit_ols("ys ~ x1 | f1 + f2", shifted)
+        fit = multi.results[0].fit
+        assert np.abs(fit.coef - solo.coef).max() <= 1e-10
+        assert np.abs(fit.residuals - solo.residuals).max() <= 1e-10
 
     def test_glm_never_pooled(self, panel):
         ds = panel.with_columns({"cnt": NumericColumn(
