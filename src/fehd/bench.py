@@ -187,14 +187,14 @@ def _fit_case(ds, case: BenchCase, demean_tol: float, accelerate: bool):
         # plain alternating mode, exposed for solver-mode comparisons
         from . import formula as fml
         from .demean import DemeanProblem, demean
-        from .estimators import build_frame, _fit_ols_frame
+        from .estimators import _finish_ols_one, _stack_f, build_frame
         spec = fml.parse_formula(case.formula())
         model = fml.expand_models(spec)[0]
         frame = build_frame(ds, model)
-        targets = np.column_stack([frame.y, frame.X])
-        problem = DemeanProblem(targets=targets, dims=frame.dims, tol=demean_tol)
-        dres = demean(problem, accelerate=False, keep_coefs=False)
-        return _fit_ols_frame(frame, 1e-10, demean_tol, problem.max_iter, demeaned=dres)
+        problem = DemeanProblem(targets=_stack_f([frame.shifted_y] + frame.x_cols),
+                                dims=frame.dims, tol=demean_tol)
+        dres = demean(problem, accelerate=False, keep_coefs=False, consume_targets=True)
+        return _finish_ols_one(frame, dres, 1e-10)
     if case.family == "poisson":
         return fit_glm_irls(case.formula(), ds, family="poisson", demean_tol=demean_tol)
     return fit_ols(case.formula(), ds, demean_tol=demean_tol)

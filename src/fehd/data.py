@@ -31,7 +31,7 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class NumericColumn:
-    values: np.ndarray  # float64, NaN encodes missing
+    values: np.ndarray  # float64, NaN encodes missing; +-inf also counts as missing
 
     def __len__(self):
         return len(self.values)
@@ -40,7 +40,7 @@ class NumericColumn:
     def missing(self) -> np.ndarray:
         cached = getattr(self, "_missing", None)
         if cached is None:
-            cached = np.isnan(self.values)
+            cached = ~np.isfinite(self.values)
             object.__setattr__(self, "_missing", cached)
         return cached
 
@@ -231,12 +231,15 @@ def build_mask(ds: Dataset,
     ``role_columns`` maps a reason label (``lhs``, ``rhs``, ``fe``, ``iv``,
     ``weights``) to the column names it uses.  Rows failing several criteria
     are attributed to the first applicable reason, in the order: split,
-    subset, then missing values per role.
+    subset, then missing values per role.  Infinite values count as missing
+    and fall under the same ``NA-<role>`` reasons.
     """
     keep = np.ones(ds.n_rows, dtype=bool)
     counts: dict[str, int] = {}
 
     def knock_out(bad: np.ndarray, reason: str):
+        if not bad.any():
+            return
         hit = bad & keep
         n = np.count_nonzero(hit)
         if n:

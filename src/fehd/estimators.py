@@ -335,6 +335,11 @@ class ModelFrame:
     _X: Optional[np.ndarray] = None
 
     @property
+    def shifted_y(self) -> np.ndarray:
+        """The OLS and 2SLS outcome: ``y`` less the offset, if any."""
+        return self.y if self.offset is None else self.y - self.offset
+
+    @property
     def X(self) -> np.ndarray:
         if self._X is None:
             n = len(self.y)
@@ -527,12 +532,22 @@ def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
             collin_tol: float = DEFAULT_COLLIN_TOL,
             demean_tol: float = 1e-6,
             demean_max_iter: int = 10_000,
-            only_coef: bool = False,
-            offset: Optional[str] = None):
-    """OLS / within estimator.  Accepts a prebuilt ModelFrame or (model, ds)."""
+            offset: Optional[str] = None) -> FitResult:
+    """OLS / within estimator.  Accepts a prebuilt ModelFrame or (model, ds).
+
+    The fit is a pooled group of one: ``[y - offset] + x`` is demeaned in one
+    call and ``finish_ols_group`` solves it, as ``run_multi`` does for groups.
+    """
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset,
                       **(mask_options or {}))
-    return _fit_ols_frame(frame, collin_tol, demean_tol, demean_max_iter, only_coef)
+    problem = DemeanProblem(targets=_stack_f([frame.shifted_y] + frame.x_cols),
+                            dims=frame.dims, weights=frame.weights, tol=demean_tol,
+                            max_iter=demean_max_iter)
+    dres = demean(problem, keep_coefs=False, consume_targets=True)
+    if not dres.converged:
+        raise EstimationError(
+            f"demeaning did not converge within {demean_max_iter} iterations")
+    return _finish_ols_one(frame, dres, collin_tol)
 
 
 def _as_frame(frame_or_model, ds, **kw) -> ModelFrame:
@@ -548,63 +563,14 @@ def _as_frame(frame_or_model, ds, **kw) -> ModelFrame:
     return build_frame(ds, model, **kw)
 
 
-def _fit_ols_frame(frame: ModelFrame, collin_tol, demean_tol, demean_max_iter,
-                   only_coef=False, extra_targets: Optional[np.ndarray] = None,
-                   demeaned: Optional[np.ndarray] = None) -> FitResult:
-    y = frame.y if frame.offset is None else frame.y - frame.offset
-    n = len(y)
-    targets = _stack_f([y] + frame.x_cols)
-    if demeaned is None:
-        problem = DemeanProblem(targets=targets, dims=frame.dims,
-                                weights=frame.weights, tol=demean_tol,
-                                max_iter=demean_max_iter)
-        dres = demean(problem, keep_coefs=False, consume_targets=True)
-        if not dres.converged:
-            raise EstimationError(
-                f"demeaning did not converge within {demean_max_iter} iterations")
-    else:
-        dres = demeaned
-    yt = dres.residuals[:, 0]
-    Xt = dres.residuals[:, 1:]
-
-    kept, dropped_idx, coef, xtx_inv = _wls_solve(
-        Xt, yt, frame.weights, frame.x_names, collin_tol)
-    if only_coef:
-        return coef
-    kept_names = [frame.x_names[k] for k in kept]
-    dropped_names = [frame.x_names[k] for k in dropped_idx]
-    Xt_kept = Xt[:, kept]
-    r = yt - Xt_kept @ coef
-    fitted = y - r + (frame.offset if frame.offset is not None else 0.0)
-    w = frame.weights
-    wr = r if w is None else w * r
-    dof = DofLedger(n_used=n, k_vars=len(kept), k_fe=_k_fe(frame.dims, dres.dropped))
-    if dof.df_resid < 1:
-        raise EstimationError(
-            f"no residual degrees of freedom (n={n}, K={dof.k_total})")
-    ssr = float(np.dot(wr, r))
-    sst = _sst(y, w, centered=frame.has_intercept or bool(frame.dims))
-    wyt = yt if w is None else w * yt
-    ssr_fe = float(np.dot(wyt, yt))
-    wsum = float(w.sum()) if w is not None else float(n)
-    ymean = float((w * y).sum() / wsum) if w is not None else float(y.mean())
-    return FitResult(
-        coef=coef, coef_names=kept_names, dropped_collinear=dropped_names,
-        residuals=r, fitted=fitted, xtx_inv=xtx_inv, scores=None, dof=dof,
-        convergence=Convergence(demean_iterations=dres.iterations,
-                                demean_sweeps=dres.sweeps,
-                                demean_converged=dres.converged),
-        family="ols", lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
-        mask=frame.mask, has_intercept=frame.has_intercept,
-        ssr=ssr, sst=sst, ssr_fe_only=ssr_fe, weights_sum=wsum, y_mean=ymean,
-        model=frame.model, sample_label="",
-        _weights=w, _dims=frame.dims,
-        _fixef_parts=(y, [(float(c), frame.x_cols[j]) for j, c in zip(kept, coef)])
-        if frame.dims else None,
-        _fixef_weights=w,
-        _y_response=y,
-        _score_parts=([Xt_kept[:, j] for j in range(Xt_kept.shape[1])], wr),
-    )
+def _finish_ols_one(frame: ModelFrame, dres: DemeanResult,
+                    collin_tol: float) -> FitResult:
+    """Solve one model whose ``[y - offset] + x`` columns ``dres`` demeaned."""
+    sel = (0, list(range(1, len(frame.x_cols) + 1)))
+    out = finish_ols_group([frame], [sel], dres.residuals, dres, collin_tol)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int]]],
@@ -615,7 +581,8 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
     model its (lhs index, rhs indices) into R.  One cross-product of R serves
     every model's normal equations, and models sharing a kept design solve
     their residuals in a single matrix product.  Returns a FitResult or an
-    exception per model, aligned with ``frames``.
+    exception per model, aligned with ``frames``.  This is the only code that
+    builds an OLS FitResult; a single fit is a group of one.
     """
     base = frames[0]
     w = base.weights
@@ -662,6 +629,9 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         for j, m in enumerate(members):
             resid[m] = np.ascontiguousarray(RES[:, j])
 
+    # a demeaned outcome that no model uses as a regressor is dead now that
+    # G_all and the residuals are formed: its column takes one fitted vector
+    spare = {iy for iy, _ in sel_map} - {j for _, ixs in sel_map for j in ixs}
     sst_cache: dict[str, float] = {}
     out = []
     for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
@@ -675,9 +645,12 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             if dof.df_resid < 1:
                 raise EstimationError(
                     f"no residual degrees of freedom (n={n}, K={dof.k_total})")
-            y = frame.y if frame.offset is None else frame.y - frame.offset
+            y = frame.shifted_y
             r = resid[m]
-            fitted = y - r + (frame.offset if frame.offset is not None else 0.0)
+            fitted = np.subtract(y, r, out=R[:, iy] if iy in spare else None)
+            spare.discard(iy)
+            if frame.offset is not None:
+                fitted += frame.offset
             wr = r if w is None else w * r
             ssr = float(np.dot(wr, r))
             if frame.lhs_name not in sst_cache:
@@ -733,7 +706,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
         raise EstimationError(
             f"under-identification: {n_endo} endogenous variable(s) but only "
             f"{n_inst} instrument(s)")
-    y = frame.y if frame.offset is None else frame.y - frame.offset
+    y = frame.shifted_y
     n = len(y)
     w = frame.weights
 

@@ -20,7 +20,7 @@ from .data import DataError, Dataset, _factor_codes
 # unused here; still bound because the benchmark's tracing test
 # (perfbench/tests/test_tracing.py) looks the name up in this module
 from .data import make_factor_index  # noqa: F401
-from .estimators import EstimationError, FitResult
+from .estimators import DEFAULT_COLLIN_TOL, EstimationError, FitResult, _wls_solve
 
 __all__ = [
     "VcovSpec",
@@ -421,8 +421,15 @@ def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
     V = np.column_stack([fs.residuals for fs in diag.first_stages])
     D_r = np.column_stack([diag.endo_t, diag.exog_t])
     D_u = np.column_stack([D_r, V])
-    ssr_r = _wssr(D_r, diag.y_t, w)
-    ssr_u, k_u = _wssr(D_u, diag.y_t, w, return_k=True)
+    names = diag.endo_names + diag.exog_names
+
+    def ssr_and_rank(D):
+        kept, _, coef, _ = _wls_solve(D, diag.y_t, w, names, DEFAULT_COLLIN_TOL)
+        r = diag.y_t - D[:, kept] @ coef
+        return float(np.dot(r if w is None else w * r, r)), len(kept)
+
+    ssr_r, _ = ssr_and_rank(D_r)
+    ssr_u, k_u = ssr_and_rank(D_u)
     q = V.shape[1]
     df2 = fit.dof.n_used - fit.dof.k_fe - k_u
     stat = ((ssr_r - ssr_u) / q) / (ssr_u / df2)
@@ -430,17 +437,3 @@ def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
           "df1": q, "df2": df2}
     first = diag.first_stages[0].endo_name if len(diag.first_stages) == 1 else None
     return {"ivf": ivf[first] if first else ivf, "wh": wh, "ivf_all": ivf}
-
-
-def _wssr(D: np.ndarray, y: np.ndarray, w: Optional[np.ndarray], return_k: bool = False):
-    from .estimators import pivoted_cholesky_kept, _solve_spd
-    Dw = D if w is None else D * w[:, None]
-    gram = D.T @ Dw
-    kept, _ = pivoted_cholesky_kept(gram, 1e-10)
-    sub = np.ix_(kept, kept)
-    coef, _ = _solve_spd(gram[sub], Dw.T[kept] @ y)
-    r = y - D[:, kept] @ coef
-    ssr = float(np.dot(r if w is None else w * r, r))
-    if return_k:
-        return ssr, len(kept)
-    return ssr

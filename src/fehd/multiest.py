@@ -2,10 +2,12 @@
 
 OLS models that share a sample mask and fixed-effect structure are pooled:
 all their distinct target columns are demeaned in one batched call, then each
-model solves its own normal equations on the shared residuals.  Each target
-column runs its own frozen fixed-point iteration inside the batch, so pooled
-results reproduce the standalone fits bit for bit.  GLM and IV models are
-never pooled.
+model solves its own normal equations on the shared residuals.  Offset models
+pool too; their target is the outcome less the offset.  Each target column
+runs its own frozen fixed-point iteration inside the batch, so pooled results
+match the standalone fits to rounding.  ``fit_ols`` is itself a pooled group
+of one on the same ``finish_ols_group`` path, so a one-model group reproduces
+it bit for bit by construction.  GLM and IV models are never pooled.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from . import formula as fml
 from .data import (CategoricalColumn, DataError, Dataset, evaluate_subset)
 from .demean import DemeanError, DemeanProblem, demean
-from .estimators import (EstimationError, FitResult, ModelFrame, build_frame,
-                         finish_ols_group, fit_2sls, fit_glm_irls, fit_ols)
+from .estimators import (EstimationError, FitResult, ModelFrame, _stack_f,
+                         build_frame, finish_ols_group, fit_2sls, fit_glm_irls)
 
 __all__ = ["MultiOptions", "FitRecord", "MultiResult", "run_multi"]
 
@@ -73,7 +75,7 @@ def _split_plans(ds: Dataset, options: MultiOptions):
             plans.append((label, col.codes == code))
     else:
         vals = col.values
-        for v in np.unique(vals[~np.isnan(vals)]):
+        for v in np.unique(vals[~col.missing]):
             label = str(int(v)) if v == int(v) else str(v)
             plans.append((label, vals == v))
     if options.fsplit:
@@ -115,7 +117,7 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
             records[ridx].error = str(exc)
             continue
         frames[ridx] = frame
-        if options.family == "ols" and model.iv is None and options.offset is None:
+        if options.family == "ols" and model.iv is None:
             key = (frame.mask.signature(),
                    tuple(fml.format_fe_term(t) for t in model.fe_terms))
             poolable.setdefault(key, []).append(ridx)
@@ -126,16 +128,21 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
 
     def run_group(key, ridxs):
         group_frames = [frames[r] for r in ridxs]
-        names: list[str] = []
         col_of: dict[str, int] = {}
         columns: list[np.ndarray] = []
+        sel_map = []
         for fr in group_frames:
-            for nm, arr in [(fr.lhs_name, fr.y)] + list(zip(fr.x_names, fr.x_cols)):
+            # the outcome less the offset is keyed apart from the same column
+            # used as a regressor
+            lhs = fr.lhs_name if fr.offset is None else f"{fr.lhs_name} - {options.offset}"
+            if lhs not in col_of:
+                col_of[lhs] = len(columns)
+                columns.append(fr.shifted_y)
+            for nm, arr in zip(fr.x_names, fr.x_cols):
                 if nm not in col_of:
                     col_of[nm] = len(columns)
-                    names.append(nm)
                     columns.append(arr)
-        from .estimators import _stack_f
+            sel_map.append((col_of[lhs], [col_of[nm] for nm in fr.x_names]))
         targets = _stack_f(columns)
         base = group_frames[0]
         problem = DemeanProblem(targets=targets, dims=base.dims,
@@ -146,8 +153,6 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
             for r in ridxs:
                 records[r].error = "demeaning did not converge"
             return
-        sel_map = [(col_of[fr.lhs_name], [col_of[nm] for nm in fr.x_names])
-                   for fr in group_frames]
         results = finish_ols_group(group_frames, sel_map, dres.residuals, dres,
                                    options.collin_tol)
         for r, res in zip(ridxs, results):
@@ -156,20 +161,16 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
             else:
                 res.sample_label = records[r].sample_label
                 records[r].fit = res
-        report.append({"models": len(ridxs), "targets": len(names),
+        report.append({"models": len(ridxs), "targets": len(columns),
                        "fe": list(key[1]), "pooled": len(ridxs) > 1})
 
     def run_single(ridx):
         fr = frames[ridx]
         try:
-            if options.family == "ols" and fr.model.iv is not None:
+            if options.family == "ols":
                 fit = fit_2sls(fr, collin_tol=options.collin_tol,
                                demean_tol=options.demean_tol,
                                demean_max_iter=options.demean_max_iter)
-            elif options.family == "ols":
-                fit = fit_ols(fr, collin_tol=options.collin_tol,
-                              demean_tol=options.demean_tol,
-                              demean_max_iter=options.demean_max_iter)
             else:
                 fit = fit_glm_irls(fr, family=options.family,
                                    collin_tol=options.collin_tol,

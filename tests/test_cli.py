@@ -60,6 +60,17 @@ class TestFit:
         payload = json.loads(open(out_file).read())
         assert payload["models"][0]["coefficients"]["x"]["estimate"] == pytest.approx(2.0, abs=0.2)
 
+    def test_infinite_value_dropped_exit_zero(self, data_csv, tmp_path):
+        lines = open(data_csv).read().splitlines()
+        y, x, fe = lines[5].split(",")
+        lines[5] = f"{y},inf,{fe}"
+        path = tmp_path / "inf.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, text, _ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", str(path),
+                                 "--output", "json"])
+        assert code == 0
+        assert json.loads(text)["models"][0]["nobs"] == 119
+
     def test_multiple_vcov_columns(self, data_csv):
         code, out, _ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
                                 "--vcov", "iid", "--vcov", "cluster=fe"])

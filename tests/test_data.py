@@ -75,6 +75,14 @@ class TestBuildMask:
         mask = build_mask(ds, {"lhs": ["y"], "rhs": ["x"]})
         assert mask.reason_counts == {"NA-LHS": 2, "NA-RHS": 1}
 
+    def test_infinite_values_counted_as_na(self):
+        y = np.array([1.0, np.inf, 2.0, 3.0, 4.0])
+        x = np.array([1.0, 2.0, -np.inf, np.nan, 5.0])
+        ds = Dataset(n_rows=5, columns={"y": NumericColumn(y), "x": NumericColumn(x)})
+        mask = build_mask(ds, {"lhs": ["y"], "rhs": ["x"]})
+        assert mask.reason_counts == {"NA-LHS": 1, "NA-RHS": 2}
+        assert mask.keep.tolist() == [True, False, False, False, True]
+
     def test_unknown_variable(self):
         ds = Dataset(n_rows=2, columns={"y": NumericColumn(np.ones(2))})
         with pytest.raises(DataError, match="unknown variable 'z'"):

@@ -60,11 +60,22 @@ class TestFitOls:
         fit_w = fit_ols("y ~ x | f", ds_w, weights="w", demean_tol=1e-12)
         assert np.abs(fit_rep.coef - fit_w.coef).max() < 1e-10
 
-    def test_only_coef_fast_path(self, rng):
-        ds, formula, *_ = random_instance(rng, n_max=200, weighted=False)
-        full = fit_ols(formula, ds)
-        coef_only = fit_ols(formula, ds, only_coef=True)
-        assert np.array_equal(coef_only, full.coef)
+    @pytest.mark.parametrize("formula", ["y ~ x | f", "y ~ x"])
+    def test_infinite_value_dropped_like_na(self, rng, formula):
+        n = 40
+        x = rng.normal(size=n)
+        f = (np.arange(n) % 5).astype(float)
+        y = x + f + rng.normal(size=n)
+        x_inf, y_inf = x.copy(), y.copy()
+        x_inf[3], y_inf[7] = np.inf, -np.inf
+        fit = fit_ols(formula, make_ds(y=y_inf, x=x_inf, f=f))
+        keep = np.ones(n, dtype=bool)
+        keep[[3, 7]] = False
+        clean = fit_ols(formula, make_ds(y=y[keep], x=x[keep], f=f[keep]))
+        assert fit.mask.reason_counts == {"NA-LHS": 1, "NA-RHS": 1}
+        assert fit.dof.n_used == n - 2 and fit.dof.df_resid == clean.dof.df_resid
+        assert np.abs(fit.coef - clean.coef).max() <= 1e-12
+        assert np.abs(fit.residuals - clean.residuals).max() <= 1e-12
 
     def test_offset_shifts_dependent(self, rng):
         x = rng.normal(size=40)

@@ -8,7 +8,7 @@ from fehd.inference import (VcovSpec, coeftable, compute_vcov, default_lag,
                             fit_stats, iv_tests, parse_vcov_spec, wald_test)
 
 import oracles
-from oracles import (random_instance, sandwich_cluster, sandwich_dk,
+from oracles import (dummy_design, random_instance, sandwich_cluster, sandwich_dk,
                      sandwich_hc1, sandwich_iid, sandwich_nw, sandwich_twoway,
                      scipubs_like)
 
@@ -227,6 +227,46 @@ class TestIvTests:
         assert out["ivf"]["df2"] == n - kfe - 1
         assert out["wh"]["df1"] == 1
         assert out["wh"]["df2"] == n - kfe - 2
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_wh_equals_dense_control_function(self, weighted):
+        # Wu-Hausman F against a regression with explicit FE dummies: add the
+        # first-stage residual to the structural equation and compare SSRs
+        rng = np.random.default_rng(23)
+        n = 240
+        f1 = np.arange(n) % 12
+        f2 = rng.integers(0, 5, n)
+        z = rng.normal(size=n)
+        x = rng.normal(size=n)
+        u = rng.normal(size=n)
+        e = z + 0.3 * x + 0.2 * f1 + u
+        y = e - x + 0.1 * f2 + 0.6 * u + rng.normal(size=n)
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        cols = dict(y=y, x=x, z=z, e=e, f1=f1.astype(float), f2=f2.astype(float))
+        if weighted:
+            cols["w"] = w
+        ds = make_ds(**cols)
+        fit = fit_2sls("y ~ x | f1 + f2 | e ~ z", ds, demean_tol=1e-13,
+                       weights="w" if weighted else None)
+        wh = iv_tests(fit, None, ds)["wh"]
+
+        fe_specs = [(f1, 12, None, True), (f2, 5, None, True)]
+        sw = np.sqrt(w) if weighted else np.ones(n)
+
+        def resid_and_rank(target, X):
+            D = dummy_design(X, fe_specs)
+            beta, _, rank, _ = np.linalg.lstsq(D * sw[:, None], target * sw, rcond=None)
+            return target - D @ beta, rank
+
+        v, _ = resid_and_rank(e, np.column_stack([x, z]))
+        r_r, _ = resid_and_rank(y, np.column_stack([e, x]))
+        r_u, rank_u = resid_and_rank(y, np.column_stack([e, x, v]))
+        ssr_r = float(np.sum(sw ** 2 * r_r ** 2))
+        ssr_u = float(np.sum(sw ** 2 * r_u ** 2))
+        df2 = n - rank_u
+        stat = (ssr_r - ssr_u) / (ssr_u / df2)
+        assert wh["df1"] == 1 and wh["df2"] == df2
+        assert wh["stat"] == pytest.approx(stat, rel=1e-8)
 
     def test_ivf_pvalues_uniform_under_null(self):
         # instruments orthogonal to the endo: first-stage F p-values ~ U(0,1)

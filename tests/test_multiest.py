@@ -68,6 +68,44 @@ class TestPooling:
         assert np.abs(fit.coef - solo.coef).max() <= 1e-10
         assert np.abs(fit.residuals - solo.residuals).max() <= 1e-10
 
+    @pytest.mark.parametrize("formula, kw", [
+        ("y1 ~ x1 + x2 | f1 + f2", {}),
+        ("y1 ~ x1 + x2", {}),
+        ("y1 ~ x1 + x2 | f1 + f2", {"weights": "w"}),
+        ("y1 ~ x1 | f1 + f2", {"offset": "x2"}),
+    ], ids=["fe", "no-fe", "weighted", "offset"])
+    def test_one_model_equals_fit_ols_bit_for_bit(self, panel, formula, kw):
+        ds = panel.with_columns({"w": NumericColumn(1.0 + panel.numeric("f2"))})
+        multi = run_multi(formula, ds, MultiOptions(**kw))
+        assert multi.shared_work_report[0]["models"] == 1
+        fit = multi.results[0].fit
+        solo = fit_ols(formula, ds, **kw)
+        assert fit.coef_names == solo.coef_names
+        assert np.array_equal(fit.coef, solo.coef)
+        assert np.array_equal(fit.residuals, solo.residuals)
+        assert np.array_equal(fit.xtx_inv, solo.xtx_inv)
+        assert fit.dof.df_resid == solo.dof.df_resid
+
+    def test_offset_models_pool_apart_from_lhs_regressor(self, panel):
+        # the target y1 - x2 must not be confused with the regressor y1
+        multi = run_multi("c(y1, y2) ~ x1 + sw0(y1) | f1 + f2", panel,
+                          MultiOptions(offset="x2"))
+        assert len(multi.shared_work_report) == 1
+        rep = multi.shared_work_report[0]
+        assert rep["models"] == 4 and rep["targets"] == 4  # y1-x2, x1, y1, y2-x2
+        shifted = panel.with_columns({
+            f"{lhs}s": NumericColumn(panel.numeric(lhs) - panel.numeric("x2"))
+            for lhs in ("y1", "y2")})
+        expected = ["y1s ~ x1 | f1 + f2", "y1s ~ x1 + y1 | f1 + f2",
+                    "y2s ~ x1 | f1 + f2", "y2s ~ x1 + y1 | f1 + f2"]
+        for rec, formula in zip(multi.results, expected):
+            solo = fit_ols(formula, shifted)
+            assert rec.fit.coef_names == solo.coef_names
+            assert np.abs(rec.fit.coef - solo.coef).max() <= 1e-10
+            assert np.abs(rec.fit.residuals - solo.residuals).max() <= 1e-10
+            assert np.abs(rec.fit.fitted + rec.fit.residuals
+                          - panel.numeric(rec.fit.lhs_name)).max() <= 1e-10
+
     def test_glm_never_pooled(self, panel):
         ds = panel.with_columns({"cnt": NumericColumn(
             np.round(np.exp(panel.numeric("y1") / 4)))})
@@ -102,6 +140,14 @@ class TestSplit:
         solo = run_multi("articles ~ funding | indiv + year", ds,
                          MultiOptions(subset="eu_us == EU"))
         assert np.abs(multi.results[0].fit.coef - solo.results[0].fit.coef).max() < 1e-12
+
+    def test_infinite_split_value_is_missing(self, panel):
+        region = panel.numeric("region").copy()
+        region[0] = np.inf
+        ds = panel.with_columns({"region": NumericColumn(region)})
+        multi = run_multi("y1 ~ x1 | f1", ds, MultiOptions(split="region"))
+        assert [r.sample_label for r in multi.results] == ["0", "1"]
+        assert multi.results[0].fit.dof.n_used == 199
 
     def test_result_count_law(self, panel):
         multi = run_multi("c(y1, y2) ~ sw0(x2) | f1", panel,
