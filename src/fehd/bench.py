@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -92,14 +93,17 @@ def dataset_to_csv(ds: Dataset, path: str):
             vals = col.values if isinstance(col, NumericColumn) else col.values()
             cols.append(vals)
         for i in range(ds.n_rows):
-            row = []
-            for vals in cols:
-                v = vals[i]
-                if isinstance(v, float) and v == int(v):
-                    row.append(int(v))
-                else:
-                    row.append(v)
-            w.writerow(row)
+            w.writerow([_csv_cell(vals[i]) for vals in cols])
+
+
+def _csv_cell(v):
+    """NaN as an empty field, integral floats without a decimal point."""
+    if isinstance(v, float):
+        if math.isnan(v):
+            return ""
+        if math.isfinite(v) and v == int(v):
+            return int(v)
+    return v
 
 
 @dataclass(frozen=True)

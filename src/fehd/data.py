@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -153,69 +154,110 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None) -> Datase
 
     Columns whose non-missing fields all parse as floats become numeric;
     everything else becomes categorical.  Empty fields and the strings
-    NA / NaN are treated as missing.  ``schema_hints`` maps column names to
-    'numeric' or 'categorical' to override the inference.
+    NA / NaN / nan, with any surrounding whitespace, are treated as missing.
+    ``schema_hints`` maps column names to 'numeric' or 'categorical' to
+    override the inference.
+
+    Blank lines are skipped.  There is no comment character: a field that
+    starts with ``#`` is data.  Quoted fields may hold commas, doubled quotes
+    and line breaks, so one row may span several lines of the file.
     """
     hints = schema_hints or {}
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
+    try:
+        with fh:
+            header, cells = _read_cells(path, fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+    columns = {name: _parse_column(name, cells[:, k], hints.get(name))
+               for k, name in enumerate(header)}
+    return Dataset(n_rows=len(cells), columns=columns)
+
+
+def _read_cells(path: str, fh) -> tuple[list[str], np.ndarray]:
+    """The header and the body as an (n_rows, n_fields) array of strings.
+
+    The body is tokenised in one C pass (``np.loadtxt``), which follows
+    ``csv.reader``'s quoting rules and skips blank lines.
+    """
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DataError(f"{path}: duplicate header names: {', '.join(dupes)}")
+    with warnings.catch_warnings():
+        # an empty body is reported below as a DataError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise DataError(f"{path}: duplicate header names: {', '.join(dupes)}")
-        raw: list[list[str]] = [[] for _ in header]
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
-            for k, v in enumerate(row):
-                raw[k].append(v)
-    if not raw or not raw[0]:
+            cells = np.loadtxt(fh, delimiter=",", dtype=object, quotechar='"',
+                               comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _ragged_error(path, len(header), exc) from None
+    if cells.size == 0:
         raise DataError(f"{path}: no data rows")
-
-    columns: dict[str, Column] = {}
-    for name, cells in zip(header, raw):
-        columns[name] = _parse_column(name, cells, hints.get(name))
-    return Dataset(n_rows=len(raw[0]), columns=columns)
+    if cells.shape[1] != len(header):
+        raise _ragged_error(path, len(header))
+    return header, cells
 
 
-def _parse_column(name: str, cells: list[str], hint: Optional[str]) -> Column:
-    missing = [c.strip() in MISSING_STRINGS for c in cells]
+def _ragged_error(path: str, n_fields: int,
+                  exc: Optional[Exception] = None) -> DataError:
+    """An error naming the first row whose field count differs from the header's.
+
+    Rows are numbered as ``csv.reader`` records with the header as row 1, and
+    skipped blank lines keep their numbers.  This rescan runs only after the
+    tokeniser has rejected the file.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for rownum, row in enumerate(reader, start=2):
+            if row and len(row) != n_fields:
+                return DataError(
+                    f"{path}: row {rownum} has {len(row)} fields, expected {n_fields}")
+    return DataError(f"{path}: cannot parse: {exc}")
+
+
+_strip = np.frompyfunc(str.strip, 1, 1)
+
+
+def _parse_column(name: str, cells: np.ndarray, hint: Optional[str]) -> Column:
+    """A numeric or categorical column from an object array of field strings."""
     if hint not in (None, "numeric", "categorical"):
         raise DataError(f"bad schema hint for {name!r}: {hint!r}")
     if hint != "categorical":
-        values = np.full(len(cells), np.nan)
-        ok = True
-        for k, (c, miss) in enumerate(zip(cells, missing)):
-            if miss:
-                continue
-            try:
-                values[k] = float(c)
-            except ValueError:
-                ok = False
-                break
-        if ok:
+        try:  # float() of every cell: ' 1.5 ', 'nan' and 'inf' parse as floats
+            return NumericColumn(cells.astype(np.float64))
+        except ValueError:
+            pass
+    present = ~np.isin(_strip(cells), list(MISSING_STRINGS))
+    kept = cells[present]
+    if hint != "categorical":
+        try:
+            values = np.full(len(cells), np.nan)
+            values[present] = kept.astype(np.float64)
             return NumericColumn(values)
-        if hint == "numeric":
-            raise DataError(f"column {name!r}: non-numeric value {cells[k]!r}")
-    levels: dict[str, int] = {}
-    codes = np.empty(len(cells), dtype=np.int32)
-    for k, (c, miss) in enumerate(zip(cells, missing)):
-        if miss:
-            codes[k] = -1
-            continue
-        code = levels.get(c)
-        if code is None:
-            code = levels[c] = len(levels)
-        codes[k] = code
-    return CategoricalColumn(codes, tuple(levels))
+        except ValueError:
+            if hint == "numeric":
+                raise DataError(f"column {name!r}: non-numeric value "
+                                f"{_first_non_float(kept)!r}") from None
+    codes = np.full(len(cells), -1, dtype=np.int32)
+    kept_codes, _, first_rows = first_appearance_codes(kept, return_first_rows=True)
+    codes[present] = kept_codes
+    return CategoricalColumn(codes, tuple(kept[first_rows]))
+
+
+def _first_non_float(cells: np.ndarray) -> str:
+    for c in cells:
+        try:
+            float(c)
+        except ValueError:
+            return c
 
 
 # ---------------------------------------------------------------------------

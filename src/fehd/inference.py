@@ -370,7 +370,8 @@ def fit_stats(fit: FitResult, requested: list[str],
             ll0 = _loglik_null(fit)
             out["apr2"] = 1.0 - (ll - fit.dof.k_total) / ll0 if ll0 != 0 else float("nan")
         elif name == "sq.cor":
-            y = fit._y_response
+            # an OLS response excludes the offset, while its fitted values include it
+            y = fit.fitted + fit.residuals if fit.family == "ols" else fit._y_response
             if np.std(fit.fitted) == 0 or np.std(y) == 0:
                 out["sq.cor"] = float("nan")
             else:

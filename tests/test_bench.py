@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fehd.bench import (BenchCase, DgpConfig, parse_cases, run_benchmark,
-                        simulate_panel)
+from fehd.bench import (BenchCase, DgpConfig, dataset_to_csv, parse_cases,
+                        run_benchmark, simulate_panel)
+from fehd.data import CategoricalColumn, Dataset, NumericColumn, load_csv
 from fehd.estimators import fit_ols
 from fehd.inference import VcovSpec, compute_vcov
 
@@ -46,6 +47,29 @@ class TestDgp:
     def test_n_below_minimum_rejected(self):
         with pytest.raises(ValueError, match="nb_year"):
             DgpConfig(n=5)
+
+
+class TestDatasetToCsv:
+    def test_roundtrip_with_missing_and_awkward_levels(self, tmp_path):
+        x = np.array([1.0, np.nan, np.inf, -np.inf, 2.5, -3.0])
+        levels = ("a,b", 'say "hi"', " lead", "#h", "p\nq")
+        codes = np.array([0, 1, -1, 2, 3, 4], dtype=np.int32)
+        ds = Dataset(n_rows=6, columns={"x": NumericColumn(x),
+                                        "g": CategoricalColumn(codes, levels)})
+        path = str(tmp_path / "d.csv")
+        dataset_to_csv(ds, path)
+        back = load_csv(path)
+        assert back.n_rows == 6
+        assert back.numeric("x").tobytes() == x.tobytes()
+        g = back.columns["g"]
+        assert g.levels == levels and g.codes.tolist() == codes.tolist()
+
+    def test_integral_floats_without_decimal_point(self, tmp_path):
+        ds = Dataset(n_rows=3, columns={"x": NumericColumn(np.array([3.0, -0.5, np.nan]))})
+        path = tmp_path / "d.csv"
+        dataset_to_csv(ds, str(path))
+        # a lone empty field is quoted, so the row is not a blank line
+        assert path.read_text().splitlines() == ["x", "3", "-0.5", '""']
 
 
 class TestCases:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,11 +58,11 @@ class TestFit:
         code, *_ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
                             "--output", "json", "--file", out_file])
         assert code == 0
-        payload = json.loads(open(out_file).read())
+        payload = json.loads(Path(out_file).read_text())
         assert payload["models"][0]["coefficients"]["x"]["estimate"] == pytest.approx(2.0, abs=0.2)
 
     def test_infinite_value_dropped_exit_zero(self, data_csv, tmp_path):
-        lines = open(data_csv).read().splitlines()
+        lines = Path(data_csv).read_text().splitlines()
         y, x, fe = lines[5].split(",")
         lines[5] = f"{y},inf,{fe}"
         path = tmp_path / "inf.csv"
@@ -88,7 +89,7 @@ class TestFit:
         code, *_ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
                             "--fe-coefs", path])
         assert code == 0
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "model,sample,fe,level,col,value"
         assert len(lines) == 7  # header + 6 groups
 
@@ -133,7 +134,7 @@ class TestSimulateBench:
         out = str(tmp_path / "panel.csv")
         code, *_ = run_cli(["simulate", "--n", "1e3", "--seed", "5", "--out", out])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].split(",") == ["indiv_id", "year", "firm_id",
                                        "firm_id_difficult", "x1", "x2", "y"]
         assert len(lines) == 1001
@@ -157,7 +158,7 @@ class TestSimulateBench:
         code, *_ = run_cli(["bench", "--sizes", "1000", "--cases", "simple2fe",
                             "--reps", "1", "--out", out])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("case,n,rep,seconds,demean_iterations")
         assert lines[1].startswith("simple2fe-ols,1000,0,")
 

@@ -1,5 +1,9 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fehd.data import (CategoricalColumn, DataError, Dataset, NumericColumn,
                        build_mask, evaluate_subset, load_csv,
@@ -50,6 +54,140 @@ class TestLoadCsv:
         path = write(tmp_path, "g\n1\n2\n1\n")
         ds = load_csv(path, schema_hints={"g": "categorical"})
         assert isinstance(ds.columns["g"], CategoricalColumn)
+
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param('g,y\n"a,b",1\nc,2\n', {"g": ["a,b", "c"], "y": [1, 2]},
+                     id="quoted-comma"),
+        pytest.param('g,y\n"a\nb",1\nc,2\n', {"g": ["a\nb", "c"], "y": [1, 2]},
+                     id="quoted-newline"),
+        pytest.param('g,y\n"say ""hi""",1\n', {"g": ['say "hi"'], "y": [1]},
+                     id="doubled-quote"),
+        pytest.param("g,y\n#a,1\nb,2\n", {"g": ["#a", "b"], "y": [1, 2]},
+                     id="hash-is-data"),
+        pytest.param("g,y\r\na,1\r\nb,2\r\n", {"g": ["a", "b"], "y": [1, 2]},
+                     id="crlf"),
+        pytest.param("g,y\n a ,1\na,2\n", {"g": [" a ", "a"], "y": [1, 2]},
+                     id="padded-level-kept"),
+        pytest.param("g,y\na, NA \n NA ,2\n", {"g": ["a", None], "y": [np.nan, 2]},
+                     id="padded-NA-missing"),
+        pytest.param("g,y\na,1\n\nb,2\n", {"g": ["a", "b"], "y": [1, 2]},
+                     id="blank-line-skipped"),
+        pytest.param("y\n 1.5 \n1e3\ninf\n1_0\nnan\n",
+                     {"y": [1.5, 1000, np.inf, 10, np.nan]}, id="float-syntax"),
+    ])
+    def test_tokens(self, tmp_path, text, expected):
+        ds = load_csv(write(tmp_path, text))
+        assert list(ds.columns) == list(expected)
+        for name, want in expected.items():
+            col = ds.columns[name]
+            if any(isinstance(v, str) for v in want):
+                assert isinstance(col, CategoricalColumn)
+                assert col.values().tolist() == want
+            else:
+                np.testing.assert_array_equal(ds.numeric(name), np.array(want, float))
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3\n", "row 3 has 1 fields, expected 2"),
+        ("a,b\n1,2\n\n3\n", "row 4 has 1 fields, expected 2"),
+        ("a,b\n1,2,3\n4,5\n", "row 2 has 3 fields, expected 2"),
+        ('a,b\n1,2\n"3,4\n', "row 3 has 1 fields, expected 2"),
+    ])
+    def test_ragged_row_named(self, tmp_path, text, message):
+        with pytest.raises(DataError, match=message):
+            load_csv(write(tmp_path, text))
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n"])
+    def test_empty_body_raises_without_warning(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(path)
+        assert caught == []
+
+    def test_numeric_hint_names_first_bad_value(self, tmp_path):
+        path = write(tmp_path, "g\n1\nNA\nabc\nxyz\n")
+        with pytest.raises(DataError, match="non-numeric value 'abc'"):
+            load_csv(path, schema_hints={"g": "numeric"})
+
+    def test_categorical_hint_keeps_missing(self, tmp_path):
+        ds = load_csv(write(tmp_path, "g\n2\nNA\n1\n2\n"),
+                      schema_hints={"g": "categorical"})
+        assert ds.columns["g"].levels == ("2", "1")
+        assert ds.columns["g"].codes.tolist() == [0, -1, 1, 0]
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"g\n\xff\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_csv(str(p))
+
+
+MISSING = {"", "NA", "NaN", "nan"}
+
+
+def reference_load_csv(path, hints):
+    """The loader's semantics, one cell at a time: csv.reader and float()."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    columns = {}
+    for k, name in enumerate(header):
+        cells = [row[k] for row in rows]
+        missing = [c.strip() in MISSING for c in cells]
+        if hints.get(name) != "categorical":
+            try:
+                columns[name] = np.array(
+                    [np.nan if m else float(c) for c, m in zip(cells, missing)])
+                continue
+            except ValueError:
+                pass
+        levels = {}
+        codes = [-1 if m else levels.setdefault(c, len(levels))
+                 for c, m in zip(cells, missing)]
+        columns[name] = (codes, tuple(levels))
+    return len(rows), columns
+
+
+NUMBER_TOKENS = ["0", "-2.5", " 1.5 ", "1e3", "inf", "-inf", "1_0",
+                 "nan", "NaN", "NA", " NA ", ""]
+TEXT_TOKENS = ["a", " b ", "#c", "x,y", "p\nq", 'say "hi"', "é", "NA x"]
+
+
+@st.composite
+def csv_tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(n_cols):
+        tokens = NUMBER_TOKENS + (TEXT_TOKENS if draw(st.booleans()) else [])
+        columns.append(draw(st.lists(st.sampled_from(tokens),
+                                     min_size=n_rows, max_size=n_rows)))
+    hints = {f"c{k}": "categorical" for k in range(n_cols) if draw(st.booleans())}
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    return columns, hints, quoting, terminator
+
+
+@given(csv_tables())
+@settings(max_examples=150, deadline=None)
+def test_load_csv_matches_cellwise_reference(tmp_path_factory, table):
+    columns, hints, quoting, terminator = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=quoting, lineterminator=terminator)
+        writer.writerow([f"c{k}" for k in range(len(columns))])
+        writer.writerows(zip(*columns))
+    n_rows, expected = reference_load_csv(path, hints)
+    ds = load_csv(str(path), schema_hints=hints)
+    assert ds.n_rows == n_rows and list(ds.columns) == list(expected)
+    for name, want in expected.items():
+        col = ds.columns[name]
+        if isinstance(want, tuple):
+            assert isinstance(col, CategoricalColumn)
+            assert col.codes.tolist() == want[0] and col.levels == want[1]
+        else:
+            assert isinstance(col, NumericColumn)
+            assert col.values.tobytes() == want.tobytes()
 
 
 class TestBuildMask:

@@ -210,6 +210,26 @@ class TestFitStats:
         assert st["n"] == n and np.isfinite(st["ll"]) and np.isfinite(st["bic"])
         assert 0 <= st["sq.cor"] <= 1
 
+    def test_sq_cor_ols_offset_uses_observed_outcome(self, rng):
+        n = 200
+        x = rng.normal(size=n)
+        off = rng.normal(size=n, scale=3.0)
+        y = x + off + rng.normal(size=n)
+        fit = fit_ols("y ~ x", make_ds(y=y, x=x, off=off), offset="off")
+        expected = np.corrcoef(y, fit.fitted)[0, 1] ** 2
+        assert expected > 0.8
+        assert fit_stats(fit, ["sq.cor"])["sq.cor"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("formula", ["y ~ x", "y ~ x | g"])
+    def test_sq_cor_without_offset_unchanged(self, rng, formula):
+        n = 120
+        x = rng.normal(size=n)
+        g = (np.arange(n) % 6).astype(float)
+        y = 0.5 * x + g + rng.normal(size=n)
+        fit = fit_ols(formula, make_ds(y=y, x=x, g=g))
+        expected = np.corrcoef(y, fit.fitted)[0, 1] ** 2
+        assert fit_stats(fit, ["sq.cor"])["sq.cor"] == pytest.approx(expected, rel=1e-12)
+
     def test_gaussian_ll_and_unknown_stat(self, rng):
         ds, fit = small_fit(rng)
         assert np.isfinite(fit_stats(fit, ["ll"])["ll"])
