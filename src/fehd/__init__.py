@@ -1,15 +1,16 @@
 """fehd: fast high-dimensional fixed-effects regression.
 
-Demeaning as an accelerated fixed-point problem, OLS/2SLS/GLM estimators,
-on-the-fly sandwich variance estimators, a multi-part formula language with
-stepwise multiple estimation, and table export.
+Demeaning by preconditioned conjugate gradients on the fixed-effect normal
+equations (one solver for any number of dimensions, with or without varying
+slopes), OLS/2SLS/GLM estimators, on-the-fly sandwich variance estimators, a
+multi-part formula language with stepwise multiple estimation, and table
+export.
 """
 
 from .data import (CategoricalColumn, DataError, Dataset, FactorIndex,
                    NumericColumn, SampleMask, build_mask, load_csv,
                    make_factor_index, panel_shift)
-from .demean import (DemeanProblem, DemeanResult, FeDim, demean,
-                     irons_tuck_step, recover_fixef, sweep_once)
+from .demean import DemeanProblem, DemeanResult, FeDim, demean, recover_fixef
 from .estimators import (EstimationError, FitResult, build_frame, fit_2sls,
                          fit_glm_irls, fit_model, fit_ols, fixef)
 from .formula import (FormulaError, FormulaSpec, ModelSpec, expand_i,

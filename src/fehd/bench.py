@@ -111,13 +111,18 @@ class BenchCase:
     assignment: str  # 'simple' | 'difficult'
     n_fe: int        # 2 | 3
     family: str      # 'ols' | 'poisson'
+    slopes: bool = False  # OLS with a varying slope on x2 by firm
 
     @property
     def name(self) -> str:
-        return f"{self.assignment}{self.n_fe}fe-{self.family}"
+        kind = "slopes" if self.slopes else self.family
+        return f"{self.assignment}{self.n_fe}fe-{kind}"
 
     def formula(self) -> str:
         firm = "firm_id" if self.assignment == "simple" else "firm_id_difficult"
+        if self.slopes:
+            fes = f"indiv_id + {firm}[x2]" + (" + year" if self.n_fe == 3 else "")
+            return f"y ~ x1 | {fes}"
         fes = f"indiv_id + {firm}"
         if self.n_fe == 3:
             fes += " + year"
@@ -126,18 +131,20 @@ class BenchCase:
 
 
 def parse_cases(text: str) -> list[BenchCase]:
-    """Parse 'simple2fe,difficult3fe-poisson'-style case lists."""
+    """Parse 'simple2fe,difficult3fe-poisson,difficult2fe-slopes'-style lists."""
     import re
     out = []
     for tok in text.split(","):
         tok = tok.strip().lower()
         if not tok:
             continue
-        m = re.fullmatch(r"(simple|difficult)(2|3)fe(?:[-_](ols|poisson))?", tok)
+        m = re.fullmatch(r"(simple|difficult)(2|3)fe(?:[-_](ols|poisson|slopes))?", tok)
         if m is None:
             raise ValueError(f"cannot parse benchmark case {tok!r}; expected e.g. "
-                             f"simple2fe, difficult3fe-poisson")
-        out.append(BenchCase(m.group(1), int(m.group(2)), m.group(3) or "ols"))
+                             f"simple2fe, difficult3fe-poisson, difficult2fe-slopes")
+        kind = m.group(3) or "ols"
+        out.append(BenchCase(m.group(1), int(m.group(2)),
+                             "ols" if kind == "slopes" else kind, slopes=kind == "slopes"))
     if not out:
         raise ValueError("no benchmark cases given")
     return out
@@ -188,7 +195,10 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
 
 def _fit_case(ds, case: BenchCase, demean_tol: float, accelerate: bool):
     if not accelerate:
-        # plain alternating mode, exposed for solver-mode comparisons
+        # plain alternating sweeps over the rows, for solver comparisons
+        if case.family != "ols":
+            raise ValueError(f"plain mode times OLS demeaning only; "
+                             f"{case.name} is a {case.family} case")
         from . import formula as fml
         from .demean import DemeanProblem, demean
         from .estimators import _finish_ols_one, _stack_f, build_frame

@@ -81,13 +81,15 @@ def _build_parser() -> _Parser:
     bn = sub.add_parser("bench", help="run timing benchmarks on the simulated DGP")
     bn.add_argument("--sizes", required=True, help="comma list, e.g. 1e4,1e5")
     bn.add_argument("--cases", required=True,
-                    help="comma list, e.g. simple2fe,difficult3fe-poisson")
+                    help="comma list, e.g. simple2fe,difficult3fe-poisson,"
+                         "difficult2fe-slopes")
     bn.add_argument("--reps", type=int, default=1)
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--out", default=None)
     bn.add_argument("--timeout", type=float, default=None)
     bn.add_argument("--plain", action="store_true",
-                    help="disable fixed-point acceleration (comparison mode)")
+                    help="time OLS cases with plain alternating sweeps over the "
+                         "rows instead of conjugate gradients (comparison mode)")
 
     du = sub.add_parser("dump-ast", help="print the parsed formula AST as JSON")
     du.add_argument("--formula", required=True)
@@ -248,8 +250,11 @@ def cmd_bench(args) -> int:
         cases = bench_mod.parse_cases(args.cases)
     except ValueError as exc:
         raise UsageError(str(exc))
-    rows = bench_mod.run_benchmark(sizes, cases, reps=args.reps, seed=args.seed,
-                                   timeout=args.timeout, accelerate=not args.plain)
+    try:
+        rows = bench_mod.run_benchmark(sizes, cases, reps=args.reps, seed=args.seed,
+                                       timeout=args.timeout, accelerate=not args.plain)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     out = bench_mod.benchmark_csv(rows)
     _emit(out, args.out)
     return 0

@@ -325,7 +325,12 @@ def evaluate_subset(ds: Dataset, expr: str) -> np.ndarray:
     if isinstance(col, CategoricalColumn):
         if op not in ("==", "!="):
             raise DataError(f"subset on categorical {name!r} supports == and != only")
-        target = str(int(value)) if isinstance(value, float) and value == int(value) else str(value)
+        if not isinstance(value, float):
+            target = value
+        elif not np.isfinite(value):
+            target = raw  # inf and nan have no integer form: compare the token
+        else:
+            target = str(int(value)) if value == int(value) else str(value)
         if target in col.levels:
             code = col.levels.index(target)
             hit = col.codes == code

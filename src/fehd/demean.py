@@ -1,39 +1,37 @@
-"""Residualization on fixed-effect dimensions via alternating closed-form solves.
+"""Residualization on fixed-effect dimensions by conjugate gradients.
 
-One sweep updates every dimension in turn: pure-intercept dimensions get
-weighted group means of the current partial residual, slope-augmented
-dimensions get per-group normal-equation solves by Gaussian elimination with
-partial pivoting.  Which solver runs depends on the problem:
+Demeaning projects each target column off the columns of Q fixed-effect
+designs: group dummies, optionally times slope variables.  One solver serves
+every structure with two or more dimensions (Gaure 2013; Correia 2017):
 
-* one dimension: a single closed-form pass;
-* exactly two pure-intercept dimensions (weights allowed): conjugate gradients
-  with a Jacobi preconditioner on the Schur complement of dimension 2, i.e.
-  on the normal equations of dimension 2 after dimension 1 has been
-  projected out (Gaure 2013; Correia 2017).  The plain sweep map on the
-  dimension-2 coefficients is exactly one Jacobi step on that system, so the
-  Krylov solve reaches the same fixed point in far fewer passes on poorly
-  connected graphs.  The operator is applied through the weighted cross-table
-  of the two dimensions, built once per call, so the iterations never walk
-  the rows;
-* otherwise (slopes, or three or more dimensions): the sweep map is iterated
-  as a fixed-point problem on the coefficients of dimensions 2..Q (dimension
-  1 is solved in closed form inside each sweep) and accelerated with the
-  Irons-Tuck update.
+* dimension 1 is eliminated in closed form, by group-weight division or, when
+  it carries slopes, by a per-group L x L block solve;
+* the stacked coefficients of dimensions 2..Q solve the Schur complement
+  system A b = c with A = K - C1' M1^+ C1, where K = D'W D for D = [D2 ... DQ],
+  C1 = D1'W D and M1 = D1'W D1.  K's diagonal blocks are per-group and its
+  other blocks, like C1, are sparse cross-tables with one entry per observed
+  group pair, built once per call; a product with A never reads the rows;
+* conjugate gradients run on that system with block-Jacobi preconditioning
+  on K's diagonal blocks (group weights for intercept-only dimensions, the
+  per-group L x L blocks otherwise).  Coefficients whose block pivot falls
+  below ``PIVOT_RTOL`` are dropped (fixed at 0) and reported in
+  ``DemeanResult.dropped``.
 
-Every solver counts its work in sweeps.  On the fixed-point paths a sweep is
-one group-sum and one gather over the rows per dimension.  On the
-conjugate-gradient path it is one product with the Schur complement, two
-passes over the nonzeros of the cross-table (at most one per row), or the
-initial residual.  All solvers stop a column when the move a plain sweep
-would make from its current iterate is at most ``tol`` in the sup norm.  Each
-target column runs its own iteration and is frozen the moment it converges,
-so a batched run reproduces the single-column trajectories bit for bit.
+A column stops once the sup norm of its preconditioned residual is at most
+``tol``.  With two dimensions that is exactly the move a plain sweep would
+make from the current iterate.  Work is counted in sweeps: the initial
+residual is one sweep and each product with A is one.  One dimension, and the
+comparison mode ``accelerate=False``, run plain alternating sweeps over the
+rows instead (one group-sum and one gather per dimension per sweep, stopping
+once no coefficient of dimensions 2..Q moves by more than ``tol``).  Each
+target column runs its own iteration and stops on its own, so a batched run
+reproduces the single-column results bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,8 +43,6 @@ __all__ = [
     "DemeanProblem",
     "DemeanResult",
     "FixefReport",
-    "irons_tuck_step",
-    "sweep_once",
     "demean",
     "recover_fixef",
     "gauss_solve_batched",
@@ -184,259 +180,212 @@ def gauss_solve_batched(M: np.ndarray, B: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Irons-Tuck fixed-point acceleration
-# ---------------------------------------------------------------------------
-
-def _select_cols_f(arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Column subset of a tall matrix as a fresh F-order array (fast copies)."""
-    idx = np.flatnonzero(keep)
-    out = np.empty((arr.shape[0], len(idx)), order="F")
-    for j, src in enumerate(idx):
-        out[:, j] = arr[:, src]
-    return out
-
-
-def _it_extrapolate(beta: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Irons-Tuck update from beta, F(beta), F(F(beta))."""
-    d1 = f1 - beta
-    d2 = f2 - f1
-    dd = d2 - d1
-    denom = float(np.dot(dd.ravel(), dd.ravel()))
-    eps = 1e-14 * (1.0 + float(np.dot(d2.ravel(), d2.ravel())))
-    if denom < eps:
-        return f2
-    coef = float(np.dot(d2.ravel(), dd.ravel())) / denom
-    return f2 - coef * d2
-
-
-def irons_tuck_step(beta: np.ndarray, F: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """One accelerated update: F(F(b)) - [dF(b).d2b / ||d2b||^2] dF(b)."""
-    beta = np.asarray(beta, dtype=np.float64)
-    f1 = np.asarray(F(beta), dtype=np.float64)
-    f2 = np.asarray(F(f1), dtype=np.float64)
-    return _it_extrapolate(beta, f1, f2)
-
-
-# ---------------------------------------------------------------------------
-# Sweep machinery
+# Per-dimension machinery
 # ---------------------------------------------------------------------------
 
 class _DimWork:
-    """Precomputed per-dimension solve machinery (weights are fixed per run)."""
+    """One dimension's group sums, block solves and row updates (fixed weights).
+
+    Coefficients are flat vectors of length G*L, group-major: entry g*L + l is
+    group g's l-th coefficient (intercept first).  Intercept-only dimensions
+    keep the group weights ``wsum``; slope dimensions keep the per-group
+    blocks ``M`` = Z'WZ and their inverses ``Minv``, whose pivot drops are
+    recorded in ``dropped``.
+    """
 
     def __init__(self, dim: FeDim, w: Optional[np.ndarray], n: int):
         self.g = dim.index.group_of_row
         self.G = dim.index.n_groups
         self.L = dim.n_coef_cols
-        self.n = n
-        self._buf = np.empty(n)
-        self.simple = dim.slopes is None or dim.slopes.shape[1] == 0
-        if self.simple and not dim.intercept:
-            raise DemeanError("dimension with neither intercept nor slopes")
-        if self.simple:
-            self.wsum = np.bincount(self.g, weights=w, minlength=self.G)
+        self.w = w
+        if dim.slopes is None or dim.slopes.shape[1] == 0:
+            if not dim.intercept:
+                raise DemeanError("dimension with neither intercept nor slopes")
             self.Z = None
-            self.w = w
+            self.wsum = np.bincount(self.g, weights=w, minlength=self.G)
             self.dropped = np.zeros((self.G, 1), dtype=bool)
-        else:
-            Z = dim.design(n)
-            self.Z = Z
-            self.w = w
-            wvec = w if w is not None else None
-            M = np.empty((self.G, self.L, self.L))
-            for a in range(self.L):
-                za = Z[:, a]
-                for c in range(a, self.L):
-                    prod = za * Z[:, c]
-                    if wvec is not None:
-                        prod = prod * wvec
-                    s = np.bincount(self.g, weights=prod, minlength=self.G)
-                    M[:, a, c] = s
-                    M[:, c, a] = s
-            self.M = M
-            self.dropped = None  # filled on first solve
-
-    def group_sum(self, v: np.ndarray) -> np.ndarray:
-        """Weighted per-group sums of one row vector (intercept dimensions)."""
-        return np.bincount(self.g, weights=v if self.w is None else self.w * v,
-                           minlength=self.G)
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Coefficients (G, L, T) minimizing the weighted SSR of r per group.
-
-        Because r is a residual, the same computation also yields coefficient
-        increments when the current coefficients' contribution has already
-        been removed from r (the group normal equations are linear).
-        """
-        T = r.shape[1]
-        if self.simple:
-            coef = np.empty((self.G, 1, T))
-            for j in range(T):
-                coef[:, 0, j] = self.group_sum(r[:, j]) / self.wsum
-            return coef
-        B = np.empty((self.G, self.L, T))
-        for a in range(self.L):
-            za = self.Z[:, a]
-            for j in range(T):
-                col = za * r[:, j] if self.w is None else self.w * za * r[:, j]
-                B[:, a, j] = np.bincount(self.g, weights=col, minlength=self.G)
-        coef, dropped = gauss_solve_batched(self.M, B)
-        if self.dropped is None:
-            self.dropped = dropped
-        return coef
-
-    def contribution(self, coef: np.ndarray) -> np.ndarray:
-        """Per-row fitted part (n, T) implied by coefficients (G, L, T)."""
-        if self.simple:
-            return coef[self.g, 0, :]
-        out = np.zeros((len(self.g), coef.shape[2]))
-        gathered = coef[self.g]  # (n, L, T)
-        for a in range(self.L):
-            out += self.Z[:, a][:, None] * gathered[:, a, :]
-        return out
-
-    def subtract_contribution(self, coef: np.ndarray, r: np.ndarray):
-        """r -= contribution(coef) column by column, without big temporaries."""
-        buf = self._buf
-        T = r.shape[1]
-        if self.simple:
-            for j in range(T):
-                np.take(coef[:, 0, j], self.g, out=buf)
-                r[:, j] -= buf
             return
-        for j in range(T):
-            cj = coef[:, :, j]
-            col = r[:, j]
-            for a in range(self.L):
-                np.take(np.ascontiguousarray(cj[:, a]), self.g, out=buf)
-                buf *= self.Z[:, a]
-                col -= buf
+        Z = np.asfortranarray(dim.design(n))
+        M = np.empty((self.G, self.L, self.L))
+        for a in range(self.L):
+            for c in range(a, self.L):
+                prod = Z[:, a] * Z[:, c]
+                if w is not None:
+                    prod *= w
+                M[:, a, c] = M[:, c, a] = np.bincount(self.g, weights=prod,
+                                                      minlength=self.G)
+        eye = np.broadcast_to(np.eye(self.L), M.shape)
+        self.Z, self.M = Z, M
+        self.Minv, self.dropped = gauss_solve_batched(M, eye)
 
-    def update(self, coef_view: np.ndarray, r: np.ndarray):
-        """One Gauss-Seidel step: add the increment to coef_view, update r."""
-        d = self.solve(r)
-        coef_view += d
-        self.subtract_contribution(d, r)
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """D'W v: weighted per-group sums of one row vector (times each slope)."""
+        wv = v if self.w is None else self.w * v
+        if self.Z is None:
+            return np.bincount(self.g, weights=wv, minlength=self.G)
+        out = np.empty((self.G, self.L))
+        for a in range(self.L):
+            out[:, a] = np.bincount(self.g, weights=self.Z[:, a] * wv, minlength=self.G)
+        return out.ravel()
 
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        """Block solve M x = c per group; dropped coefficients stay at 0."""
+        if self.Z is None:
+            return c / self.wsum
+        return np.einsum("gab,gb->ga", self.Minv, c.reshape(self.G, self.L)).ravel()
 
-def sweep_once(state: list[np.ndarray], problem: DemeanProblem) -> list[np.ndarray]:
-    """One full update of every dimension's coefficients (Gauss-Seidel order).
+    def gram(self, p: np.ndarray) -> np.ndarray:
+        """D'W D p: the block-diagonal product with this dimension's own blocks."""
+        if self.Z is None:
+            return self.wsum * p
+        return np.einsum("gab,gb->ga", self.M, p.reshape(self.G, self.L)).ravel()
 
-    ``state`` holds one (G_q, L_q, T) array per dimension; returns the updated
-    coefficient arrays.  Exposed mainly for tests and the plain-iteration mode.
-    """
-    works = [_DimWork(d, problem.weights, problem.targets.shape[0]) for d in problem.dims]
-    r = problem.targets.copy()
-    for q, wk in enumerate(works):
-        if state[q] is not None and np.any(state[q]):
-            r -= wk.contribution(state[q])
-    new_state = []
-    for q, wk in enumerate(works):
-        if state[q] is not None and np.any(state[q]):
-            r += wk.contribution(state[q])
-        coef = wk.solve(r)
-        r -= wk.contribution(coef)
-        new_state.append(coef)
-    return new_state
+    def subtract(self, coef: np.ndarray, v: np.ndarray, buf: np.ndarray):
+        """v -= D coef in place, through the row buffer ``buf``.
 
-
-# ---------------------------------------------------------------------------
-# Main driver
-# ---------------------------------------------------------------------------
-
-class _Driver:
-    def __init__(self, problem: DemeanProblem):
-        self.p = problem
-        n = problem.targets.shape[0]
-        self.works = [_DimWork(d, problem.weights, n) for d in problem.dims]
-        self.Q = len(self.works)
-        self.sizes = [(wk.G, wk.L) for wk in self.works]
-        self.state_dims = list(range(1, self.Q))  # accelerated dimensions
-        self.offsets = []
-        off = 0
-        for q in self.state_dims:
-            G, L = self.sizes[q]
-            self.offsets.append(off)
-            off += G * L
-        self.P = off
-
-    def unflatten(self, S: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for k, q in enumerate(self.state_dims):
-            G, L = self.sizes[q]
-            off = self.offsets[k]
-            out.append(S[off:off + G * L].reshape(G, L, -1))
-        return out
-
-    def sweep_inplace(self, S: np.ndarray, coef0: np.ndarray, r: np.ndarray):
-        """One full sweep via coefficient increments; mutates S, coef0 and r.
-
-        Precondition: r == targets - contribution(coef0) - contributions(S).
-        The same invariant holds on return with the updated coefficients.
+        Group codes lie in [0, G) by construction, so the gathers use
+        ``mode="clip"``: with the default mode numpy buffers ``out`` through
+        a temporary, which doubles the cost of the gather.
         """
-        self.works[0].update(coef0, r)
-        for k, q in enumerate(self.state_dims):
-            G, L = self.sizes[q]
-            off = self.offsets[k]
-            self.works[q].update(S[off:off + G * L].reshape(G, L, -1), r)
-
-    def shift_residual(self, S_old: np.ndarray, S_new: np.ndarray, r: np.ndarray):
-        """Update r in place for a state jump (after an extrapolation)."""
-        dS = S_new - S_old
-        for k, q in enumerate(self.state_dims):
-            G, L = self.sizes[q]
-            off = self.offsets[k]
-            self.works[q].subtract_contribution(
-                dS[off:off + G * L].reshape(G, L, -1), r)
+        if self.Z is None:
+            np.take(coef, self.g, out=buf, mode="clip")
+            v -= buf
+            return
+        c = coef.reshape(self.G, self.L)
+        for a in range(self.L):
+            np.take(c[:, a], self.g, out=buf, mode="clip")
+            buf *= self.Z[:, a]
+            v -= buf
 
 
-# ---------------------------------------------------------------------------
-# Two-FE conjugate gradients
-# ---------------------------------------------------------------------------
+def _cross(wa: _DimWork, wb: _DimWork, buf: np.ndarray) -> sp.csr_matrix:
+    """Cross-table Da'W Db: one entry per observed group pair (and slope pair).
 
-def _schur_pcg(drv: _Driver, S: np.ndarray, coef0: np.ndarray, r: np.ndarray,
-               tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-preconditioned CG on the dimension-2 Schur complement, per column.
-
-    With D1, D2 the dummy matrices of the two dimensions, W the weights and P1
-    the W-projection on D1's columns, the dimension-2 coefficients b solve
-    A b = D2'W (I - P1) y with A = D2'W (I - P1) D2.  Through the cross-table
-    C = D1'W D2, built once per call, A p = W2 p - C' (C p / W1), where W1 and
-    W2 are the group weights: a product costs two passes over the nonzeros of
-    C (the observed group pairs, at most n of them) and none over the rows.
-    The preconditioner is D = diag(W2), so D^-1 (c - A b) is exactly the move
-    a plain sweep would make from b; a column stops once its sup norm is at
-    most ``tol``.  Forming the initial residual counts as one sweep and each
-    product as one sweep.  The dimension-1 coefficients follow the iterate in
-    coefficient space (a = a0 - C (b - b0) / W1); the rows are read once to
-    form the initial residual and written once at the end, with the residuals
-    y - D2 b - D1 a.
-
-    Precondition: r == targets - D2 S.  Mutates S, coef0 and r in place
-    (r becomes the residuals).  Returns per-column (CG steps, converged).
+    Without weights or slopes the row buffer holds the unit weights while the
+    table is built; scipy sums the duplicate pairs into fresh arrays.
     """
-    w1, w2 = drv.works
-    # C = D1'W D2, the summed weight of each observed group pair; without
-    # weights the row buffer holds the unit weights while C is built
-    buf = np.ones(w1.n) if w1.w is None else np.empty(w1.n)
-    C = sp.csr_matrix((buf if w1.w is None else w1.w, (w1.g, w2.g)),
-                      shape=(w1.G, w2.G))
-    Ct = C.T  # CSC view of the same arrays
+    if wa.Z is None and wb.Z is None:
+        if wa.w is None:
+            buf.fill(1.0)
+        return sp.csr_matrix((buf if wa.w is None else wa.w, (wa.g, wb.g)),
+                             shape=(wa.G, wb.G))
+    n = len(wa.g)
+    za = np.ones((n, 1)) if wa.Z is None else wa.Z
+    zb = np.ones((n, 1)) if wb.Z is None else wb.Z
+    vals = za[:, :, None] * zb[:, None, :]
+    if wa.w is not None:
+        vals *= wa.w[:, None, None]
+    shape = vals.shape
+    rows = np.broadcast_to((wa.g * wa.L)[:, None, None] + np.arange(wa.L)[:, None], shape)
+    cols = np.broadcast_to((wb.g * wb.L)[:, None, None] + np.arange(wb.L), shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(wa.G * wa.L, wb.G * wb.L))
+
+
+# ---------------------------------------------------------------------------
+# Solvers
+# ---------------------------------------------------------------------------
+
+def _plain_sweeps(works: list[_DimWork], bounds: list[int], S: np.ndarray,
+                  coef0: np.ndarray, r: np.ndarray, buf: np.ndarray,
+                  tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating projections on the rows, column by column.
+
+    One sweep solves every dimension in turn against the current residual
+    (Gauss-Seidel order) and subtracts the increment; a column stops once no
+    coefficient of dimensions 2..Q moved by more than ``tol``.  With one
+    dimension this is the closed-form solve: one sweep, then no move.
+    Mutates S, coef0 and r; returns per-column (sweeps, converged).
+    """
     T = r.shape[1]
     steps = np.zeros(T, dtype=np.int64)
     converged = np.zeros(T, dtype=bool)
     for j in range(T):
         e = r[:, j]
-        db = np.zeros(w2.G)
-        a = w1.group_sum(e) / w1.wsum
-        res = w2.group_sum(e) - Ct @ a
-        z = res / w2.wsum
+        k = 0
+        move = np.inf
+        while k < max_iter and move > tol:
+            d = works[0].solve(works[0].sums(e))
+            coef0[:, j] += d
+            works[0].subtract(d, e, buf)
+            move = 0.0
+            for q, wk in enumerate(works[1:]):
+                d = wk.solve(wk.sums(e))
+                S[bounds[q]:bounds[q + 1], j] += d
+                wk.subtract(d, e, buf)
+                move = max(move, float(np.abs(d).max()))
+            k += 1
+        steps[j] = k
+        converged[j] = move <= tol
+    return steps, converged
+
+
+def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
+              coef0: np.ndarray, r: np.ndarray, buf: np.ndarray,
+              tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block-Jacobi preconditioned CG on the Schur complement of dimension 1.
+
+    With D1 the design of dimension 1 (dummies, times its slopes) and
+    D = [D2 ... DQ] the stacked designs of the others, the coefficients b of
+    D solve A b = D'W (I - P1) y, with P1 the W-projection on D1's columns and
+    A = K - C1' M1^+ C1, where K = D'W D, C1 = D1'W D and M1 = D1'W D1 is
+    block diagonal (group weights, or L x L blocks with pivot drops).  K's
+    diagonal blocks are the dimensions' own group blocks; its off-diagonal
+    blocks and C1 are sparse cross-tables built once per call, with one entry
+    per observed group pair, so a product with A reads no row.  The
+    preconditioner is block Jacobi on K's diagonal blocks, and the
+    preconditioned residual is exactly the move a plain sweep would make
+    from b when Q = 2; a column stops once its sup norm is at most ``tol``.
+    Forming the initial residual counts as one sweep and each product as
+    one.  Dimension 1 follows the iterate in coefficient space
+    (a = a0 - M1^+ C1 (b - b0)); the rows are read once for the initial
+    residual and written once at the end, with y - D b - D1 a.
+
+    Precondition: r == targets - D S.  Mutates S, coef0 and r in place
+    (r becomes the residuals).  Returns per-column (CG steps, converged).
+    """
+    w1, rest = works[0], works[1:]
+    blocks = [slice(bounds[q], bounds[q + 1]) for q in range(len(rest))]
+    C1 = [_cross(w1, wk, buf) for wk in rest]
+    C1t = [C.T for C in C1]  # CSC views of the same arrays
+    K = [(q, s, _cross(rest[q], rest[s], buf))
+         for q in range(len(rest)) for s in range(q + 1, len(rest))]
+
+    def precondition(res):
+        if len(rest) == 1:
+            return rest[0].solve(res)
+        return np.concatenate([wk.solve(res[blk]) for wk, blk in zip(rest, blocks)])
+
+    def product(p):
+        parts = [p[blk] for blk in blocks]
+        t = C1[0] @ parts[0]
+        for C, pq in zip(C1[1:], parts[1:]):
+            t += C @ pq
+        m = w1.solve(t)
+        Ap = np.empty_like(p)
+        for q, wk in enumerate(rest):
+            Ap[blocks[q]] = wk.gram(parts[q])
+        for q, s, Kqs in K:
+            Ap[blocks[q]] += Kqs @ parts[s]
+            Ap[blocks[s]] += Kqs.T @ parts[q]
+        for q, Ct in enumerate(C1t):
+            Ap[blocks[q]] -= Ct @ m
+        return m, Ap
+
+    T = r.shape[1]
+    steps = np.zeros(T, dtype=np.int64)
+    converged = np.zeros(T, dtype=bool)
+    for j in range(T):
+        e = r[:, j]
+        db = np.zeros(S.shape[0])
+        a = w1.solve(w1.sums(e))
+        res = np.concatenate([wk.sums(e) - Ct @ a for wk, Ct in zip(rest, C1t)])
+        z = precondition(res)
         p = z.copy()
         rz = float(np.dot(res, z))
         k = 0
         while k < max_iter and np.abs(z).max() > tol:
-            m = (C @ p) / w1.wsum
-            Ap = w2.wsum * p - Ct @ m
+            m, Ap = product(p)
             k += 1
             pAp = float(np.dot(p, Ap))
             if not pAp > 0.0:
@@ -445,16 +394,15 @@ def _schur_pcg(drv: _Driver, S: np.ndarray, coef0: np.ndarray, r: np.ndarray,
             db += alpha * p
             a -= alpha * m
             res -= alpha * Ap
-            z = res / w2.wsum
+            z = precondition(res)
             rz_new = float(np.dot(res, z))
             p = z + (rz_new / rz) * p
             rz = rz_new
-        np.take(db, w2.g, out=buf)
-        e -= buf
-        np.take(a, w1.g, out=buf)
-        e -= buf
+        for wk, blk in zip(rest, blocks):
+            wk.subtract(db[blk], e, buf)
+        w1.subtract(a, e, buf)
         S[:, j] += db
-        coef0[:, 0, j] = a
+        coef0[:, j] = a
         steps[j] = k
         converged[j] = np.abs(z).max() <= tol
     return steps, converged
@@ -466,152 +414,69 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
            consume_targets: bool = False) -> DemeanResult:
     """Demean every target column against the problem's fixed-effect structure.
 
-    Single-dimension problems are solved in one closed-form pass.  With two
-    pure-intercept dimensions (weighted or not) and ``accelerate`` set, the
-    dimension-2 coefficients are found by Jacobi-preconditioned conjugate
-    gradients on their Schur complement; there one sweep is the initial
-    residual or one operator product on the cross-table.  Otherwise the
-    coefficients of dimensions 2..Q are iterated to their fixed point,
-    Irons-Tuck accelerated unless ``accelerate`` is False; there one sweep is
-    one application of the sweep map.  Each target converges independently
-    (sup-norm move of a plain sweep <= tol) and is frozen once converged;
-    ``sweeps`` reports the slowest column's sweep count.  ``init_state``
-    warm-starts the coefficients of dimensions 2..Q (``fe_coef[1:]``
-    flattened to (sum G_q L_q, n_targets)).
+    With two or more dimensions and ``accelerate`` set, dimension 1 is
+    eliminated in closed form and the coefficients of dimensions 2..Q are
+    found by block-Jacobi preconditioned conjugate gradients on their Schur
+    complement (``_schur_cg``); a sweep is the initial residual or one
+    operator product on the cross-tables.  Otherwise, and always with one
+    dimension, plain alternating sweeps over the rows run to their fixed
+    point; a sweep is one group-sum and one gather per dimension.  A column
+    stops once the move a plain sweep would make (for CG: the sup norm of
+    the preconditioned residual) is at most ``tol``.  Each target column
+    runs its own iteration, so a batched run reproduces the single-column
+    results bit for bit.  ``sweeps`` reports the slowest column's count and
+    ``iterations`` its CG steps (sweeps - 1 in the plain mode).
+    ``init_state`` warm-starts the coefficients of dimensions 2..Q
+    (``fe_coef[1:]`` flattened to (sum G_q L_q, n_targets)).
     ``consume_targets`` lets the solver reuse (and destroy) the problem's
     target buffer; only set it on throwaway problems.
     """
-    drv = _Driver(problem)
     targets = problem.targets
     n, T = targets.shape
-
-    if drv.Q == 0:
+    if not problem.dims:
         return DemeanResult(residuals=targets.copy(), iterations=0, converged=True,
                             fe_coef=[] if keep_coefs else None)
 
-    if drv.Q == 1:
-        wk = drv.works[0]
-        coef = wk.solve(targets)
-        resid = targets - wk.contribution(coef)
-        dropped = _collect_dropped(drv)
-        return DemeanResult(residuals=resid, iterations=0, converged=True,
-                            fe_coef=[coef] if keep_coefs else None,
-                            dropped=dropped, sweeps=1)
-
-    tol = problem.tol
-    max_iter = problem.max_iter
-
-    S = np.zeros((drv.P, T)) if init_state is None else \
+    works = [_DimWork(d, problem.weights, n) for d in problem.dims]
+    bounds = [0]
+    for wk in works[1:]:
+        bounds.append(bounds[-1] + wk.G * wk.L)
+    S = np.zeros((bounds[-1], T)) if init_state is None else \
         np.array(init_state, dtype=np.float64, copy=True)
-    G0, L0 = drv.sizes[0]
-    coef0 = np.zeros((G0, L0, T))
-    # F-order for contiguous per-column views in the sweeps; copied unless the
-    # caller explicitly hands over ownership of the target buffer
+    coef0 = np.zeros((works[0].G * works[0].L, T))
+    # F-order for contiguous per-column views; copied unless the caller
+    # explicitly hands over ownership of the target buffer
     if consume_targets and targets.flags.f_contiguous:
         r = targets
     else:
         r = np.array(targets, order="F", copy=True)
+    buf = np.empty(n)  # the one row buffer every gather goes through
     if init_state is not None and np.any(S):
-        drv.shift_residual(np.zeros_like(S), S, r)
+        for j in range(T):
+            for q, wk in enumerate(works[1:]):
+                wk.subtract(S[bounds[q]:bounds[q + 1], j], r[:, j], buf)
 
-    if accelerate and drv.Q == 2 and all(wk.simple for wk in drv.works):
-        steps, converged = _schur_pcg(drv, S, coef0, r, tol, max_iter)
-        return DemeanResult(residuals=r,
-                            iterations=int(steps.max(initial=0)),
-                            converged=bool(converged.all()),
-                            fe_coef=[coef0] + drv.unflatten(S) if keep_coefs else None,
-                            dropped=_collect_dropped(drv),
-                            sweeps=int(steps.max(initial=0)) + 1)
-
-    residuals = np.empty_like(targets, order="F")
-    final_S = np.empty_like(S)
-    final_coef0 = np.empty_like(coef0)
-    active = np.arange(T)
-    sweeps = 0
-    iterations = np.zeros(T, dtype=np.int64)
-    target_sweeps = np.zeros(T, dtype=np.int64)
-    converged = np.zeros(T, dtype=bool)
-
-    def freeze(local_idx: np.ndarray, S_act, coef0_act, r_act):
-        nonlocal active
-        for li in local_idx:
-            t = active[li]
-            residuals[:, t] = r_act[:, li]
-            final_S[:, t] = S_act[:, li]
-            final_coef0[:, :, t] = coef0_act[:, :, li]
-            converged[t] = True
-            iterations[t] = max(target_sweeps[t] - 1, 0)
-        keep = np.ones(len(active), dtype=bool)
-        keep[local_idx] = False
-        active = active[keep]
-        return keep
-
-    # Each target column follows the exact (F, check, F, check, extrapolate)
-    # cycle it would follow alone: freezing one column never changes the
-    # phase of the others, so batched and standalone runs agree bit for bit.
-    while len(active) and sweeps < max_iter:
-        S_base = S.copy()
-        drv.sweep_inplace(S, coef0, r)  # S is now F(S_base)
-        sweeps += 1
-        target_sweeps[active] += 1
-        delta1 = np.abs(S - S_base).max(axis=0)
-        done = np.flatnonzero(delta1 <= tol)
-        if len(done):
-            keep = freeze(done, S, coef0, r)
-            S, S_base, coef0, r = S[:, keep], S_base[:, keep], \
-                coef0[:, :, keep], _select_cols_f(r, keep)
-            if not len(active):
-                break
-        if not accelerate:
-            continue
-        S_mid = S.copy()
-        drv.sweep_inplace(S, coef0, r)  # S is now F(F(S_base))
-        sweeps += 1
-        target_sweeps[active] += 1
-        delta2 = np.abs(S - S_mid).max(axis=0)
-        done = np.flatnonzero(delta2 <= tol)
-        if len(done):
-            keep = freeze(done, S, coef0, r)
-            S, S_base, S_mid, coef0, r = S[:, keep], S_base[:, keep], \
-                S_mid[:, keep], coef0[:, :, keep], _select_cols_f(r, keep)
-            if not len(active):
-                break
-        S_new = np.empty_like(S)
-        for j in range(S.shape[1]):
-            S_new[:, j] = _it_extrapolate(S_base[:, j], S_mid[:, j], S[:, j])
-        drv.shift_residual(S, S_new, r)
-        S = S_new
-
-    all_converged = bool(converged.all())
-    if len(active):
-        # iteration cap reached: finish the stragglers with one last sweep
-        drv.sweep_inplace(S, coef0, r)
-        for li, t in enumerate(active):
-            residuals[:, t] = r[:, li]
-            final_S[:, t] = S[:, li]
-            final_coef0[:, :, t] = coef0[:, :, li]
-            iterations[t] = target_sweeps[t]
-        active = np.array([], dtype=np.int64)
+    if accelerate and len(works) > 1:
+        steps, converged = _schur_cg(works, bounds, S, coef0, r, buf,
+                                     problem.tol, problem.max_iter)
+        iterations = int(steps.max(initial=0))
+        sweeps = iterations + 1
+    else:
+        steps, converged = _plain_sweeps(works, bounds, S, coef0, r, buf,
+                                         problem.tol, problem.max_iter)
+        sweeps = int(steps.max(initial=0))
+        iterations = max(sweeps - 1, 0)
 
     fe_coef = None
     if keep_coefs:
-        fe_coef = [final_coef0] + drv.unflatten(final_S)
-    return DemeanResult(residuals=residuals,
-                        iterations=int(iterations.max(initial=0)),
-                        converged=all_converged,
-                        fe_coef=fe_coef,
-                        dropped=_collect_dropped(drv),
-                        sweeps=sweeps)
-
-
-def _collect_dropped(drv: _Driver) -> list[tuple[int, int, int]]:
-    dropped = []
-    for q, wk in enumerate(drv.works):
-        if wk.dropped is None:
-            continue
-        for g, c in zip(*np.nonzero(wk.dropped)):
-            dropped.append((q, int(g), int(c)))
-    return dropped
+        fe_coef = [coef0.reshape(works[0].G, works[0].L, T)] + [
+            S[bounds[q]:bounds[q + 1]].reshape(wk.G, wk.L, T)
+            for q, wk in enumerate(works[1:])]
+    dropped = [(q, int(g), int(c)) for q, wk in enumerate(works)
+               for g, c in zip(*np.nonzero(wk.dropped))]
+    return DemeanResult(residuals=r, iterations=iterations,
+                        converged=bool(converged.all()), fe_coef=fe_coef,
+                        dropped=dropped, sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ pivoted-Cholesky collinearity pruning.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,6 +39,9 @@ __all__ = [
 
 DEFAULT_COLLIN_TOL = 1e-10
 GLM_TOL = 1e-8
+# An OLS SSR formed from the Gram (y'Wy - coef'X'Wy) keeps about
+# -log10(eps / SSR_GRAM_RTOL) = 12 digits when SSR >= SSR_GRAM_RTOL * y'Wy
+SSR_GRAM_RTOL = 1e-4
 IRLS_MAX_ITER = 200
 ETA_BOUND = {"poisson": 500.0, "logit": 30.0, "gaussian": np.inf}
 
@@ -511,19 +515,19 @@ def _k_fe(dims: list[FeDim], dropped: list) -> int:
     return total - max(0, n_intercept - 1)
 
 
-def _sst(y, w, centered):
+def _sst(y, w, centered) -> tuple[float, float]:
+    """Total sum of squares of y (about its weighted mean if centered), and that mean."""
+    # einsum, not np.dot: on 2 cores a two-thread OpenBLAS dot of two 1e6-row
+    # vectors takes about 8 ms, einsum's single pass 0.5 ms
     if w is None:
-        ss = float(np.dot(y, y))
-        if not centered:
-            return ss
-        s = float(y.sum())
-        return ss - s * s / len(y)
-    ss = float(np.einsum("i,i,i->", w, y, y))
-    if not centered:
-        return ss
-    sw = float(w.sum())
-    sy = float(np.dot(w, y))
-    return ss - sy * sy / sw
+        sw = float(len(y))
+        sy = float(y.sum())
+        ss = float(np.einsum("i,i->", y, y))
+    else:
+        sw = float(w.sum())
+        sy = float(np.einsum("i,i->", w, y))
+        ss = float(np.einsum("i,i,i->", w, y, y))
+    return (ss - sy * sy / sw if centered else ss), sy / sw
 
 
 def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
@@ -608,14 +612,29 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             sub = np.ix_(kept_rel, kept_rel)
             coef, xtx_inv = _solve_spd(gram[sub], xy[kept_rel])
             kept_cols = tuple(ixs[k] for k in kept_rel)
-            solved[m] = (iy, kept_rel, dropped_rel, coef, xtx_inv, kept_cols)
+            # r'Wr = y'Wy - coef'X'Wy at the solution of the normal equations
+            ssr = float(G_all[iy, iy] - np.dot(xy[kept_rel], coef))
+            solved[m] = (iy, kept_rel, dropped_rel, coef, xtx_inv, kept_cols, ssr)
             by_design.setdefault(kept_cols, []).append(m)
         except EstimationError as exc:
             solved[m] = exc
 
+    # a demeaned outcome that no model uses as a regressor is dead once G_all
+    # and the residuals are formed; a run of such columns, each the outcome
+    # of one model only, takes its models' residuals in place, and any other
+    # dead column takes one fitted vector
+    spare = {iy for iy, _ in sel_map} - {j for _, ixs in sel_map for j in ixs}
+    uses = Counter(iy for iy, _ in sel_map)
     resid: dict[int, np.ndarray] = {}
     for kept_cols, members in by_design.items():
-        RES = _stack_f([R[:, solved[m][0]] for m in members])
+        iys = [solved[m][0] for m in members]
+        lo = iys[0]
+        if iys == list(range(lo, lo + len(iys))) and \
+                all(iy in spare and uses[iy] == 1 for iy in iys):
+            RES = R[:, lo:lo + len(iys)]  # a view: no n-row copy
+            spare.difference_update(iys)
+        else:
+            RES = _stack_f([R[:, iy] for iy in iys])
         if kept_cols:
             Gamma = np.column_stack([solved[m][3] for m in members])
             lo = kept_cols[0]
@@ -629,16 +648,13 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         for j, m in enumerate(members):
             resid[m] = np.ascontiguousarray(RES[:, j])
 
-    # a demeaned outcome that no model uses as a regressor is dead now that
-    # G_all and the residuals are formed: its column takes one fitted vector
-    spare = {iy for iy, _ in sel_map} - {j for _, ixs in sel_map for j in ixs}
-    sst_cache: dict[str, float] = {}
+    sst_cache: dict[str, tuple[float, float]] = {}
     out = []
     for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
         if isinstance(solved[m], Exception):
             out.append(solved[m])
             continue
-        iy, kept_rel, dropped_rel, coef, xtx_inv, kept_cols = solved[m]
+        iy, kept_rel, dropped_rel, coef, xtx_inv, kept_cols, ssr = solved[m]
         try:
             dof = DofLedger(n_used=n, k_vars=len(kept_rel),
                             k_fe=_k_fe(frame.dims, dres.dropped))
@@ -652,12 +668,15 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             if frame.offset is not None:
                 fitted += frame.offset
             wr = r if w is None else w * r
-            ssr = float(np.dot(wr, r))
+            if not ssr > SSR_GRAM_RTOL * G_all[iy, iy]:
+                # the fit leaves little of y: the Gram difference has lost
+                # too many digits, so sum the residuals themselves
+                ssr = float(np.einsum("i,i->", wr, r))
             if frame.lhs_name not in sst_cache:
                 sst_cache[frame.lhs_name] = _sst(
                     y, w, centered=frame.has_intercept or bool(frame.dims))
+            sst, ymean = sst_cache[frame.lhs_name]
             wsum = float(w.sum()) if w is not None else float(n)
-            ymean = float((w * y).sum() / wsum) if w is not None else float(y.mean())
             kept_names = [frame.x_names[k] for k in kept_rel]
             out.append(FitResult(
                 coef=coef, coef_names=kept_names,
@@ -669,7 +688,7 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
                 family="ols", lhs_name=frame.lhs_name,
                 fe_labels=list(frame.fe_labels), mask=frame.mask,
                 has_intercept=frame.has_intercept,
-                ssr=ssr, sst=sst_cache[frame.lhs_name],
+                ssr=ssr, sst=sst,
                 ssr_fe_only=float(G_all[iy, iy]),
                 weights_sum=wsum, y_mean=ymean, model=frame.model,
                 _weights=w, _dims=frame.dims,
@@ -773,10 +792,9 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     if dof.df_resid < 1:
         raise EstimationError(f"no residual degrees of freedom (n={n}, K={dof.k_total})")
     ssr = float(np.dot(wr, r))
-    sst = _sst(y, w, centered=frame.has_intercept or bool(frame.dims))
+    sst, ymean = _sst(y, w, centered=frame.has_intercept or bool(frame.dims))
     wyt = yt if w is None else w * yt
     wsum = float(w.sum()) if w is not None else float(n)
-    ymean = float((w * y).sum() / wsum) if w is not None else float(y.mean())
     exog_kept = [k - n_endo for k in kept2 if k >= n_endo]
     iv_diag = IvDiag(endo_names=list(frame.endo_names), first_stages=first_stages,
                      y_t=yt, exog_t=Xt[:, exog_kept],
@@ -837,7 +855,6 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     warm_state = None
     total_demean_iters = 0
     total_sweeps = 0
-    demean_converged = True
     converged = False
     Xt = None
     zt = None
@@ -855,9 +872,11 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                                 tol=demean_tol, max_iter=demean_max_iter)
         dres = demean(problem, keep_coefs=True, init_state=warm_state,
                       consume_targets=True)
+        if not dres.converged:
+            raise EstimationError(
+                f"demeaning did not converge within {demean_max_iter} iterations")
         total_demean_iters += dres.iterations
         total_sweeps += dres.sweeps
-        demean_converged = demean_converged and dres.converged
         warm_state = _state_from_coefs(dres)
         zt = dres.residuals[:, 0]
         Xt = dres.residuals[:, 1:]
@@ -903,19 +922,19 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     if dof.df_resid < 1:
         raise EstimationError(f"no residual degrees of freedom (n={n}, K={dof.k_total})")
     ssr = float(np.sum(w_user * r * r))
-    sst = _sst(y, frame.weights, centered=True)
+    sst, ymean = _sst(y, frame.weights, centered=True)
     wsum = float(w_user.sum())
     return FitResult(
         coef=coef, coef_names=kept_names, dropped_collinear=dropped_names,
         residuals=r, fitted=mu, xtx_inv=xtx_inv, scores=scores, dof=dof,
         convergence=Convergence(demean_iterations=total_demean_iters,
                                 demean_sweeps=total_sweeps,
-                                demean_converged=demean_converged,
+                                demean_converged=dres.converged,
                                 irls_iterations=irls_iters, irls_converged=converged),
         family=family, lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
         mask=frame.mask, has_intercept=frame.has_intercept,
         ssr=ssr, sst=sst, ssr_fe_only=float("nan"),
-        weights_sum=wsum, y_mean=float((w_user * y).sum() / wsum),
+        weights_sum=wsum, y_mean=ymean,
         deviance=dev, model=frame.model,
         _weights=frame.weights, _dims=frame.dims,
         _fixef_target=(z - frame.X[:, kept] @ coef) if frame.dims else None,

@@ -4,8 +4,8 @@ OLS models that share a sample mask and fixed-effect structure are pooled:
 all their distinct target columns are demeaned in one batched call, then each
 model solves its own normal equations on the shared residuals.  Offset models
 pool too; their target is the outcome less the offset.  Each target column
-runs its own frozen fixed-point iteration inside the batch, so pooled results
-match the standalone fits to rounding.  ``fit_ols`` is itself a pooled group
+runs its own demeaning iteration inside the batch and stops on its own, so
+pooled results match the standalone fits to rounding.  ``fit_ols`` is itself a pooled group
 of one on the same ``finish_ols_group`` path, so a one-model group reproduces
 it bit for bit by construction.  GLM and IV models are never pooled.
 """
@@ -131,13 +131,16 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
         col_of: dict[str, int] = {}
         columns: list[np.ndarray] = []
         sel_map = []
-        for fr in group_frames:
-            # the outcome less the offset is keyed apart from the same column
-            # used as a regressor
-            lhs = fr.lhs_name if fr.offset is None else f"{fr.lhs_name} - {options.offset}"
+        # outcomes first, so that models sharing a design have their outcome
+        # columns side by side; the outcome less the offset is keyed apart
+        # from the same column used as a regressor
+        lhs_keys = [fr.lhs_name if fr.offset is None else f"{fr.lhs_name} - {options.offset}"
+                    for fr in group_frames]
+        for lhs, fr in zip(lhs_keys, group_frames):
             if lhs not in col_of:
                 col_of[lhs] = len(columns)
                 columns.append(fr.shifted_y)
+        for lhs, fr in zip(lhs_keys, group_frames):
             for nm, arr in zip(fr.x_names, fr.x_cols):
                 if nm not in col_of:
                     col_of[nm] = len(columns)

@@ -78,6 +78,12 @@ class TestCases:
         assert cases[0] == BenchCase("simple", 2, "ols")
         assert cases[1] == BenchCase("difficult", 3, "poisson")
 
+    def test_parse_slopes(self):
+        case, = parse_cases("difficult2fe-slopes")
+        assert case == BenchCase("difficult", 2, "ols", slopes=True)
+        assert case.name == "difficult2fe-slopes"
+        assert case.formula() == "y ~ x1 | indiv_id + firm_id_difficult[x2]"
+
     def test_parse_bad(self):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_cases("medium2fe")
@@ -106,6 +112,17 @@ class TestRunBenchmark:
         acc = run_benchmark([5000], [BenchCase("difficult", 2, "ols")], seed=2)
         plain = run_benchmark([5000], [BenchCase("difficult", 2, "ols")], seed=2,
                               accelerate=False)
+        assert acc[0]["demean_iterations"] < plain[0]["demean_iterations"]
+
+    def test_plain_rejects_poisson(self):
+        with pytest.raises(ValueError, match="plain mode times OLS"):
+            run_benchmark([1000], [BenchCase("simple", 2, "poisson")], accelerate=False)
+
+    def test_slopes_case_runs_in_both_modes(self):
+        case = BenchCase("difficult", 2, "ols", slopes=True)
+        acc = run_benchmark([5000], [case], seed=2)
+        plain = run_benchmark([5000], [case], seed=2, accelerate=False)
+        assert acc[0]["status"] == plain[0]["status"] == "ok"
         assert acc[0]["demean_iterations"] < plain[0]["demean_iterations"]
 
     def test_sizes_must_be_sorted(self):

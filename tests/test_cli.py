@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fehd.bench import DgpConfig, dataset_to_csv, simulate_panel
 from fehd.cli import main
+from fehd.data import NumericColumn
 
 
 @pytest.fixture
@@ -71,6 +73,22 @@ class TestFit:
                                  "--output", "json"])
         assert code == 0
         assert json.loads(text)["models"][0]["nobs"] == 119
+
+    @pytest.mark.parametrize("value, code", [("inf", 0), ("nan", 2), ("-inf", 2)])
+    def test_subset_categorical_non_finite_value(self, tmp_path, value, code):
+        rng = np.random.default_rng(4)
+        levels = ["a", "b", "inf"]
+        lines = ["y,x,g"] + [f"{rng.normal()!r},{rng.normal()!r},{levels[i % 3]}"
+                             for i in range(30)]
+        path = tmp_path / "g.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got, text, err = run_cli(["fit", "--formula", "y ~ x", "--data", str(path),
+                                  "--subset", f"g == {value}", "--output", "json"])
+        assert got == code
+        if code == 0:
+            assert json.loads(text)["models"][0]["nobs"] == 10
+        else:  # no row matches: a named error, not a traceback
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_multiple_vcov_columns(self, data_csv):
         code, out, _ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
@@ -153,6 +171,20 @@ class TestSimulateBench:
                                  "--data", out, "--offset", "x2"])
         assert code == 0 and "x1" in text
 
+    def test_poisson_capped_demeaning_exit_two(self, tmp_path):
+        ds = simulate_panel(DgpConfig(n=20_000, seed=0))
+        rng = np.random.default_rng(1)
+        ycount = rng.poisson(np.exp(ds.numeric("y") - 1)).astype(float)
+        out = str(tmp_path / "panel.csv")
+        dataset_to_csv(ds.with_columns({"ycount": NumericColumn(ycount)}), out)
+        args = ["fit", "--formula", "ycount ~ x1 | indiv_id + firm_id_difficult",
+                "--data", out, "--family", "poisson"]
+        code, _, err = run_cli(args + ["--demean-maxiter", "1"])
+        assert code == 2
+        assert "demeaning did not converge within 1 iterations" in err
+        code, text, _ = run_cli(args)
+        assert code == 0 and "x1" in text
+
     def test_bench_smoke(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         code, *_ = run_cli(["bench", "--sizes", "1000", "--cases", "simple2fe",
@@ -161,6 +193,14 @@ class TestSimulateBench:
         lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("case,n,rep,seconds,demean_iterations")
         assert lines[1].startswith("simple2fe-ols,1000,0,")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--sizes", "1000", "--cases", "simple2fe-poisson", "--plain"],
+         "plain mode times OLS"),
+        (["--sizes", "100,50", "--cases", "simple2fe"], "sorted")])
+    def test_bench_bad_request_exit_one(self, args, message):
+        code, _, err = run_cli(["bench"] + args)
+        assert code == 1 and message in err
 
     def test_bench_bad_case_exit_one(self):
         code, _, err = run_cli(["bench", "--sizes", "100", "--cases", "weird"])

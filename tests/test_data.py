@@ -368,6 +368,14 @@ class TestSubset:
         assert evaluate_subset(ds, "g == a").tolist() == [True, False, True]
         assert evaluate_subset(ds, "g != a").tolist() == [False, True, False]
 
+    def test_categorical_non_finite_value_compared_as_token(self):
+        ds = Dataset(n_rows=3, columns={"g": CategoricalColumn(
+            np.array([0, 1, 0], dtype=np.int32), ("a", "inf"))})
+        assert evaluate_subset(ds, "g == inf").tolist() == [False, True, False]
+        assert evaluate_subset(ds, "g != inf").tolist() == [True, False, True]
+        assert evaluate_subset(ds, "g == -inf").tolist() == [False, False, False]
+        assert evaluate_subset(ds, "g == nan").tolist() == [False, False, False]
+
     def test_bad_expression(self):
         ds = Dataset(n_rows=1, columns={"x": NumericColumn(np.zeros(1))})
         with pytest.raises(DataError, match="subset"):

@@ -3,7 +3,7 @@ import pytest
 
 from fehd.data import FactorIndex, first_appearance_codes
 from fehd.demean import (DemeanProblem, FeDim, demean, gauss_solve_batched,
-                         irons_tuck_step, recover_fixef, sweep_once)
+                         recover_fixef)
 
 from oracles import dummy_ols, dummy_residualize
 
@@ -23,11 +23,11 @@ def random_two_fe(rng, n=180, g1=9, g2=6):
 
 class TestSweep:
     def test_group_means_one_fe(self):
-        problem = DemeanProblem(targets=np.array([1.0, 2, 3, 4]),
-                                dims=[FeDim(fidx([0, 0, 1, 1]))])
-        state = sweep_once([None], problem)
-        res = problem.targets - state[0][problem.dims[0].index.group_of_row, 0, :]
-        assert np.allclose(res.ravel(), [-0.5, 0.5, -0.5, 0.5])
+        res = demean(DemeanProblem(targets=np.array([1.0, 2, 3, 4]),
+                                   dims=[FeDim(fidx([0, 0, 1, 1]))]))
+        assert np.allclose(res.residuals.ravel(), [-0.5, 0.5, -0.5, 0.5])
+        assert np.allclose(res.fe_coef[0][:, 0, 0], [1.5, 3.5])
+        assert res.converged and res.sweeps == 1 and res.iterations == 0
 
     def test_two_fe_additive_exact(self):
         problem = DemeanProblem(targets=np.array([1.0, 2, 3, 4]),
@@ -66,17 +66,7 @@ class TestGaussSolve:
         assert np.allclose(x[0, :, 0], [2.0, 0.0])
 
 
-class TestIronsTuck:
-    def test_fixed_point_returns_input(self):
-        beta = np.array([1.0, -2.0])
-        out = irons_tuck_step(beta, lambda b: b.copy())
-        assert np.array_equal(out, beta)
-
-    def test_affine_contraction_exact_in_one_step(self):
-        a, B = 3.0, 0.5
-        out = irons_tuck_step(np.array([0.0]), lambda b: a + B * b)
-        assert np.allclose(out, a / (1 - B), atol=1e-14)
-
+class TestPlainMode:
     def test_matches_plain_iteration_fixed_point(self, rng):
         y, c1, c2 = random_two_fe(rng)
         dims = lambda: [FeDim(fidx(c1)), FeDim(fidx(c2))]
@@ -228,6 +218,108 @@ class TestTwoFeConjugateGradient:
         unshuffled = np.empty_like(shuffled.residuals)
         unshuffled[perm] = shuffled.residuals
         assert np.abs(unshuffled - base.residuals).max() <= 1e-12
+
+def chain_three_fe(rng, n=600, g3=5):
+    """The two-FE chain plus a third, year-like dimension crossed with the first."""
+    y, c1, c2 = chain_two_fe(rng, n)
+    c3 = (np.arange(n) // 60) % g3
+    return y + rng.normal(size=g3)[c3], c1, c2, c3
+
+
+def specs(*dims):
+    """Oracle FE specs from (codes, slopes-or-None) pairs, intercepts on."""
+    return [(c, int(c.max()) + 1, z, True) for c, z in dims]
+
+
+class TestConjugateGradientAnyStructure:
+    def test_weighted_three_fe_chain_matches_dummy_oracle(self, rng):
+        y, c1, c2, c3 = chain_three_fe(rng)
+        w = rng.uniform(0.5, 2.0, len(y))
+        res = demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c)) for c in (c1, c2, c3)],
+                                   weights=w, tol=1e-13))
+        oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None), (c3, None)),
+                                   weights=w)
+        assert res.converged and not res.dropped
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+        a, b, c = res.fe_coef
+        fitted = a[c1, 0, 0] + b[c2, 0, 0] + c[c3, 0, 0]
+        assert np.allclose(res.residuals[:, 0], y - fitted, atol=1e-10)
+
+    @pytest.mark.parametrize("slope_dim", [0, 1])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_slopes_on_chain_match_dummy_oracle(self, rng, slope_dim, weighted):
+        y, c1, c2 = chain_two_fe(rng)
+        z = rng.normal(size=(len(y), 1))
+        w = rng.uniform(0.5, 2.0, len(y)) if weighted else None
+        zs = [z if q == slope_dim else None for q in range(2)]
+        dims = [FeDim(fidx(c), slopes=zq) for c, zq in zip((c1, c2), zs)]
+        res = demean(DemeanProblem(targets=y, dims=dims, weights=w, tol=1e-13))
+        oracle = dummy_residualize(y[:, None], specs((c1, zs[0]), (c2, zs[1])), weights=w)
+        assert res.converged and not res.dropped
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+
+    def test_degenerate_slope_group_dropped_in_second_dimension(self, rng):
+        y, c1, c2 = chain_two_fe(rng)
+        z = rng.normal(size=(len(y), 1))
+        z[c2 == 3] = 0.0  # group 3's slope is unidentified
+        dims = [FeDim(fidx(c1)), FeDim(fidx(c2), slopes=z), FeDim(fidx(np.arange(len(y)) % 4))]
+        res = demean(DemeanProblem(targets=y, dims=dims, tol=1e-13))
+        assert res.dropped == [(1, 3, 1)]
+        assert res.fe_coef[1][3, 1, 0] == 0.0
+        oracle = dummy_residualize(
+            y[:, None], specs((c1, None), (c2, z), (np.arange(len(y)) % 4, None)))
+        assert res.converged
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+
+    def test_disconnected_three_fe_matches_dummy_oracle(self, rng):
+        y1, a1, b1, d1 = chain_three_fe(rng)
+        y2, a2, b2, d2 = chain_three_fe(rng)
+        y = np.concatenate([y1, y2])
+        c1 = np.concatenate([a1, a2 + 60])
+        c2 = np.concatenate([b1, b2 + 12])
+        c3 = np.concatenate([d1, d2 + 5])
+        res = demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c)) for c in (c1, c2, c3)],
+                                   tol=1e-13))
+        oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None), (c3, None)))
+        assert res.converged
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+
+    def test_three_fe_warm_start_at_solution_takes_one_sweep(self, rng):
+        y, c1, c2, c3 = chain_three_fe(rng)
+        dims = lambda: [FeDim(fidx(c)) for c in (c1, c2, c3)]
+        cold = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-12))
+        state = np.concatenate([c.reshape(-1, 1) for c in cold.fe_coef[1:]])
+        warm = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-8), init_state=state)
+        assert cold.sweeps > 1
+        assert warm.converged and warm.sweeps == 1 and warm.iterations == 0
+        assert np.allclose(warm.residuals, cold.residuals, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["3fe", "slopes"])
+    def test_batch_matches_per_column_runs(self, rng, layout):
+        y1, c1, c2, c3 = chain_three_fe(rng)
+        Y = np.column_stack([y1, rng.normal(size=len(y1)), 3.0 * y1])
+        z = rng.normal(size=(len(y1), 2))
+        w = rng.uniform(0.5, 2.0, len(y1))
+        if layout == "3fe":
+            dims = lambda: [FeDim(fidx(c)) for c in (c1, c2, c3)]
+        else:
+            dims = lambda: [FeDim(fidx(c1), slopes=z[:, :1]), FeDim(fidx(c2), slopes=z)]
+        both = demean(DemeanProblem(targets=Y, dims=dims(), weights=w))
+        for j in range(Y.shape[1]):
+            solo = demean(DemeanProblem(targets=Y[:, j], dims=dims(), weights=w))
+            assert np.array_equal(both.residuals[:, j], solo.residuals[:, 0])
+            for cb, cs in zip(both.fe_coef, solo.fe_coef):
+                assert np.array_equal(cb[:, :, j], cs[:, :, 0])
+
+    def test_plain_mode_reaches_the_same_solution(self, rng):
+        y, c1, c2, c3 = chain_three_fe(rng)
+        z = rng.normal(size=(len(y), 1))
+        dims = lambda: [FeDim(fidx(c1)), FeDim(fidx(c2), slopes=z), FeDim(fidx(c3))]
+        acc = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-12))
+        plain = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-12), accelerate=False)
+        assert acc.converged and plain.converged and acc.sweeps < plain.sweeps
+        assert np.allclose(acc.residuals, plain.residuals, atol=1e-9)
+
 
 class TestRecoverFixef:
     def test_single_fe_group_means(self):
