@@ -223,7 +223,7 @@ def _dump_fe_coefs(multi, path: str):
             for g, level in enumerate(fset.levels):
                 for c in range(fset.coef.shape[1]):
                     lines.append(
-                        f"({k}),{rec.sample_label},{label},{level},{c},{fset.coef[g, c]!r}")
+                        f"({k}),{rec.sample_label},{label},{level},{c},{float(fset.coef[g, c])!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

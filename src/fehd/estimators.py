@@ -2,8 +2,14 @@
 
 The design pipeline materializes virtual columns (logs, panel shifts), applies
 listwise deletion, expands ``i()`` terms, and builds the fixed-effect
-dimensions.  All estimators then share one weighted-least-squares core with
-pivoted-Cholesky collinearity pruning.
+dimensions.  Each estimator demeans its columns in one batched call and forms
+their weighted cross-product (Gram) once; every least-squares solve is then
+``solve_gram`` on that Gram, with pivoted-Cholesky collinearity pruning.  By
+Frisch-Waugh-Lovell the 2SLS stages are solves on the Gram ``G`` of the
+demeaned block ``[y - offset, X, E, Z]`` or on ``T'GT`` for a map ``T`` of the
+block; IRLS solves each step on the Gram of ``[z, X]`` under the working
+weights.  Every fit keeps one ``Design`` record, from which inference forms
+the score rows on first use and ``fixef`` recovers the fixed effects.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -137,27 +143,47 @@ class Convergence:
 
 
 @dataclass
-class FirstStage:
-    endo_name: str
-    coef: np.ndarray
-    coef_names: list[str]
-    xtx_inv: np.ndarray
-    scores: np.ndarray
-    residuals: np.ndarray
-    dof: DofLedger
-    instrument_idx: list[int]  # positions of instrument coefficients
-    ssr: float
-    sst_within: float
+class Design:
+    """What a fit retains of its design; every estimator fills it the same way.
+
+    ``fixef()`` recovers the fixed effects as the FE projection of
+    ``fe_target - sum_k coef[k] * x_raw[k]`` under ``fe_weights``.
+    ``ensure_scores()`` forms the score rows ``D * (weights * r)``, where
+    ``D`` holds the demeaned kept regressors, drawn from ``block``, and ``r``
+    is the fit's residual.
+    """
+    dims: list[FeDim]                 # the fixed-effect dimensions
+    weights: Optional[np.ndarray]     # user weights; None when unweighted
+    y: np.ndarray                     # observed outcome
+    offset: Optional[np.ndarray]
+    # y - offset with the user weights (OLS, 2SLS); the last IRLS working
+    # response with the working weights (GLM)
+    fe_target: np.ndarray
+    fe_weights: Optional[np.ndarray]
+    x_raw: list[np.ndarray]           # raw kept regressors, aligned with coef
+    block: np.ndarray                 # demeaned columns D is formed from
+    # D = block[:, regressors] for a list of positions, block @ regressors
+    # for a (block columns x kept) map
+    regressors: Union[list[int], np.ndarray]
+    resid_map: Optional[np.ndarray] = None  # r = block @ resid_map; None: fit.residuals
 
 
 @dataclass
 class IvDiag:
+    """What the IV tests read of a 2SLS fit besides its design record.
+
+    ``gram`` is the weighted cross-product of the fit's ``design.block``, the
+    demeaned ``[y - offset, X, E, Z]``; the ``*_cols`` fields are positions
+    in that block.
+    """
     endo_names: list[str]
-    first_stages: list[FirstStage]
-    y_t: np.ndarray            # demeaned dependent
-    exog_t: np.ndarray         # demeaned exogenous block (kept stage-2 exog columns)
+    # E_j on [X, Z]: ordinary FitResults, whose residuals and fitted values
+    # are not formed (None); their design maps give both from the block
+    first_stages: list["FitResult"]
+    gram: np.ndarray
+    endo_cols: list[int]
+    exog_cols: list[int]              # the exogenous columns kept in stage 2
     exog_names: list[str]
-    endo_t: np.ndarray         # demeaned original endogenous block
 
 
 @dataclass
@@ -168,7 +194,6 @@ class FitResult:
     residuals: np.ndarray
     fitted: np.ndarray
     xtx_inv: np.ndarray
-    scores: np.ndarray
     dof: DofLedger
     convergence: Convergence
     family: str
@@ -179,32 +204,25 @@ class FitResult:
     ssr: float
     sst: float
     ssr_fe_only: float
-    weights_sum: float
-    y_mean: float
+    design: Design
     deviance: float = float("nan")
     iv_diag: Optional[IvDiag] = None
     model: Optional[fml.ModelSpec] = None
-    vcov_requests: list = field(default_factory=list)
     sample_label: str = ""
-    # retained internals (used by on-the-fly vcov and fixef recovery)
-    _weights: Optional[np.ndarray] = None
-    _dims: Optional[list[FeDim]] = None
-    _fixef_target: Optional[np.ndarray] = None
-    _fixef_parts: Optional[tuple] = None  # (response, [(coef, x column), ...])
-    _fixef_weights: Optional[np.ndarray] = None
-    _y_response: Optional[np.ndarray] = None
-    _score_parts: Optional[tuple] = None  # (demeaned kept columns, weighted residual)
-
-    def coef_map(self) -> dict[str, float]:
-        return dict(zip(self.coef_names, self.coef.tolist()))
+    scores: Optional[np.ndarray] = None  # per-observation score rows, see ensure_scores
 
     def ensure_scores(self) -> np.ndarray:
         """Materialize the per-observation score rows on first use."""
         if self.scores is None:
-            if self._score_parts is None:
-                raise EstimationError("fit does not retain scores")
-            cols, wr = self._score_parts
-            mat = np.column_stack(cols) if cols else np.empty((len(wr), 0))
+            d = self.design
+            if isinstance(d.regressors, np.ndarray):
+                mat = d.block @ d.regressors
+            elif d.regressors:
+                mat = np.column_stack([d.block[:, j] for j in d.regressors])
+            else:
+                mat = np.empty((len(d.y), 0))
+            r = self.residuals if d.resid_map is None else d.block @ d.resid_map
+            wr = r if d.weights is None else d.weights * r
             self.scores = mat * wr[:, None]
         return self.scores
 
@@ -336,19 +354,11 @@ class ModelFrame:
     endo_names: list[str] = field(default_factory=list)
     inst: Optional[np.ndarray] = None
     inst_names: list[str] = field(default_factory=list)
-    _X: Optional[np.ndarray] = None
 
     @property
     def shifted_y(self) -> np.ndarray:
         """The OLS and 2SLS outcome: ``y`` less the offset, if any."""
         return self.y if self.offset is None else self.y - self.offset
-
-    @property
-    def X(self) -> np.ndarray:
-        if self._X is None:
-            n = len(self.y)
-            self._X = np.column_stack(self.x_cols) if self.x_cols else np.empty((n, 0))
-        return self._X
 
 
 def build_frame(ds: Dataset, model: fml.ModelSpec,
@@ -488,19 +498,55 @@ def _stack_f(cols: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _wls_solve(Xt: np.ndarray, yt: np.ndarray, w: Optional[np.ndarray],
-               names: list[str], collin_tol: float):
-    """Weighted normal equations on a demeaned design with collinearity drop."""
-    Xw = Xt if w is None else Xt * w[:, None]
-    gram = Xt.T @ Xw
-    xy = Xw.T @ yt
-    kept, dropped = pivoted_cholesky_kept(gram, collin_tol)
-    if Xt.shape[1] and not kept:
-        raise EstimationError("all regressors are collinear (or zero) after demeaning: "
-                              + ", ".join(names))
+def _gram(R: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
+    """The weighted cross-product R'WR of an F-order matrix."""
+    if w is None:
+        blas_syrk = scipy.linalg.get_blas_funcs("syrk", (R,))
+        G = blas_syrk(1.0, R, trans=1)  # upper triangle of R'R
+        return G + np.triu(G, 1).T
+    return R.T @ (R * w[:, None])
+
+
+def _wssr(r: np.ndarray, w: Optional[np.ndarray]) -> float:
+    # einsum, not np.dot: on 2 cores a two-thread OpenBLAS dot of two 1e6-row
+    # vectors takes about 8 ms, einsum's single pass 0.5 ms
+    wr = r if w is None else w * r
+    return float(np.einsum("i,i->", wr, r))
+
+
+class GramSolve(NamedTuple):
+    kept: list[int]        # positions in ``ixs`` of the kept regressors
+    dropped: list[int]
+    coef: np.ndarray       # aligned with ``kept``
+    xtx_inv: np.ndarray    # inverse of the kept sub-Gram: the bread
+    ssr: Optional[float]   # y'Wy - coef'X'Wy; None where it keeps too few digits
+
+
+def solve_gram(G: np.ndarray, iy: int, ixs, collin_tol: float,
+               names: list[str], kept: Optional[list[int]] = None) -> GramSolve:
+    """Weighted least squares of column ``iy`` on columns ``ixs`` of a Gram.
+
+    ``G`` is the weighted cross-product of demeaned columns (or of a linear
+    map of them, ``T'GT``).  Pivoted Cholesky drops collinear regressors
+    unless ``kept`` fixes the kept positions.  Every least-squares solve in
+    fehd goes through here.
+    """
+    gram = G[np.ix_(ixs, ixs)]
+    xy = G[np.asarray(ixs, dtype=np.intp), iy] if ixs else np.zeros(0)
+    if kept is None:
+        kept, dropped = pivoted_cholesky_kept(gram, collin_tol)
+        if ixs and not kept:
+            raise EstimationError("all regressors are collinear (or zero) after "
+                                  "demeaning: " + ", ".join(names))
+    else:
+        dropped = [k for k in range(len(ixs)) if k not in kept]
     sub = np.ix_(kept, kept)
-    coef, inv = _solve_spd(gram[sub], xy[kept])
-    return kept, dropped, coef, inv
+    coef, xtx_inv = _solve_spd(gram[sub], xy[kept])
+    # r'Wr = y'Wy - coef'X'Wy at the solution of the normal equations; when
+    # the fit leaves little of y the difference has lost too many digits
+    ssr = float(G[iy, iy] - np.dot(xy[kept], coef))
+    return GramSolve(kept, dropped, coef, xtx_inv,
+                     ssr if ssr > SSR_GRAM_RTOL * G[iy, iy] else None)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +561,23 @@ def _k_fe(dims: list[FeDim], dropped: list) -> int:
     return total - max(0, n_intercept - 1)
 
 
-def _sst(y, w, centered) -> tuple[float, float]:
-    """Total sum of squares of y (about its weighted mean if centered), and that mean."""
-    # einsum, not np.dot: on 2 cores a two-thread OpenBLAS dot of two 1e6-row
-    # vectors takes about 8 ms, einsum's single pass 0.5 ms
+def _dof(n: int, k_vars: int, k_fe: int) -> DofLedger:
+    dof = DofLedger(n_used=n, k_vars=k_vars, k_fe=k_fe)
+    if dof.df_resid < 1:
+        raise EstimationError(f"no residual degrees of freedom (n={n}, K={dof.k_total})")
+    return dof
+
+
+def _demean_converged(problem: DemeanProblem, **kw) -> DemeanResult:
+    dres = demean(problem, **kw)
+    if not dres.converged:
+        raise EstimationError(
+            f"demeaning did not converge within {problem.max_iter} iterations")
+    return dres
+
+
+def _sst(y, w, centered) -> float:
+    """Total sum of squares of y, about its weighted mean if centered."""
     if w is None:
         sw = float(len(y))
         sy = float(y.sum())
@@ -527,7 +586,7 @@ def _sst(y, w, centered) -> tuple[float, float]:
         sw = float(w.sum())
         sy = float(np.einsum("i,i->", w, y))
         ss = float(np.einsum("i,i,i->", w, y, y))
-    return (ss - sy * sy / sw if centered else ss), sy / sw
+    return ss - sy * sy / sw if centered else ss
 
 
 def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
@@ -547,10 +606,7 @@ def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
     problem = DemeanProblem(targets=_stack_f([frame.shifted_y] + frame.x_cols),
                             dims=frame.dims, weights=frame.weights, tol=demean_tol,
                             max_iter=demean_max_iter)
-    dres = demean(problem, keep_coefs=False, consume_targets=True)
-    if not dres.converged:
-        raise EstimationError(
-            f"demeaning did not converge within {demean_max_iter} iterations")
+    dres = _demean_converged(problem, keep_coefs=False, consume_targets=True)
     return _finish_ols_one(frame, dres, collin_tol)
 
 
@@ -588,33 +644,17 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
     exception per model, aligned with ``frames``.  This is the only code that
     builds an OLS FitResult; a single fit is a group of one.
     """
-    base = frames[0]
-    w = base.weights
+    w = frames[0].weights
     n = R.shape[0]
-    if w is None:
-        blas_syrk = scipy.linalg.get_blas_funcs("syrk", (R,))
-        G_all = blas_syrk(1.0, R, trans=1)  # upper triangle of R'R
-        G_all = G_all + np.triu(G_all, 1).T
-    else:
-        G_all = R.T @ (R * w[:, None])
+    G_all = _gram(R, w)
 
     solved: list = [None] * len(frames)
     by_design: dict[tuple, list[int]] = {}
     for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
         try:
-            gram = G_all[np.ix_(ixs, ixs)]
-            xy = G_all[np.asarray(ixs, dtype=np.intp), iy] if ixs else np.zeros(0)
-            kept_rel, dropped_rel = pivoted_cholesky_kept(gram, collin_tol)
-            if frame.x_names and not kept_rel:
-                raise EstimationError(
-                    "all regressors are collinear (or zero) after demeaning: "
-                    + ", ".join(frame.x_names))
-            sub = np.ix_(kept_rel, kept_rel)
-            coef, xtx_inv = _solve_spd(gram[sub], xy[kept_rel])
-            kept_cols = tuple(ixs[k] for k in kept_rel)
-            # r'Wr = y'Wy - coef'X'Wy at the solution of the normal equations
-            ssr = float(G_all[iy, iy] - np.dot(xy[kept_rel], coef))
-            solved[m] = (iy, kept_rel, dropped_rel, coef, xtx_inv, kept_cols, ssr)
+            sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names)
+            kept_cols = tuple(ixs[k] for k in sol.kept)
+            solved[m] = (iy, sol, kept_cols)
             by_design.setdefault(kept_cols, []).append(m)
         except EstimationError as exc:
             solved[m] = exc
@@ -636,7 +676,7 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         else:
             RES = _stack_f([R[:, iy] for iy in iys])
         if kept_cols:
-            Gamma = np.column_stack([solved[m][3] for m in members])
+            Gamma = np.column_stack([solved[m][1].coef for m in members])
             lo = kept_cols[0]
             if kept_cols == tuple(range(lo, lo + len(kept_cols))):
                 X = R[:, lo:lo + len(kept_cols)]  # a view: no n-row copy
@@ -648,40 +688,30 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         for j, m in enumerate(members):
             resid[m] = np.ascontiguousarray(RES[:, j])
 
-    sst_cache: dict[str, tuple[float, float]] = {}
+    sst_cache: dict[str, float] = {}
     out = []
     for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
         if isinstance(solved[m], Exception):
             out.append(solved[m])
             continue
-        iy, kept_rel, dropped_rel, coef, xtx_inv, kept_cols, ssr = solved[m]
+        iy, sol, kept_cols = solved[m]
         try:
-            dof = DofLedger(n_used=n, k_vars=len(kept_rel),
-                            k_fe=_k_fe(frame.dims, dres.dropped))
-            if dof.df_resid < 1:
-                raise EstimationError(
-                    f"no residual degrees of freedom (n={n}, K={dof.k_total})")
+            dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
             y = frame.shifted_y
             r = resid[m]
             fitted = np.subtract(y, r, out=R[:, iy] if iy in spare else None)
             spare.discard(iy)
             if frame.offset is not None:
                 fitted += frame.offset
-            wr = r if w is None else w * r
-            if not ssr > SSR_GRAM_RTOL * G_all[iy, iy]:
-                # the fit leaves little of y: the Gram difference has lost
-                # too many digits, so sum the residuals themselves
-                ssr = float(np.einsum("i,i->", wr, r))
+            ssr = sol.ssr if sol.ssr is not None else _wssr(r, w)
             if frame.lhs_name not in sst_cache:
                 sst_cache[frame.lhs_name] = _sst(
                     y, w, centered=frame.has_intercept or bool(frame.dims))
-            sst, ymean = sst_cache[frame.lhs_name]
-            wsum = float(w.sum()) if w is not None else float(n)
-            kept_names = [frame.x_names[k] for k in kept_rel]
+            sst = sst_cache[frame.lhs_name]
             out.append(FitResult(
-                coef=coef, coef_names=kept_names,
-                dropped_collinear=[frame.x_names[k] for k in dropped_rel],
-                residuals=r, fitted=fitted, xtx_inv=xtx_inv, scores=None, dof=dof,
+                coef=sol.coef, coef_names=[frame.x_names[k] for k in sol.kept],
+                dropped_collinear=[frame.x_names[k] for k in sol.dropped],
+                residuals=r, fitted=fitted, xtx_inv=sol.xtx_inv, dof=dof,
                 convergence=Convergence(demean_iterations=dres.iterations,
                                         demean_sweeps=dres.sweeps,
                                         demean_converged=dres.converged),
@@ -690,14 +720,11 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
                 has_intercept=frame.has_intercept,
                 ssr=ssr, sst=sst,
                 ssr_fe_only=float(G_all[iy, iy]),
-                weights_sum=wsum, y_mean=ymean, model=frame.model,
-                _weights=w, _dims=frame.dims,
-                _fixef_parts=(y, [(float(c), frame.x_cols[k])
-                                  for k, c in zip(kept_rel, coef)])
-                if frame.dims else None,
-                _fixef_weights=w,
-                _y_response=y,
-                _score_parts=([R[:, j] for j in kept_cols], wr),
+                model=frame.model,
+                design=Design(dims=frame.dims, weights=w, y=frame.y,
+                              offset=frame.offset, fe_target=y, fe_weights=w,
+                              x_raw=[frame.x_cols[k] for k in sol.kept],
+                              block=R, regressors=list(kept_cols)),
             ))
         except EstimationError as exc:
             out.append(exc)
@@ -728,94 +755,86 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     y = frame.shifted_y
     n = len(y)
     w = frame.weights
+    kx = len(frame.x_cols)
 
-    targets = _stack_f([y] + frame.x_cols
-                       + [frame.endo[:, j] for j in range(n_endo)]
-                       + [frame.inst[:, j] for j in range(frame.inst.shape[1])])
-    problem = DemeanProblem(targets=targets, dims=frame.dims, weights=w,
+    # the block [y - offset, X, E, Z]; every stage is a solve on its Gram
+    cols = ([y] + frame.x_cols + [frame.endo[:, j] for j in range(n_endo)]
+            + [frame.inst[:, j] for j in range(n_inst)])
+    problem = DemeanProblem(targets=_stack_f(cols), dims=frame.dims, weights=w,
                             tol=demean_tol, max_iter=demean_max_iter)
-    dres = demean(problem, keep_coefs=False, consume_targets=True)
-    if not dres.converged:
-        raise EstimationError(
-            f"demeaning did not converge within {demean_max_iter} iterations")
-    kx = frame.X.shape[1]
-    yt = dres.residuals[:, 0]
-    Xt = dres.residuals[:, 1:1 + kx]
-    Et = dres.residuals[:, 1 + kx:1 + kx + n_endo]
-    Zt = dres.residuals[:, 1 + kx + n_endo:]
-
-    k_fe = _k_fe(frame.dims, dres.dropped)
-
-    # first stages
-    stage1_design = np.column_stack([Xt, Zt]) if kx else Zt
+    dres = _demean_converged(problem, keep_coefs=False, consume_targets=True)
+    R = dres.residuals
+    G = _gram(R, w)
+    p = R.shape[1]
+    x_pos = list(range(1, 1 + kx))
+    endo_pos = list(range(1 + kx, 1 + kx + n_endo))
+    stage1 = x_pos + list(range(1 + kx + n_endo, p))
     stage1_names = frame.x_names + frame.inst_names
+    k_fe = _k_fe(frame.dims, dres.dropped)
+    conv = Convergence(demean_iterations=dres.iterations, demean_sweeps=dres.sweeps,
+                       demean_converged=dres.converged)
+
+    def fit_result(**kw) -> FitResult:
+        return FitResult(convergence=conv, fe_labels=list(frame.fe_labels),
+                         mask=frame.mask, has_intercept=frame.has_intercept, **kw)
+
+    # first stages: E_j on [X, Z]; E_hat_j = R @ first_map[:, j]
+    first_map = np.zeros((p, n_endo))
     first_stages = []
-    fitted_endo = np.empty((n, n_endo))
-    for j in range(n_endo):
-        ej = Et[:, j]
-        kept, dropped_idx, delta, inv1 = _wls_solve(
-            stage1_design, ej, w, stage1_names, collin_tol)
-        inst_idx = [i for i, k in enumerate(kept) if k >= kx]
-        if not inst_idx:
+    for j, ie in enumerate(endo_pos):
+        sol = solve_gram(G, ie, stage1, collin_tol, stage1_names)
+        if all(k < kx for k in sol.kept):
             raise EstimationError(
                 f"instruments for {frame.endo_names[j]!r} are collinear with the "
                 f"exogenous regressors")
-        D1 = stage1_design[:, kept]
-        fit1 = D1 @ delta
-        v1 = ej - fit1
-        fitted_endo[:, j] = fit1
-        wr1 = v1 if w is None else w * v1
-        dof1 = DofLedger(n_used=n, k_vars=len(kept), k_fe=k_fe)
-        first_stages.append(FirstStage(
-            endo_name=frame.endo_names[j],
-            coef=delta, coef_names=[stage1_names[k] for k in kept],
-            xtx_inv=inv1, scores=D1 * wr1[:, None], residuals=v1, dof=dof1,
-            instrument_idx=inst_idx,
-            ssr=float(np.dot(wr1, v1)),
-            sst_within=float(np.dot(ej if w is None else w * ej, ej)),
-        ))
+        kept_pos = [stage1[k] for k in sol.kept]
+        first_map[kept_pos, j] = sol.coef
+        resid_map = -first_map[:, j]
+        resid_map[ie] = 1.0
+        ssr1 = sol.ssr if sol.ssr is not None else _wssr(R @ resid_map, w)
+        first_stages.append(fit_result(
+            coef=sol.coef, coef_names=[stage1_names[k] for k in sol.kept],
+            dropped_collinear=[stage1_names[k] for k in sol.dropped],
+            residuals=None, fitted=None, xtx_inv=sol.xtx_inv,
+            dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
+            family="ols", lhs_name=frame.endo_names[j],
+            ssr=ssr1, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie]),
+            design=Design(dims=frame.dims, weights=w, y=cols[ie], offset=None,
+                          fe_target=cols[ie], fe_weights=w,
+                          x_raw=[cols[k] for k in kept_pos], block=R,
+                          regressors=kept_pos, resid_map=resid_map)))
 
-    # second stage: y on [fitted endo, exogenous]
+    # second stage: y on [E_hat, X] = R @ T[:, 1:], solved from T'GT
     names2 = [f"fit_{e}" for e in frame.endo_names] + frame.x_names
-    D2 = np.column_stack([fitted_endo, Xt])
-    kept2, dropped2, gamma, inv2 = _wls_solve(D2, yt, w, names2, collin_tol)
-    kept_names = [names2[k] for k in kept2]
-    dropped_names = [names2[k] for k in dropped2]
-    D2k = D2[:, kept2]
-    # residuals evaluated at the ORIGINAL endogenous values
-    orig = np.column_stack([Et, Xt])
-    r = yt - orig[:, kept2] @ gamma
+    T = np.zeros((p, 1 + n_endo + kx))
+    T[0, 0] = 1.0
+    T[:, 1:1 + n_endo] = first_map
+    T[x_pos, range(1 + n_endo, 1 + n_endo + kx)] = 1.0
+    sol = solve_gram(T.T @ G @ T, 0, range(1, 1 + n_endo + kx), collin_tol, names2)
+    # residuals at the ORIGINAL endogenous values, in one n-row product
+    orig_pos = [(endo_pos + x_pos)[k] for k in sol.kept]
+    c = np.zeros(p)
+    c[0] = 1.0
+    c[orig_pos] = -sol.coef
+    r = R @ c
     fitted = y - r + (frame.offset if frame.offset is not None else 0.0)
-    wr = r if w is None else w * r
-    scores = D2k * wr[:, None]
-    dof = DofLedger(n_used=n, k_vars=len(kept2), k_fe=k_fe)
-    if dof.df_resid < 1:
-        raise EstimationError(f"no residual degrees of freedom (n={n}, K={dof.k_total})")
-    ssr = float(np.dot(wr, r))
-    sst, ymean = _sst(y, w, centered=frame.has_intercept or bool(frame.dims))
-    wyt = yt if w is None else w * yt
-    wsum = float(w.sum()) if w is not None else float(n)
-    exog_kept = [k - n_endo for k in kept2 if k >= n_endo]
+    dof = _dof(n, len(sol.kept), k_fe)
+    sst = _sst(y, w, centered=frame.has_intercept or bool(frame.dims))
+    exog_kept = [k - n_endo for k in sol.kept if k >= n_endo]
     iv_diag = IvDiag(endo_names=list(frame.endo_names), first_stages=first_stages,
-                     y_t=yt, exog_t=Xt[:, exog_kept],
-                     exog_names=[frame.x_names[k] for k in exog_kept],
-                     endo_t=Et)
-    return FitResult(
-        coef=gamma, coef_names=kept_names, dropped_collinear=dropped_names,
-        residuals=r, fitted=fitted, xtx_inv=inv2, scores=scores, dof=dof,
-        convergence=Convergence(demean_iterations=dres.iterations,
-                                demean_sweeps=dres.sweeps,
-                                demean_converged=dres.converged),
-        family="2sls", lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
-        mask=frame.mask, has_intercept=frame.has_intercept,
-        ssr=ssr, sst=sst, ssr_fe_only=float(np.dot(wyt, yt)),
-        weights_sum=wsum, y_mean=ymean,
+                     gram=G, endo_cols=endo_pos,
+                     exog_cols=[x_pos[k] for k in exog_kept],
+                     exog_names=[frame.x_names[k] for k in exog_kept])
+    return fit_result(
+        coef=sol.coef, coef_names=[names2[k] for k in sol.kept],
+        dropped_collinear=[names2[k] for k in sol.dropped],
+        residuals=r, fitted=fitted, xtx_inv=sol.xtx_inv, dof=dof,
+        family="2sls", lhs_name=frame.lhs_name,
+        ssr=_wssr(r, w), sst=sst, ssr_fe_only=float(G[0, 0]),
         iv_diag=iv_diag, model=frame.model,
-        _weights=w, _dims=frame.dims,
-        _fixef_target=(y - np.column_stack([frame.endo, frame.X])[:, kept2] @ gamma)
-        if frame.dims else None,
-        _fixef_weights=w,
-        _y_response=y,
+        design=Design(dims=frame.dims, weights=w, y=frame.y, offset=frame.offset,
+                      fe_target=y, fe_weights=w, x_raw=[cols[k] for k in orig_pos],
+                      block=R, regressors=T[:, [1 + k for k in sol.kept]]),
     )
 
 
@@ -851,15 +870,11 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     eta = fam.init_eta(y)
     mu = fam.linkinv(eta)
     dev = fam.deviance(y, mu, w_user)
-    kept = dropped_idx = None
+    sol = None
     warm_state = None
     total_demean_iters = 0
     total_sweeps = 0
     converged = False
-    Xt = None
-    zt = None
-    coef = np.zeros(0)
-    wtot = w_user
 
     for it in range(1, irls_max_iter + 1):
         mue = fam.mu_eta(eta)
@@ -870,25 +885,19 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         targets = _stack_f([z] + frame.x_cols)
         problem = DemeanProblem(targets=targets, dims=frame.dims, weights=wtot,
                                 tol=demean_tol, max_iter=demean_max_iter)
-        dres = demean(problem, keep_coefs=True, init_state=warm_state,
-                      consume_targets=True)
-        if not dres.converged:
-            raise EstimationError(
-                f"demeaning did not converge within {demean_max_iter} iterations")
+        dres = _demean_converged(problem, keep_coefs=True, init_state=warm_state,
+                                 consume_targets=True)
         total_demean_iters += dres.iterations
         total_sweeps += dres.sweeps
         warm_state = _state_from_coefs(dres)
-        zt = dres.residuals[:, 0]
-        Xt = dres.residuals[:, 1:]
-        if kept is None:
-            kept, dropped_idx, coef, _ = _wls_solve(
-                Xt, zt, wtot, frame.x_names, collin_tol)
-        else:
-            Xw = Xt[:, kept] * wtot[:, None]
-            gram = Xt[:, kept].T @ Xw
-            coef, _ = _solve_spd(gram, Xw.T @ zt)
-        resid_work = zt - Xt[:, kept] @ coef
-        eta = off + (z - resid_work)
+        # the weighted LS step on [z, X]; the kept columns stay those of step 1
+        R = dres.residuals
+        sol = solve_gram(_gram(R, wtot), 0, range(1, R.shape[1]), collin_tol,
+                         frame.x_names, kept=None if sol is None else sol.kept)
+        c = np.zeros(R.shape[1])
+        c[0] = 1.0
+        c[[1 + k for k in sol.kept]] = -sol.coef
+        eta = off + (z - R @ c)  # R @ c is the working residual
         if not np.all(np.isfinite(eta)):
             raise EstimationError("IRLS diverged: non-finite linear predictor")
         if np.abs(eta).max() > eta_bound:
@@ -907,26 +916,14 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     if not converged:
         raise EstimationError(f"IRLS did not converge within {irls_max_iter} iterations")
 
-    kept_names = [frame.x_names[k] for k in kept]
-    dropped_names = [frame.x_names[k] for k in dropped_idx]
-    Xt_kept = Xt[:, kept]
-    Xw = Xt_kept * wtot[:, None]
-    gram = Xt_kept.T @ Xw
-    coef, xtx_inv = _solve_spd(gram, Xw.T @ zt)
-    resid_work = zt - Xt_kept @ coef
-    eta = off + (z - resid_work)
-    mu = fam.linkinv(eta)
     r = y - mu
-    scores = Xt_kept * (w_user * r)[:, None]
-    dof = DofLedger(n_used=n, k_vars=len(kept), k_fe=_k_fe(frame.dims, dres.dropped))
-    if dof.df_resid < 1:
-        raise EstimationError(f"no residual degrees of freedom (n={n}, K={dof.k_total})")
+    dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
     ssr = float(np.sum(w_user * r * r))
-    sst, ymean = _sst(y, frame.weights, centered=True)
-    wsum = float(w_user.sum())
+    sst = _sst(y, frame.weights, centered=True)
     return FitResult(
-        coef=coef, coef_names=kept_names, dropped_collinear=dropped_names,
-        residuals=r, fitted=mu, xtx_inv=xtx_inv, scores=scores, dof=dof,
+        coef=sol.coef, coef_names=[frame.x_names[k] for k in sol.kept],
+        dropped_collinear=[frame.x_names[k] for k in sol.dropped],
+        residuals=r, fitted=mu, xtx_inv=sol.xtx_inv, dof=dof,
         convergence=Convergence(demean_iterations=total_demean_iters,
                                 demean_sweeps=total_sweeps,
                                 demean_converged=dres.converged,
@@ -934,12 +931,11 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         family=family, lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
         mask=frame.mask, has_intercept=frame.has_intercept,
         ssr=ssr, sst=sst, ssr_fe_only=float("nan"),
-        weights_sum=wsum, y_mean=ymean,
         deviance=dev, model=frame.model,
-        _weights=frame.weights, _dims=frame.dims,
-        _fixef_target=(z - frame.X[:, kept] @ coef) if frame.dims else None,
-        _fixef_weights=wtot,
-        _y_response=y,
+        design=Design(dims=frame.dims, weights=frame.weights, y=y, offset=frame.offset,
+                      fe_target=z, fe_weights=wtot,
+                      x_raw=[frame.x_cols[k] for k in sol.kept], block=R,
+                      regressors=[1 + k for k in sol.kept]),
     )
 
 
@@ -992,23 +988,18 @@ def fixef(fit: FitResult) -> tuple[dict[str, FixefSet], object]:
     (group labels plus an n_groups x n_coef_cols array), and the
     identification report.
     """
-    if not fit._dims:
+    d = fit.design
+    if not d.dims:
         raise EstimationError("model has no fixed-effects")
-    target = fit._fixef_target
-    if target is None and fit._fixef_parts is not None:
-        y, terms = fit._fixef_parts
-        target = y.copy()
-        for c, col in terms:
-            target -= c * col
-    if target is None:
-        raise EstimationError("fit does not retain what fixef recovery needs")
-    problem = DemeanProblem(targets=target, dims=fit._dims,
-                            weights=fit._fixef_weights)
+    target = d.fe_target.copy()
+    for c, col in zip(fit.coef, d.x_raw):
+        target -= c * col
+    problem = DemeanProblem(targets=target, dims=d.dims, weights=d.fe_weights)
     res = demean(problem, keep_coefs=True)
     coefs, report = recover_fixef(res, problem, target=0)
     out = {}
-    for q, d in enumerate(fit._dims):
-        label = d.label or f"fe{q + 1}"
-        levels = list(d.index.levels) or [str(g) for g in range(d.index.n_groups)]
+    for q, dim in enumerate(d.dims):
+        label = dim.label or f"fe{q + 1}"
+        levels = list(dim.index.levels) or [str(g) for g in range(dim.index.n_groups)]
         out[label] = FixefSet(levels=levels, coef=coefs[q])
     return out, report

@@ -1,9 +1,13 @@
 """Variance-covariance matrices, fit statistics and IV diagnostics.
 
 Estimation is separate from inference: every estimator stores its bread matrix
-and per-observation score rows, so any VCOV can be computed after the fact
-without refitting.  Small-sample corrections use K = K_vars + K_fe from the
-degrees-of-freedom ledger; pass ``ssc='none'`` to disable them.
+and a design record (``FitResult.design``) from which the per-observation
+score rows are formed on first use, so any VCOV can be computed after the fact
+without refitting.  Likelihoods and ``sq.cor`` read the observed outcome from
+the same record.  The IV tests are least-squares solves on the Gram of the
+2SLS block; the first stages are ordinary fits.  Small-sample corrections use
+K = K_vars + K_fe from the degrees-of-freedom ledger; pass ``ssc='none'`` to
+disable them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from .data import DataError, Dataset, _factor_codes
 # unused here; still bound because the benchmark's tracing test
 # (perfbench/tests/test_tracing.py) looks the name up in this module
 from .data import make_factor_index  # noqa: F401
-from .estimators import DEFAULT_COLLIN_TOL, EstimationError, FitResult, _wls_solve
+from .estimators import (DEFAULT_COLLIN_TOL, EstimationError, FitResult, _wssr,
+                         solve_gram)
 
 __all__ = [
     "VcovSpec",
@@ -138,8 +143,6 @@ def _lag_pairs(unit_codes: np.ndarray, times: np.ndarray, lag: int):
 
 def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -> VcovMatrix:
     """Sandwich VCOV A^-1 M A^-1 from a fit's stored bread and scores."""
-    if fit.xtx_inv is None:
-        raise EstimationError("fit does not retain its bread matrix; cannot compute vcov")
     A_inv = fit.xtx_inv
     scores = fit.ensure_scores()
     N = fit.dof.n_used
@@ -299,10 +302,8 @@ def wald_test(fit: FitResult, vcov: VcovMatrix,
     return {"stat": stat, "p": p, "df1": q, "df2": df2, "vcov": vcov.label}
 
 
-def _loglik(fit: FitResult) -> float:
-    y = fit._y_response
-    w = fit._weights if fit._weights is not None else np.ones(len(y))
-    mu = fit.fitted
+def _family_loglik(fit: FitResult, y, w, mu, ssr: float) -> float:
+    """Log-likelihood of outcome ``y`` at mean ``mu``; Gaussian from the SSR."""
     if fit.family == "poisson":
         with np.errstate(divide="ignore", invalid="ignore"):
             lmu = np.log(mu)
@@ -312,23 +313,25 @@ def _loglik(fit: FitResult) -> float:
         m = np.clip(mu, eps, 1 - eps)
         return float(np.sum(w * (y * np.log(m) + (1 - y) * np.log(1 - m))))
     n = fit.dof.n_used
-    s2 = fit.ssr / n
+    s2 = ssr / n
     return float(-0.5 * n * (np.log(2 * np.pi * s2) + 1.0))
+
+
+def _loglik(fit: FitResult) -> float:
+    d = fit.design
+    w = d.weights if d.weights is not None else np.ones(len(d.y))
+    return _family_loglik(fit, d.y, w, fit.fitted, fit.ssr)
 
 
 def _loglik_null(fit: FitResult) -> float:
-    y = fit._y_response
-    w = fit._weights if fit._weights is not None else np.ones(len(y))
+    d = fit.design
+    y = d.y
+    # the Gaussian null model is a constant plus the offset
+    if d.offset is not None and fit.family not in ("poisson", "logit"):
+        y = y - d.offset
+    w = d.weights if d.weights is not None else np.ones(len(y))
     mu0 = float((w * y).sum() / w.sum())
-    if fit.family == "poisson":
-        return float(np.sum(w * (y * np.log(mu0) - mu0 - gammaln(y + 1.0))))
-    if fit.family == "logit":
-        eps = 1e-12
-        m = min(max(mu0, eps), 1 - eps)
-        return float(np.sum(w * (y * np.log(m) + (1 - y) * np.log(1 - m))))
-    n = fit.dof.n_used
-    s2 = float(np.sum(w * (y - mu0) ** 2)) / n
-    return float(-0.5 * n * (np.log(2 * np.pi * s2) + 1.0))
+    return _family_loglik(fit, y, w, mu0, float(np.sum(w * (y - mu0) ** 2)))
 
 
 SUPPORTED_STATS = ("n", "r2", "ar2", "wr2", "rmse", "ll", "bic", "apr2",
@@ -340,6 +343,7 @@ def fit_stats(fit: FitResult, requested: list[str],
               ds: Optional[Dataset] = None) -> dict:
     """Named fit statistics; wald/ivf/wh use the supplied (or IID) vcov."""
     out: dict = {}
+    iv = None  # iv_tests output, shared by ivf and wh
     n = fit.dof.n_used
     centered = fit.has_intercept or bool(fit.fe_labels)
     for name in requested:
@@ -370,8 +374,7 @@ def fit_stats(fit: FitResult, requested: list[str],
             ll0 = _loglik_null(fit)
             out["apr2"] = 1.0 - (ll - fit.dof.k_total) / ll0 if ll0 != 0 else float("nan")
         elif name == "sq.cor":
-            # an OLS response excludes the offset, while its fitted values include it
-            y = fit.fitted + fit.residuals if fit.family == "ols" else fit._y_response
+            y = fit.design.y
             if np.std(fit.fitted) == 0 or np.std(y) == 0:
                 out["sq.cor"] = float("nan")
             else:
@@ -382,7 +385,9 @@ def fit_stats(fit: FitResult, requested: list[str],
         elif name in ("ivf", "wh"):
             if fit.iv_diag is None:
                 raise EstimationError(f"{name} requires a 2SLS fit")
-            out.update({name: iv_tests(fit, vcov.spec if vcov else VcovSpec("iid"), ds)[name]})
+            if iv is None:
+                iv = iv_tests(fit, vcov.spec if vcov else VcovSpec("iid"), ds)
+            out[name] = iv[name]
     return out
 
 
@@ -395,46 +400,46 @@ def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
     diag = fit.iv_diag
     ivf = {}
     for fs in diag.first_stages:
-        sub = fs.instrument_idx
+        # the instruments: the first stage's regressors that follow E in the block
+        sub = [i for i, j in enumerate(fs.design.regressors) if j > diag.endo_cols[-1]]
         q = len(sub)
         if spec.kind == "iid":
             V1 = (fs.ssr / fs.dof.df_resid) * fs.xtx_inv
         else:
-            proxy = FitResult(
-                coef=fs.coef, coef_names=fs.coef_names, dropped_collinear=[],
-                residuals=fs.residuals, fitted=np.zeros(0), xtx_inv=fs.xtx_inv,
-                scores=fs.scores, dof=fs.dof, convergence=fit.convergence,
-                family="ols", lhs_name=fs.endo_name, fe_labels=fit.fe_labels,
-                mask=fit.mask, has_intercept=fit.has_intercept,
-                ssr=fs.ssr, sst=fs.sst_within, ssr_fe_only=fs.sst_within,
-                weights_sum=fit.weights_sum, y_mean=0.0,
-                _weights=fit._weights)
-            V1 = compute_vcov(proxy, spec, ds).matrix
+            V1 = compute_vcov(fs, spec, ds).matrix
         g = fs.coef[sub]
         Vq = V1[np.ix_(sub, sub)]
         stat = float(g @ np.linalg.solve(Vq, g)) / q
         df2 = fs.dof.df_resid
-        ivf[fs.endo_name] = {"stat": stat, "p": float(scipy.stats.f.sf(stat, q, df2)),
-                             "df1": q, "df2": df2}
+        ivf[fs.lhs_name] = {"stat": stat, "p": float(scipy.stats.f.sf(stat, q, df2)),
+                            "df1": q, "df2": df2}
 
-    # Wu-Hausman: add first-stage residuals to the structural OLS equation
-    w = fit._weights
-    V = np.column_stack([fs.residuals for fs in diag.first_stages])
-    D_r = np.column_stack([diag.endo_t, diag.exog_t])
-    D_u = np.column_stack([D_r, V])
-    names = diag.endo_names + diag.exog_names
-
-    def ssr_and_rank(D):
-        kept, _, coef, _ = _wls_solve(D, diag.y_t, w, names, DEFAULT_COLLIN_TOL)
-        r = diag.y_t - D[:, kept] @ coef
-        return float(np.dot(r if w is None else w * r, r)), len(kept)
-
-    ssr_r, _ = ssr_and_rank(D_r)
-    ssr_u, k_u = ssr_and_rank(D_u)
-    q = V.shape[1]
-    df2 = fit.dof.n_used - fit.dof.k_fe - k_u
-    stat = ((ssr_r - ssr_u) / q) / (ssr_u / df2)
+    # Wu-Hausman: y on [E, X, V], V_j = E_j - E_hat_j the first-stage
+    # residuals, solved on the Gram of the block [R, V].  V is formed over the
+    # rows: as a Gram difference E'WE - E_hat'WE_hat, V'WV would lose digits
+    # as the square of the first stage's 1 - R^2.  By FWL the restricted
+    # regression (without V) leaves SSR_r = SSR_u + g_V' (A^-1_VV)^-1 g_V
+    R, w = fit.design.block, fit.design.weights
+    V = R @ np.column_stack([fs.design.resid_map for fs in diag.first_stages])
+    WV = V if w is None else V * w[:, None]
+    RWV = R.T @ WV
+    p, q = R.shape[1], V.shape[1]
+    ixs = diag.endo_cols + diag.exog_cols + list(range(p, p + q))
+    names = diag.endo_names + diag.exog_names + [f"resid_{e}" for e in diag.endo_names]
+    sol = solve_gram(np.block([[diag.gram, RWV], [RWV.T, V.T @ WV]]), 0, ixs,
+                     DEFAULT_COLLIN_TOL, names)
+    v = [i for i, k in enumerate(sol.kept) if ixs[k] >= p]
+    g = sol.coef[v]
+    ssr_gain = float(g @ np.linalg.solve(sol.xtx_inv[np.ix_(v, v)], g)) if v else 0.0
+    ssr_u = sol.ssr
+    if ssr_u is None:
+        c = np.zeros(p + q)
+        c[0] = 1.0
+        c[[ixs[k] for k in sol.kept]] = -sol.coef
+        ssr_u = _wssr(R @ c[:p] + V @ c[p:], w)
+    df2 = fit.dof.n_used - fit.dof.k_fe - len(sol.kept)
+    stat = (ssr_gain / q) / (ssr_u / df2)
     wh = {"stat": float(stat), "p": float(scipy.stats.f.sf(stat, q, df2)),
           "df1": q, "df2": df2}
-    first = diag.first_stages[0].endo_name if len(diag.first_stages) == 1 else None
+    first = diag.endo_names[0] if q == 1 else None
     return {"ivf": ivf[first] if first else ivf, "wh": wh, "ivf_all": ivf}

@@ -42,6 +42,26 @@ def dummy_ols(y, X, fe_specs, weights=None):
     return beta[:k_x], resid, len(y) - rank
 
 
+def dummy_2sls(y, X, E, Z, fe_specs, weights=None):
+    """2SLS with explicit dummies.
+
+    Each endogenous column of E is regressed on [X | Z | dummies]; y is then
+    regressed on [E_hat | X | dummies].  Returns (coef on [E_hat, X],
+    residuals at the original E, E_hat).
+    """
+    sw = np.sqrt(weights) if weights is not None else np.ones(len(y))
+    D1 = dummy_design(np.column_stack([X, Z]), fe_specs)
+    E_hat = np.empty_like(E, dtype=float)
+    for j in range(E.shape[1]):
+        beta, *_ = np.linalg.lstsq(D1 * sw[:, None], E[:, j] * sw, rcond=None)
+        E_hat[:, j] = D1 @ beta
+    D2 = dummy_design(np.column_stack([E_hat, X]), fe_specs)
+    beta, *_ = np.linalg.lstsq(D2 * sw[:, None], y * sw, rcond=None)
+    k = E.shape[1] + X.shape[1]
+    D_orig = dummy_design(np.column_stack([E, X]), fe_specs)
+    return beta[:k], y - D_orig @ beta, E_hat
+
+
 def dummy_residualize(M, fe_specs, weights=None):
     """Residuals of each column of M on the dummy design alone."""
     D = dummy_design(np.empty((M.shape[0], 0)), fe_specs)

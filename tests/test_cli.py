@@ -8,7 +8,9 @@ import pytest
 
 from fehd.bench import DgpConfig, dataset_to_csv, simulate_panel
 from fehd.cli import main
-from fehd.data import NumericColumn
+from fehd.data import NumericColumn, load_csv
+from fehd.estimators import fit_2sls, fit_glm_irls
+from fehd.inference import VcovSpec, compute_vcov, iv_tests
 
 
 @pytest.fixture
@@ -145,6 +147,86 @@ class TestFit:
         code, out, _ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
                                 "--output", "latex", "--caption", "T", "--label", "t"])
         assert code == 0 and r"\begin{tabular}" in out
+
+
+def _fe_csv_effects(path, labels, codes):
+    """Per-row sum of the intercept FE recovered into a --fe-coefs CSV."""
+    rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:]]
+    total = 0.0
+    for label, c in zip(labels, codes):
+        value = {lv: float(v) for _, _, fe, lv, col, v in rows if fe == label and col == "0"}
+        total = total + np.array([value[str(k)] for k in c])
+    return total
+
+
+class TestIvAndGlmPlumbing:
+    @pytest.fixture
+    def iv_csv(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 240
+        f1 = np.arange(n) % 10
+        f2 = rng.integers(0, 4, n)
+        x, z, u = rng.normal(size=(3, n))
+        e = z + 0.4 * x + 0.1 * f1 + u + rng.normal(size=n)
+        y = e - x + 0.2 * f2 + 0.5 * u + rng.normal(size=n)
+        count = rng.poisson(np.exp(0.3 * x + 0.05 * f1))
+        cols = [y, x, e, z]
+        lines = ["y,x,e,z,count,f1,f2"] + [
+            ",".join(repr(float(c[i])) for c in cols) + f",{count[i]},{f1[i]},{f2[i]}"
+            for i in range(n)]
+        path = tmp_path / "iv.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path), f1, f2
+
+    def test_iv_json_matches_in_process(self, iv_csv, tmp_path):
+        path, f1, f2 = iv_csv
+        formula = "y ~ x | f1 + f2 | e ~ z"
+        fe_path = str(tmp_path / "fe.csv")
+        code, out, err = run_cli(["fit", "--formula", formula, "--data", path,
+                                  "--output", "json", "--vcov", "iid",
+                                  "--vcov", "cluster=f1",
+                                  "--fitstat", "n,r2,ivf,wh,sq.cor", "--fe-coefs", fe_path])
+        assert code == 0, err
+        ds = load_csv(path)
+        fit = fit_2sls(formula, ds)
+        specs = [VcovSpec("iid"), VcovSpec("cluster", factors=("f1",))]
+        models = json.loads(out)["models"]
+        assert len(models) == 2
+        for model, spec in zip(models, specs):
+            se = np.sqrt(np.diag(compute_vcov(fit, spec, ds).matrix))
+            coefs = model["coefficients"]
+            assert list(coefs) == fit.coef_names == ["fit_e", "x"]
+            for k, name in enumerate(fit.coef_names):
+                assert coefs[name]["estimate"] == pytest.approx(fit.coef[k], rel=1e-12)
+                assert coefs[name]["se"] == pytest.approx(se[k], rel=1e-12)
+            stats = model["fitstats"]
+            tests = iv_tests(fit, spec, ds)
+            assert stats["n"] == fit.dof.n_used == 240
+            assert stats["r2"] == pytest.approx(1 - fit.ssr / fit.sst, rel=1e-12)
+            for name in ("ivf", "wh"):
+                for key in ("stat", "p"):
+                    assert stats[name][key] == pytest.approx(tests[name][key], rel=1e-12)
+                assert (stats[name]["df1"], stats[name]["df2"]) == \
+                    (tests[name]["df1"], tests[name]["df2"])
+            y = ds.numeric("y")
+            sq_cor = np.corrcoef(y, fit.fitted)[0, 1] ** 2
+            assert stats["sq.cor"] == pytest.approx(sq_cor, rel=1e-12)
+        part = np.column_stack([ds.numeric("e"), ds.numeric("x")]) @ fit.coef
+        fe = _fe_csv_effects(fe_path, ["f1", "f2"], [f1, f2])
+        assert np.allclose(part + fe, fit.fitted, atol=1e-6)
+
+    def test_poisson_fe_coefs_reproduce_fitted(self, iv_csv, tmp_path):
+        path, f1, f2 = iv_csv
+        formula = "count ~ x | f1 + f2"
+        fe_path = str(tmp_path / "fe.csv")
+        code, _, err = run_cli(["fit", "--formula", formula, "--data", path,
+                                "--family", "poisson", "--output", "json",
+                                "--fe-coefs", fe_path])
+        assert code == 0, err
+        fit = fit_glm_irls(formula, load_csv(path), family="poisson")
+        fe = _fe_csv_effects(fe_path, ["f1", "f2"], [f1, f2])
+        x = load_csv(path).numeric("x")
+        assert np.allclose(x * fit.coef[0] + fe, np.log(fit.fitted), atol=1e-6)
 
 
 class TestSimulateBench:

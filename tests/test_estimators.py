@@ -187,7 +187,7 @@ class TestGlm:
         y = rng.poisson(np.exp(0.4 * x + 0.2 * (c1 % 3))).astype(float)
         ds = make_ds(y=y, x=x, f1=c1)
         fit = fit_glm_irls("y ~ x | f1", ds, family="poisson", demean_tol=1e-12)
-        grad = fit.scores.sum(axis=0)
+        grad = fit.ensure_scores().sum(axis=0)
         assert np.abs(grad).max() <= 1e-6 * n
 
     def test_logit_matches_dummy_irls(self, rng):
@@ -260,19 +260,38 @@ class TestFixef:
         assert np.allclose(ours_f2, beta[-3:], atol=1e-7)
         assert report.free_constants == 1
 
-    def test_fixef_reconstructs_fitted(self, rng):
+    @pytest.mark.parametrize("case", ["ols", "ols-weighted-offset", "2sls", "poisson-weighted"])
+    def test_fixef_reconstructs_fitted(self, rng, case):
+        # the recovered FE plus the regressor part reproduce the fitted values
+        # (their log for Poisson)
         n = 90
         x = rng.normal(size=n)
         c1 = rng.integers(0, 5, n)
         c2 = rng.integers(0, 3, n)
+        z = rng.normal(size=n)
+        e = z + 0.5 * x + rng.normal(size=n)
+        off = rng.normal(size=n)
+        w = rng.uniform(0.5, 2.0, n)
         y = x + c1 * 0.3 - c2 * 0.2 + rng.normal(size=n)
-        ds = make_ds(y=y, x=x, f1=c1, f2=c2)
-        fit = fit_ols("y ~ x | f1 + f2", ds, demean_tol=1e-12)
+        count = rng.poisson(np.exp(0.3 * x + 0.1 * c1)).astype(float)
+        ds = make_ds(y=y, x=x, e=e, z=z, off=off, w=w, count=count, f1=c1, f2=c2)
+        if case == "ols":
+            fit = fit_ols("y ~ x | f1 + f2", ds, demean_tol=1e-12)
+            part, target = x * fit.coef[0], fit.fitted
+        elif case == "ols-weighted-offset":
+            fit = fit_ols("y ~ x | f1 + f2", ds, demean_tol=1e-12, weights="w", offset="off")
+            part, target = x * fit.coef[0] + off, fit.fitted
+        elif case == "2sls":
+            fit = fit_2sls("y ~ x | f1 + f2 | e ~ z", ds, demean_tol=1e-12, offset="off")
+            part, target = np.column_stack([e, x]) @ fit.coef + off, fit.fitted
+        else:
+            fit = fit_glm_irls("count ~ x | f1 + f2", ds, family="poisson",
+                               demean_tol=1e-12, weights="w")
+            part, target = x * fit.coef[0], np.log(fit.fitted)
         coefs, _ = fixef(fit)
         a1 = np.array([coefs["f1"].by_level[str(v)][0] for v in c1])
         a2 = np.array([coefs["f2"].by_level[str(v)][0] for v in c2])
-        recon = x * fit.coef[0] + a1 + a2
-        assert np.allclose(recon, fit.fitted, atol=1e-6)
+        assert np.allclose(part + a1 + a2, target, atol=1e-6)
 
 
 def test_fit_model_dispatch():

@@ -8,9 +8,9 @@ from fehd.inference import (VcovSpec, coeftable, compute_vcov, default_lag,
                             fit_stats, iv_tests, parse_vcov_spec, wald_test)
 
 import oracles
-from oracles import (dummy_design, random_instance, sandwich_cluster, sandwich_dk,
-                     sandwich_hc1, sandwich_iid, sandwich_nw, sandwich_twoway,
-                     scipubs_like)
+from oracles import (dummy_2sls, dummy_design, dummy_residualize, random_instance,
+                     sandwich_cluster, sandwich_dk, sandwich_hc1, sandwich_iid,
+                     sandwich_nw, sandwich_twoway, scipubs_like)
 
 
 def make_ds(**cols):
@@ -210,12 +210,19 @@ class TestFitStats:
         assert st["n"] == n and np.isfinite(st["ll"]) and np.isfinite(st["bic"])
         assert 0 <= st["sq.cor"] <= 1
 
-    def test_sq_cor_ols_offset_uses_observed_outcome(self, rng):
-        n = 200
-        x = rng.normal(size=n)
+    @pytest.mark.parametrize("estimator", ["ols", "2sls"])
+    def test_sq_cor_offset_uses_observed_outcome(self, rng, estimator):
+        n = 400
+        z = rng.normal(size=n)
+        x = z + rng.normal(size=n)
+        g = (np.arange(n) % 8).astype(float)
         off = rng.normal(size=n, scale=3.0)
         y = x + off + rng.normal(size=n)
-        fit = fit_ols("y ~ x", make_ds(y=y, x=x, off=off), offset="off")
+        ds = make_ds(y=y, x=x, z=z, g=g, off=off)
+        if estimator == "ols":
+            fit = fit_ols("y ~ x", ds, offset="off")
+        else:
+            fit = fit_2sls("y ~ 1 | g | x ~ z", ds, offset="off")
         expected = np.corrcoef(y, fit.fitted)[0, 1] ** 2
         assert expected > 0.8
         assert fit_stats(fit, ["sq.cor"])["sq.cor"] == pytest.approx(expected, rel=1e-12)
@@ -288,6 +295,56 @@ class TestIvTests:
         assert wh["df1"] == 1 and wh["df2"] == df2
         assert wh["stat"] == pytest.approx(stat, rel=1e-8)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("regression", ["first_stage", "wu_hausman"])
+    def test_near_exact_fits_match_dense(self, regression, weighted):
+        # the regression under test leaves about 1e-10 of its outcome: a Gram
+        # difference would keep about 6 digits of its SSR, so that SSR has to
+        # come from summed residuals.  (The first-stage residual is kept tiny
+        # only in the first case: at 1e-10 of E's scale the collinearity rule
+        # drops it from the Wu-Hausman regression.)
+        rng = np.random.default_rng(29)
+        n = 240
+        f1 = np.arange(n) % 12
+        f2 = rng.integers(0, 5, n)
+        z, x, u = rng.normal(size=(3, n))
+        if regression == "first_stage":
+            e = z + 0.3 * x + 0.2 * f1 + 1e-5 * u
+            y = e - x + 0.1 * f2 + 0.6 * u + rng.normal(size=n)
+        else:
+            e = z + 0.3 * x + 0.2 * f1 + 1e-3 * u
+            y = 100 * e - x + 0.1 * f2 + 1e-3 * (0.6 * u + rng.normal(size=n))
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        cols = dict(y=y, x=x, z=z, e=e, f1=f1.astype(float), f2=f2.astype(float))
+        if weighted:
+            cols["w"] = w
+        ds = make_ds(**cols)
+        fit = fit_2sls("y ~ x | f1 + f2 | e ~ z", ds, demean_tol=1e-13,
+                       weights="w" if weighted else None)
+        out = iv_tests(fit, None, ds)
+
+        fe_specs = [(f1, 12, None, True), (f2, 5, None, True)]
+        sw = np.sqrt(w) if weighted else np.ones(n)
+
+        def ssr(target, X):
+            D = dummy_design(X, fe_specs)
+            beta, _, rank, _ = np.linalg.lstsq(D * sw[:, None], target * sw, rcond=None)
+            r = target - D @ beta
+            return float(np.sum(sw ** 2 * r ** 2)), r, rank
+
+        if regression == "first_stage":
+            ssr1, _, rank1 = ssr(e, np.column_stack([x, z]))
+            ssr1_r, _, _ = ssr(e, x[:, None])
+            ivf = (ssr1_r - ssr1) / (ssr1 / (n - rank1))
+            assert fit.iv_diag.first_stages[0].ssr == pytest.approx(ssr1, rel=1e-8)
+            assert out["ivf"]["stat"] == pytest.approx(ivf, rel=1e-8)
+        else:
+            _, v, _ = ssr(e, np.column_stack([x, z]))
+            ssr_r, _, _ = ssr(y, np.column_stack([e, x]))
+            ssr_u, _, rank_u = ssr(y, np.column_stack([e, x, v]))
+            wh = (ssr_r - ssr_u) / (ssr_u / (n - rank_u))
+            assert out["wh"]["stat"] == pytest.approx(wh, rel=1e-8)
+
     def test_ivf_pvalues_uniform_under_null(self):
         # instruments orthogonal to the endo: first-stage F p-values ~ U(0,1)
         reps, n = 400, 120
@@ -317,3 +374,86 @@ class TestIvTests:
             rej += iv_tests(fit, None, ds)["wh"]["p"] < 0.05
         rate = rej / reps
         assert 0.02 <= rate <= 0.09
+
+
+def assert_rel_close(got, want, rtol=1e-8):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestTwoSlsOracle:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n_endo, n_inst", [(1, 2), (2, 3)])
+    def test_matches_dummy_2sls(self, n_endo, n_inst, weighted):
+        # two FE, one exogenous regressor; coefficients, residuals, SEs and
+        # first-stage F against explicit dummies and textbook sandwiches
+        rng = np.random.default_rng(40 + n_endo)
+        n = 300
+        f1 = np.arange(n) % 12
+        f2 = rng.integers(0, 5, n)
+        x = rng.normal(size=n)
+        Z = rng.normal(size=(n, n_inst))
+        u = rng.normal(size=n)
+        E = (Z @ (rng.normal(size=(n_inst, n_endo)) + 0.5) + 0.3 * x[:, None]
+             + 0.2 * f1[:, None] + u[:, None] + rng.normal(size=(n, n_endo)))
+        y = E @ np.array([1.0, -0.5])[:n_endo] - x + 0.1 * f2 + 0.6 * u + rng.normal(size=n)
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        endo = [f"e{j}" for j in range(n_endo)]
+        inst = [f"z{k}" for k in range(n_inst)]
+        cols = dict(y=y, x=x, f1=f1, f2=f2, **dict(zip(endo, E.T)), **dict(zip(inst, Z.T)))
+        if weighted:
+            cols["w"] = w
+        ds = make_ds(**cols)
+        fit = fit_2sls(f"y ~ x | f1 + f2 | {' + '.join(endo)} ~ {' + '.join(inst)}", ds,
+                       demean_tol=1e-13, weights="w" if weighted else None)
+
+        fe_specs = [(f1, 12, None, True), (f2, 5, None, True)]
+        k_fe = 12 + 5 - 1
+        coef, resid, E_hat = dummy_2sls(y, x[:, None], E, Z, fe_specs, w)
+        assert fit.coef_names == [f"fit_{e}" for e in endo] + ["x"]
+        assert_rel_close(fit.coef, coef)
+        assert_rel_close(fit.residuals, resid)
+
+        k2 = n_endo + 1 + k_fe
+        assert fit.dof.k_total == k2
+        D2t = dummy_residualize(np.column_stack([E_hat, x]), fe_specs, w)
+        for spec, oracle in ((VcovSpec("iid"), sandwich_iid(D2t, resid, w, k2)),
+                             (VcovSpec("hc1"), sandwich_hc1(D2t, resid, w, k2)),
+                             (VcovSpec("cluster", factors=("f1",)),
+                              sandwich_cluster(D2t, resid, w, k2, f1))):
+            V = compute_vcov(fit, spec, ds).matrix
+            assert_rel_close(np.sqrt(np.diag(V)), np.sqrt(np.diag(oracle)))
+
+        # first-stage F on the instruments, per endogenous variable
+        wv = w if weighted else np.ones(n)
+        D1t = dummy_residualize(np.column_stack([x, Z]), fe_specs, w)
+        Et = dummy_residualize(E, fe_specs, w)
+        k1 = 1 + n_inst + k_fe
+        for kind in ("iid", "cluster"):
+            spec = VcovSpec(kind, factors=("f1",) if kind == "cluster" else ())
+            ivf = iv_tests(fit, spec, ds)["ivf_all"]
+            for j, e in enumerate(endo):
+                A = D1t.T @ (D1t * wv[:, None])
+                delta = np.linalg.solve(A, D1t.T @ (wv * Et[:, j]))
+                v = Et[:, j] - D1t @ delta
+                V1 = (sandwich_iid(D1t, v, w, k1) if kind == "iid"
+                      else sandwich_cluster(D1t, v, w, k1, f1))
+                g = delta[1:]
+                stat = float(g @ np.linalg.solve(V1[1:, 1:], g)) / n_inst
+                assert (ivf[e]["df1"], ivf[e]["df2"]) == (n_inst, n - k1)
+                assert_rel_close(ivf[e]["stat"], stat)
+
+        # Wu-Hausman: the first-stage residuals join the structural equation
+        sw = np.sqrt(wv)
+
+        def ssr(X):
+            D = dummy_design(X, fe_specs)
+            beta, _, rank, _ = np.linalg.lstsq(D * sw[:, None], y * sw, rcond=None)
+            return float(np.sum((sw * (y - D @ beta)) ** 2)), rank
+
+        ssr_r, _ = ssr(np.column_stack([E, x]))
+        ssr_u, rank_u = ssr(np.column_stack([E, x, E - E_hat]))
+        wh = iv_tests(fit, None, ds)["wh"]
+        assert (wh["df1"], wh["df2"]) == (n_endo, n - rank_u)
+        assert_rel_close(wh["stat"], (ssr_r - ssr_u) / n_endo / (ssr_u / (n - rank_u)))
