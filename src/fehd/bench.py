@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, NumericColumn
+from .demean import DEFAULT_TOL
 from .estimators import EstimationError, fit_glm_irls, fit_ols
 
 __all__ = ["DgpConfig", "simulate_panel", "dataset_to_csv", "BenchCase",
@@ -151,7 +152,7 @@ def parse_cases(text: str) -> list[BenchCase]:
 
 
 def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
-                  seed: int = 0, demean_tol: float = 1e-6,
+                  seed: int = 0, demean_tol: float = DEFAULT_TOL,
                   timeout: Optional[float] = None,
                   accelerate: bool = True) -> list[dict]:
     """Wall-clock benchmark rows: (case, n, rep, seconds, demean_iterations).
@@ -200,15 +201,17 @@ def _fit_case(ds, case: BenchCase, demean_tol: float, accelerate: bool):
             raise ValueError(f"plain mode times OLS demeaning only; "
                              f"{case.name} is a {case.family} case")
         from . import formula as fml
-        from .demean import DemeanProblem, demean
-        from .estimators import _finish_ols_one, _stack_f, build_frame
-        spec = fml.parse_formula(case.formula())
-        model = fml.expand_models(spec)[0]
-        frame = build_frame(ds, model)
-        problem = DemeanProblem(targets=_stack_f([frame.shifted_y] + frame.x_cols),
-                                dims=frame.dims, tol=demean_tol)
+        from .demean import demean
+        from .estimators import (DEFAULT_COLLIN_TOL, build_frame, finish_ols_group,
+                                 ols_targets)
+        frame = build_frame(ds, fml.expand_models(fml.parse_formula(case.formula()))[0])
+        problem, sel_map = ols_targets([frame], tol=demean_tol)
         dres = demean(problem, accelerate=False, keep_coefs=False, consume_targets=True)
-        return _finish_ols_one(frame, dres, 1e-10)
+        fit = finish_ols_group([frame], sel_map, dres.residuals, dres,
+                               DEFAULT_COLLIN_TOL)[0]
+        if isinstance(fit, Exception):
+            raise fit
+        return fit
     if case.family == "poisson":
         return fit_glm_irls(case.formula(), ds, family="poisson", demean_tol=demean_tol)
     return fit_ols(case.formula(), ds, demean_tol=demean_tol)

@@ -8,15 +8,13 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import formula as fml
-from .data import DataError, Dataset, load_csv
-from .demean import DemeanError
-from .estimators import EstimationError, fixef
+from .data import DataError, load_csv
+from .demean import DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanError
+from .estimators import DEFAULT_COLLIN_TOL, EstimationError, fixef
 from .formula import FormulaError
-from .inference import VcovSpec, parse_vcov_spec
+from .inference import parse_vcov_spec
 from .multiest import MultiOptions, run_multi
 from .present import TableSpec, plot_data, render_table
 
@@ -69,7 +67,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--fe-coefs", default=None, help="dump recovered FE coefficients (CSV path)")
     fit.add_argument("--caption", default=None)
     fit.add_argument("--label", default=None)
-    fit.add_argument("--seed", type=int, default=None)
     fit.add_argument("--config", default=None, help="key = value config file")
     fit.add_argument("--dump-ast", action="store_true")
 
@@ -98,8 +95,9 @@ def _build_parser() -> _Parser:
 
 FIT_DEFAULTS = {
     "family": "ols", "vcov": ["iid"], "output": "text", "ssc": "default",
-    "signif": True, "ci_level": 0.95, "collin_tol": 1e-10, "demean_tol": 1e-6,
-    "demean_maxiter": 10_000, "keep": [], "drop": [], "order": [],
+    "signif": True, "ci_level": 0.95, "collin_tol": DEFAULT_COLLIN_TOL,
+    "demean_tol": DEFAULT_TOL, "demean_maxiter": DEFAULT_MAX_ITER,
+    "keep": [], "drop": [], "order": [],
 }
 
 

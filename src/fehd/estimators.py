@@ -10,6 +10,8 @@ demeaned block ``[y - offset, X, E, Z]`` or on ``T'GT`` for a map ``T`` of the
 block; IRLS solves each step on the Gram of ``[z, X]`` under the working
 weights.  Every fit keeps one ``Design`` record, from which inference forms
 the score rows on first use and ``fixef`` recovers the fixed effects.
+``fit_model`` is the one estimator dispatch, and ``ols_targets`` the one
+layout of OLS target columns, for single and pooled fits alike.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import numpy as np
 import scipy.linalg
 
 from . import formula as fml
-from .data import (CategoricalColumn, DataError, Dataset, NumericColumn,
-                   SampleMask, build_mask, make_factor_index, panel_shift)
-from .demean import DemeanProblem, DemeanResult, FeDim, demean, recover_fixef
+from .data import (CategoricalColumn, Dataset, NumericColumn, SampleMask, build_mask,
+                   make_factor_index, panel_shift)
+from .demean import (DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanProblem, DemeanResult,
+                     FeDim, demean, recover_fixef)
 
 __all__ = [
     "EstimationError",
@@ -135,7 +138,6 @@ class DofLedger:
 
 @dataclass
 class Convergence:
-    demean_iterations: int = 0
     demean_sweeps: int = 0
     demean_converged: bool = True
     irls_iterations: int = 0
@@ -192,7 +194,6 @@ class FitResult:
     coef_names: list[str]
     dropped_collinear: list[str]
     residuals: np.ndarray
-    fitted: np.ndarray
     xtx_inv: np.ndarray
     dof: DofLedger
     convergence: Convergence
@@ -207,9 +208,20 @@ class FitResult:
     design: Design
     deviance: float = float("nan")
     iv_diag: Optional[IvDiag] = None
-    model: Optional[fml.ModelSpec] = None
     sample_label: str = ""
     scores: Optional[np.ndarray] = None  # per-observation score rows, see ensure_scores
+    _fitted: Optional[np.ndarray] = None  # see fitted
+
+    @property
+    def fitted(self) -> Optional[np.ndarray]:
+        """Fitted values.  A GLM fit stores them; OLS and 2SLS fits form
+        ``(y - offset) - residuals + offset`` from their design on first use."""
+        if self._fitted is None and self.residuals is not None:
+            d = self.design
+            self._fitted = np.subtract(d.fe_target, self.residuals)
+            if d.offset is not None:
+                self._fitted += d.offset
+        return self._fitted
 
     def ensure_scores(self) -> np.ndarray:
         """Materialize the per-observation score rows on first use."""
@@ -339,7 +351,6 @@ def _produced_columns(ds: Dataset, mask: SampleMask, term) -> list[tuple[str, np
 
 @dataclass
 class ModelFrame:
-    model: fml.ModelSpec
     mask: SampleMask
     lhs_name: str
     y: np.ndarray
@@ -366,24 +377,27 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
                 subset: Optional[np.ndarray] = None,
                 split_keep: Optional[np.ndarray] = None,
                 offset: Optional[str] = None,
-                index_cache: Optional[dict] = None,
-                column_cache: Optional[dict] = None) -> ModelFrame:
+                cache: Optional[dict] = None) -> ModelFrame:
+    """The design of one model on its estimation sample.  ``cache`` shares
+    produced columns and factor indexes between the frames of one dataset."""
     pool = _materialize(ds, model)
     roles = role_columns(model, weights=weights, offset=offset)
     mask = build_mask(pool, roles, subset=subset, split_keep=split_keep)
     n = mask.n_used
     if n == 0:
         raise EstimationError("zero usable rows after listwise deletion")
-    keep = mask.keep
+
+    def cached(key, make):
+        if cache is None:
+            return make()
+        key = (mask.signature(), key)
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = make()
+        return got
 
     def produce(term):
-        if column_cache is None:
-            return _produced_columns(pool, mask, term)
-        key = (mask.signature(), fml.format_term(term))
-        got = column_cache.get(key)
-        if got is None:
-            got = column_cache[key] = _produced_columns(pool, mask, term)
-        return got
+        return cached(fml.format_term(term), lambda: _produced_columns(pool, mask, term))
 
     lhs_name, y = produce(model.lhs)[0]
 
@@ -400,13 +414,7 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
     dims = []
     fe_labels = []
     for fe in model.fe_terms:
-        if index_cache is not None:
-            ckey = (mask.signature(), fe.factors)
-            idx = index_cache.get(ckey)
-            if idx is None:
-                idx = index_cache[ckey] = make_factor_index(pool, mask, list(fe.factors))
-        else:
-            idx = make_factor_index(pool, mask, list(fe.factors))
+        idx = cached(fe.factors, lambda: make_factor_index(pool, mask, list(fe.factors)))
         slopes = None
         if fe.slope_vars:
             slopes = np.column_stack([_take_rows(pool.numeric(v), mask)
@@ -430,11 +438,11 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
         endo = np.column_stack([_take_rows(pool.numeric(e), mask) for e in endo_names])
         icols: list[tuple[str, np.ndarray]] = []
         for term in model.iv.instruments:
-            icols.extend(_produced_columns(pool, mask, term))
+            icols.extend(produce(term))
         inst_names = [nm for nm, _ in icols]
         inst = np.column_stack([arr for _, arr in icols])
 
-    return ModelFrame(model=model, mask=mask, lhs_name=lhs_name, y=y, x_cols=arrays,
+    return ModelFrame(mask=mask, lhs_name=lhs_name, y=y, x_cols=arrays,
                       x_names=names, dims=dims, fe_labels=fe_labels,
                       has_intercept=has_intercept, weights=w, offset=off,
                       endo=endo, endo_names=endo_names, inst=inst, inst_names=inst_names)
@@ -590,47 +598,70 @@ def _sst(y, w, centered) -> float:
 
 
 def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
-            mask_options: Optional[dict] = None,
             weights: Optional[str] = None,
             collin_tol: float = DEFAULT_COLLIN_TOL,
-            demean_tol: float = 1e-6,
-            demean_max_iter: int = 10_000,
+            demean_tol: float = DEFAULT_TOL,
+            demean_max_iter: int = DEFAULT_MAX_ITER,
             offset: Optional[str] = None) -> FitResult:
     """OLS / within estimator.  Accepts a prebuilt ModelFrame or (model, ds).
 
-    The fit is a pooled group of one: ``[y - offset] + x`` is demeaned in one
-    call and ``finish_ols_group`` solves it, as ``run_multi`` does for groups.
+    The fit takes the pooled layout of ``ols_targets`` as a group of one and
+    ``finish_ols_group`` solves it, as ``run_multi`` does for its groups.
     """
-    frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset,
-                      **(mask_options or {}))
-    problem = DemeanProblem(targets=_stack_f([frame.shifted_y] + frame.x_cols),
-                            dims=frame.dims, weights=frame.weights, tol=demean_tol,
-                            max_iter=demean_max_iter)
+    frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
+    problem, sel_map = ols_targets([frame], demean_tol, demean_max_iter)
     dres = _demean_converged(problem, keep_coefs=False, consume_targets=True)
-    return _finish_ols_one(frame, dres, collin_tol)
+    fit = finish_ols_group([frame], sel_map, dres.residuals, dres, collin_tol)[0]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _as_frame(frame_or_model, ds, **kw) -> ModelFrame:
+    """The frame of one model; the only place a formula becomes a single model."""
     if isinstance(frame_or_model, ModelFrame):
         return frame_or_model
     model = frame_or_model
     if isinstance(model, str):
-        spec = fml.parse_formula(model)
-        models = fml.expand_models(spec)
+        models = fml.expand_models(fml.parse_formula(model))
         if len(models) != 1:
             raise EstimationError("formula expands to several models; use run_multi")
         model = models[0]
     return build_frame(ds, model, **kw)
 
 
-def _finish_ols_one(frame: ModelFrame, dres: DemeanResult,
-                    collin_tol: float) -> FitResult:
-    """Solve one model whose ``[y - offset] + x`` columns ``dres`` demeaned."""
-    sel = (0, list(range(1, len(frame.x_cols) + 1)))
-    out = finish_ols_group([frame], [sel], dres.residuals, dres, collin_tol)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+def ols_targets(frames: list[ModelFrame], tol: float = DEFAULT_TOL,
+                max_iter: int = DEFAULT_MAX_ITER
+                ) -> tuple[DemeanProblem, list[tuple[int, list[int]]]]:
+    """Lay out the OLS target columns of frames that share a mask and FE dims.
+
+    This is the one OLS layout, for a single fit and a pooled group alike.
+    The outcomes, less the offset, come first, each once and in model order,
+    so that models sharing a design have their outcome columns side by side.
+    The regressors follow, each once by name.  An outcome less an offset is
+    keyed apart from the same column used as a regressor; an outcome without
+    one is the column of that name.  Returns the demeaning problem of the
+    columns and each model's (outcome index, regressor indices) into them.
+    """
+    col_of: dict = {}
+    columns: list[np.ndarray] = []
+    lhs_keys = [fr.lhs_name if fr.offset is None else (fr.lhs_name, "offset")
+                for fr in frames]
+    for key, fr in zip(lhs_keys, frames):
+        if key not in col_of:
+            col_of[key] = len(columns)
+            columns.append(fr.shifted_y)
+    for fr in frames:
+        for nm, arr in zip(fr.x_names, fr.x_cols):
+            if nm not in col_of:
+                col_of[nm] = len(columns)
+                columns.append(arr)
+    sel_map = [(col_of[key], [col_of[nm] for nm in fr.x_names])
+               for key, fr in zip(lhs_keys, frames)]
+    base = frames[0]
+    problem = DemeanProblem(targets=_stack_f(columns), dims=base.dims,
+                            weights=base.weights, tol=tol, max_iter=max_iter)
+    return problem, sel_map
 
 
 def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int]]],
@@ -660,9 +691,8 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             solved[m] = exc
 
     # a demeaned outcome that no model uses as a regressor is dead once G_all
-    # and the residuals are formed; a run of such columns, each the outcome
-    # of one model only, takes its models' residuals in place, and any other
-    # dead column takes one fitted vector
+    # is formed; a run of such columns, each the outcome of one model only,
+    # takes its models' residuals in place
     spare = {iy for iy, _ in sel_map} - {j for _, ixs in sel_map for j in ixs}
     uses = Counter(iy for iy, _ in sel_map)
     resid: dict[int, np.ndarray] = {}
@@ -672,7 +702,6 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         if iys == list(range(lo, lo + len(iys))) and \
                 all(iy in spare and uses[iy] == 1 for iy in iys):
             RES = R[:, lo:lo + len(iys)]  # a view: no n-row copy
-            spare.difference_update(iys)
         else:
             RES = _stack_f([R[:, iy] for iy in iys])
         if kept_cols:
@@ -699,10 +728,6 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
             y = frame.shifted_y
             r = resid[m]
-            fitted = np.subtract(y, r, out=R[:, iy] if iy in spare else None)
-            spare.discard(iy)
-            if frame.offset is not None:
-                fitted += frame.offset
             ssr = sol.ssr if sol.ssr is not None else _wssr(r, w)
             if frame.lhs_name not in sst_cache:
                 sst_cache[frame.lhs_name] = _sst(
@@ -711,16 +736,14 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             out.append(FitResult(
                 coef=sol.coef, coef_names=[frame.x_names[k] for k in sol.kept],
                 dropped_collinear=[frame.x_names[k] for k in sol.dropped],
-                residuals=r, fitted=fitted, xtx_inv=sol.xtx_inv, dof=dof,
-                convergence=Convergence(demean_iterations=dres.iterations,
-                                        demean_sweeps=dres.sweeps,
+                residuals=r, xtx_inv=sol.xtx_inv, dof=dof,
+                convergence=Convergence(demean_sweeps=dres.sweeps,
                                         demean_converged=dres.converged),
                 family="ols", lhs_name=frame.lhs_name,
                 fe_labels=list(frame.fe_labels), mask=frame.mask,
                 has_intercept=frame.has_intercept,
                 ssr=ssr, sst=sst,
                 ssr_fe_only=float(G_all[iy, iy]),
-                model=frame.model,
                 design=Design(dims=frame.dims, weights=w, y=frame.y,
                               offset=frame.offset, fe_target=y, fe_weights=w,
                               x_raw=[frame.x_cols[k] for k in sol.kept],
@@ -736,14 +759,12 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
 # ---------------------------------------------------------------------------
 
 def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
-             mask_options: Optional[dict] = None,
              weights: Optional[str] = None,
              collin_tol: float = DEFAULT_COLLIN_TOL,
-             demean_tol: float = 1e-6,
-             demean_max_iter: int = 10_000,
+             demean_tol: float = DEFAULT_TOL,
+             demean_max_iter: int = DEFAULT_MAX_ITER,
              offset: Optional[str] = None) -> FitResult:
-    frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset,
-                      **(mask_options or {}))
+    frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     if frame.endo is None:
         raise EstimationError("fit_2sls requires an IV part (endo ~ instruments)")
     n_endo = frame.endo.shape[1]
@@ -771,8 +792,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     stage1 = x_pos + list(range(1 + kx + n_endo, p))
     stage1_names = frame.x_names + frame.inst_names
     k_fe = _k_fe(frame.dims, dres.dropped)
-    conv = Convergence(demean_iterations=dres.iterations, demean_sweeps=dres.sweeps,
-                       demean_converged=dres.converged)
+    conv = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged)
 
     def fit_result(**kw) -> FitResult:
         return FitResult(convergence=conv, fe_labels=list(frame.fe_labels),
@@ -795,7 +815,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
         first_stages.append(fit_result(
             coef=sol.coef, coef_names=[stage1_names[k] for k in sol.kept],
             dropped_collinear=[stage1_names[k] for k in sol.dropped],
-            residuals=None, fitted=None, xtx_inv=sol.xtx_inv,
+            residuals=None, xtx_inv=sol.xtx_inv,
             dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
             family="ols", lhs_name=frame.endo_names[j],
             ssr=ssr1, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie]),
@@ -817,7 +837,6 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     c[0] = 1.0
     c[orig_pos] = -sol.coef
     r = R @ c
-    fitted = y - r + (frame.offset if frame.offset is not None else 0.0)
     dof = _dof(n, len(sol.kept), k_fe)
     sst = _sst(y, w, centered=frame.has_intercept or bool(frame.dims))
     exog_kept = [k - n_endo for k in sol.kept if k >= n_endo]
@@ -828,10 +847,10 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     return fit_result(
         coef=sol.coef, coef_names=[names2[k] for k in sol.kept],
         dropped_collinear=[names2[k] for k in sol.dropped],
-        residuals=r, fitted=fitted, xtx_inv=sol.xtx_inv, dof=dof,
+        residuals=r, xtx_inv=sol.xtx_inv, dof=dof,
         family="2sls", lhs_name=frame.lhs_name,
         ssr=_wssr(r, w), sst=sst, ssr_fe_only=float(G[0, 0]),
-        iv_diag=iv_diag, model=frame.model,
+        iv_diag=iv_diag,
         design=Design(dims=frame.dims, weights=w, y=frame.y, offset=frame.offset,
                       fe_target=y, fe_weights=w, x_raw=[cols[k] for k in orig_pos],
                       block=R, regressors=T[:, [1 + k for k in sol.kept]]),
@@ -844,16 +863,14 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
 
 def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                  family: str = "poisson",
-                 mask_options: Optional[dict] = None,
                  weights: Optional[str] = None,
                  collin_tol: float = DEFAULT_COLLIN_TOL,
-                 demean_tol: float = 1e-6,
-                 demean_max_iter: int = 10_000,
+                 demean_tol: float = DEFAULT_TOL,
+                 demean_max_iter: int = DEFAULT_MAX_ITER,
                  glm_tol: float = GLM_TOL,
                  irls_max_iter: int = IRLS_MAX_ITER,
                  offset: Optional[str] = None) -> FitResult:
-    frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset,
-                      **(mask_options or {}))
+    frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     fam = FAMILIES.get(family)
     if fam is None:
         raise EstimationError(f"unknown family {family!r}; choose from "
@@ -872,7 +889,6 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     dev = fam.deviance(y, mu, w_user)
     sol = None
     warm_state = None
-    total_demean_iters = 0
     total_sweeps = 0
     converged = False
 
@@ -887,7 +903,6 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                                 tol=demean_tol, max_iter=demean_max_iter)
         dres = _demean_converged(problem, keep_coefs=True, init_state=warm_state,
                                  consume_targets=True)
-        total_demean_iters += dres.iterations
         total_sweeps += dres.sweeps
         warm_state = _state_from_coefs(dres)
         # the weighted LS step on [z, X]; the kept columns stay those of step 1
@@ -923,15 +938,14 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     return FitResult(
         coef=sol.coef, coef_names=[frame.x_names[k] for k in sol.kept],
         dropped_collinear=[frame.x_names[k] for k in sol.dropped],
-        residuals=r, fitted=mu, xtx_inv=sol.xtx_inv, dof=dof,
-        convergence=Convergence(demean_iterations=total_demean_iters,
-                                demean_sweeps=total_sweeps,
+        residuals=r, _fitted=mu, xtx_inv=sol.xtx_inv, dof=dof,
+        convergence=Convergence(demean_sweeps=total_sweeps,
                                 demean_converged=dres.converged,
                                 irls_iterations=irls_iters, irls_converged=converged),
         family=family, lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
         mask=frame.mask, has_intercept=frame.has_intercept,
         ssr=ssr, sst=sst, ssr_fe_only=float("nan"),
-        deviance=dev, model=frame.model,
+        deviance=dev,
         design=Design(dims=frame.dims, weights=frame.weights, y=y, offset=frame.offset,
                       fe_target=z, fe_weights=wtot,
                       x_raw=[frame.x_cols[k] for k in sol.kept], block=R,
@@ -951,21 +965,23 @@ def _state_from_coefs(dres: DemeanResult) -> Optional[np.ndarray]:
 # Dispatcher and fixed-effect recovery
 # ---------------------------------------------------------------------------
 
-def fit_model(model, ds: Dataset, family: str = "ols", **kw) -> FitResult:
-    """Fit one concrete model with the appropriate estimator."""
-    if isinstance(model, str):
-        spec = fml.parse_formula(model)
-        models = fml.expand_models(spec)
-        if len(models) != 1:
-            raise EstimationError("formula expands to several models; use run_multi")
-        model = models[0]
+def fit_model(frame_or_model, ds: Optional[Dataset] = None, family: str = "ols",
+              weights: Optional[str] = None, offset: Optional[str] = None,
+              **kw) -> FitResult:
+    """Fit one model with its estimator; the one estimator dispatch of fehd.
+
+    An IV part goes to ``fit_2sls`` and is an error under a GLM family; other
+    OLS models go to ``fit_ols`` and GLMs to ``fit_glm_irls``.  ``kw`` holds
+    the estimator's solver options.
+    """
+    frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
+    if frame.endo is not None:
+        if family != "ols":
+            raise EstimationError("IV estimation is only available for OLS models")
+        return fit_2sls(frame, **kw)
     if family == "ols":
-        if model.iv is not None:
-            return fit_2sls(model, ds, **kw)
-        return fit_ols(model, ds, **kw)
-    if model.iv is not None:
-        raise EstimationError("IV estimation is only available for OLS models")
-    return fit_glm_irls(model, ds, family=family, **kw)
+        return fit_ols(frame, **kw)
+    return fit_glm_irls(frame, family=family, **kw)
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Multiple estimations: multi-LHS, stepwise families, sample splits.
 
-OLS models that share a sample mask and fixed-effect structure are pooled:
-all their distinct target columns are demeaned in one batched call, then each
-model solves its own normal equations on the shared residuals.  Offset models
-pool too; their target is the outcome less the offset.  Each target column
+OLS models without an IV part that share a sample mask and fixed-effect
+structure are pooled.  ``estimators.ols_targets`` lays out their distinct
+target columns, the outcomes less any offset first and then the regressors;
+the columns are demeaned in one batched call, and ``finish_ols_group`` solves
+each model's normal equations on the shared residuals.  Each target column
 runs its own demeaning iteration inside the batch and stops on its own, so
-pooled results match the standalone fits to rounding.  ``fit_ols`` is itself a pooled group
-of one on the same ``finish_ols_group`` path, so a one-model group reproduces
-it bit for bit by construction.  GLM and IV models are never pooled.
+pooled results match the standalone fits to rounding.  ``fit_ols`` takes the
+same layout and the same solve as a group of one, so a one-model group
+reproduces it bit for bit.  Every other model goes through
+``estimators.fit_model``, the one estimator dispatch: 2SLS, GLMs, and the
+error for an IV part under a GLM family.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 
 from . import formula as fml
 from .data import (CategoricalColumn, DataError, Dataset, evaluate_subset)
-from .demean import DemeanError, DemeanProblem, demean
-from .estimators import (EstimationError, FitResult, ModelFrame, _stack_f,
-                         build_frame, finish_ols_group, fit_2sls, fit_glm_irls)
+from .demean import DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanError, demean
+from .estimators import (DEFAULT_COLLIN_TOL, EstimationError, FitResult, ModelFrame,
+                         build_frame, finish_ols_group, fit_model, ols_targets)
 
 __all__ = ["MultiOptions", "FitRecord", "MultiResult", "run_multi"]
 
@@ -35,9 +38,9 @@ class MultiOptions:
     weights: Optional[str] = None
     subset: Optional[str] = None
     offset: Optional[str] = None
-    collin_tol: float = 1e-10
-    demean_tol: float = 1e-6
-    demean_max_iter: int = 10_000
+    collin_tol: float = DEFAULT_COLLIN_TOL
+    demean_tol: float = DEFAULT_TOL
+    demean_max_iter: int = DEFAULT_MAX_ITER
     threads: int = 1
 
 
@@ -101,8 +104,7 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
             records.append(FitRecord(provenance=prov, sample_label=label))
             jobs.append((len(records) - 1, model, label, keep))
 
-    index_cache: dict = {}
-    column_cache: dict = {}
+    cache: dict = {}
     frames: dict[int, ModelFrame] = {}
     poolable: dict[tuple, list[int]] = {}
     singles: list[int] = []
@@ -110,51 +112,31 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
     for ridx, model, label, keep in jobs:
         try:
             frame = build_frame(ds, model, weights=options.weights, subset=subset,
-                                split_keep=keep, offset=options.offset,
-                                index_cache=index_cache,
-                                column_cache=column_cache)
+                                split_keep=keep, offset=options.offset, cache=cache)
         except (EstimationError, DataError, DemeanError) as exc:
             records[ridx].error = str(exc)
             continue
         frames[ridx] = frame
-        if options.family == "ols" and model.iv is None:
-            key = (frame.mask.signature(),
-                   tuple(fml.format_fe_term(t) for t in model.fe_terms))
+        if options.family == "ols" and frame.endo is None:
+            key = (frame.mask.signature(), tuple(frame.fe_labels))
             poolable.setdefault(key, []).append(ridx)
         else:
             singles.append(ridx)
 
-    report = []
+    group_items = sorted(poolable.items(), key=lambda kv: kv[1][0])
+    # one slot per group, so that the report keeps group order under threads
+    reports: list[Optional[dict]] = [None] * len(group_items)
 
-    def run_group(key, ridxs):
+    def run_group(g):
+        key, ridxs = group_items[g]
         group_frames = [frames[r] for r in ridxs]
-        col_of: dict[str, int] = {}
-        columns: list[np.ndarray] = []
-        sel_map = []
-        # outcomes first, so that models sharing a design have their outcome
-        # columns side by side; the outcome less the offset is keyed apart
-        # from the same column used as a regressor
-        lhs_keys = [fr.lhs_name if fr.offset is None else f"{fr.lhs_name} - {options.offset}"
-                    for fr in group_frames]
-        for lhs, fr in zip(lhs_keys, group_frames):
-            if lhs not in col_of:
-                col_of[lhs] = len(columns)
-                columns.append(fr.shifted_y)
-        for lhs, fr in zip(lhs_keys, group_frames):
-            for nm, arr in zip(fr.x_names, fr.x_cols):
-                if nm not in col_of:
-                    col_of[nm] = len(columns)
-                    columns.append(arr)
-            sel_map.append((col_of[lhs], [col_of[nm] for nm in fr.x_names]))
-        targets = _stack_f(columns)
-        base = group_frames[0]
-        problem = DemeanProblem(targets=targets, dims=base.dims,
-                                weights=base.weights, tol=options.demean_tol,
-                                max_iter=options.demean_max_iter)
+        problem, sel_map = ols_targets(group_frames, options.demean_tol,
+                                       options.demean_max_iter)
         dres = demean(problem, keep_coefs=False, consume_targets=True)
         if not dres.converged:
             for r in ridxs:
-                records[r].error = "demeaning did not converge"
+                records[r].error = (f"demeaning did not converge within "
+                                    f"{problem.max_iter} iterations")
             return
         results = finish_ols_group(group_frames, sel_map, dres.residuals, dres,
                                    options.collin_tol)
@@ -164,39 +146,33 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
             else:
                 res.sample_label = records[r].sample_label
                 records[r].fit = res
-        report.append({"models": len(ridxs), "targets": len(columns),
-                       "fe": list(key[1]), "pooled": len(ridxs) > 1})
+        reports[g] = {"models": len(ridxs), "targets": dres.residuals.shape[1],
+                      "fe": list(key[1]), "pooled": len(ridxs) > 1}
 
     def run_single(ridx):
-        fr = frames[ridx]
         try:
-            if options.family == "ols":
-                fit = fit_2sls(fr, collin_tol=options.collin_tol,
-                               demean_tol=options.demean_tol,
-                               demean_max_iter=options.demean_max_iter)
-            else:
-                fit = fit_glm_irls(fr, family=options.family,
-                                   collin_tol=options.collin_tol,
-                                   demean_tol=options.demean_tol,
-                                   demean_max_iter=options.demean_max_iter)
+            fit = fit_model(frames[ridx], family=options.family,
+                            collin_tol=options.collin_tol,
+                            demean_tol=options.demean_tol,
+                            demean_max_iter=options.demean_max_iter)
             fit.sample_label = records[ridx].sample_label
             records[ridx].fit = fit
         except (EstimationError, DataError, DemeanError) as exc:
             records[ridx].error = str(exc)
 
-    group_items = sorted(poolable.items(), key=lambda kv: kv[1][0])
     if options.threads > 1 and (len(group_items) + len(singles)) > 1:
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            futs = [pool.submit(run_group, key, ridxs) for key, ridxs in group_items]
+            futs = [pool.submit(run_group, g) for g in range(len(group_items))]
             futs += [pool.submit(run_single, r) for r in singles]
             for f in futs:
                 f.result()
     else:
-        for key, ridxs in group_items:
-            run_group(key, ridxs)
+        for g in range(len(group_items)):
+            run_group(g)
         for r in singles:
             run_single(r)
 
     if records and all(r.error is not None for r in records):
         raise EstimationError("every model failed; first error: " + records[0].error)
-    return MultiResult(results=records, shared_work_report=report)
+    return MultiResult(results=records,
+                       shared_work_report=[r for r in reports if r is not None])

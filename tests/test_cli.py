@@ -228,6 +228,25 @@ class TestIvAndGlmPlumbing:
         x = load_csv(path).numeric("x")
         assert np.allclose(x * fit.coef[0] + fe, np.log(fit.fitted), atol=1e-6)
 
+    @pytest.mark.parametrize("family", ["poisson", "logit", "gaussian"])
+    def test_iv_part_under_glm_family_exit_two(self, tmp_path, family):
+        # the endogenous column is blank in 50 rows: a fit that dropped the IV
+        # part would run on the other rows without a word
+        rng = np.random.default_rng(4)
+        n = 400
+        f, x, z = rng.integers(1, 20, n), rng.normal(size=n), rng.normal(size=n)
+        e = z + rng.normal(size=n)
+        y = (rng.normal(size=n) + x > 0) * 1
+        lines = ["y,x,f,e,z"] + [
+            f"{y[i]},{float(x[i])!r},{f[i]},{'' if i < 50 else repr(float(e[i]))},"
+            f"{float(z[i])!r}" for i in range(n)]
+        path = tmp_path / "iv.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["fit", "--formula", "y ~ x | f | e ~ z", "--data",
+                                  str(path), "--family", family, "--output", "json"])
+        assert code == 2 and out == ""
+        assert "IV estimation is only available for OLS models" in err
+
 
 class TestSimulateBench:
     def test_simulate_writes_csv(self, tmp_path):

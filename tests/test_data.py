@@ -292,6 +292,17 @@ class TestFactorIndex:
         direct = make_factor_index(ds, mask, ["t"])
         assert np.array_equal(combined.group_of_row, direct.group_of_row)
 
+    def test_levels_label_each_group_at_its_first_kept_row(self):
+        g = np.array([7.0, -3.0, 7.0, 5.0, -3.0, 12.0])
+        c = CategoricalColumn(codes=np.array([1, 0, 1, 2, 1, 0], dtype=np.int32),
+                              levels=("lo", "mid", "hi"))
+        ds = Dataset(n_rows=6, columns={"g": NumericColumn(g), "c": c})
+        mask = SampleMask(keep=np.array([False, True, True, True, True, True]))
+        assert make_factor_index(ds, mask, ["g"]).levels == ("-3", "7", "5", "12")
+        assert make_factor_index(ds, mask, ["c"]).levels == ("lo", "mid", "hi")
+        assert make_factor_index(ds, mask, ["g", "c"]).levels == (
+            "-3^lo", "7^mid", "5^hi", "-3^mid", "12^lo")
+
     def test_non_integer_factor_rejected(self):
         ds = Dataset(n_rows=3, columns={"g": NumericColumn(np.array([1.0, 2.5, 3.0]))})
         with pytest.raises(DataError, match="non-integer"):

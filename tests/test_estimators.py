@@ -297,5 +297,10 @@ class TestFixef:
 def test_fit_model_dispatch():
     ds = make_ds(y=[1, 2, 3, 4, 5, 6], x=[0, 1, 0, 1, 0, 1], z=[1, 0, 1, 0, 1, 0])
     assert fit_model("y ~ x", ds).family == "ols"
-    with pytest.raises(EstimationError, match="only available for OLS"):
-        fit_model("y ~ 1 | x ~ z", ds, family="poisson")
+    assert fit_model("y ~ x", ds, family="poisson").family == "poisson"
+    assert fit_model("y ~ 1 | x ~ z", ds).family == "2sls"
+    for family in ("poisson", "logit", "gaussian"):
+        with pytest.raises(EstimationError, match="only available for OLS"):
+            fit_model("y ~ 1 | x ~ z", ds, family=family)
+    with pytest.raises(EstimationError, match="several models"):
+        fit_model("y ~ sw(x, z)", ds)

@@ -175,8 +175,31 @@ class TestErrors:
         with pytest.raises(EstimationError, match="every model failed"):
             run_multi("y1 ~ x1 | f1", panel, MultiOptions(subset="x1 > 99"))
 
+    def test_unconverged_group_gives_fit_ols_message(self, panel):
+        multi = run_multi("y1 ~ x1 | sw(f1 + f2, f1)", panel, MultiOptions(demean_max_iter=1))
+        assert multi.results[0].fit is None and multi.results[1].ok
+        with pytest.raises(EstimationError) as solo:
+            fit_ols("y1 ~ x1 | f1 + f2", panel, demean_max_iter=1)
+        assert multi.results[0].error == str(solo.value) == \
+            "demeaning did not converge within 1 iterations"
+        assert [r["fe"] for r in multi.shared_work_report] == [["f1"]]
+
+    @pytest.mark.parametrize("family", ["poisson", "logit", "gaussian"])
+    def test_iv_part_under_glm_family_is_an_error(self, panel, family):
+        # the IV part is shared by every model of a formula, so every record
+        # fails and the run reports the first record's error
+        ds = panel.with_columns({"cnt": NumericColumn((panel.numeric("y1") > 0) * 1.0)})
+        with pytest.raises(EstimationError, match="every model failed; first error: "
+                           "IV estimation is only available for OLS models"):
+            run_multi("cnt ~ x1 | f1 | x2 ~ y2", ds, MultiOptions(family=family))
+
     def test_threads_give_same_results(self, panel):
-        a = run_multi("c(y1, y2) ~ sw(x1, x2) | f1", panel, MultiOptions(threads=1))
-        b = run_multi("c(y1, y2) ~ sw(x1, x2) | f1", panel, MultiOptions(threads=4))
-        for ra, rb in zip(a.results, b.results):
-            assert np.array_equal(ra.fit.coef, rb.fit.coef)
+        ds = panel.with_columns({"f3": NumericColumn(np.arange(panel.n_rows) % 7 * 1.0)})
+        # one pooled group, then three groups that finish in any order
+        for formula in ("c(y1, y2) ~ sw(x1, x2) | f1",
+                        "c(y1, y2) ~ x1 | sw(f1 + f2, f3, f1 + f3)"):
+            a = run_multi(formula, ds, MultiOptions(threads=1))
+            b = run_multi(formula, ds, MultiOptions(threads=4))
+            for ra, rb in zip(a.results, b.results):
+                assert np.array_equal(ra.fit.coef, rb.fit.coef)
+            assert a.shared_work_report == b.shared_work_report
