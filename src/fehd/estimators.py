@@ -618,8 +618,16 @@ def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
 
 
 def _as_frame(frame_or_model, ds, **kw) -> ModelFrame:
-    """The frame of one model; the only place a formula becomes a single model."""
+    """The frame of one model; the only place a formula becomes a single model.
+
+    A prebuilt frame already holds its weights and offset, so passing either
+    with it is an error rather than silently ignored.
+    """
     if isinstance(frame_or_model, ModelFrame):
+        given = [k for k in ("weights", "offset") if kw.get(k) is not None]
+        if given:
+            raise EstimationError(f"{' and '.join(given)} cannot be given with a "
+                                  f"prebuilt ModelFrame; pass them to build_frame")
         return frame_or_model
     model = frame_or_model
     if isinstance(model, str):

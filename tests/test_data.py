@@ -1,13 +1,16 @@
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fehd.data import (CategoricalColumn, DataError, Dataset, NumericColumn,
-                       build_mask, evaluate_subset, load_csv,
-                       make_factor_index, panel_shift, SampleMask)
+from fehd.data import (CategoricalColumn, DataError, Dataset, FactorIndex,
+                       NumericColumn, build_mask, evaluate_subset,
+                       first_appearance_codes, load_csv, make_factor_index,
+                       panel_shift, SampleMask)
+from fehd.estimators import fit_ols, fixef
 
 from oracles import scipubs_like
 
@@ -292,7 +295,7 @@ class TestFactorIndex:
         direct = make_factor_index(ds, mask, ["t"])
         assert np.array_equal(combined.group_of_row, direct.group_of_row)
 
-    def test_levels_label_each_group_at_its_first_kept_row(self):
+    def test_levels_label_each_group_at_its_first_kept_row(self, rng):
         g = np.array([7.0, -3.0, 7.0, 5.0, -3.0, 12.0])
         c = CategoricalColumn(codes=np.array([1, 0, 1, 2, 1, 0], dtype=np.int32),
                               levels=("lo", "mid", "hi"))
@@ -300,13 +303,95 @@ class TestFactorIndex:
         mask = SampleMask(keep=np.array([False, True, True, True, True, True]))
         assert make_factor_index(ds, mask, ["g"]).levels == ("-3", "7", "5", "12")
         assert make_factor_index(ds, mask, ["c"]).levels == ("lo", "mid", "hi")
-        assert make_factor_index(ds, mask, ["g", "c"]).levels == (
-            "-3^lo", "7^mid", "5^hi", "-3^mid", "12^lo")
+        idx = make_factor_index(ds, mask, ["g", "c"])
+        assert idx.levels == ("-3^lo", "7^mid", "5^hi", "-3^mid", "12^lo")
+        assert idx.levels is idx.levels  # built once, on first read
+
+        # larger masked draws label as the eager per-group formula did
+        n = 500
+        g = rng.integers(-40, 40, n).astype(float)
+        c = CategoricalColumn(codes=rng.integers(0, 6, n).astype(np.int32),
+                              levels=tuple(f"L{k}" for k in range(6)))
+        ds = Dataset(n_rows=n, columns={"g": NumericColumn(g), "c": c})
+        mask = SampleMask(keep=rng.random(n) < 0.7)
+        kept = np.flatnonzero(mask.keep)
+        for factors in (["g"], ["c"], ["g", "c"]):
+            idx = make_factor_index(ds, mask, factors)
+            labels = {}
+            for code, row in zip(idx.group_of_row.tolist(), kept.tolist()):
+                labels.setdefault(code, "^".join(
+                    c.levels[c.codes[row]] if name == "c" else str(int(g[row]))
+                    for name in factors))
+            assert idx.levels == tuple(labels[k] for k in range(idx.n_groups))
+
+    def test_direct_index_has_no_levels_and_fixef_numbers_groups(self, rng):
+        n = 80
+        f = rng.integers(10, 15, n).astype(float)
+        x = rng.normal(size=n)
+        ds = Dataset(n_rows=n, columns={"y": NumericColumn(x + f + rng.normal(size=n)),
+                                        "x": NumericColumn(x), "f": NumericColumn(f)})
+        fit = fit_ols("y ~ x | f", ds, demean_tol=1e-12)
+        labelled, _ = fixef(fit)
+        (dim,) = fit.design.dims
+        idx = dim.index
+        direct = FactorIndex(idx.group_of_row, idx.n_groups, idx.group_sizes)
+        assert direct.levels == ()
+        fit.design.dims = [replace(dim, index=direct)]
+        numbered, _ = fixef(fit)
+        assert numbered["f"].levels == [str(k) for k in range(idx.n_groups)]
+        assert labelled["f"].levels == list(idx.levels)
+        assert np.array_equal(numbered["f"].coef, labelled["f"].coef)
 
     def test_non_integer_factor_rejected(self):
         ds = Dataset(n_rows=3, columns={"g": NumericColumn(np.array([1.0, 2.5, 3.0]))})
         with pytest.raises(DataError, match="non-integer"):
             make_factor_index(ds, build_mask(ds, {}), ["g"])
+
+
+def unique_codes(values):
+    """First-appearance codes through the ``np.unique`` sort."""
+    uniq, first_idx, inv = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first_idx, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    return rank[inv.ravel()], len(uniq), np.sort(first_idx)
+
+
+@st.composite
+def code_inputs(draw):
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["int8", "int32", "int64", "uint8", "uint64",
+                                 "span", "str"]))
+    if kind == "str":
+        return np.array(draw(st.lists(st.sampled_from(["a", "b", "", "é", "x,y"]),
+                                      min_size=n, max_size=n)), dtype=object)
+    if kind == "span":  # max - min + 1 just below, at, or just above 2n + 1024
+        if n < 2:
+            return np.zeros(n, dtype=np.int64)
+        lo = draw(st.integers(-2**62, 2**62))
+        span = 2 * n + 1024 + draw(st.sampled_from([-1, 0, 1]))
+        inner = draw(st.lists(st.integers(lo, lo + span - 1), min_size=n - 2,
+                              max_size=n - 2))
+        return np.array([lo + span - 1] + inner + [lo], dtype=np.int64)
+    info = np.iinfo(kind)
+    bounds = st.integers(info.min, info.max)
+    small = draw(st.booleans())  # a narrow value range, or the type's whole range
+    if small:  # the type's ends included: uint64 values above the int64 range
+        lo = draw(st.one_of(st.sampled_from([info.min, info.max - 60]), bounds))
+        bounds = st.integers(lo, min(lo + draw(st.integers(0, 60)), info.max))
+    return np.array(draw(st.lists(bounds, min_size=n, max_size=n)), dtype=kind)
+
+
+@given(code_inputs())
+@settings(max_examples=300, deadline=None)
+def test_first_appearance_codes_match_unique_sort(values):
+    codes, n, first_rows = first_appearance_codes(values, return_first_rows=True)
+    want_codes, want_n, want_rows = unique_codes(values)
+    assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+    assert type(n) is type(want_n) and n == want_n
+    assert first_rows.dtype == want_rows.dtype and np.array_equal(first_rows, want_rows)
+    short = first_appearance_codes(values)
+    assert len(short) == 2 and np.array_equal(short[0], codes) and short[1] == n
 
 
 class TestPanelShift:

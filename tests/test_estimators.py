@@ -3,8 +3,9 @@ import pytest
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
-from fehd.estimators import (EstimationError, fit_2sls, fit_glm_irls, fit_model,
-                             fit_ols, fixef, pivoted_cholesky_kept)
+from fehd.estimators import (EstimationError, build_frame, fit_2sls, fit_glm_irls,
+                             fit_model, fit_ols, fixef, pivoted_cholesky_kept)
+from fehd.formula import expand_models, parse_formula
 
 from oracles import dummy_irls, dummy_ols, random_instance, scipubs_like
 
@@ -304,3 +305,20 @@ def test_fit_model_dispatch():
             fit_model("y ~ 1 | x ~ z", ds, family=family)
     with pytest.raises(EstimationError, match="several models"):
         fit_model("y ~ sw(x, z)", ds)
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_2sls, fit_glm_irls, fit_model])
+def test_prebuilt_frame_rejects_weights_and_offset(rng, fit):
+    n = 60
+    x = rng.normal(size=n)
+    z = x + rng.normal(size=n)
+    ds = make_ds(y=rng.poisson(1.0, n), x=x, z=z, w=rng.uniform(0.5, 2.0, n),
+                 off=rng.normal(size=n))
+    formula = "y ~ 1 | x ~ z" if fit is fit_2sls else "y ~ x"
+    frame = build_frame(ds, expand_models(parse_formula(formula))[0])
+    kw = {"family": "poisson"} if fit is fit_glm_irls else {}
+    for extra in ({"weights": "w"}, {"offset": "off"}, {"weights": "w", "offset": "off"}):
+        with pytest.raises(EstimationError, match="prebuilt ModelFrame"):
+            fit(frame, **kw, **extra)
+    alone = fit(frame, **kw)
+    assert np.array_equal(alone.coef, fit(formula, ds, **kw).coef)
