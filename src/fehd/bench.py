@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, NumericColumn
+from .data import CategoricalColumn, Dataset, NumericColumn
 from .demean import DEFAULT_TOL
 from .estimators import EstimationError, fit_glm_irls, fit_ols
 
@@ -83,28 +82,50 @@ def simulate_panel(cfg: DgpConfig) -> Dataset:
     }, panel=("indiv_id", "year"))
 
 
+CSV_BLOCK_ROWS = 1 << 16
+
+
 def dataset_to_csv(ds: Dataset, path: str):
-    names = list(ds.columns)
+    """Write a dataset as CSV, as ``csv.writer`` writes it, a block of rows at a time.
+
+    Floats are written by ``repr``, integral ones without a decimal point and
+    NaN as an empty field; levels are quoted where the csv module quotes
+    them, and a missing level is an empty field.  A row that is one empty
+    field is written ``""``.  Lines end in CRLF.
+    """
+    formatters = [_cell_formatter(col) for col in ds.columns.values()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        cols = []
-        for nm in names:
-            col = ds.columns[nm]
-            vals = col.values if isinstance(col, NumericColumn) else col.values()
-            cols.append(vals)
-        for i in range(ds.n_rows):
-            w.writerow([_csv_cell(vals[i]) for vals in cols])
+        csv.writer(fh).writerow(list(ds.columns))
+        for lo in range(0, ds.n_rows, CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + CSV_BLOCK_ROWS)
+            lines = map(",".join, zip(*(fmt(rows) for fmt in formatters)))
+            if len(formatters) == 1:
+                lines = (line or '""' for line in lines)
+            fh.write("".join(line + "\r\n" for line in lines))
 
 
-def _csv_cell(v):
-    """NaN as an empty field, integral floats without a decimal point."""
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        if math.isfinite(v) and v == int(v):
-            return int(v)
-    return v
+def _cell_formatter(col):
+    """A function from a row slice to the column's CSV fields on those rows."""
+    if isinstance(col, NumericColumn):
+        return lambda rows: _float_cells(col.values[rows])
+    table = np.array([_quoted(level) for level in col.levels] + [""], dtype=object)
+    return lambda rows: table[col.codes[rows]].tolist()  # code -1 picks ""
+
+
+def _float_cells(v: np.ndarray) -> list[str]:
+    whole = np.isfinite(v) & (v == np.trunc(v))
+    frac = ~whole & ~np.isnan(v)
+    out = np.full(len(v), "", dtype=object)
+    out[whole] = np.array(list(map(str, map(int, v[whole].tolist()))), dtype=object)
+    out[frac] = np.array(list(map(repr, v[frac].tolist())), dtype=object)
+    return out.tolist()
+
+
+def _quoted(level: str) -> str:
+    """A level as ``csv.writer`` writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([level, ""])
+    return buf.getvalue()[:-3]  # less the "," and "\r\n" after it
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,13 @@
-"""Command-line entry point: fit, simulate, bench, dump-ast."""
+"""Command-line entry point: fit, simulate, bench, dump-ast.
+
+``fehd fit`` loads only the CSV columns its run reads: the formula's
+variables over every stepwise step, weights, offset, split, subset, panel
+and vcov columns.  Computed names such as ``log(x)`` are loaded too when the
+file has a column of that name, since such a column takes precedence over the
+computation.  When the names cannot be worked out (a malformed formula,
+subset, panel or vcov), or one of them is not in the file, every column is
+loaded, so errors and their "available:" lists are those of a full load.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +19,10 @@ from typing import Optional
 
 from . import bench as bench_mod
 from . import formula as fml
-from .data import DataError, load_csv
+from .data import SUBSET_RE, DataError, load_csv
 from .demean import DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanError
-from .estimators import DEFAULT_COLLIN_TOL, EstimationError, fixef
+from .estimators import (DEFAULT_COLLIN_TOL, EstimationError, _term_pool_columns, fixef,
+                         role_columns)
 from .formula import FormulaError
 from .inference import parse_vcov_spec
 from .multiest import MultiOptions, run_multi
@@ -161,7 +171,7 @@ def cmd_fit(args, threads: int) -> int:
         spec = fml.parse_formula(args.formula)
         _emit(json.dumps(fml.ast_to_dict(spec), indent=2) + "\n", args.file)
         return 0
-    ds = load_csv(args.data)
+    ds = _load_run_columns(args)
     if args.panel:
         parts = [s.strip() for s in args.panel.split(",")]
         if len(parts) != 2:
@@ -205,6 +215,50 @@ def cmd_fit(args, threads: int) -> int:
         out = render_table(table)
     _emit(out, args.file)
     return 0
+
+
+def _load_run_columns(args):
+    """The CSV of a fit run, with the columns the run reads (see the module doc)."""
+    names = _run_columns(args)
+    if names is None:
+        return load_csv(args.data)
+    raw, computed = names
+    ds = load_csv(args.data, columns=raw | computed)
+    if not raw <= ds.columns.keys():
+        return load_csv(args.data)  # the unknown-variable error lists every column
+    return ds
+
+
+def _run_columns(args) -> Optional[tuple[set[str], set[str]]]:
+    """(variables, computed names) a fit run reads; None if they cannot be told."""
+    raw: set[str] = set()
+    computed: set[str] = set()
+    try:
+        for model in fml.expand_models(fml.parse_formula(args.formula)):
+            for cols in role_columns(model, args.weights, args.offset).values():
+                raw.update(cols)
+            terms = [model.lhs, *model.rhs_terms, *(model.iv.instruments if model.iv else ())]
+            for term in terms:
+                if isinstance(term, (fml.Func, fml.LagOp)):
+                    raw.add(term.var)
+                    computed.update(_term_pool_columns(term))
+        for spec in (parse_vcov_spec(v, ssc=args.ssc) for v in args.vcov):
+            raw.update(spec.factors)
+            raw.update(n for n in (spec.unit, spec.time) if n is not None)
+    except (ValueError, EstimationError):  # FormulaError and DataError included
+        return None
+    raw.update(n for n in (args.split, args.fsplit) if n)
+    if args.subset:
+        m = SUBSET_RE.fullmatch(args.subset)
+        if m is None:
+            return None
+        raw.add(m.group(1))
+    if args.panel:
+        parts = [s.strip() for s in args.panel.split(",")]
+        if len(parts) != 2:
+            return None
+        raw.update(parts)
+    return raw - computed, computed
 
 
 def _dump_fe_coefs(multi, path: str):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
 ]
 
 MISSING_STRINGS = {"", "NA", "NaN", "nan"}
+# a --subset predicate: column, comparison, value
+SUBSET_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9._]*)\s*(==|!=|<=|>=|<|>)\s*(.+?)\s*")
 
 
 class DataError(ValueError):
@@ -170,7 +173,8 @@ class FactorIndex:
 # CSV loading
 # ---------------------------------------------------------------------------
 
-def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None) -> Dataset:
+def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
+             columns: Optional[Iterable[str]] = None) -> Dataset:
     """Load an RFC-4180-style CSV (UTF-8, header row required).
 
     Columns whose non-missing fields all parse as floats become numeric;
@@ -179,9 +183,21 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None) -> Datase
     ``schema_hints`` maps column names to 'numeric' or 'categorical' to
     override the inference.
 
+    ``columns`` names the columns to load, in header order; header columns
+    not named are skipped, and names the header lacks are ignored.  ``None``
+    loads every column.  Every row must still have the header's field count.
+
     Blank lines are skipped.  There is no comment character: a field that
     starts with ``#`` is data.  Quoted fields may hold commas, doubled quotes
     and line breaks, so one row may span several lines of the file.
+
+    The body is read in one C pass (``np.loadtxt`` with a structured dtype)
+    that parses the loaded columns straight to float64 and keeps one
+    character of each skipped field.  If a loaded cell is not a number that
+    parser accepts (a missing value, text, ``1_0``, non-ASCII digits) or a
+    loaded column is hinted categorical, the pass is rerun keeping the
+    loaded fields as strings, and each column is converted with ``float()``
+    semantics as described above.  Both give the same values.
     """
     hints = schema_hints or {}
     try:
@@ -190,40 +206,81 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None) -> Datase
         raise DataError(f"cannot read {path}: {exc}") from None
     try:
         with fh:
-            header, cells = _read_cells(path, fh)
+            header = _read_header(path, fh)
+            wanted = set(header if columns is None else columns)
+            read = [k for k, name in enumerate(header) if name in wanted]
+            # the typed pass rereads the file if it fails, so a pipe skips it
+            typed = fh.seekable() and not _has_info_separators(path) \
+                and all(hints.get(header[k]) != "categorical" for k in read)
+            if typed:
+                try:
+                    body = _read_body(fh, len(header), read, "f8")
+                except ValueError:  # a cell numpy's float parser rejects
+                    typed = False
+                    fh.seek(0)
+                    _read_header(path, fh)
+            if not typed:
+                try:
+                    body = _read_body(fh, len(header), read, "O")
+                except ValueError as exc:
+                    raise _ragged_error(path, len(header), exc) from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if body.size == 0:
+        raise DataError(f"{path}: no data rows")
 
-    columns = {name: _parse_column(name, cells[:, k], hints.get(name))
-               for k, name in enumerate(header)}
-    return Dataset(n_rows=len(cells), columns=columns)
+    if typed:
+        columns = {header[k]: NumericColumn(np.ascontiguousarray(body[f"f{k}"]))
+                   for k in read}
+    else:
+        columns = {header[k]: _parse_column(header[k], body[f"f{k}"], hints.get(header[k]))
+                   for k in read}
+    return Dataset(n_rows=len(body), columns=columns)
 
 
-def _read_cells(path: str, fh) -> tuple[list[str], np.ndarray]:
-    """The header and the body as an (n_rows, n_fields) array of strings.
-
-    The body is tokenised in one C pass (``np.loadtxt``), which follows
-    ``csv.reader``'s quoting rules and skips blank lines.
-    """
+def _read_header(path: str, fh) -> list[str]:
     header = next(csv.reader(fh), None)
     if header is None:
         raise DataError(f"{path}: empty file")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DataError(f"{path}: duplicate header names: {', '.join(dupes)}")
+    return header
+
+
+def _read_body(fh, n_fields: int, read: list[int], kind: str) -> np.ndarray:
+    """The body as a 1-d structured array with field ``f<k>`` for column k.
+
+    The fields of the columns in ``read`` have dtype ``kind``; every other
+    field is ``U1``, so its text is cut to one character but each row's field
+    count is still checked.  (``usecols`` would not check it on rows that lack
+    a skipped field, and ``S1`` would reject non-Latin-1 text.)  The body is
+    tokenised in one C pass, which follows ``csv.reader``'s quoting rules and
+    skips blank lines.
+    """
+    read = set(read)
+    dtype = np.dtype([(f"f{k}", kind if k in read else "U1") for k in range(n_fields)])
     with warnings.catch_warnings():
-        # an empty body is reported below as a DataError
+        # an empty body is reported by the caller as a DataError
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            cells = np.loadtxt(fh, delimiter=",", dtype=object, quotechar='"',
-                               comments=None, ndmin=2)
-        except ValueError as exc:
-            raise _ragged_error(path, len(header), exc) from None
-    if cells.size == 0:
-        raise DataError(f"{path}: no data rows")
-    if cells.shape[1] != len(header):
-        raise _ragged_error(path, len(header))
-    return header, cells
+        return np.loadtxt(fh, delimiter=",", dtype=dtype, quotechar='"',
+                          comments=None, ndmin=1)
+
+
+_INFO_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _has_info_separators(path: str) -> bool:
+    """Whether the file holds an ASCII information separator (0x1c-0x1f).
+
+    numpy's float parser strips these around a number like whitespace, but
+    ``float()`` rejects them, so a file holding one takes the string pass.
+    """
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            if any(sep in block for sep in _INFO_SEPARATORS):
+                return True
+    return False
 
 
 def _ragged_error(path: str, n_fields: int,
@@ -329,8 +386,7 @@ def evaluate_subset(ds: Dataset, expr: str) -> np.ndarray:
     OP is one of == != < <= > >=; values may be numbers or (quoted or bare)
     strings.  Rows with missing values never satisfy the predicate.
     """
-    import re
-    m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9._]*)\s*(==|!=|<=|>=|<|>)\s*(.+?)\s*", expr)
+    m = SUBSET_RE.fullmatch(expr)
     if m is None:
         raise DataError(f"cannot parse subset expression {expr!r}; "
                         f"expected 'column OP value'")

@@ -452,25 +452,31 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
 # Weighted LS core with pivoted-Cholesky collinearity pruning
 # ---------------------------------------------------------------------------
 
-def pivoted_cholesky_kept(A: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
+def pivoted_cholesky_kept(A: np.ndarray, tol: float,
+                          scale: Optional[np.ndarray] = None) -> tuple[list[int], list[int]]:
     """Greedy pivoted Cholesky column selection on a Gram matrix.
 
-    Columns whose residual pivot falls below ``tol * max initial pivot`` are
-    dropped.  Returns (kept, dropped) index lists, kept in original order.
+    Each step keeps the column with the largest residual pivot.  A column is
+    dropped once its residual pivot is at most ``tol`` times its own scale:
+    its diagonal in ``A``, or the larger of that and ``scale`` (its sum of
+    squares before demeaning, so that a column the fixed effects absorb is
+    dropped too).  Rescaling a column rescales its pivot and its scale alike,
+    so units do not decide collinearity.  Returns (kept, dropped) index
+    lists, kept in original order.
     """
     K = A.shape[0]
     if K == 0:
         return [], []
     S = np.array(A, dtype=np.float64, copy=True)
     d = np.diag(S).copy()
-    thr = tol * max(d.max(), np.finfo(float).tiny)
+    thr = tol * (d if scale is None else np.maximum(d, scale))
     kept: list[int] = []
     alive = np.ones(K, dtype=bool)
-    for _ in range(K):
-        dv = np.where(alive, d, -np.inf)
-        j = int(np.argmax(dv))
-        if dv[j] <= thr:
+    while True:
+        alive &= d > thr
+        if not alive.any():
             break
+        j = int(np.argmax(np.where(alive, d, -np.inf)))
         kept.append(j)
         alive[j] = False
         col = S[:, j].copy()
@@ -480,6 +486,24 @@ def pivoted_cholesky_kept(A: np.ndarray, tol: float) -> tuple[list[int], list[in
         d = np.diag(S).copy()
     dropped = [k for k in range(K) if k not in set(kept)]
     return sorted(kept), dropped
+
+
+def _scale_before_fe(cols: list[np.ndarray], w: Optional[np.ndarray]) -> np.ndarray:
+    """Each column's weighted sum of squares about its weighted mean.
+
+    Taken before demeaning, it is the scale collinearity is judged against in
+    a fit with fixed effects (see ``pivoted_cholesky_kept``).
+    """
+    out = np.zeros(len(cols))
+    if not cols:
+        return out
+    sw = len(cols[0]) if w is None else float(w.sum())
+    buf = np.empty(len(cols[0]))  # one centred column at a time
+    for j, c in enumerate(cols):
+        np.subtract(c, (c.sum() if w is None else np.einsum("i,i->", w, c)) / sw, out=buf)
+        out[j] = np.einsum("i,i->", buf, buf) if w is None else \
+            np.einsum("i,i,i->", w, buf, buf)
+    return out
 
 
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -531,18 +555,20 @@ class GramSolve(NamedTuple):
 
 
 def solve_gram(G: np.ndarray, iy: int, ixs, collin_tol: float,
-               names: list[str], kept: Optional[list[int]] = None) -> GramSolve:
+               names: list[str], kept: Optional[list[int]] = None,
+               scale: Optional[np.ndarray] = None) -> GramSolve:
     """Weighted least squares of column ``iy`` on columns ``ixs`` of a Gram.
 
     ``G`` is the weighted cross-product of demeaned columns (or of a linear
     map of them, ``T'GT``).  Pivoted Cholesky drops collinear regressors
-    unless ``kept`` fixes the kept positions.  Every least-squares solve in
-    fehd goes through here.
+    unless ``kept`` fixes the kept positions; ``scale`` (aligned with
+    ``ixs``) holds the regressors' sums of squares before demeaning in a fit
+    with fixed effects.  Every least-squares solve in fehd goes through here.
     """
     gram = G[np.ix_(ixs, ixs)]
     xy = G[np.asarray(ixs, dtype=np.intp), iy] if ixs else np.zeros(0)
     if kept is None:
-        kept, dropped = pivoted_cholesky_kept(gram, collin_tol)
+        kept, dropped = pivoted_cholesky_kept(gram, collin_tol, scale)
         if ixs and not kept:
             raise EstimationError("all regressors are collinear (or zero) after "
                                   "demeaning: " + ", ".join(names))
@@ -686,12 +712,17 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
     w = frames[0].weights
     n = R.shape[0]
     G_all = _gram(R, w)
+    scale = None
+    if frames[0].dims:
+        raw = {j: x for fr, (_, ixs) in zip(frames, sel_map) for j, x in zip(ixs, fr.x_cols)}
+        scale = dict(zip(raw, _scale_before_fe(list(raw.values()), w)))
 
     solved: list = [None] * len(frames)
     by_design: dict[tuple, list[int]] = {}
     for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
         try:
-            sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names)
+            sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names,
+                             scale=None if scale is None else [scale[j] for j in ixs])
             kept_cols = tuple(ixs[k] for k in sol.kept)
             solved[m] = (iy, sol, kept_cols)
             by_design.setdefault(kept_cols, []).append(m)
@@ -799,6 +830,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     endo_pos = list(range(1 + kx, 1 + kx + n_endo))
     stage1 = x_pos + list(range(1 + kx + n_endo, p))
     stage1_names = frame.x_names + frame.inst_names
+    scale = _scale_before_fe(cols, w) if frame.dims else None
     k_fe = _k_fe(frame.dims, dres.dropped)
     conv = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged)
 
@@ -810,7 +842,8 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     first_map = np.zeros((p, n_endo))
     first_stages = []
     for j, ie in enumerate(endo_pos):
-        sol = solve_gram(G, ie, stage1, collin_tol, stage1_names)
+        sol = solve_gram(G, ie, stage1, collin_tol, stage1_names,
+                         scale=None if scale is None else scale[stage1])
         if all(k < kx for k in sol.kept):
             raise EstimationError(
                 f"instruments for {frame.endo_names[j]!r} are collinear with the "
@@ -838,7 +871,9 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     T[0, 0] = 1.0
     T[:, 1:1 + n_endo] = first_map
     T[x_pos, range(1 + n_endo, 1 + n_endo + kx)] = 1.0
-    sol = solve_gram(T.T @ G @ T, 0, range(1, 1 + n_endo + kx), collin_tol, names2)
+    # a fitted endogenous is measured against its endogenous before demeaning
+    sol = solve_gram(T.T @ G @ T, 0, range(1, 1 + n_endo + kx), collin_tol, names2,
+                     scale=None if scale is None else scale[endo_pos + x_pos])
     # residuals at the ORIGINAL endogenous values, in one n-row product
     orig_pos = [(endo_pos + x_pos)[k] for k in sol.kept]
     c = np.zeros(p)
@@ -915,8 +950,9 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         warm_state = _state_from_coefs(dres)
         # the weighted LS step on [z, X]; the kept columns stay those of step 1
         R = dres.residuals
+        scale = _scale_before_fe(frame.x_cols, wtot) if sol is None and frame.dims else None
         sol = solve_gram(_gram(R, wtot), 0, range(1, R.shape[1]), collin_tol,
-                         frame.x_names, kept=None if sol is None else sol.kept)
+                         frame.x_names, kept=None if sol is None else sol.kept, scale=scale)
         c = np.zeros(R.shape[1])
         c[0] = 1.0
         c[[1 + k for k in sol.kept]] = -sol.coef

@@ -1,6 +1,12 @@
+import csv
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fehd import bench
 from fehd.bench import (BenchCase, DgpConfig, dataset_to_csv, parse_cases,
                         run_benchmark, simulate_panel)
 from fehd.data import CategoricalColumn, Dataset, NumericColumn, load_csv
@@ -70,6 +76,55 @@ class TestDatasetToCsv:
         dataset_to_csv(ds, str(path))
         # a lone empty field is quoted, so the row is not a blank line
         assert path.read_text().splitlines() == ["x", "3", "-0.5", '""']
+
+
+def row_loop_csv(ds, path):
+    """The writer as one ``csv.writer`` row at a time (the reference layout)."""
+    def cell(v):
+        if isinstance(v, float):
+            if math.isnan(v):
+                return ""
+            if math.isfinite(v) and v == int(v):
+                return int(v)
+        return v
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(ds.columns))
+        cols = [c.values if isinstance(c, NumericColumn) else c.values()
+                for c in ds.columns.values()]
+        for i in range(ds.n_rows):
+            w.writerow([cell(vals[i]) for vals in cols])
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 9))
+    columns = {}
+    for k in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            values = draw(st.lists(st.floats() | st.sampled_from(
+                [0.0, -0.0, 3.0, -2.0, 1e22, -1e300, 0.1, np.nan, np.inf]),
+                min_size=n, max_size=n))
+            columns[f"c{k}"] = NumericColumn(np.array(values, dtype=float))
+        else:
+            levels = draw(st.lists(st.text(alphabet='a,"\n\r #é\t'), min_size=1,
+                                   max_size=4, unique=True))
+            codes = draw(st.lists(st.integers(-1, len(levels) - 1), min_size=n, max_size=n))
+            columns[f"c{k}"] = CategoricalColumn(np.array(codes, dtype=np.int32),
+                                                 tuple(levels))
+    return Dataset(n_rows=n, columns=columns), draw(st.integers(1, 4))
+
+
+@given(datasets())
+@settings(max_examples=150, deadline=None)
+def test_dataset_to_csv_matches_row_loop(tmp_path_factory, case):
+    ds, block_rows = case
+    base = tmp_path_factory.mktemp("csv")
+    row_loop_csv(ds, base / "rows.csv")
+    with mock.patch.object(bench, "CSV_BLOCK_ROWS", block_rows):
+        dataset_to_csv(ds, str(base / "blocks.csv"))
+    assert (base / "blocks.csv").read_bytes() == (base / "rows.csv").read_bytes()
 
 
 class TestCases:

@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fehd import cli
 from fehd.bench import DgpConfig, dataset_to_csv, simulate_panel
 from fehd.cli import main
-from fehd.data import NumericColumn, load_csv
+from fehd.data import CategoricalColumn, Dataset, NumericColumn, load_csv
 from fehd.estimators import fit_2sls, fit_glm_irls
 from fehd.inference import VcovSpec, compute_vcov, iv_tests
+
+from oracles import scipubs_like
 
 
 @pytest.fixture
@@ -147,6 +150,97 @@ class TestFit:
         code, out, _ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
                                 "--output", "latex", "--caption", "T", "--label", "t"])
         assert code == 0 and r"\begin{tabular}" in out
+
+
+@pytest.fixture(scope="module")
+def roles_csv(tmp_path_factory):
+    """The researcher panel with a column for every role, and some that no fit reads."""
+    ds = scipubs_like()
+    rng = np.random.default_rng(7)
+    n = ds.n_rows
+    grp = rng.integers(0, 4, n).astype(np.int32)
+    xm = rng.normal(size=n)
+    xm[rng.uniform(size=n) < 0.03] = np.nan
+    cols = dict(ds.columns)
+    cols.update({
+        "w": NumericColumn(rng.uniform(0.5, 2, n)),
+        "off": NumericColumn(rng.normal(size=n)),
+        "grp": CategoricalColumn(grp, ("alpha", "beta", "gamma", "delta")),
+        # a literal column takes precedence over computing log(funding)
+        "log(funding)": NumericColumn(np.round(rng.normal(size=n), 3)),
+        "zz": NumericColumn(ds.numeric("funding") / 2 + rng.normal(size=n)),
+        "xm": NumericColumn(xm),
+        "note": CategoricalColumn(rng.integers(0, 2, n).astype(np.int32),
+                                  ("héllo, wörld", "日本語")),
+    })
+    path = tmp_path_factory.mktemp("roles") / "roles.csv"
+    dataset_to_csv(Dataset(n_rows=n, columns=cols), str(path))
+    return str(path)
+
+
+class TestColumnPruning:
+    """``fehd fit`` reads only the columns its run uses, with the output of a full load."""
+
+    @pytest.mark.parametrize("formula, extra", [
+        pytest.param("articles ~ policy + funding | indiv + year", ["--weights", "w"],
+                     id="weights"),
+        pytest.param("articles ~ policy + funding | indiv", ["--offset", "off"],
+                     id="offset"),
+        pytest.param("articles ~ policy | indiv + year", ["--subset", "eu_us == EU"],
+                     id="subset-categorical"),
+        pytest.param("articles ~ policy | indiv + year", ["--split", "grp"], id="split"),
+        pytest.param("articles ~ policy | indiv + year", ["--fsplit", "grp"], id="fsplit"),
+        pytest.param("articles ~ l(funding, 1) + policy | indiv", ["--panel", "indiv,year"],
+                     id="panel-lag"),
+        pytest.param("articles ~ funding | indiv", ["--vcov", "cluster=grp"], id="cluster"),
+        pytest.param("articles ~ funding | indiv", ["--vcov", "twoway=indiv,grp"],
+                     id="twoway"),
+        pytest.param("articles ~ funding | indiv", ["--vcov", "nw=indiv,year"], id="nw"),
+        pytest.param("articles ~ funding | indiv", ["--vcov", "dk=year,2"], id="dk"),
+        pytest.param("articles ~ i(policy, funding) | indiv", [], id="i-interact"),
+        pytest.param("articles ~ funding | indiv + year[policy]", [], id="slopes"),
+        pytest.param("articles ~ funding | eu_us^year + indiv", [], id="combined-fe"),
+        pytest.param("articles ~ policy | indiv + year | funding ~ zz",
+                     ["--fitstat", "n,r2,ivf,wh"], id="iv"),
+        pytest.param("c(articles, funding) ~ csw(policy, xm) | sw(indiv, indiv + year)", [],
+                     id="stepwise"),
+        pytest.param("articles ~ log(funding) + policy | indiv", [], id="literal-log"),
+        pytest.param("articles ~ policy + nosuch | indiv", [], id="unknown-variable"),
+        pytest.param("articles ~ policy | indiv", ["--vcov", "cluster=nosuch"],
+                     id="unknown-cluster"),
+    ])
+    def test_same_output_as_full_load(self, roles_csv, monkeypatch, formula, extra):
+        argv = ["fit", "--formula", formula, "--data", roles_csv, "--output", "json",
+                *extra]
+        requested = []
+        real_load = cli.load_csv
+
+        def load(path, columns=None):
+            requested.append(columns)
+            return real_load(path, columns=columns)
+
+        monkeypatch.setattr(cli, "load_csv", load)
+        pruned = run_cli(argv)
+        assert requested[0] is not None and "note" not in requested[0]
+        monkeypatch.setattr(cli, "_run_columns", lambda args: None)
+        assert pruned == run_cli(argv)
+        if pruned[0] == 2:  # the unknown variable's error lists every column
+            assert requested[1] is None and "note, off" in pruned[2]
+
+    def test_literal_column_is_requested(self, roles_csv, monkeypatch):
+        requested = []
+        monkeypatch.setattr(cli, "load_csv", lambda path, columns=None:
+                            requested.append(columns) or load_csv(path, columns=columns))
+        code, *_ = run_cli(["fit", "--formula", "articles ~ log(funding) | indiv",
+                            "--data", roles_csv])
+        assert code == 0
+        assert requested == [{"articles", "funding", "log(funding)", "indiv"}]
+
+    @pytest.mark.parametrize("formula", ["articles ~ (", "articles ~ policy"])
+    def test_unreadable_file_error_comes_first(self, tmp_path, formula):
+        code, out, err = run_cli(["fit", "--formula", formula,
+                                  "--data", str(tmp_path / "absent.csv")])
+        assert code == 2 and err.startswith("error: cannot read")
 
 
 def _fe_csv_effects(path, labels, codes):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
@@ -112,6 +113,70 @@ class TestPivotedCholesky:
         X = np.column_stack([x, x, rng.normal(size=30)])
         kept, dropped = pivoted_cholesky_kept(X.T @ X, 1e-10)
         assert dropped == [1]
+
+
+class TestScaleFreeCollinearity:
+    def test_small_scale_regressor_kept(self):
+        # x1 is independent of x2 and carries the largest effect; only its
+        # units are small, so it must not be dropped as collinear
+        rng = np.random.default_rng(1)
+        x1, x2, e = rng.normal(size=(3, 500))
+        ds = make_ds(y=x2 + x1 + e, x1=x1 * 1e-6, x2=x2)
+        fit = fit_ols("y ~ x1 + x2", ds)
+        assert fit.dropped_collinear == []
+        ref = fit_ols("y ~ x1 + x2", make_ds(y=x2 + x1 + e, x1=x1, x2=x2))
+        np.testing.assert_allclose(fit.coef, ref.coef * [1, 1e6, 1], rtol=1e-9)
+
+    @pytest.mark.parametrize("unit", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("fit", ["ols", "poisson", "2sls"])
+    def test_regressor_absorbed_by_fe_dropped(self, rng, unit, fit):
+        n = 240
+        g = np.arange(n) % 12
+        x, z, u = rng.normal(size=(3, n))
+        absorbed = rng.normal(size=12)[g] * unit
+        e = z + u + rng.normal(size=n)
+        y = x + 0.5 * e + 0.1 * g + u
+        ds = make_ds(y=y, x=x, a=absorbed, g=g, e=e, z=z,
+                     count=rng.poisson(np.exp(0.3 * x)))
+        if fit == "ols":
+            res = fit_ols("y ~ x + a | g", ds)
+        elif fit == "poisson":
+            res = fit_glm_irls("count ~ x + a | g", ds)
+        else:
+            res = fit_2sls("y ~ x + a | g | e ~ z", ds)
+        assert res.dropped_collinear == ["a"]
+
+
+@st.composite
+def rescaled_designs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, 3))
+    fe = draw(st.booleans())
+    which = draw(st.integers(0, k - 1))
+    factor = 10.0 ** draw(st.integers(-6, 6))
+    return seed, k, fe, which, factor
+
+
+@given(rescaled_designs())
+@settings(max_examples=40, deadline=None)
+def test_rescaling_a_regressor_keeps_the_kept_set(case):
+    seed, k, fe, which, factor = case
+    rng = np.random.default_rng(seed)
+    n = 80
+    X = rng.normal(size=(n, k)) * rng.uniform(0.1, 10, k)
+    g = rng.integers(0, 6, n).astype(float)
+    y = X @ rng.normal(size=k) + g + rng.normal(size=n)
+    names = [f"x{j}" for j in range(k)]
+    formula = "y ~ " + " + ".join(names) + (" | g" if fe else "")
+    fits = []
+    for c in (1.0, factor):
+        cols = {nm: X[:, j] * (c if j == which else 1.0) for j, nm in enumerate(names)}
+        fits.append(fit_ols(formula, make_ds(y=y, g=g, **cols)))
+    base, scaled = fits
+    assert scaled.coef_names == base.coef_names and scaled.dropped_collinear == []
+    expect = base.coef.copy()
+    expect[base.coef_names.index(names[which])] /= factor
+    np.testing.assert_allclose(scaled.coef, expect, rtol=1e-7, atol=1e-12)
 
 
 class TestFit2sls:

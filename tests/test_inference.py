@@ -295,6 +295,19 @@ class TestIvTests:
         assert wh["df1"] == 1 and wh["df2"] == df2
         assert wh["stat"] == pytest.approx(stat, rel=1e-8)
 
+    def test_wh_does_not_vanish_with_a_small_first_stage_residual(self):
+        # the first-stage residual is 1e-6 of E's scale, but it is no
+        # combination of E and x, so it is not dropped as collinear
+        rng = np.random.default_rng(2)
+        n = 500
+        z, x, v, u = rng.normal(size=(4, n))
+        stats = []
+        for eps in (1e-2, 1e-6):
+            e = z + eps * v
+            ds = make_ds(y=e + x + u + 0.5 * v, x=x, e=e, z=z)
+            stats.append(iv_tests(fit_2sls("y ~ x | e ~ z", ds), None, ds)["wh"]["stat"])
+        assert stats[1] == pytest.approx(stats[0], rel=0.01)
+
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("regression", ["first_stage", "wu_hausman"])
     def test_near_exact_fits_match_dense(self, regression, weighted):
