@@ -215,7 +215,7 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
             if typed:
                 try:
                     body = _read_body(fh, len(header), read, "f8")
-                except ValueError:  # a cell numpy's float parser rejects
+                except ValueError:  # a cell numpy's float parser rejects, or a ragged row
                     typed = False
                     fh.seek(0)
                     _read_header(path, fh)
@@ -230,12 +230,12 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
         raise DataError(f"{path}: no data rows")
 
     if typed:
-        columns = {header[k]: NumericColumn(np.ascontiguousarray(body[f"f{k}"]))
-                   for k in read}
+        parsed = {header[k]: NumericColumn(np.ascontiguousarray(body[f"f{k}"]))
+                  for k in read}
     else:
-        columns = {header[k]: _parse_column(header[k], body[f"f{k}"], hints.get(header[k]))
-                   for k in read}
-    return Dataset(n_rows=len(body), columns=columns)
+        parsed = {header[k]: _parse_column(header[k], body[f"f{k}"], hints.get(header[k]))
+                  for k in read}
+    return Dataset(n_rows=len(body), columns=parsed)
 
 
 def _read_header(path: str, fh) -> list[str]:
