@@ -21,8 +21,7 @@ from . import bench as bench_mod
 from . import formula as fml
 from .data import SUBSET_RE, DataError, load_csv
 from .demean import DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanError
-from .estimators import (DEFAULT_COLLIN_TOL, EstimationError, _term_pool_columns, fixef,
-                         role_columns)
+from .estimators import DEFAULT_COLLIN_TOL, EstimationError, fixef, model_columns
 from .formula import FormulaError
 from .inference import parse_vcov_spec
 from .multiest import MultiOptions, run_multi
@@ -171,12 +170,12 @@ def cmd_fit(args, threads: int) -> int:
         spec = fml.parse_formula(args.formula)
         _emit(json.dumps(fml.ast_to_dict(spec), indent=2) + "\n", args.file)
         return 0
-    ds = _load_run_columns(args)
-    if args.panel:
-        parts = [s.strip() for s in args.panel.split(",")]
-        if len(parts) != 2:
+    panel = [s.strip() for s in args.panel.split(",")] if args.panel else None
+    ds = _load_run_columns(args, panel)
+    if panel is not None:
+        if len(panel) != 2:
             raise UsageError("--panel expects unit,time")
-        ds = ds.with_panel(parts[0], parts[1])
+        ds = ds.with_panel(panel[0], panel[1])
     if args.split and args.fsplit:
         raise UsageError("--split and --fsplit are mutually exclusive")
     options = MultiOptions(
@@ -217,9 +216,9 @@ def cmd_fit(args, threads: int) -> int:
     return 0
 
 
-def _load_run_columns(args):
+def _load_run_columns(args, panel: Optional[list[str]]):
     """The CSV of a fit run, with the columns the run reads (see the module doc)."""
-    names = _run_columns(args)
+    names = _run_columns(args, panel)
     if names is None:
         return load_csv(args.data)
     raw, computed = names
@@ -229,19 +228,15 @@ def _load_run_columns(args):
     return ds
 
 
-def _run_columns(args) -> Optional[tuple[set[str], set[str]]]:
+def _run_columns(args, panel: Optional[list[str]]) -> Optional[tuple[set[str], set[str]]]:
     """(variables, computed names) a fit run reads; None if they cannot be told."""
     raw: set[str] = set()
     computed: set[str] = set()
     try:
         for model in fml.expand_models(fml.parse_formula(args.formula)):
-            for cols in role_columns(model, args.weights, args.offset).values():
-                raw.update(cols)
-            terms = [model.lhs, *model.rhs_terms, *(model.iv.instruments if model.iv else ())]
-            for term in terms:
-                if isinstance(term, (fml.Func, fml.LagOp)):
-                    raw.add(term.var)
-                    computed.update(_term_pool_columns(term))
+            model_raw, model_computed = model_columns(model, args.weights, args.offset)
+            raw |= model_raw
+            computed |= model_computed
         for spec in (parse_vcov_spec(v, ssc=args.ssc) for v in args.vcov):
             raw.update(spec.factors)
             raw.update(n for n in (spec.unit, spec.time) if n is not None)
@@ -253,11 +248,10 @@ def _run_columns(args) -> Optional[tuple[set[str], set[str]]]:
         if m is None:
             return None
         raw.add(m.group(1))
-    if args.panel:
-        parts = [s.strip() for s in args.panel.split(",")]
-        if len(parts) != 2:
+    if panel is not None:
+        if len(panel) != 2:
             return None
-        raw.update(parts)
+        raw.update(panel)
     return raw - computed, computed
 
 

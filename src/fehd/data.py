@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field, replace
@@ -191,13 +192,16 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
     starts with ``#`` is data.  Quoted fields may hold commas, doubled quotes
     and line breaks, so one row may span several lines of the file.
 
-    The body is read in one C pass (``np.loadtxt`` with a structured dtype)
-    that parses the loaded columns straight to float64 and keeps one
-    character of each skipped field.  If a loaded cell is not a number that
-    parser accepts (a missing value, text, ``1_0``, non-ASCII digits) or a
-    loaded column is hinted categorical, the pass is rerun keeping the
-    loaded fields as strings, and each column is converted with ``float()``
-    semantics as described above.  Both give the same values.
+    The body is read in blocks of ``TYPED_BLOCK_ROWS`` rows by a C parser
+    (``np.loadtxt`` with a structured dtype) that turns the loaded columns
+    straight into float64 and keeps one character of each skipped field.
+    From the first block holding a loaded cell that parser rejects (a missing
+    value, text, ``1_0``, non-ASCII digits) to the end of the file, the loaded
+    fields are kept as strings and converted with ``float()`` semantics as
+    described above; a column hinted categorical is read that way throughout.
+    So a file with missing values costs at most one block more than a string
+    read.  A column that turns out categorical after numeric blocks rereads
+    those rows as strings.  Both ways give the same values.
     """
     hints = schema_hints or {}
     try:
@@ -209,33 +213,44 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
             header = _read_header(path, fh)
             wanted = set(header if columns is None else columns)
             read = [k for k, name in enumerate(header) if name in wanted]
-            # the typed pass rereads the file if it fails, so a pipe skips it
+            # a text column after numeric blocks rereads them, so a pipe skips
+            # the typed blocks
             typed = fh.seekable() and not _has_info_separators(path) \
                 and all(hints.get(header[k]) != "categorical" for k in read)
-            if typed:
-                try:
-                    body = _read_body(fh, len(header), read, "f8")
-                except ValueError:  # a cell numpy's float parser rejects, or a ragged row
-                    typed = False
+            blocks, rest = _read_body(path, fh, len(header), read, typed)
+            n_typed = sum(len(b) for b in blocks)
+            n_rows = n_typed + (0 if rest is None else len(rest))
+            if n_rows == 0:
+                raise DataError(f"{path}: no data rows")
+            parsed = {}
+            for k, name in enumerate(header):
+                hint = hints.get(name)
+                if hint not in (None, "numeric", "categorical"):
+                    raise DataError(f"bad schema hint for {name!r}: {hint!r}")
+                if k not in read:
+                    continue
+                typed_part = [b[f"f{k}"] for b in blocks]
+                if rest is None:
+                    parsed[name] = NumericColumn(np.concatenate(typed_part))
+                    continue
+                col = _parse_column(name, rest[f"f{k}"], hint)
+                if typed_part and isinstance(col, NumericColumn):
+                    col = NumericColumn(np.concatenate(typed_part + [col.values]))
+                elif typed_part:  # its levels need the typed rows' strings
                     fh.seek(0)
                     _read_header(path, fh)
-            if not typed:
-                try:
-                    body = _read_body(fh, len(header), read, "O")
-                except ValueError as exc:
-                    raise _ragged_error(path, len(header), exc) from None
+                    head = _loadtxt(fh, len(header), [k], "O", n_typed)
+                    col = _parse_column(name, np.concatenate([head[f"f{k}"], rest[f"f{k}"]]),
+                                        hint)
+                parsed[name] = col
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    if body.size == 0:
-        raise DataError(f"{path}: no data rows")
+    return Dataset(n_rows=n_rows, columns=parsed)
 
-    if typed:
-        parsed = {header[k]: NumericColumn(np.ascontiguousarray(body[f"f{k}"]))
-                  for k in read}
-    else:
-        parsed = {header[k]: _parse_column(header[k], body[f"f{k}"], hints.get(header[k]))
-                  for k in read}
-    return Dataset(n_rows=len(body), columns=parsed)
+
+# Rows per typed block: a block with a cell the float parser rejects is
+# parsed again as strings, so this bounds the work a failed block wastes.
+TYPED_BLOCK_ROWS = 1 << 12
 
 
 def _read_header(path: str, fh) -> list[str]:
@@ -248,23 +263,56 @@ def _read_header(path: str, fh) -> list[str]:
     return header
 
 
-def _read_body(fh, n_fields: int, read: list[int], kind: str) -> np.ndarray:
-    """The body as a 1-d structured array with field ``f<k>`` for column k.
+def _read_body(path: str, fh, n_fields: int, read: list[int],
+               typed: bool) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
+    """The body as (typed blocks, string rest); the rest is None if all parsed.
+
+    With ``typed``, blocks of ``TYPED_BLOCK_ROWS`` rows are parsed with
+    float64 loaded fields until one fails; that block's lines are replayed
+    and, with every later line, parsed in one pass with the loaded fields as
+    strings.  A failure there (a ragged row) ends in a rescan naming the row.
+    """
+    lines = iter(fh)
+    blocks: list[np.ndarray] = []
+    while typed:
+        lines, replay = itertools.tee(lines)
+        try:
+            block = _loadtxt(lines, n_fields, read, "f8", TYPED_BLOCK_ROWS)
+        except UnicodeDecodeError as exc:  # a replay would skip the undecoded bytes
+            raise _ragged_error(path, n_fields, exc) from None
+        except ValueError:  # a cell numpy's float parser rejects, or a ragged row
+            lines = replay
+            break
+        blocks.append(block)
+        if len(block) < TYPED_BLOCK_ROWS:
+            return blocks, None
+    try:
+        return blocks, _loadtxt(lines, n_fields, read, "O")
+    except ValueError as exc:
+        raise _ragged_error(path, n_fields, exc) from None
+
+
+def _loadtxt(lines, n_fields: int, read: list[int], kind: str,
+             max_rows: Optional[int] = None) -> np.ndarray:
+    """Rows of ``lines`` as a 1-d structured array with field ``f<k>`` for column k.
 
     The fields of the columns in ``read`` have dtype ``kind``; every other
     field is ``U1``, so its text is cut to one character but each row's field
     count is still checked.  (``usecols`` would not check it on rows that lack
-    a skipped field, and ``S1`` would reject non-Latin-1 text.)  The body is
+    a skipped field, and ``S1`` would reject non-Latin-1 text.)  The rows are
     tokenised in one C pass, which follows ``csv.reader``'s quoting rules and
-    skips blank lines.
+    skips blank lines; with ``max_rows`` it stops after that many rows and
+    leaves the lines that follow unread.
     """
     read = set(read)
     dtype = np.dtype([(f"f{k}", kind if k in read else "U1") for k in range(n_fields)])
     with warnings.catch_warnings():
-        # an empty body is reported by the caller as a DataError
+        # an empty body is reported by the caller as a DataError, and blank
+        # lines are skipped whether or not ``max_rows`` is given
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(fh, delimiter=",", dtype=dtype, quotechar='"',
-                          comments=None, ndmin=1)
+        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", dtype=dtype, quotechar='"',
+                          comments=None, ndmin=1, max_rows=max_rows)
 
 
 _INFO_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -306,8 +354,6 @@ _strip = np.frompyfunc(str.strip, 1, 1)
 
 def _parse_column(name: str, cells: np.ndarray, hint: Optional[str]) -> Column:
     """A numeric or categorical column from an object array of field strings."""
-    if hint not in (None, "numeric", "categorical"):
-        raise DataError(f"bad schema hint for {name!r}: {hint!r}")
     if hint != "categorical":
         try:  # float() of every cell: ' 1.5 ', 'nan' and 'inf' parse as floats
             return NumericColumn(cells.astype(np.float64))

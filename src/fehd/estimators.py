@@ -259,13 +259,18 @@ def _term_pool_columns(term) -> list[str]:
     raise EstimationError(f"cannot use {fml.format_term(term)} as a concrete term")
 
 
-def _materialize(ds: Dataset, model: fml.ModelSpec) -> Dataset:
-    """Add virtual columns (log/exp transforms, panel shifts) needed by a model."""
-    extra: dict[str, NumericColumn] = {}
+def _computed_terms(model: fml.ModelSpec) -> list:
+    """The model's log/exp transforms and panel shifts (Func and LagOp terms)."""
     terms = list(model.rhs_terms) + [model.lhs]
     if model.iv is not None:
         terms.extend(model.iv.instruments)
-    for term in terms:
+    return [t for t in terms if isinstance(t, (fml.Func, fml.LagOp))]
+
+
+def _materialize(ds: Dataset, model: fml.ModelSpec) -> Dataset:
+    """Add virtual columns (log/exp transforms, panel shifts) needed by a model."""
+    extra: dict[str, NumericColumn] = {}
+    for term in _computed_terms(model):
         if isinstance(term, fml.Func):
             name = f"{term.fn}({term.var})"
             if ds.has_column(name) or name in extra:
@@ -283,6 +288,25 @@ def _materialize(ds: Dataset, model: fml.ModelSpec) -> Dataset:
             for name, col in panel_shift(ds, None, term.var, term.op, tuple(needed)):
                 extra[name] = NumericColumn(col)
     return ds.with_columns(extra) if extra else ds
+
+
+def model_columns(model: fml.ModelSpec, weights: Optional[str] = None,
+                  offset: Optional[str] = None) -> tuple[set[str], set[str]]:
+    """(variables, computed names) a model reads from a dataset.
+
+    The variables are every role's columns (see ``role_columns``) and the
+    inputs of its computed terms; the computed names are those terms' column
+    names, such as ``log(x)``, which a dataset column of that name overrides
+    (see ``_materialize``).
+    """
+    computed: set[str] = set()
+    raw: set[str] = set()
+    for cols in role_columns(model, weights, offset).values():
+        raw.update(cols)
+    for term in _computed_terms(model):
+        raw.add(term.var)
+        computed.update(_term_pool_columns(term))
+    return raw - computed, computed
 
 
 def role_columns(model: fml.ModelSpec, weights: Optional[str] = None,
@@ -453,7 +477,8 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
 # ---------------------------------------------------------------------------
 
 def pivoted_cholesky_kept(A: np.ndarray, tol: float,
-                          scale: Optional[np.ndarray] = None) -> tuple[list[int], list[int]]:
+                          scale: Optional[np.ndarray] = None,
+                          floor: float = 0.0) -> tuple[list[int], list[int]]:
     """Greedy pivoted Cholesky column selection on a Gram matrix.
 
     Each step keeps the column with the largest residual pivot.  A column is
@@ -461,15 +486,16 @@ def pivoted_cholesky_kept(A: np.ndarray, tol: float,
     its diagonal in ``A``, or the larger of that and ``scale`` (its sum of
     squares before demeaning, so that a column the fixed effects absorb is
     dropped too).  Rescaling a column rescales its pivot and its scale alike,
-    so units do not decide collinearity.  Returns (kept, dropped) index
-    lists, kept in original order.
+    so units do not decide collinearity.  A pivot at most ``floor`` (the
+    demeaning noise, see ``_demean_noise``) is dropped whatever its scale.
+    Returns (kept, dropped) index lists, kept in original order.
     """
     K = A.shape[0]
     if K == 0:
         return [], []
     S = np.array(A, dtype=np.float64, copy=True)
     d = np.diag(S).copy()
-    thr = tol * (d if scale is None else np.maximum(d, scale))
+    thr = np.maximum(tol * (d if scale is None else np.maximum(d, scale)), floor)
     kept: list[int] = []
     alive = np.ones(K, dtype=bool)
     while True:
@@ -504,6 +530,24 @@ def _scale_before_fe(cols: list[np.ndarray], w: Optional[np.ndarray]) -> np.ndar
         out[j] = np.einsum("i,i->", buf, buf) if w is None else \
             np.einsum("i,i,i->", w, buf, buf)
     return out
+
+
+# Demeaning on two or more fixed-effect dimensions stops on an absolute rule,
+# so each demeaned row keeps an error of about the demeaning tolerance (up to
+# about 3 tolerances in RMS on weakly connected graphs); a column whose RMS is
+# within this many tolerances of zero cannot be told from that remnant.
+DEMEAN_NOISE_TOLS = 10.0
+
+
+def _demean_noise(dims: list[FeDim], w: Optional[np.ndarray], n: int,
+                  demean_tol: float) -> float:
+    """Weighted sum of squares at or below which a demeaned column counts as zero.
+
+    Zero with fewer than two dimensions: one is eliminated in closed form.
+    """
+    if len(dims) < 2:
+        return 0.0
+    return (DEMEAN_NOISE_TOLS * demean_tol) ** 2 * (n if w is None else float(w.sum()))
 
 
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -556,19 +600,20 @@ class GramSolve(NamedTuple):
 
 def solve_gram(G: np.ndarray, iy: int, ixs, collin_tol: float,
                names: list[str], kept: Optional[list[int]] = None,
-               scale: Optional[np.ndarray] = None) -> GramSolve:
+               scale: Optional[np.ndarray] = None, floor: float = 0.0) -> GramSolve:
     """Weighted least squares of column ``iy`` on columns ``ixs`` of a Gram.
 
     ``G`` is the weighted cross-product of demeaned columns (or of a linear
     map of them, ``T'GT``).  Pivoted Cholesky drops collinear regressors
     unless ``kept`` fixes the kept positions; ``scale`` (aligned with
     ``ixs``) holds the regressors' sums of squares before demeaning in a fit
-    with fixed effects.  Every least-squares solve in fehd goes through here.
+    with fixed effects, and ``floor`` the demeaning noise.  Every
+    least-squares solve in fehd goes through here.
     """
     gram = G[np.ix_(ixs, ixs)]
     xy = G[np.asarray(ixs, dtype=np.intp), iy] if ixs else np.zeros(0)
     if kept is None:
-        kept, dropped = pivoted_cholesky_kept(gram, collin_tol, scale)
+        kept, dropped = pivoted_cholesky_kept(gram, collin_tol, scale, floor)
         if ixs and not kept:
             raise EstimationError("all regressors are collinear (or zero) after "
                                   "demeaning: " + ", ".join(names))
@@ -637,7 +682,8 @@ def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     problem, sel_map = ols_targets([frame], demean_tol, demean_max_iter)
     dres = _demean_converged(problem, keep_coefs=False, consume_targets=True)
-    fit = finish_ols_group([frame], sel_map, dres.residuals, dres, collin_tol)[0]
+    fit = finish_ols_group([frame], sel_map, dres.residuals, dres, collin_tol,
+                           demean_tol)[0]
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -699,7 +745,8 @@ def ols_targets(frames: list[ModelFrame], tol: float = DEFAULT_TOL,
 
 
 def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int]]],
-                     R: np.ndarray, dres, collin_tol: float):
+                     R: np.ndarray, dres, collin_tol: float,
+                     demean_tol: float = DEFAULT_TOL):
     """Solve a pooled group of OLS models from one batched demeaned matrix.
 
     ``R`` holds the demeaned distinct target columns; ``sel_map`` gives each
@@ -716,13 +763,15 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
     if frames[0].dims:
         raw = {j: x for fr, (_, ixs) in zip(frames, sel_map) for j, x in zip(ixs, fr.x_cols)}
         scale = dict(zip(raw, _scale_before_fe(list(raw.values()), w)))
+    floor = _demean_noise(frames[0].dims, w, n, demean_tol)
 
     solved: list = [None] * len(frames)
     by_design: dict[tuple, list[int]] = {}
     for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
         try:
             sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names,
-                             scale=None if scale is None else [scale[j] for j in ixs])
+                             scale=None if scale is None else [scale[j] for j in ixs],
+                             floor=floor)
             kept_cols = tuple(ixs[k] for k in sol.kept)
             solved[m] = (iy, sol, kept_cols)
             by_design.setdefault(kept_cols, []).append(m)
@@ -831,6 +880,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     stage1 = x_pos + list(range(1 + kx + n_endo, p))
     stage1_names = frame.x_names + frame.inst_names
     scale = _scale_before_fe(cols, w) if frame.dims else None
+    floor = _demean_noise(frame.dims, w, n, demean_tol)
     k_fe = _k_fe(frame.dims, dres.dropped)
     conv = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged)
 
@@ -843,7 +893,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     first_stages = []
     for j, ie in enumerate(endo_pos):
         sol = solve_gram(G, ie, stage1, collin_tol, stage1_names,
-                         scale=None if scale is None else scale[stage1])
+                         scale=None if scale is None else scale[stage1], floor=floor)
         if all(k < kx for k in sol.kept):
             raise EstimationError(
                 f"instruments for {frame.endo_names[j]!r} are collinear with the "
@@ -873,7 +923,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     T[x_pos, range(1 + n_endo, 1 + n_endo + kx)] = 1.0
     # a fitted endogenous is measured against its endogenous before demeaning
     sol = solve_gram(T.T @ G @ T, 0, range(1, 1 + n_endo + kx), collin_tol, names2,
-                     scale=None if scale is None else scale[endo_pos + x_pos])
+                     scale=None if scale is None else scale[endo_pos + x_pos], floor=floor)
     # residuals at the ORIGINAL endogenous values, in one n-row product
     orig_pos = [(endo_pos + x_pos)[k] for k in sol.kept]
     c = np.zeros(p)
@@ -952,7 +1002,8 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         R = dres.residuals
         scale = _scale_before_fe(frame.x_cols, wtot) if sol is None and frame.dims else None
         sol = solve_gram(_gram(R, wtot), 0, range(1, R.shape[1]), collin_tol,
-                         frame.x_names, kept=None if sol is None else sol.kept, scale=scale)
+                         frame.x_names, kept=None if sol is None else sol.kept, scale=scale,
+                         floor=_demean_noise(frame.dims, wtot, n, demean_tol))
         c = np.zeros(R.shape[1])
         c[0] = 1.0
         c[[1 + k for k in sol.kept]] = -sol.coef

@@ -222,7 +222,7 @@ class TestColumnPruning:
         monkeypatch.setattr(cli, "load_csv", load)
         pruned = run_cli(argv)
         assert requested[0] is not None and "note" not in requested[0]
-        monkeypatch.setattr(cli, "_run_columns", lambda args: None)
+        monkeypatch.setattr(cli, "_run_columns", lambda args, panel: None)
         assert pruned == run_cli(argv)
         if pruned[0] == 2:  # the unknown variable's error lists every column
             assert requested[1] is None and "note, off" in pruned[2]

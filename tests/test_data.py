@@ -2,11 +2,13 @@ import csv
 import os
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fehd import data
 from fehd.data import (CategoricalColumn, DataError, Dataset, FactorIndex,
                        NumericColumn, build_mask, evaluate_subset,
                        first_appearance_codes, load_csv, make_factor_index,
@@ -156,6 +158,28 @@ class TestLoadCsv:
         assert ds.columns["y"].levels == (f"{sep}1", "2")
         assert isinstance(ds.columns["x"], NumericColumn)
 
+    @pytest.mark.parametrize("columns", [None, ["x"], ["y"]])
+    def test_bad_schema_hint_on_numeric_column(self, tmp_path, columns):
+        path = write(tmp_path, "x,y\n1,2\n3,4\n")
+        with pytest.raises(DataError, match="bad schema hint for 'x': 'Numeric'"):
+            load_csv(path, schema_hints={"x": "Numeric"}, columns=columns)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4])
+    def test_strings_after_typed_blocks(self, tmp_path, monkeypatch, block_rows):
+        # rows 1-4 parse as floats; the cells after them do not
+        monkeypatch.setattr(data, "TYPED_BLOCK_ROWS", block_rows)
+        path = write(tmp_path, "g,y,x\n1.0,1,0\n2,2,0\n1,3,0\n2,4,0\n1e0,NA,0\nb,6,0\n")
+        ds = load_csv(path)
+        assert ds.columns["g"].levels == ("1.0", "2", "1", "1e0", "b")
+        assert ds.columns["g"].codes.tolist() == [0, 1, 2, 1, 3, 4]
+        np.testing.assert_array_equal(ds.numeric("y"), [1, 2, 3, 4, np.nan, 6])
+        np.testing.assert_array_equal(ds.numeric("x"), np.zeros(6))
+        with pytest.raises(DataError, match="non-numeric value 'b'"):
+            load_csv(path, schema_hints={"g": "numeric"})
+        with pytest.raises(DataError, match="row 7 has 2 fields, expected 3"):
+            load_csv(write(tmp_path, "g,y,x\n1,1,0\n2,2,0\n3,3,0\n4,4,0\nNA,5,0\n6,6\n"),
+                     columns=["y"])
+
     def test_numeric_hint_names_first_bad_value(self, tmp_path):
         path = write(tmp_path, "g\n1\nNA\nabc\nxyz\n")
         with pytest.raises(DataError, match="non-numeric value 'abc'"):
@@ -166,6 +190,15 @@ class TestLoadCsv:
                       schema_hints={"g": "categorical"})
         assert ds.columns["g"].levels == ("2", "1")
         assert ds.columns["g"].codes.tolist() == [0, -1, 1, 0]
+
+    def test_not_utf8_after_typed_blocks(self, tmp_path):
+        # past the first read buffer: a retry from the failing block must not
+        # skip the bytes that did not decode
+        body = "".join(f"{k},{k}\n" for k in range(20000)).encode()
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b\n" + body[:50000] + b"\xff" + body[50000:])
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_csv(str(p))
 
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -224,13 +257,14 @@ def csv_tables(draw):
     terminator = draw(st.sampled_from(["\n", "\r\n"]))
     read = draw(st.none() | st.lists(st.sampled_from(
         [f"c{k}" for k in range(n_cols)] + ["absent"]), unique=True))
-    return columns, hints, quoting, terminator, read
+    block_rows = draw(st.sampled_from([1, 2, 3, data.TYPED_BLOCK_ROWS]))
+    return columns, hints, quoting, terminator, read, block_rows
 
 
 @given(csv_tables())
 @settings(max_examples=200, deadline=None)
 def test_load_csv_matches_cellwise_reference(tmp_path_factory, table):
-    columns, hints, quoting, terminator, read = table
+    columns, hints, quoting, terminator, read, block_rows = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=quoting, lineterminator=terminator)
@@ -239,7 +273,8 @@ def test_load_csv_matches_cellwise_reference(tmp_path_factory, table):
     n_rows, expected = reference_load_csv(path, hints)
     if read is not None:
         expected = {name: want for name, want in expected.items() if name in read}
-    ds = load_csv(str(path), schema_hints=hints, columns=read)
+    with mock.patch.object(data, "TYPED_BLOCK_ROWS", block_rows):
+        ds = load_csv(str(path), schema_hints=hints, columns=read)
     assert ds.n_rows == n_rows and list(ds.columns) == list(expected)
     for name, want in expected.items():
         col = ds.columns[name]

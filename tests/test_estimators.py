@@ -146,6 +146,45 @@ class TestScaleFreeCollinearity:
             res = fit_2sls("y ~ x + a | g | e ~ z", ds)
         assert res.dropped_collinear == ["a"]
 
+    @pytest.mark.parametrize("unit", [1e-6, 1e-3, 1e-2, 1.0, 1e6])
+    @pytest.mark.parametrize("fit", ["ols", "weighted", "poisson", "2sls"])
+    def test_regressor_absorbed_by_two_fe_dropped(self, unit, fit):
+        # two dimensions are demeaned iteratively, to an absolute tolerance:
+        # the remnant of a column g2 absorbs is noise at any unit
+        rng = np.random.default_rng(7)
+        n = 3000
+        g1, g2 = rng.integers(0, 300, n), rng.integers(0, 40, n)
+        x, z, u, w = rng.normal(size=(4, n))
+        absorbed = rng.normal(size=40)[g2] * unit
+        e = z + u + rng.normal(size=n)
+        y = x + 0.5 * e + 0.1 * g2 + 0.01 * g1 + u
+        ds = make_ds(y=y, x=x, a=absorbed, g1=g1, g2=g2, e=e, z=z, w=np.exp(w),
+                     count=rng.poisson(np.exp(0.3 * x)))
+        if fit == "ols":
+            res = fit_ols("y ~ x + a | g1 + g2", ds)
+        elif fit == "weighted":
+            res = fit_ols("y ~ x + a | g1 + g2", ds, weights="w")
+        elif fit == "poisson":
+            res = fit_glm_irls("count ~ x + a | g1 + g2", ds)
+        else:
+            res = fit_2sls("y ~ x + a | g1 + g2 | e ~ z", ds)
+        assert res.dropped_collinear == ["a"]
+
+    @pytest.mark.parametrize("fe, unit", [("g1", 1e-6), ("g1", 1.0), ("g1 + g2", 1e-3),
+                                          ("g1 + g2", 1.0), ("g1 + g2", 1e6)])
+    def test_small_regressor_kept_under_fe(self, fe, unit):
+        # one dimension is eliminated exactly, so no demeaning noise is assumed
+        rng = np.random.default_rng(8)
+        n = 3000
+        g1, g2 = rng.integers(0, 300, n), rng.integers(0, 40, n)
+        x1, x2, e = rng.normal(size=(3, n))
+        y = x1 + x2 + 0.1 * g2 + e
+        fit = fit_ols(f"y ~ x1 + x2 | {fe}",
+                      make_ds(y=y, x1=x1 * unit, x2=x2, g1=g1, g2=g2))
+        assert fit.dropped_collinear == []
+        assert fit.coef[0] * unit == pytest.approx(1.0, abs=0.1)
+
+
 
 @st.composite
 def rescaled_designs(draw):
