@@ -15,23 +15,37 @@ every structure with two or more dimensions (Gaure 2013; Correia 2017):
   on K's diagonal blocks (group weights for intercept-only dimensions, the
   per-group L x L blocks otherwise).  Coefficients whose block pivot falls
   below ``PIVOT_RTOL`` are dropped (fixed at 0) and reported in
-  ``DemeanResult.dropped``.
+  ``DemeanResult.dropped``;
+* a column still running after ``FACTOR_AFTER`` products restarts CG from its
+  iterate with a sparse LU factorization of A as the preconditioner.  That
+  happens on sparse FE graphs, such as firms that share workers only with
+  their neighbours, where A is a small Laplacian-like matrix (Kline, Saggio
+  and Soelvsten 2020; Davis 2006), and CG on block Jacobi needs many
+  products.  A is formed and factored once per call, at the first column
+  that gets there, and is abandoned when its nonzeros pass
+  ``FACTOR_NNZ_BUDGET`` per cross-table nonzero: dense graphs stay on block
+  Jacobi.  Random graphs converge long before the switch.
 
-A column stops once the sup norm of its preconditioned residual is at most
-``tol``.  With two dimensions that is exactly the move a plain sweep would
-make from the current iterate.  Work is counted in sweeps: the initial
-residual is one sweep and each product with A is one.  One dimension, and the
-comparison mode ``accelerate=False``, run plain alternating sweeps over the
-rows instead (one group-sum and one gather per dimension per sweep, stopping
-once no coefficient of dimensions 2..Q moves by more than ``tol``).  Each
-target column runs its own iteration and stops on its own, so a batched run
-reproduces the single-column results bit for bit.
+A column stops once the sup norm of its block-Jacobi preconditioned residual
+is at most ``tol``, also after the switch, so no accuracy rests on the
+factorization.  With two dimensions that is exactly the move a plain sweep
+would make from the current iterate.  Work is counted in sweeps: the initial
+residual is one sweep and each product with A is one, before and after the
+switch; forming and factoring A is reported apart, in
+``DemeanResult.factor``.  One dimension, and the comparison mode
+``accelerate=False``, run plain alternating sweeps over the rows instead (one
+group-sum and one gather per dimension per sweep, stopping once no
+coefficient of dimensions 2..Q moves by more than ``tol``).  Each target
+column runs its own iteration, switches at its own product count and stops
+on its own, so a batched run reproduces the single-column results bit for
+bit.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +56,7 @@ __all__ = [
     "FeDim",
     "DemeanProblem",
     "DemeanResult",
+    "FactorRecord",
     "FixefReport",
     "demean",
     "recover_fixef",
@@ -51,6 +66,16 @@ __all__ = [
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 PIVOT_RTOL = 1e-12
+# The Schur complement factorization (see the module doc): a column still
+# running after FACTOR_AFTER products switches to it (simple random graphs
+# stop after 5-7); A is abandoned once it holds more than FACTOR_NNZ_BUDGET
+# nonzeros per cross-table (C1) nonzero, both counted per group pair (a chain
+# of firms gives about 0.08, a random graph about 0.9); the factored matrix is
+# A + FACTOR_SHIFT * diag(K).
+FACTOR_AFTER = 30
+FACTOR_NNZ_BUDGET = 0.5
+FACTOR_SHIFT = 1e-10
+FACTOR_CHUNKS = 16  # dimension-1 group chunks C1' M1^+ C1 is summed over
 
 
 class DemeanError(RuntimeError):
@@ -110,6 +135,16 @@ class DemeanProblem:
                 raise DemeanError("fixed-effect dimension with no intercept and no slopes")
 
 
+@dataclass(frozen=True)
+class FactorRecord:
+    """One demean call's factorization of the Schur complement A."""
+
+    dim: int        # order of A over the kept coefficients
+    nnz: int        # nonzeros of A; when over the budget, as far as it was formed
+    lu_nnz: int     # nonzeros of the LU factors; 0 when A was not factored
+    seconds: float  # forming and factoring A
+
+
 @dataclass
 class DemeanResult:
     residuals: np.ndarray  # (n_used, n_targets)
@@ -118,6 +153,7 @@ class DemeanResult:
     fe_coef: Optional[list[np.ndarray]] = None  # per dim: (G_q, L_q, n_targets)
     dropped: list[tuple[int, int, int]] = field(default_factory=list)  # (dim, group, col)
     sweeps: int = 0
+    factor: Optional[FactorRecord] = None  # None: no column reached FACTOR_AFTER
 
 
 @dataclass
@@ -202,7 +238,9 @@ class _DimWork:
             if not dim.intercept:
                 raise DemeanError("dimension with neither intercept nor slopes")
             self.Z = None
-            self.wsum = np.bincount(self.g, weights=w, minlength=self.G)
+            # float64 also unweighted, where bincount counts in int64
+            self.wsum = np.bincount(self.g, weights=w,
+                                    minlength=self.G).astype(np.float64, copy=False)
             self.dropped = np.zeros((self.G, 1), dtype=bool)
             return
         Z = np.asfortranarray(dim.design(n))
@@ -233,6 +271,12 @@ class _DimWork:
         if self.Z is None:
             return c / self.wsum
         return np.einsum("gab,gb->ga", self.Minv, c.reshape(self.G, self.L)).ravel()
+
+    def blocks(self, inverse: bool = False) -> np.ndarray:
+        """The per-group blocks of D'W D, or their pseudo-inverses, as (G, L, L)."""
+        if self.Z is None:
+            return (1.0 / self.wsum if inverse else self.wsum)[:, None, None]
+        return self.Minv if inverse else self.M
 
     def gram(self, p: np.ndarray) -> np.ndarray:
         """D'W D p: the block-diagonal product with this dimension's own blocks."""
@@ -282,6 +326,88 @@ def _cross(wa: _DimWork, wb: _DimWork, buf: np.ndarray) -> sp.csr_matrix:
                          shape=(wa.G * wa.L, wb.G * wb.L))
 
 
+def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal sparse matrix of (G, L, L) blocks."""
+    G, L, _ = blocks.shape
+    return sp.bsr_matrix((blocks, np.arange(G), np.arange(G + 1)),
+                         shape=(G * L, G * L)).tocsr()
+
+
+def _schur_matrix(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
+                  K: list, budget: float) -> tuple[sp.csr_matrix, bool]:
+    """A = K - C1' M1^+ C1 over the coefficients of dimensions 2..Q.
+
+    C1' M1^+ C1 is summed over ``FACTOR_CHUNKS`` chunks of dimension-1
+    groups, so that no product much larger than A itself is held.  Returns
+    (A, within budget); past ``budget`` nonzeros A is left half formed.
+    """
+    grid = [[None] * len(rest) for _ in rest]
+    for q, wk in enumerate(rest):
+        grid[q][q] = _block_diag(wk.blocks())
+    for q, s, Kqs in K:
+        grid[q][s], grid[s][q] = Kqs, Kqs.T
+    A = sp.bmat(grid, format="csr")
+    C = C1[0] if len(C1) == 1 else sp.hstack(C1, format="csr")
+    M1inv = w1.blocks(inverse=True)
+    step = -(-w1.G // FACTOR_CHUNKS)
+    for lo in range(0, w1.G, step):
+        Cg = C[lo * w1.L:(lo + step) * w1.L]
+        A = A - Cg.T @ (_block_diag(M1inv[lo:lo + step]) @ Cg)
+        if A.nnz > budget:
+            return A, False
+    return A, True
+
+
+def _factor_schur(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
+                  K: list) -> tuple[Optional[Callable], FactorRecord]:
+    """Form and factor A; returns (preconditioner, record).
+
+    A is singular (a null direction per connected component of the FE
+    graph, more with three or more dimensions), so SuperLU factors
+    P = A + FACTOR_SHIFT * diag(K) on the kept coefficients; dropped ones
+    stay at 0.  The preconditioner is R A R with R = P^-1 (I + (P - A) P^-1),
+    one step of iterative refinement towards A's own solve:
+    * R squares the shift's relative error on A's low modes;
+    * the product with A in the middle removes what P^-1 makes of the
+      roundoff along A's null directions, amplified by 1 / FACTOR_SHIFT;
+      left in, it swamps a residual near the stopping tolerance.
+    It is None when A overran the budget or could not be factored.
+    """
+    from scipy.sparse.linalg import splu  # fits that never switch skip the import
+
+    t0 = time.perf_counter()
+    # per group pair, C1's blocks hold L1 x Lq entries and A's about Lq x Lq
+    pairs = sum(C.nnz * wk.L for C, wk in zip(C1, rest)) / w1.L
+    A, within = _schur_matrix(w1, rest, C1, K, FACTOR_NNZ_BUDGET * pairs)
+    kept = ~np.concatenate([wk.dropped.ravel() for wk in rest])
+    lu = None
+    if within:
+        if not kept.all():
+            A = A[kept][:, kept]
+        diag = np.concatenate([wk.blocks().diagonal(axis1=1, axis2=2).ravel()
+                               for wk in rest])
+        shift = FACTOR_SHIFT * diag[kept]
+        try:
+            # P is symmetric up to roundoff, and P' is a CSC view of its arrays
+            lu = splu((A + sp.diags(shift)).T, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError:  # exactly singular: stay on block Jacobi
+            pass
+    record = FactorRecord(int(kept.sum()), A.nnz,
+                          0 if lu is None else lu.L.nnz + lu.U.nnz,
+                          time.perf_counter() - t0)
+    if lu is None:
+        return None, record
+
+    def refine(v):
+        return lu.solve(v + shift * lu.solve(v))
+
+    def solve(res):
+        z = np.zeros_like(res)
+        z[kept] = refine(A @ refine(res[kept]))
+        return z
+    return solve, record
+
+
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
@@ -322,7 +448,8 @@ def _plain_sweeps(works: list[_DimWork], bounds: list[int], S: np.ndarray,
 
 def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
               coef0: np.ndarray, r: np.ndarray, buf: np.ndarray,
-              tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+              tol: float, max_iter: int
+              ) -> tuple[np.ndarray, np.ndarray, Optional[FactorRecord]]:
     """Block-Jacobi preconditioned CG on the Schur complement of dimension 1.
 
     With D1 the design of dimension 1 (dummies, times its slopes) and
@@ -341,8 +468,15 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     (a = a0 - M1^+ C1 (b - b0)); the rows are read once for the initial
     residual and written once at the end, with y - D b - D1 a.
 
+    A column that has made ``FACTOR_AFTER`` products without stopping
+    restarts CG from its iterate on the factored A (``_factor_schur``,
+    formed at the first such column and reused by later ones), keeping the
+    block-Jacobi stopping rule.  If a factored step finds no descent
+    direction, the column restarts on block Jacobi.
+
     Precondition: r == targets - D S.  Mutates S, coef0 and r in place
-    (r becomes the residuals).  Returns per-column (CG steps, converged).
+    (r becomes the residuals).  Returns per-column (CG steps, converged) and
+    the factorization's record (None when no column switched).
     """
     w1, rest = works[0], works[1:]
     blocks = [slice(bounds[q], bounds[q + 1]) for q in range(len(rest))]
@@ -372,6 +506,7 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
             Ap[blocks[q]] -= Ct @ m
         return m, Ap
 
+    factor = None  # (factored preconditioner or None, record), formed once
     T = r.shape[1]
     steps = np.zeros(T, dtype=np.int64)
     converged = np.zeros(T, dtype=bool)
@@ -381,22 +516,36 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
         a = w1.solve(w1.sums(e))
         res = np.concatenate([wk.sums(e) - Ct @ a for wk, Ct in zip(rest, C1t)])
         z = precondition(res)
+        factored = None  # the factored preconditioner while this column runs on it
         p = z.copy()
         rz = float(np.dot(res, z))
         k = 0
         while k < max_iter and np.abs(z).max() > tol:
+            if k == FACTOR_AFTER:
+                if factor is None:
+                    factor = _factor_schur(w1, rest, C1, K)
+                factored = factor[0]
+                if factored is not None:  # restart from the iterate
+                    p = factored(res)
+                    rz = float(np.dot(res, p))
             m, Ap = product(p)
             k += 1
             pAp = float(np.dot(p, Ap))
             if not pAp > 0.0:
-                break  # no descent direction left: report the column unconverged
+                if factored is None:
+                    break  # no descent direction left: report the column unconverged
+                factored = None  # restart on block Jacobi from the iterate
+                p = z.copy()
+                rz = float(np.dot(res, z))
+                continue
             alpha = rz / pAp
             db += alpha * p
             a -= alpha * m
             res -= alpha * Ap
             z = precondition(res)
-            rz_new = float(np.dot(res, z))
-            p = z + (rz_new / rz) * p
+            zs = z if factored is None else factored(res)
+            rz_new = float(np.dot(res, zs))
+            p = zs + (rz_new / rz) * p
             rz = rz_new
         for wk, blk in zip(rest, blocks):
             wk.subtract(db[blk], e, buf)
@@ -405,7 +554,7 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
         coef0[:, j] = a
         steps[j] = k
         converged[j] = np.abs(z).max() <= tol
-    return steps, converged
+    return steps, converged, None if factor is None else factor[1]
 
 
 def demean(problem: DemeanProblem, accelerate: bool = True,
@@ -417,8 +566,14 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     With two or more dimensions and ``accelerate`` set, dimension 1 is
     eliminated in closed form and the coefficients of dimensions 2..Q are
     found by block-Jacobi preconditioned conjugate gradients on their Schur
-    complement (``_schur_cg``); a sweep is the initial residual or one
-    operator product on the cross-tables.  Otherwise, and always with one
+    complement A (``_schur_cg``); a sweep is the initial residual or one
+    operator product on the cross-tables.  A column still running after
+    ``FACTOR_AFTER`` products continues with a sparse LU factorization of A
+    as the preconditioner; its products still count as sweeps, and forming
+    and factoring A, once per call, is reported in ``factor``
+    (``FactorRecord``: A's order and nonzeros, the factors' nonzeros and the
+    seconds spent; ``lu_nnz`` is 0 when A overran its budget and the columns
+    stayed on block Jacobi).  Otherwise, and always with one
     dimension, plain alternating sweeps over the rows run to their fixed
     point; a sweep is one group-sum and one gather per dimension.  A column
     stops once the move a plain sweep would make (for CG: the sup norm of
@@ -457,11 +612,12 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
                 wk.subtract(S[bounds[q]:bounds[q + 1], j], r[:, j], buf)
 
     if accelerate and len(works) > 1:
-        steps, converged = _schur_cg(works, bounds, S, coef0, r, buf,
-                                     problem.tol, problem.max_iter)
+        steps, converged, factor = _schur_cg(works, bounds, S, coef0, r, buf,
+                                             problem.tol, problem.max_iter)
         iterations = int(steps.max(initial=0))
         sweeps = iterations + 1
     else:
+        factor = None
         steps, converged = _plain_sweeps(works, bounds, S, coef0, r, buf,
                                          problem.tol, problem.max_iter)
         sweeps = int(steps.max(initial=0))
@@ -476,7 +632,7 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
                for g, c in zip(*np.nonzero(wk.dropped))]
     return DemeanResult(residuals=r, iterations=iterations,
                         converged=bool(converged.all()), fe_coef=fe_coef,
-                        dropped=dropped, sweeps=sweeps)
+                        dropped=dropped, sweeps=sweeps, factor=factor)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import formula as fml
 from .data import (CategoricalColumn, Dataset, NumericColumn, SampleMask, build_mask,
                    make_factor_index, panel_shift)
 from .demean import (DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanProblem, DemeanResult,
-                     FeDim, demean, recover_fixef)
+                     FactorRecord, FeDim, demean, recover_fixef)
 
 __all__ = [
     "EstimationError",
@@ -142,6 +142,9 @@ class Convergence:
     demean_converged: bool = True
     irls_iterations: int = 0
     irls_converged: bool = True
+    # the Schur complement factorization of the demeaning; for IRLS, of the
+    # last step that made one
+    demean_factor: Optional[FactorRecord] = None
 
 
 @dataclass
@@ -826,7 +829,8 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
                 dropped_collinear=[frame.x_names[k] for k in sol.dropped],
                 residuals=r, xtx_inv=sol.xtx_inv, dof=dof,
                 convergence=Convergence(demean_sweeps=dres.sweeps,
-                                        demean_converged=dres.converged),
+                                        demean_converged=dres.converged,
+                                        demean_factor=dres.factor),
                 family="ols", lhs_name=frame.lhs_name,
                 fe_labels=list(frame.fe_labels), mask=frame.mask,
                 has_intercept=frame.has_intercept,
@@ -882,7 +886,8 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     scale = _scale_before_fe(cols, w) if frame.dims else None
     floor = _demean_noise(frame.dims, w, n, demean_tol)
     k_fe = _k_fe(frame.dims, dres.dropped)
-    conv = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged)
+    conv = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged,
+                       demean_factor=dres.factor)
 
     def fit_result(**kw) -> FitResult:
         return FitResult(convergence=conv, fe_labels=list(frame.fe_labels),
@@ -983,6 +988,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     sol = None
     warm_state = None
     total_sweeps = 0
+    factor = None
     converged = False
 
     for it in range(1, irls_max_iter + 1):
@@ -997,6 +1003,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         dres = _demean_converged(problem, keep_coefs=True, init_state=warm_state,
                                  consume_targets=True)
         total_sweeps += dres.sweeps
+        factor = dres.factor or factor
         warm_state = _state_from_coefs(dres)
         # the weighted LS step on [z, X]; the kept columns stay those of step 1
         R = dres.residuals
@@ -1036,7 +1043,8 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         residuals=r, _fitted=mu, xtx_inv=sol.xtx_inv, dof=dof,
         convergence=Convergence(demean_sweeps=total_sweeps,
                                 demean_converged=dres.converged,
-                                irls_iterations=irls_iters, irls_converged=converged),
+                                irls_iterations=irls_iters, irls_converged=converged,
+                                demean_factor=factor),
         family=family, lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
         mask=frame.mask, has_intercept=frame.has_intercept,
         ssr=ssr, sst=sst, ssr_fe_only=float("nan"),

@@ -73,7 +73,10 @@ class VcovMatrix:
 
 def parse_vcov_spec(text: str, ssc: str = "default") -> VcovSpec:
     """Parse a CLI-style vcov request: ``iid``, ``hc1``, ``cluster=col``,
-    ``twoway=c1,c2``, ``nw=unit,time[,lag]``, ``dk=time[,lag]``."""
+    ``twoway=c1,c2``, ``nw[=unit,time[,lag]]``, ``dk[=time[,lag]]``.
+
+    Bare ``nw`` and ``dk`` take their unit and time from the dataset's panel.
+    """
     head, _, rest = text.partition("=")
     head = head.strip().lower()
     args = [a.strip() for a in rest.split(",") if a.strip()] if rest else []
@@ -86,16 +89,23 @@ def parse_vcov_spec(text: str, ssc: str = "default") -> VcovSpec:
     if head == "twoway":
         return VcovSpec("twoway", factors=tuple(args), ssc=ssc)
     if head == "nw":
-        if len(args) < 2:
-            raise DataError("nw vcov needs unit,time[,lag]")
-        lag = int(args[2]) if len(args) > 2 else None
-        return VcovSpec("nw", unit=args[0], time=args[1], lag=lag, ssc=ssc)
+        if len(args) == 1 or len(args) > 3:
+            raise DataError("nw vcov takes unit,time[,lag], or nothing to use the panel")
+        lag = _parse_lag(args[2]) if len(args) > 2 else None
+        return VcovSpec("nw", unit=args[0] if args else None,
+                        time=args[1] if args else None, lag=lag, ssc=ssc)
     if head == "dk":
-        if len(args) < 1:
-            raise DataError("dk vcov needs time[,lag]")
-        lag = int(args[1]) if len(args) > 1 else None
-        return VcovSpec("dk", time=args[0], lag=lag, ssc=ssc)
+        if len(args) > 2:
+            raise DataError("dk vcov takes time[,lag], or nothing to use the panel")
+        lag = _parse_lag(args[1]) if len(args) > 1 else None
+        return VcovSpec("dk", time=args[0] if args else None, lag=lag, ssc=ssc)
     raise DataError(f"unknown vcov request {text!r}")
+
+
+def _parse_lag(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise DataError(f"vcov lag must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def default_lag(kind: str, n_periods: int) -> int:
@@ -207,7 +217,8 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
         if spec.kind == "nw" and unit_name is None and ds.panel is not None:
             unit_name = ds.panel[0]
         if time_name is None or (spec.kind == "nw" and unit_name is None):
-            raise EstimationError(f"{spec.kind} vcov needs unit/time identifiers")
+            raise EstimationError(f"{spec.kind} vcov needs unit/time identifiers: name "
+                                  "them in the request or give the data a panel")
         tvals = ds.numeric(time_name)[fit.mask.keep]
         rounded = np.rint(tvals)
         if np.isnan(tvals).any() or not np.array_equal(rounded, tvals):

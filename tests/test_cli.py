@@ -243,6 +243,29 @@ class TestColumnPruning:
         assert code == 2 and err.startswith("error: cannot read")
 
 
+class TestVcovRequests:
+    FIT = ["fit", "--formula", "articles ~ funding | indiv", "--output", "json"]
+
+    @pytest.mark.parametrize("request_, lag", [("nw=indiv,year,abc", "'abc'"),
+                                               ("dk=year,-1", "'-1'")])
+    def test_bad_lag_is_a_named_error(self, roles_csv, request_, lag):
+        code, out, err = run_cli([*self.FIT, "--data", roles_csv, "--vcov", request_])
+        assert (code, out) == (2, "")
+        assert err == f"error: vcov lag must be a non-negative integer, got {lag}\n"
+
+    @pytest.mark.parametrize("bare, explicit", [("nw", "nw=indiv,year"), ("dk", "dk=year")])
+    def test_bare_hac_request_uses_the_panel(self, roles_csv, bare, explicit):
+        from_panel = run_cli([*self.FIT, "--data", roles_csv, "--panel", "indiv,year",
+                              "--vcov", bare])
+        assert from_panel[0] == 0
+        assert from_panel == run_cli([*self.FIT, "--data", roles_csv, "--vcov", explicit])
+
+    def test_bare_hac_request_without_panel_is_a_named_error(self, roles_csv):
+        code, out, err = run_cli([*self.FIT, "--data", roles_csv, "--vcov", "nw"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: nw vcov needs unit/time identifiers")
+
+
 def _fe_csv_effects(path, labels, codes):
     """Per-row sum of the intercept FE recovered into a --fe-coefs CSV."""
     rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:]]

@@ -1,8 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from fehd.data import FactorIndex, first_appearance_codes
-from fehd.demean import (DemeanProblem, FeDim, demean, gauss_solve_batched,
+from fehd.demean import (DemeanProblem, FactorRecord, FeDim, demean, gauss_solve_batched,
                          recover_fixef)
 
 from oracles import dummy_ols, dummy_residualize
@@ -319,6 +321,142 @@ class TestConjugateGradientAnyStructure:
         plain = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-12), accelerate=False)
         assert acc.converged and plain.converged and acc.sweeps < plain.sweeps
         assert np.allclose(acc.residuals, plain.residuals, atol=1e-9)
+
+
+@pytest.fixture
+def switch_at(monkeypatch):
+    """Set the product count after which CG switches to the factored Schur complement.
+
+    The nonzero budget is lifted too: these small designs have few
+    cross-table entries for the size of A.
+    """
+    module = importlib.import_module("fehd.demean")
+
+    def switch(k, budget=np.inf):
+        monkeypatch.setattr(module, "FACTOR_AFTER", k)
+        monkeypatch.setattr(module, "FACTOR_NNZ_BUDGET", budget)
+    return switch
+
+
+def two_chains(rng, make=chain_two_fe):
+    """Two disjoint copies of a chain design: a disconnected FE graph."""
+    (y1, *c1), (y2, *c2) = make(rng), make(rng)
+    offsets = [int(c.max()) + 1 for c in c1]
+    codes = [np.concatenate([a, b + o]) for a, b, o in zip(c1, c2, offsets)]
+    return np.concatenate([y1, y2]), codes
+
+
+class TestSchurFactorization:
+    """CG restarted on a sparse LU factorization of A, checked against the dense oracle."""
+
+    def test_disconnected_chain_switches(self, rng, switch_at):
+        switch_at(2)
+        y, (c1, c2) = two_chains(rng)
+        res = demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))],
+                                   tol=1e-13))
+        assert res.converged and res.factor.dim == 24 and res.factor.lu_nnz > 0
+        assert res.sweeps <= 2 + 1 + 3  # the factored steps converge at once
+        oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None)))
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+        a, b = res.fe_coef
+        assert np.allclose(res.residuals[:, 0], y - a[c1, 0, 0] - b[c2, 0, 0], atol=1e-10)
+
+    def test_slope_pivot_drop_switches(self, rng, switch_at):
+        switch_at(2)
+        y, c1, c2 = chain_two_fe(rng)
+        z = rng.normal(size=(len(y), 1))
+        z[c2 == 3] = 0.0  # group 3's slope is unidentified
+        c3 = np.arange(len(y)) % 4
+        dims = [FeDim(fidx(c1)), FeDim(fidx(c2), slopes=z), FeDim(fidx(c3))]
+        res = demean(DemeanProblem(targets=y, dims=dims, tol=1e-13))
+        assert res.dropped == [(1, 3, 1)] and res.fe_coef[1][3, 1, 0] == 0.0
+        assert res.converged and res.factor.dim == 12 * 2 - 1 + 4 and res.factor.lu_nnz > 0
+        oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, z), (c3, None)))
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+
+    @pytest.mark.parametrize("layout", ["3fe", "slopes-dim1", "slopes-dim2"])
+    def test_weighted_switch_matches_dummy_oracle(self, rng, switch_at, layout):
+        switch_at(2)
+        y, (c1, c2, c3) = two_chains(rng, chain_three_fe)
+        w = rng.uniform(0.5, 2.0, len(y))
+        z = rng.normal(size=(len(y), 1))
+        pairs = {"3fe": [(c1, None), (c2, None), (c3, None)],
+                 "slopes-dim1": [(c1, z), (c2, None)],
+                 "slopes-dim2": [(c1, None), (c2, z)]}[layout]
+        dims = [FeDim(fidx(c), slopes=zq) for c, zq in pairs]
+        res = demean(DemeanProblem(targets=y, dims=dims, weights=w, tol=1e-13))
+        assert res.converged and res.factor.lu_nnz > 0 and not res.dropped
+        oracle = dummy_residualize(y[:, None], specs(*pairs), weights=w)
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+
+    def test_switch_mid_iteration(self, rng, switch_at):
+        y, c1, c2 = chain_two_fe(rng)
+        w = rng.uniform(0.5, 2.0, len(y))
+        dims = lambda: [FeDim(fidx(c1)), FeDim(fidx(c2))]
+        switch_at(10_000)
+        cg = demean(DemeanProblem(targets=y, dims=dims(), weights=w, tol=1e-13))
+        switch_at(6)
+        res = demean(DemeanProblem(targets=y, dims=dims(), weights=w, tol=1e-13))
+        assert cg.factor is None and res.factor.lu_nnz > 0
+        assert res.converged and 6 + 1 < res.sweeps < cg.sweeps
+        oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None)), weights=w)
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
+        assert np.allclose(res.residuals, cg.residuals, atol=1e-10)
+
+    def test_switch_near_the_tolerance_converges_at_once(self, rng, switch_at):
+        # by 30 products the residual is close to roundoff, where the shifted
+        # factor alone would amplify its null-space part into the step
+        switch_at(30)
+        for _ in range(5):
+            y, (c1, c2, c3) = two_chains(rng, chain_three_fe)
+            res = demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c)) for c in (c1, c2, c3)],
+                                       tol=1e-13))
+            assert res.converged and res.factor.lu_nnz > 0 and res.sweeps <= 30 + 3
+            oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None), (c3, None)))
+            assert np.allclose(res.residuals, oracle, atol=1e-8)
+
+    def test_batch_matches_per_column_runs(self, rng, switch_at):
+        switch_at(3)
+        y, (c1, c2, c3) = two_chains(rng, chain_three_fe)
+        # the first column lies in dimension 1's span and stops before the switch
+        Y = np.column_stack([rng.normal(size=120)[c1], y, rng.normal(size=len(y)), 3.0 * y])
+        w = rng.uniform(0.5, 2.0, len(y))
+        dims = lambda: [FeDim(fidx(c)) for c in (c1, c2, c3)]
+        both = demean(DemeanProblem(targets=Y, dims=dims(), weights=w, tol=1e-10))
+        assert both.converged and both.factor.lu_nnz > 0
+        for j in range(Y.shape[1]):
+            solo = demean(DemeanProblem(targets=Y[:, j], dims=dims(), weights=w, tol=1e-10))
+            assert (solo.factor is None) == (j == 0)
+            assert np.array_equal(both.residuals[:, j], solo.residuals[:, 0])
+            for cb, cs in zip(both.fe_coef, solo.fe_coef):
+                assert np.array_equal(cb[:, :, j], cs[:, :, 0])
+        oracle = dummy_residualize(Y, specs((c1, None), (c2, None), (c3, None)), weights=w)
+        assert np.allclose(both.residuals, oracle, atol=1e-8)
+
+    def test_budget_overrun_stays_on_block_jacobi(self, rng, switch_at):
+        y, (c1, c2) = two_chains(rng)
+        dims = lambda: [FeDim(fidx(c1)), FeDim(fidx(c2))]
+        switch_at(10_000)
+        cg = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-13))
+        switch_at(2, budget=1e-3)
+        res = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-13))
+        assert res.factor.lu_nnz == 0 and res.factor.nnz > 0
+        assert res.sweeps == cg.sweeps and np.array_equal(res.residuals, cg.residuals)
+        oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None)))
+        assert res.converged and np.allclose(res.residuals, oracle, atol=1e-8)
+
+    def test_no_descent_direction_falls_back_to_block_jacobi(self, rng, switch_at,
+                                                             monkeypatch):
+        switch_at(2)
+        record = FactorRecord(dim=12, nnz=0, lu_nnz=1, seconds=0.0)
+        monkeypatch.setattr(importlib.import_module("fehd.demean"), "_factor_schur",
+                            lambda *args: (np.zeros_like, record))
+        y, c1, c2 = chain_two_fe(rng)
+        res = demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))],
+                                   tol=1e-13))
+        assert res.factor is record and res.converged
+        oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None)))
+        assert np.allclose(res.residuals, oracle, atol=1e-8)
 
 
 class TestRecoverFixef:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +346,47 @@ class TestGlm:
             fit_glm_irls(formula, ds, family="poisson", demean_max_iter=1)
         full = fit_glm_irls(formula, ds, family="poisson")
         assert full.convergence.demean_converged
+
+
+class TestSolverRecord:
+    """``Convergence.demean_factor`` reports the Schur complement factorization."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return simulate_panel(DgpConfig(n=100_000, seed=0))
+
+    def test_simple_assignment_never_factors(self, panel):
+        fit = fit_ols("y ~ x1 + x2 | indiv_id + firm_id + year", panel)
+        assert fit.convergence.demean_converged and fit.convergence.demean_factor is None
+
+    @pytest.mark.parametrize("shift", [None, 1e-6])
+    def test_difficult_assignment_factors_and_converges(self, panel, monkeypatch, shift):
+        # a large shift leaves an error of about shift / (A's smallest
+        # eigenvalue) in one plain solve with the factor; refinement squares it
+        module = importlib.import_module("fehd.demean")
+        if shift is not None:
+            monkeypatch.setattr(module, "FACTOR_SHIFT", shift)
+        formula = "y ~ x1 + x2 | indiv_id + firm_id_difficult"
+        fit = fit_ols(formula, panel)
+        record = fit.convergence.demean_factor
+        assert fit.convergence.demean_converged
+        assert record.dim == 435 and record.lu_nnz >= record.nnz > 0 and record.seconds > 0
+        tight = fit_ols(formula, panel, demean_tol=1e-12)
+        monkeypatch.setattr(module, "FACTOR_AFTER", 10_000)
+        unfactored = fit_ols(formula, panel, demean_tol=1e-12)
+        assert unfactored.convergence.demean_factor is None
+        for ref in (tight, unfactored):
+            assert np.abs(fit.residuals - ref.residuals).max() <= 1e-8
+            assert np.abs(fit.coef - ref.coef).max() <= 1e-8
+
+    def test_poisson_reports_the_factorization(self, panel):
+        rng = np.random.default_rng(1)
+        ycount = rng.poisson(np.exp(panel.numeric("y") - 1)).astype(float)
+        ds = panel.with_columns({"ycount": NumericColumn(ycount)})
+        fit = fit_glm_irls("ycount ~ x1 | indiv_id + firm_id_difficult", ds,
+                           family="poisson")
+        assert fit.convergence.demean_converged and fit.convergence.irls_converged
+        assert fit.convergence.demean_factor.lu_nnz > 0
 
 
 class TestFixef:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from fehd.data import Dataset, NumericColumn
+from fehd.data import DataError, Dataset, NumericColumn
 from fehd.estimators import EstimationError, fit_2sls, fit_ols
 from fehd.inference import (VcovSpec, coeftable, compute_vcov, default_lag,
                             fit_stats, iv_tests, parse_vcov_spec, wald_test)
@@ -46,6 +46,17 @@ class TestParseSpec:
     def test_bad(self):
         with pytest.raises(Exception, match="unknown vcov"):
             parse_vcov_spec("bootstrap")
+
+    def test_bare_hac_requests_leave_the_panel_to_the_dataset(self):
+        assert parse_vcov_spec("nw") == VcovSpec("nw")
+        assert parse_vcov_spec("dk=") == VcovSpec("dk")
+        with pytest.raises(DataError, match="nw vcov takes unit,time"):
+            parse_vcov_spec("nw=unit")
+
+    @pytest.mark.parametrize("text", ["nw=u,t,abc", "nw=u,t,1.5", "dk=t,-1", "dk=t,+2"])
+    def test_lag_must_be_a_non_negative_integer(self, text):
+        with pytest.raises(DataError, match="vcov lag must be a non-negative integer"):
+            parse_vcov_spec(text)
 
 
 class TestDefaultLag:
