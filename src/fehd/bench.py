@@ -229,7 +229,7 @@ def _fit_case(ds, case: BenchCase, demean_tol: float, accelerate: bool):
         problem, sel_map = ols_targets([frame], tol=demean_tol)
         dres = demean(problem, accelerate=False, keep_coefs=False, consume_targets=True)
         fit = finish_ols_group([frame], sel_map, dres.residuals, dres,
-                               DEFAULT_COLLIN_TOL, demean_tol)[0]
+                               DEFAULT_COLLIN_TOL)[0]
         if isinstance(fit, Exception):
             raise fit
         return fit

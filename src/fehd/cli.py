@@ -71,7 +71,9 @@ def _build_parser() -> _Parser:
     fit.add_argument("--no-signif", dest="signif", action="store_false")
     fit.add_argument("--ci-level", type=float, default=None)
     fit.add_argument("--collin-tol", type=float, default=None)
-    fit.add_argument("--demean-tol", type=float, default=None)
+    fit.add_argument("--demean-tol", type=float, default=None,
+                     help="demeaning stop: largest fixed-effect move per sweep, "
+                          "relative to each column's standard deviation")
     fit.add_argument("--demean-maxiter", type=int, default=None)
     fit.add_argument("--fe-coefs", default=None, help="dump recovered FE coefficients (CSV path)")
     fit.add_argument("--caption", default=None)

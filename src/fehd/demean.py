@@ -26,19 +26,24 @@ every structure with two or more dimensions (Gaure 2013; Correia 2017):
   ``FACTOR_NNZ_BUDGET`` per cross-table nonzero: dense graphs stay on block
   Jacobi.  Random graphs converge long before the switch.
 
-A column stops once the sup norm of its block-Jacobi preconditioned residual
-is at most ``tol``, also after the switch, so no accuracy rests on the
-factorization.  With two dimensions that is exactly the move a plain sweep
-would make from the current iterate.  Work is counted in sweeps: the initial
-residual is one sweep and each product with A is one, before and after the
-switch; forming and factoring A is reported apart, in
-``DemeanResult.factor``.  One dimension, and the comparison mode
+Each target column is measured once, on entry.  Its scale is its weighted SD,
+floored at ``SCALE_FLOOR`` times its RMS so that a constant column has one.
+It stops once its move, the sup norm of its block-Jacobi preconditioned
+residual (also after the switch, so no accuracy rests on the factorization),
+is at most ``tol`` times its scale, but never below ``LEVEL_EPS`` machine
+epsilons of its RMS, the roundoff its level allows: units decide neither the
+sweeps nor the relative error.  With two dimensions the move is exactly that
+of a plain sweep from the current iterate.  The estimators judge
+collinearity against the same scales (``DemeanResult.scale``).  Work is
+counted in sweeps: the initial residual is one sweep and each product with A
+is one, before and after the switch; forming and factoring A is reported
+apart, in ``DemeanResult.factor``.  One dimension, and the comparison mode
 ``accelerate=False``, run plain alternating sweeps over the rows instead (one
 group-sum and one gather per dimension per sweep, stopping once no
-coefficient of dimensions 2..Q moves by more than ``tol``).  Each target
-column runs its own iteration, switches at its own product count and stops
-on its own, so a batched run reproduces the single-column results bit for
-bit.
+coefficient of dimensions 2..Q moves by more than the threshold).  Each
+target column runs its own iteration, switches at its own product count and
+stops on its own, so a batched run reproduces the single-column results bit
+for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +71,9 @@ __all__ = [
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 PIVOT_RTOL = 1e-12
+# a column's scale and stopping threshold (see the module doc)
+SCALE_FLOOR = 1e-7
+LEVEL_EPS = 64
 # The Schur complement factorization (see the module doc): a column still
 # running after FACTOR_AFTER products switches to it (simple random graphs
 # stop after 5-7); A is abandoned once it holds more than FACTOR_NNZ_BUDGET
@@ -154,6 +162,8 @@ class DemeanResult:
     dropped: list[tuple[int, int, int]] = field(default_factory=list)  # (dim, group, col)
     sweeps: int = 0
     factor: Optional[FactorRecord] = None  # None: no column reached FACTOR_AFTER
+    # per target column: weighted SD floored at SCALE_FLOOR * RMS; None without FE
+    scale: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -414,12 +424,12 @@ def _factor_schur(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
 
 def _plain_sweeps(works: list[_DimWork], bounds: list[int], S: np.ndarray,
                   coef0: np.ndarray, r: np.ndarray, buf: np.ndarray,
-                  tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+                  thr: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Alternating projections on the rows, column by column.
 
     One sweep solves every dimension in turn against the current residual
-    (Gauss-Seidel order) and subtracts the increment; a column stops once no
-    coefficient of dimensions 2..Q moved by more than ``tol``.  With one
+    (Gauss-Seidel order) and subtracts the increment; column j stops once no
+    coefficient of dimensions 2..Q moved by more than ``thr[j]``.  With one
     dimension this is the closed-form solve: one sweep, then no move.
     Mutates S, coef0 and r; returns per-column (sweeps, converged).
     """
@@ -430,7 +440,7 @@ def _plain_sweeps(works: list[_DimWork], bounds: list[int], S: np.ndarray,
         e = r[:, j]
         k = 0
         move = np.inf
-        while k < max_iter and move > tol:
+        while k < max_iter and move > thr[j]:
             d = works[0].solve(works[0].sums(e))
             coef0[:, j] += d
             works[0].subtract(d, e, buf)
@@ -442,13 +452,13 @@ def _plain_sweeps(works: list[_DimWork], bounds: list[int], S: np.ndarray,
                 move = max(move, float(np.abs(d).max()))
             k += 1
         steps[j] = k
-        converged[j] = move <= tol
+        converged[j] = move <= thr[j]
     return steps, converged
 
 
 def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
               coef0: np.ndarray, r: np.ndarray, buf: np.ndarray,
-              tol: float, max_iter: int
+              thr: np.ndarray, max_iter: int
               ) -> tuple[np.ndarray, np.ndarray, Optional[FactorRecord]]:
     """Block-Jacobi preconditioned CG on the Schur complement of dimension 1.
 
@@ -462,7 +472,8 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     per observed group pair, so a product with A reads no row.  The
     preconditioner is block Jacobi on K's diagonal blocks, and the
     preconditioned residual is exactly the move a plain sweep would make
-    from b when Q = 2; a column stops once its sup norm is at most ``tol``.
+    from b when Q = 2; column j stops once its sup norm is at most
+    ``thr[j]``.
     Forming the initial residual counts as one sweep and each product as
     one.  Dimension 1 follows the iterate in coefficient space
     (a = a0 - M1^+ C1 (b - b0)); the rows are read once for the initial
@@ -520,7 +531,7 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
         p = z.copy()
         rz = float(np.dot(res, z))
         k = 0
-        while k < max_iter and np.abs(z).max() > tol:
+        while k < max_iter and np.abs(z).max() > thr[j]:
             if k == FACTOR_AFTER:
                 if factor is None:
                     factor = _factor_schur(w1, rest, C1, K)
@@ -553,8 +564,25 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
         S[:, j] += db
         coef0[:, j] = a
         steps[j] = k
-        converged[j] = np.abs(z).max() <= tol
+        converged[j] = np.abs(z).max() <= thr[j]
     return steps, converged, None if factor is None else factor[1]
+
+
+def _column_scales(targets: np.ndarray, w: Optional[np.ndarray],
+                   buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's scale and RMS under the weights (see the module doc).
+    Centred through the row buffer, a large level cannot cancel the SD."""
+    n, T = targets.shape
+    sw = n if w is None else float(w.sum())
+    sd, rms = np.empty(T), np.empty(T)
+    for j in range(T):
+        c = targets[:, j]
+        mean = (c.sum() if w is None else np.einsum("i,i->", w, c)) / sw
+        np.subtract(c, mean, out=buf)
+        var = (np.einsum("i,i->", buf, buf) if w is None else
+               np.einsum("i,i,i->", w, buf, buf)) / sw
+        sd[j], rms[j] = np.sqrt(var), np.sqrt(var + mean * mean)
+    return np.maximum(sd, SCALE_FLOOR * rms), rms
 
 
 def demean(problem: DemeanProblem, accelerate: bool = True,
@@ -577,7 +605,8 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     dimension, plain alternating sweeps over the rows run to their fixed
     point; a sweep is one group-sum and one gather per dimension.  A column
     stops once the move a plain sweep would make (for CG: the sup norm of
-    the preconditioned residual) is at most ``tol``.  Each target column
+    the preconditioned residual) is at most ``tol`` times its ``scale``,
+    its weighted SD floored as the module doc says.  Each target column
     runs its own iteration, so a batched run reproduces the single-column
     results bit for bit.  ``sweeps`` reports the slowest column's count and
     ``iterations`` its CG steps (sweeps - 1 in the plain mode).
@@ -606,6 +635,8 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     else:
         r = np.array(targets, order="F", copy=True)
     buf = np.empty(n)  # the one row buffer every gather goes through
+    scale, rms = _column_scales(targets, problem.weights, buf)
+    thr = np.maximum(problem.tol * scale, LEVEL_EPS * np.finfo(np.float64).eps * rms)
     if init_state is not None and np.any(S):
         for j in range(T):
             for q, wk in enumerate(works[1:]):
@@ -613,13 +644,13 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
 
     if accelerate and len(works) > 1:
         steps, converged, factor = _schur_cg(works, bounds, S, coef0, r, buf,
-                                             problem.tol, problem.max_iter)
+                                             thr, problem.max_iter)
         iterations = int(steps.max(initial=0))
         sweeps = iterations + 1
     else:
         factor = None
         steps, converged = _plain_sweeps(works, bounds, S, coef0, r, buf,
-                                         problem.tol, problem.max_iter)
+                                         thr, problem.max_iter)
         sweeps = int(steps.max(initial=0))
         iterations = max(sweeps - 1, 0)
 
@@ -632,7 +663,8 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
                for g, c in zip(*np.nonzero(wk.dropped))]
     return DemeanResult(residuals=r, iterations=iterations,
                         converged=bool(converged.all()), fe_coef=fe_coef,
-                        dropped=dropped, sweeps=sweeps, factor=factor)
+                        dropped=dropped, sweeps=sweeps, factor=factor,
+                        scale=scale)
 
 
 # ---------------------------------------------------------------------------

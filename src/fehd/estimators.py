@@ -480,25 +480,24 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
 # ---------------------------------------------------------------------------
 
 def pivoted_cholesky_kept(A: np.ndarray, tol: float,
-                          scale: Optional[np.ndarray] = None,
-                          floor: float = 0.0) -> tuple[list[int], list[int]]:
+                          scale: Optional[np.ndarray] = None) -> tuple[list[int], list[int]]:
     """Greedy pivoted Cholesky column selection on a Gram matrix.
 
     Each step keeps the column with the largest residual pivot.  A column is
     dropped once its residual pivot is at most ``tol`` times its own scale:
-    its diagonal in ``A``, or the larger of that and ``scale`` (its sum of
-    squares before demeaning, so that a column the fixed effects absorb is
-    dropped too).  Rescaling a column rescales its pivot and its scale alike,
-    so units do not decide collinearity.  A pivot at most ``floor`` (the
-    demeaning noise, see ``_demean_noise``) is dropped whatever its scale.
-    Returns (kept, dropped) index lists, kept in original order.
+    its diagonal in ``A``, or the larger of that and ``scale`` (with fixed
+    effects: its sum of squares before demeaning from the demeaning scale,
+    which demeaning also stops relative to, so that a column the fixed
+    effects absorb, a constant among them, is dropped too).  Rescaling a
+    column rescales its pivot and its scale alike, so units do not decide
+    collinearity.  Returns (kept, dropped) index lists, kept in original order.
     """
     K = A.shape[0]
     if K == 0:
         return [], []
     S = np.array(A, dtype=np.float64, copy=True)
     d = np.diag(S).copy()
-    thr = np.maximum(tol * (d if scale is None else np.maximum(d, scale)), floor)
+    thr = tol * (d if scale is None else np.maximum(d, scale))
     kept: list[int] = []
     alive = np.ones(K, dtype=bool)
     while True:
@@ -517,40 +516,12 @@ def pivoted_cholesky_kept(A: np.ndarray, tol: float,
     return sorted(kept), dropped
 
 
-def _scale_before_fe(cols: list[np.ndarray], w: Optional[np.ndarray]) -> np.ndarray:
-    """Each column's weighted sum of squares about its weighted mean.
-
-    Taken before demeaning, it is the scale collinearity is judged against in
-    a fit with fixed effects (see ``pivoted_cholesky_kept``).
-    """
-    out = np.zeros(len(cols))
-    if not cols:
-        return out
-    sw = len(cols[0]) if w is None else float(w.sum())
-    buf = np.empty(len(cols[0]))  # one centred column at a time
-    for j, c in enumerate(cols):
-        np.subtract(c, (c.sum() if w is None else np.einsum("i,i->", w, c)) / sw, out=buf)
-        out[j] = np.einsum("i,i->", buf, buf) if w is None else \
-            np.einsum("i,i,i->", w, buf, buf)
-    return out
-
-
-# Demeaning on two or more fixed-effect dimensions stops on an absolute rule,
-# so each demeaned row keeps an error of about the demeaning tolerance (up to
-# about 3 tolerances in RMS on weakly connected graphs); a column whose RMS is
-# within this many tolerances of zero cannot be told from that remnant.
-DEMEAN_NOISE_TOLS = 10.0
-
-
-def _demean_noise(dims: list[FeDim], w: Optional[np.ndarray], n: int,
-                  demean_tol: float) -> float:
-    """Weighted sum of squares at or below which a demeaned column counts as zero.
-
-    Zero with fewer than two dimensions: one is eliminated in closed form.
-    """
-    if len(dims) < 2:
-        return 0.0
-    return (DEMEAN_NOISE_TOLS * demean_tol) ** 2 * (n if w is None else float(w.sum()))
+def _collin_scale(dres: DemeanResult, w: Optional[np.ndarray]) -> np.ndarray:
+    """Each column's weighted sum of squares about its mean before demeaning,
+    from its (floored) demeaning scale; zeros without fixed effects."""
+    if dres.scale is None:
+        return np.zeros(dres.residuals.shape[1])
+    return (len(dres.residuals) if w is None else float(w.sum())) * dres.scale ** 2
 
 
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -603,20 +574,19 @@ class GramSolve(NamedTuple):
 
 def solve_gram(G: np.ndarray, iy: int, ixs, collin_tol: float,
                names: list[str], kept: Optional[list[int]] = None,
-               scale: Optional[np.ndarray] = None, floor: float = 0.0) -> GramSolve:
+               scale: Optional[np.ndarray] = None) -> GramSolve:
     """Weighted least squares of column ``iy`` on columns ``ixs`` of a Gram.
 
     ``G`` is the weighted cross-product of demeaned columns (or of a linear
     map of them, ``T'GT``).  Pivoted Cholesky drops collinear regressors
     unless ``kept`` fixes the kept positions; ``scale`` (aligned with
-    ``ixs``) holds the regressors' sums of squares before demeaning in a fit
-    with fixed effects, and ``floor`` the demeaning noise.  Every
-    least-squares solve in fehd goes through here.
+    ``ixs``) holds the regressors' ``_collin_scale``.  Every least-squares
+    solve in fehd goes through here.
     """
     gram = G[np.ix_(ixs, ixs)]
     xy = G[np.asarray(ixs, dtype=np.intp), iy] if ixs else np.zeros(0)
     if kept is None:
-        kept, dropped = pivoted_cholesky_kept(gram, collin_tol, scale, floor)
+        kept, dropped = pivoted_cholesky_kept(gram, collin_tol, scale)
         if ixs and not kept:
             raise EstimationError("all regressors are collinear (or zero) after "
                                   "demeaning: " + ", ".join(names))
@@ -685,8 +655,7 @@ def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     problem, sel_map = ols_targets([frame], demean_tol, demean_max_iter)
     dres = _demean_converged(problem, keep_coefs=False, consume_targets=True)
-    fit = finish_ols_group([frame], sel_map, dres.residuals, dres, collin_tol,
-                           demean_tol)[0]
+    fit = finish_ols_group([frame], sel_map, dres.residuals, dres, collin_tol)[0]
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -748,8 +717,7 @@ def ols_targets(frames: list[ModelFrame], tol: float = DEFAULT_TOL,
 
 
 def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int]]],
-                     R: np.ndarray, dres, collin_tol: float,
-                     demean_tol: float = DEFAULT_TOL):
+                     R: np.ndarray, dres, collin_tol: float):
     """Solve a pooled group of OLS models from one batched demeaned matrix.
 
     ``R`` holds the demeaned distinct target columns; ``sel_map`` gives each
@@ -762,19 +730,13 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
     w = frames[0].weights
     n = R.shape[0]
     G_all = _gram(R, w)
-    scale = None
-    if frames[0].dims:
-        raw = {j: x for fr, (_, ixs) in zip(frames, sel_map) for j, x in zip(ixs, fr.x_cols)}
-        scale = dict(zip(raw, _scale_before_fe(list(raw.values()), w)))
-    floor = _demean_noise(frames[0].dims, w, n, demean_tol)
+    scale = _collin_scale(dres, w)
 
     solved: list = [None] * len(frames)
     by_design: dict[tuple, list[int]] = {}
     for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
         try:
-            sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names,
-                             scale=None if scale is None else [scale[j] for j in ixs],
-                             floor=floor)
+            sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names, scale=scale[ixs])
             kept_cols = tuple(ixs[k] for k in sol.kept)
             solved[m] = (iy, sol, kept_cols)
             by_design.setdefault(kept_cols, []).append(m)
@@ -883,8 +845,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     endo_pos = list(range(1 + kx, 1 + kx + n_endo))
     stage1 = x_pos + list(range(1 + kx + n_endo, p))
     stage1_names = frame.x_names + frame.inst_names
-    scale = _scale_before_fe(cols, w) if frame.dims else None
-    floor = _demean_noise(frame.dims, w, n, demean_tol)
+    scale = _collin_scale(dres, w)
     k_fe = _k_fe(frame.dims, dres.dropped)
     conv = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged,
                        demean_factor=dres.factor)
@@ -898,7 +859,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     first_stages = []
     for j, ie in enumerate(endo_pos):
         sol = solve_gram(G, ie, stage1, collin_tol, stage1_names,
-                         scale=None if scale is None else scale[stage1], floor=floor)
+                         scale=scale[stage1])
         if all(k < kx for k in sol.kept):
             raise EstimationError(
                 f"instruments for {frame.endo_names[j]!r} are collinear with the "
@@ -928,7 +889,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     T[x_pos, range(1 + n_endo, 1 + n_endo + kx)] = 1.0
     # a fitted endogenous is measured against its endogenous before demeaning
     sol = solve_gram(T.T @ G @ T, 0, range(1, 1 + n_endo + kx), collin_tol, names2,
-                     scale=None if scale is None else scale[endo_pos + x_pos], floor=floor)
+                     scale=scale[endo_pos + x_pos])
     # residuals at the ORIGINAL endogenous values, in one n-row product
     orig_pos = [(endo_pos + x_pos)[k] for k in sol.kept]
     c = np.zeros(p)
@@ -1007,10 +968,9 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         warm_state = _state_from_coefs(dres)
         # the weighted LS step on [z, X]; the kept columns stay those of step 1
         R = dres.residuals
-        scale = _scale_before_fe(frame.x_cols, wtot) if sol is None and frame.dims else None
         sol = solve_gram(_gram(R, wtot), 0, range(1, R.shape[1]), collin_tol,
-                         frame.x_names, kept=None if sol is None else sol.kept, scale=scale,
-                         floor=_demean_noise(frame.dims, wtot, n, demean_tol))
+                         frame.x_names, kept=None if sol is None else sol.kept,
+                         scale=_collin_scale(dres, wtot)[1:])
         c = np.zeros(R.shape[1])
         c[0] = 1.0
         c[[1 + k for k in sol.kept]] = -sol.coef

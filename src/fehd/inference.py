@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.stats
-from scipy.special import gammaln
+from scipy.special import fdtrc, gammaln, ndtr, stdtr
 
 from .data import DataError, Dataset, _factor_codes
 # unused here; still bound because the benchmark's tracing test
@@ -121,12 +120,27 @@ def default_lag(kind: str, n_periods: int) -> int:
 # VCOV computation
 # ---------------------------------------------------------------------------
 
-def _cluster_meat(scores: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    K = scores.shape[1]
-    S = np.empty((n_groups, K))
-    for k in range(K):
+def _group_sums(scores: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per-group column sums of the score rows, (n_groups, K)."""
+    S = np.empty((n_groups, scores.shape[1]))
+    for k in range(scores.shape[1]):
         S[:, k] = np.bincount(codes, weights=scores[:, k], minlength=n_groups)
-    return S.T @ S
+    return S
+
+
+def _hac_meat(S: np.ndarray, lag: int = 0, units: Optional[np.ndarray] = None,
+              times: Optional[np.ndarray] = None) -> np.ndarray:
+    """S'S plus, for l = 1..lag, Bartlett weight (1 - l / (lag + 1)) times
+    G_l + G_l', G_l the sum of S[a]' S[b] over row pairs of one unit l apart."""
+    meat = S.T @ S
+    for l in range(1, lag + 1):
+        a, b = _lag_pairs(units, times, l)
+        if not len(a):
+            continue
+        gamma = S[a].T @ S[b]
+        wgt = 1.0 - l / (lag + 1.0)
+        meat += wgt * (gamma + gamma.T)
+    return meat
 
 
 def _pair_codes(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int) -> tuple[np.ndarray, int]:
@@ -184,7 +198,7 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
             raise EstimationError(
                 f"cluster variable {spec.factors[0]!r} has a single cluster; "
                 f"clustered variance is undefined")
-        meat = _cluster_meat(scores, codes, G)
+        meat = _hac_meat(_group_sums(scores, codes, G))
         c = (G / (G - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
         ssc["cluster"] = c
         ssc["n_clusters"] = float(G)
@@ -202,10 +216,10 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
         for codes, G, name in ((c1, G1, "cluster1"), (c2, G2, "cluster2")):
             cf = (G / (G - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
             ssc[name] = cf
-            meat += cf * _cluster_meat(scores, codes, G)
+            meat += cf * _hac_meat(_group_sums(scores, codes, G))
         cf = (G12 / (G12 - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
         ssc["intersection"] = cf
-        meat -= cf * _cluster_meat(scores, c12, G12)
+        meat -= cf * _hac_meat(_group_sums(scores, c12, G12))
         V = A_inv @ meat @ A_inv
         label = f"by: {spec.factors[0]} & {spec.factors[1]}"
     elif spec.kind in ("nw", "dk"):
@@ -228,14 +242,7 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
         lag = spec.lag if spec.lag is not None else default_lag(spec.kind, n_periods)
         if spec.kind == "nw":
             ucodes, _ = _factor_codes(ds, fit.mask, unit_name)
-            meat = scores.T @ scores
-            for l in range(1, lag + 1):
-                a, b = _lag_pairs(ucodes, times, l)
-                if not len(a):
-                    continue
-                gamma = scores[a].T @ scores[b]
-                wgt = 1.0 - l / (lag + 1.0)
-                meat += wgt * (gamma + gamma.T)
+            meat = _hac_meat(scores, lag, ucodes, times)
             c = N / (N - K) if use_ssc else 1.0
             ssc["nw"] = c
             V = A_inv @ meat @ A_inv * c
@@ -244,20 +251,11 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
             tcodes, GT = _factor_codes(ds, fit.mask, time_name)
             if GT <= 1:
                 raise EstimationError("dk vcov needs at least two time periods")
-            Kc = scores.shape[1]
-            H = np.empty((GT, Kc))
-            for k in range(Kc):
-                H[:, k] = np.bincount(tcodes, weights=scores[:, k], minlength=GT)
             tval_of_code = np.zeros(GT, dtype=np.int64)
             tval_of_code[tcodes] = times
-            meat = H.T @ H
-            for l in range(1, lag + 1):
-                a, b = _lag_pairs(np.zeros(GT, dtype=np.int64), tval_of_code, l)
-                if not len(a):
-                    continue
-                gamma = H[a].T @ H[b]
-                wgt = 1.0 - l / (lag + 1.0)
-                meat += wgt * (gamma + gamma.T)
+            # the period sums form one series: a single unit
+            meat = _hac_meat(_group_sums(scores, tcodes, GT), lag,
+                             np.zeros(GT, dtype=np.int64), tval_of_code)
             c = (GT / (GT - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
             ssc["dk"] = c
             V = A_inv @ meat @ A_inv * c
@@ -280,6 +278,11 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
 # Coefficient table and tests
 # ---------------------------------------------------------------------------
 
+def _f_sf(stat: float, df1: int, df2: int) -> float:
+    """Upper tail of F(df1, df2) at ``stat``; 1 at or below zero."""
+    return float(fdtrc(df1, df2, max(stat, 0.0)))
+
+
 def coeftable(fit: FitResult, vcov: VcovMatrix) -> list[dict]:
     """Per-coefficient rows: estimate, se, t/z statistic, p-value."""
     se = np.sqrt(np.maximum(np.diag(vcov.matrix), 0.0))
@@ -289,9 +292,9 @@ def coeftable(fit: FitResult, vcov: VcovMatrix) -> list[dict]:
         with np.errstate(divide="ignore", invalid="ignore"):
             stat = est / s if s > 0 else np.inf * np.sign(est) if est else np.nan
         if student:
-            p = 2.0 * scipy.stats.t.sf(abs(stat), fit.dof.df_resid)
+            p = 2.0 * stdtr(fit.dof.df_resid, -abs(stat))  # Student t upper tail
         else:
-            p = 2.0 * scipy.stats.norm.sf(abs(stat))
+            p = 2.0 * ndtr(-abs(stat))
         rows.append({"name": name, "estimate": float(est), "se": float(s),
                      "stat": float(stat), "p": float(p)})
     return rows
@@ -309,7 +312,7 @@ def wald_test(fit: FitResult, vcov: VcovMatrix,
     Vq = vcov.matrix[np.ix_(which, which)]
     stat = float(g @ np.linalg.solve(Vq, g)) / q
     df2 = fit.dof.df_resid
-    p = float(scipy.stats.f.sf(stat, q, df2))
+    p = _f_sf(stat, q, df2)
     return {"stat": stat, "p": p, "df1": q, "df2": df2, "vcov": vcov.label}
 
 
@@ -422,7 +425,7 @@ def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
         Vq = V1[np.ix_(sub, sub)]
         stat = float(g @ np.linalg.solve(Vq, g)) / q
         df2 = fs.dof.df_resid
-        ivf[fs.lhs_name] = {"stat": stat, "p": float(scipy.stats.f.sf(stat, q, df2)),
+        ivf[fs.lhs_name] = {"stat": stat, "p": _f_sf(stat, q, df2),
                             "df1": q, "df2": df2}
 
     # Wu-Hausman: y on [E, X, V], V_j = E_j - E_hat_j the first-stage
@@ -450,7 +453,7 @@ def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
         ssr_u = _wssr(R @ c[:p] + V @ c[p:], w)
     df2 = fit.dof.n_used - fit.dof.k_fe - len(sol.kept)
     stat = (ssr_gain / q) / (ssr_u / df2)
-    wh = {"stat": float(stat), "p": float(scipy.stats.f.sf(stat, q, df2)),
+    wh = {"stat": float(stat), "p": _f_sf(stat, q, df2),
           "df1": q, "df2": df2}
     first = diag.endo_names[0] if q == 1 else None
     return {"ivf": ivf[first] if first else ivf, "wh": wh, "ivf_all": ivf}

@@ -139,7 +139,7 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
                                     f"{problem.max_iter} iterations")
             return
         results = finish_ols_group(group_frames, sel_map, dres.residuals, dres,
-                                   options.collin_tol, options.demean_tol)
+                                   options.collin_tol)
         for r, res in zip(ridxs, results):
             if isinstance(res, Exception):
                 records[r].error = str(res)

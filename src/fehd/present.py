@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from .data import Dataset
 from .estimators import EstimationError, FitResult
@@ -344,8 +344,8 @@ def plot_data(models: list, vcov_specs: Optional[list] = None,
                 names = [n for n in names if _match_any(n, keep)]
             if drop:
                 names = [n for n in names if not _match_any(n, drop)]
-            tq = scipy.stats.t.ppf(0.5 + ci_level / 2.0, fit.dof.df_resid) \
-                if ci_level > 0 else 0.0
+            # the Student t quantile
+            tq = stdtrit(fit.dof.df_resid, 0.5 + ci_level / 2.0) if ci_level > 0 else 0.0
             for r in rows:
                 if r["name"] not in names:
                     continue

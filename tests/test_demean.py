@@ -1,11 +1,16 @@
+import functools
 import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import FactorIndex, first_appearance_codes
 from fehd.demean import (DemeanProblem, FactorRecord, FeDim, demean, gauss_solve_batched,
                          recover_fixef)
+from fehd.estimators import build_frame
+from fehd.formula import expand_models, parse_formula
 
 from oracles import dummy_ols, dummy_residualize
 
@@ -457,6 +462,49 @@ class TestSchurFactorization:
         assert res.factor is record and res.converged
         oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None)))
         assert np.allclose(res.residuals, oracle, atol=1e-8)
+
+
+SCALE_FREE_PANELS = ("indiv_id + firm_id", "indiv_id + firm_id + year",
+                     "indiv_id + firm_id_difficult", "indiv_id + firm_id_difficult[x2]")
+
+
+@functools.cache
+def scale_free_case(fe: str, accelerate: bool):
+    """The columns y, x1, x2 of a benchmark panel, the FE dims of ``fe``, a
+    tight solve and a default-tolerance solve."""
+    ds = simulate_panel(DgpConfig(n=20_000, seed=0))
+    dims = build_frame(ds, expand_models(parse_formula(f"y ~ x1 | {fe}"))[0]).dims
+    Y = np.column_stack([ds.numeric(c) for c in ("y", "x1", "x2")])
+    tight = demean(DemeanProblem(targets=Y, dims=dims, tol=1e-13), accelerate=accelerate)
+    base = demean(DemeanProblem(targets=Y, dims=dims), accelerate=accelerate)
+    return Y, dims, tight.residuals, base.sweeps
+
+
+class TestScaleFreeStopping:
+    def test_scale_is_the_floored_weighted_sd(self, rng):
+        y, c1, c2 = random_two_fe(rng)
+        w = rng.uniform(0.5, 2.0, len(y))
+        level = np.full(len(y), 3.7)
+        res = demean(DemeanProblem(targets=np.column_stack([y, level]), weights=w,
+                                   dims=[FeDim(fidx(c1)), FeDim(fidx(c2))]))
+        mean = np.average(y, weights=w)
+        assert res.scale[0] == pytest.approx(np.sqrt(np.average((y - mean) ** 2, weights=w)))
+        assert res.scale[1] == pytest.approx(1e-7 * 3.7)
+        assert np.abs(res.residuals[:, 1]).max() < 1e-13
+
+    @given(st.sampled_from(SCALE_FREE_PANELS), st.booleans(), st.integers(0, 2),
+           st.integers(-6, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_rescaling_a_column_keeps_its_relative_error(self, fe, accelerate, col, k):
+        Y, dims, tight, base_sweeps = scale_free_case(fe, accelerate)
+        unit = np.ones(Y.shape[1])
+        unit[col] = 10.0 ** k
+        tol = 1e-6
+        res = demean(DemeanProblem(targets=Y * unit, dims=dims, tol=tol),
+                     accelerate=accelerate)
+        err = np.abs(res.residuals - tight * unit).max(axis=0)
+        assert (err <= 10 * tol * res.scale).all(), err / (tol * res.scale)
+        assert res.sweeps <= 1.5 * base_sweeps
 
 
 class TestRecoverFixef:

@@ -172,10 +172,11 @@ class TestScaleFreeCollinearity:
             res = fit_2sls("y ~ x + a | g1 + g2 | e ~ z", ds)
         assert res.dropped_collinear == ["a"]
 
-    @pytest.mark.parametrize("fe, unit", [("g1", 1e-6), ("g1", 1.0), ("g1 + g2", 1e-3),
-                                          ("g1 + g2", 1.0), ("g1 + g2", 1e6)])
+    @pytest.mark.parametrize("fe, unit", [("g1", 1e-6), ("g1", 1.0), ("g1 + g2", 1e-6),
+                                          ("g1 + g2", 1e-3), ("g1 + g2", 1.0),
+                                          ("g1 + g2", 1e6)])
     def test_small_regressor_kept_under_fe(self, fe, unit):
-        # one dimension is eliminated exactly, so no demeaning noise is assumed
+        # x1 carries a unit effect on y; its units alone must not get it dropped
         rng = np.random.default_rng(8)
         n = 3000
         g1, g2 = rng.integers(0, 300, n), rng.integers(0, 40, n)
@@ -185,6 +186,41 @@ class TestScaleFreeCollinearity:
                       make_ds(y=y, x1=x1 * unit, x2=x2, g1=g1, g2=g2))
         assert fit.dropped_collinear == []
         assert fit.coef[0] * unit == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("fe", ["g1", "g1 + g2"])
+    def test_small_regressor_carrying_the_outcome_kept(self, fe):
+        # s varies within the FE by 1e-6 but carries most of y: dropping it
+        # would push its effect into x
+        rng = np.random.default_rng(0)
+        n = 3000
+        g1, g2 = rng.integers(0, 100, n), rng.integers(0, 30, n)
+        x = rng.normal(size=n)
+        s = 1e-6 * rng.normal(size=n)
+        y = x + 1e6 * s + 0.1 * rng.normal(size=n)
+        fit = fit_ols(f"y ~ x + s | {fe}", make_ds(y=y, x=x, s=s, g1=g1, g2=g2))
+        assert fit.dropped_collinear == []
+        assert fit.coef[0] == pytest.approx(1.0, abs=0.005)
+
+    @pytest.mark.parametrize("demean_tol", [1e-6, 1e-12, 1e-14])
+    @pytest.mark.parametrize("fe", ["g1", "g1 + g2", "g1 + g2 + g3"])
+    @pytest.mark.parametrize("level", [1e-7, 0.1, 3.7, 1e9])
+    @pytest.mark.parametrize("fit", ["ols", "poisson", "2sls"])
+    def test_constant_regressor_dropped_under_fe(self, fit, level, fe, demean_tol):
+        rng = np.random.default_rng(3)
+        n = 3000
+        g1, g2, g3 = rng.integers(0, 100, n), rng.integers(0, 30, n), rng.integers(0, 7, n)
+        x, z, u = rng.normal(size=(3, n))
+        e = z + u + rng.normal(size=n)
+        y = x + 0.5 * e + 0.1 * g2 + u
+        ds = make_ds(y=y, x=x, c=np.full(n, level), e=e, z=z, g1=g1, g2=g2, g3=g3,
+                     count=rng.poisson(np.exp(0.3 * x)))
+        if fit == "ols":
+            res = fit_ols(f"y ~ x + c | {fe}", ds, demean_tol=demean_tol)
+        elif fit == "poisson":
+            res = fit_glm_irls(f"count ~ x + c | {fe}", ds, demean_tol=demean_tol)
+        else:
+            res = fit_2sls(f"y ~ x + c | {fe} | e ~ z", ds, demean_tol=demean_tol)
+        assert res.dropped_collinear == ["c"]
 
 
 

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
+
+import fehd
 
 from fehd.data import DataError, Dataset, NumericColumn
 from fehd.estimators import EstimationError, fit_2sls, fit_ols
@@ -481,3 +488,16 @@ class TestTwoSlsOracle:
         wh = iv_tests(fit, None, ds)["wh"]
         assert (wh["df1"], wh["df2"]) == (n_endo, n - rank_u)
         assert_rel_close(wh["stat"], (ssr_r - ssr_u) / n_endo / (ssr_u / (n - rank_u)))
+
+
+def test_import_leaves_out_scipy_stats():
+    # p-values and quantiles come from scipy.special: importing scipy.stats
+    # would also load scipy.optimize and scipy.sparse.linalg on every run
+    code = ("import sys, fehd; print(sorted(m for m in ('scipy.stats', "
+            "'scipy.sparse.linalg') if m in sys.modules))")
+    src = str(Path(fehd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
