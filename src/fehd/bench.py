@@ -176,7 +176,9 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
                   seed: int = 0, demean_tol: float = DEFAULT_TOL,
                   timeout: Optional[float] = None,
                   accelerate: bool = True) -> list[dict]:
-    """Wall-clock benchmark rows: (case, n, rep, seconds, demean_iterations).
+    """Wall-clock benchmark rows: (case, n, rep, seconds, demean_iterations,
+    irls_iterations, status); the iteration counts are -1 where there are
+    none (IRLS steps for OLS) or the fit failed.
 
     Runs sequentially; a case whose run exceeds ``timeout`` seconds is recorded
     and skipped at larger sizes.
@@ -189,7 +191,8 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
         for case in cases:
             if case.name in timed_out:
                 rows.append({"case": case.name, "n": n, "rep": 0, "seconds": float("nan"),
-                             "demean_iterations": -1, "status": "skipped"})
+                             "demean_iterations": -1, "irls_iterations": -1,
+                             "status": "skipped"})
                 continue
             for rep in range(reps):
                 cfg = DgpConfig(n=int(n), seed=seed + rep)
@@ -199,16 +202,18 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
                         np.exp(ds.numeric("y")))})
                 t0 = time.perf_counter()
                 status = "ok"
-                iters = -1
+                iters = irls = -1
                 try:
                     fit = _fit_case(ds, case, demean_tol, accelerate)
                     iters = fit.convergence.demean_sweeps
+                    if case.family != "ols":
+                        irls = fit.convergence.irls_iterations
                 except EstimationError as exc:
                     status = f"error: {exc}"
                 dt = time.perf_counter() - t0
                 rows.append({"case": case.name, "n": int(n), "rep": rep,
                              "seconds": dt, "demean_iterations": iters,
-                             "status": status})
+                             "irls_iterations": irls, "status": status})
                 if timeout is not None and dt > timeout:
                     timed_out.add(case.name)
                     break
@@ -241,7 +246,8 @@ def _fit_case(ds, case: BenchCase, demean_tol: float, accelerate: bool):
 def benchmark_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=["case", "n", "rep", "seconds",
-                                        "demean_iterations", "status"])
+                                        "demean_iterations", "irls_iterations",
+                                        "status"])
     w.writeheader()
     for r in rows:
         w.writerow(r)

@@ -73,7 +73,9 @@ def _build_parser() -> _Parser:
     fit.add_argument("--collin-tol", type=float, default=None)
     fit.add_argument("--demean-tol", type=float, default=None,
                      help="demeaning stop: largest fixed-effect move per sweep, "
-                          "relative to each column's standard deviation")
+                          "relative to each column's standard deviation; for a "
+                          "GLM, that of the first and the last IRLS step, the "
+                          "steps between being demeaned more loosely")
     fit.add_argument("--demean-maxiter", type=int, default=None)
     fit.add_argument("--fe-coefs", default=None, help="dump recovered FE coefficients (CSV path)")
     fit.add_argument("--caption", default=None)

@@ -10,7 +10,13 @@ every structure with two or more dimensions (Gaure 2013; Correia 2017):
   system A b = c with A = K - C1' M1^+ C1, where K = D'W D for D = [D2 ... DQ],
   C1 = D1'W D and M1 = D1'W D1.  K's diagonal blocks are per-group and its
   other blocks, like C1, are sparse cross-tables with one entry per observed
-  group pair, built once per call; a product with A never reads the rows;
+  group pair; a product with A never reads the rows.  The tables live in an
+  ``FeStructure``, one per fit.  Its first call builds them through scipy;
+  a later call under new weights, such as the next IRLS step, refills their
+  values with one ``np.bincount`` per table over a row -> entry map, since
+  the pattern depends on the codes alone.  The map is built at that first
+  refill, so a fit with one set of weights (OLS, 2SLS, pooled fits) never
+  builds it;
 * conjugate gradients run on that system with block-Jacobi preconditioning
   on K's diagonal blocks (group weights for intercept-only dimensions, the
   per-group L x L blocks otherwise).  Coefficients whose block pivot falls
@@ -62,6 +68,7 @@ __all__ = [
     "DemeanProblem",
     "DemeanResult",
     "FactorRecord",
+    "FeStructure",
     "FixefReport",
     "demean",
     "recover_fixef",
@@ -84,6 +91,7 @@ FACTOR_AFTER = 30
 FACTOR_NNZ_BUDGET = 0.5
 FACTOR_SHIFT = 1e-10
 FACTOR_CHUNKS = 16  # dimension-1 group chunks C1' M1^+ C1 is summed over
+DENSE_COLS = 64  # a dimension with at most this many coefficients has dense blocks in A
 
 
 class DemeanError(RuntimeError):
@@ -312,28 +320,89 @@ class _DimWork:
             v -= buf
 
 
-def _cross(wa: _DimWork, wb: _DimWork, buf: np.ndarray) -> sp.csr_matrix:
-    """Cross-table Da'W Db: one entry per observed group pair (and slope pair).
+def _cross_values(wa: _DimWork, wb: _DimWork, buf: np.ndarray) -> np.ndarray:
+    """Each row's contribution to Da'W Db: its weight, times each slope pair.
 
-    Without weights or slopes the row buffer holds the unit weights while the
-    table is built; scipy sums the duplicate pairs into fresh arrays.
+    Without weights or slopes the row buffer holds the unit weights.
     """
     if wa.Z is None and wb.Z is None:
         if wa.w is None:
             buf.fill(1.0)
-        return sp.csr_matrix((buf if wa.w is None else wa.w, (wa.g, wb.g)),
-                             shape=(wa.G, wb.G))
+            return buf
+        return wa.w
     n = len(wa.g)
     za = np.ones((n, 1)) if wa.Z is None else wa.Z
     zb = np.ones((n, 1)) if wb.Z is None else wb.Z
     vals = za[:, :, None] * zb[:, None, :]
     if wa.w is not None:
         vals *= wa.w[:, None, None]
-    shape = vals.shape
+    return vals
+
+
+def _cross_entries(wa: _DimWork, wb: _DimWork) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) of each of ``_cross_values`` in Da'W Db."""
+    if wa.Z is None and wb.Z is None:
+        return wa.g, wb.g
+    shape = (len(wa.g), wa.L, wb.L)
     rows = np.broadcast_to((wa.g * wa.L)[:, None, None] + np.arange(wa.L)[:, None], shape)
     cols = np.broadcast_to((wb.g * wb.L)[:, None, None] + np.arange(wb.L), shape)
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+    return rows, cols
+
+
+def _cross(wa: _DimWork, wb: _DimWork, buf: np.ndarray) -> sp.csr_matrix:
+    """Cross-table Da'W Db: one entry per observed group pair (and slope pair);
+    scipy sorts the rows' pairs and sums the duplicates into fresh arrays."""
+    rows, cols = _cross_entries(wa, wb)
+    return sp.csr_matrix((_cross_values(wa, wb, buf).ravel(), (rows.ravel(), cols.ravel())),
                          shape=(wa.G * wa.L, wb.G * wb.L))
+
+
+def _entry_map(table: sp.csr_matrix, wa: _DimWork, wb: _DimWork) -> np.ndarray:
+    """The position in ``table.data`` of each of ``_cross_values``, flattened.
+
+    A canonical CSR table lists its entries in (row, column) order, so their
+    keys row * n_columns + column are sorted and a binary search finds each.
+    """
+    table.sum_duplicates()  # a no-op on the canonical tables scipy builds
+    ncols = table.shape[1]
+    keys = np.repeat(np.arange(table.shape[0], dtype=np.int64) * ncols,
+                     np.diff(table.indptr)) + table.indices
+    rows, cols = _cross_entries(wa, wb)
+    return np.searchsorted(keys, (rows.astype(np.int64) * ncols + cols).ravel())
+
+
+class FeStructure:
+    """The fixed-effect structure of one fit, shared by its demean calls.
+
+    It keeps the cross-table Da'W Db of each dimension pair that
+    ``_schur_cg`` reads.  The first call builds a table through scipy, which
+    sorts the rows' group pairs; a later call, under other weights, refills
+    the values of that table with one ``np.bincount`` over a row -> entry
+    map, the table's pattern being fixed by the codes.  The map is built at
+    the first refill, so a structure used once, as by every fit with one set
+    of weights, never builds it.  Tables and maps hold O(n) memory: keep a
+    structure no longer than its fit.
+    """
+
+    def __init__(self, dims: list[FeDim]):
+        self.dims = dims
+        self.tables: dict[tuple[int, int], sp.csr_matrix] = {}
+        self.maps: dict[tuple[int, int], np.ndarray] = {}
+
+    def cross(self, a: int, b: int, works: list[_DimWork],
+              buf: np.ndarray) -> sp.csr_matrix:
+        """Da'W Db of dimensions a and b under the weights of ``works``."""
+        wa, wb = works[a], works[b]
+        table = self.tables.get((a, b))
+        if table is None:
+            table = self.tables[a, b] = _cross(wa, wb, buf)
+            return table
+        entry = self.maps.get((a, b))
+        if entry is None:
+            entry = self.maps[a, b] = _entry_map(table, wa, wb)
+        table.data = np.bincount(entry, weights=_cross_values(wa, wb, buf).ravel(),
+                                 minlength=table.nnz)
+        return table
 
 
 def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
@@ -347,25 +416,48 @@ def _schur_matrix(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
                   K: list, budget: float) -> tuple[sp.csr_matrix, bool]:
     """A = K - C1' M1^+ C1 over the coefficients of dimensions 2..Q.
 
-    C1' M1^+ C1 is summed over ``FACTOR_CHUNKS`` chunks of dimension-1
-    groups, so that no product much larger than A itself is held.  Returns
+    A is formed block by block: block (q, s) is K_qs - C1_q' M1^+ C1_s, and
+    the block under the diagonal is its transpose.  The products are summed
+    over ``FACTOR_CHUNKS`` chunks of dimension-1 groups, so that no product
+    much larger than A itself is held.  A block that touches a dimension of
+    at most ``DENSE_COLS`` coefficients, such as the years of a panel, is
+    formed as a dense array, by sparse-times-dense products.  Returns
     (A, within budget); past ``budget`` nonzeros A is left half formed.
     """
-    grid = [[None] * len(rest) for _ in rest]
+    Q = len(rest)
+    dense = [wk.G * wk.L <= DENSE_COLS for wk in rest]
+    acc: dict[tuple[int, int], object] = {}
     for q, wk in enumerate(rest):
-        grid[q][q] = _block_diag(wk.blocks())
+        diag = _block_diag(wk.blocks())
+        acc[q, q] = diag.toarray() if dense[q] else diag
     for q, s, Kqs in K:
-        grid[q][s], grid[s][q] = Kqs, Kqs.T
-    A = sp.bmat(grid, format="csr")
-    C = C1[0] if len(C1) == 1 else sp.hstack(C1, format="csr")
+        acc[q, s] = Kqs.toarray() if dense[q] or dense[s] else Kqs
     M1inv = w1.blocks(inverse=True)
     step = -(-w1.G // FACTOR_CHUNKS)
+    within = True
     for lo in range(0, w1.G, step):
-        Cg = C[lo * w1.L:(lo + step) * w1.L]
-        A = A - Cg.T @ (_block_diag(M1inv[lo:lo + step]) @ Cg)
-        if A.nnz > budget:
-            return A, False
-    return A, True
+        Cg = [C[lo * w1.L:(lo + step) * w1.L] for C in C1]
+        MCg = [_block_diag(M1inv[lo:lo + step]) @ C for C in Cg]
+        MCd = {s: MCg[s].toarray() for s in range(Q) if dense[s]}
+        for q in range(Q):
+            for s in range(q, Q):
+                if dense[s]:
+                    acc[q, s] = acc[q, s] - Cg[q].T @ MCd[s]
+                elif dense[q]:
+                    acc[q, s] = acc[q, s] - (Cg[s].T @ MCd[q]).T
+                else:
+                    acc[q, s] = acc[q, s] - Cg[q].T @ MCg[s]
+        nnz = sum((1 if q == s else 2) * (b.size if isinstance(b, np.ndarray) else b.nnz)
+                  for (q, s), b in acc.items())
+        if nnz > budget:
+            within = False
+            break
+    grid = [[None] * Q for _ in rest]
+    for (q, s), b in acc.items():
+        grid[q][s] = b = sp.csr_matrix(b) if isinstance(b, np.ndarray) else b
+        if q != s:
+            grid[s][q] = b.T
+    return sp.bmat(grid, format="csr"), within
 
 
 def _factor_schur(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
@@ -458,7 +550,7 @@ def _plain_sweeps(works: list[_DimWork], bounds: list[int], S: np.ndarray,
 
 def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
               coef0: np.ndarray, r: np.ndarray, buf: np.ndarray,
-              thr: np.ndarray, max_iter: int
+              thr: np.ndarray, max_iter: int, structure: FeStructure
               ) -> tuple[np.ndarray, np.ndarray, Optional[FactorRecord]]:
     """Block-Jacobi preconditioned CG on the Schur complement of dimension 1.
 
@@ -468,8 +560,9 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     A = K - C1' M1^+ C1, where K = D'W D, C1 = D1'W D and M1 = D1'W D1 is
     block diagonal (group weights, or L x L blocks with pivot drops).  K's
     diagonal blocks are the dimensions' own group blocks; its off-diagonal
-    blocks and C1 are sparse cross-tables built once per call, with one entry
-    per observed group pair, so a product with A reads no row.  The
+    blocks and C1 are sparse cross-tables with one entry per observed group
+    pair, built or refilled once per call (``structure``), so a product with
+    A reads no row.  The
     preconditioner is block Jacobi on K's diagonal blocks, and the
     preconditioned residual is exactly the move a plain sweep would make
     from b when Q = 2; column j stops once its sup norm is at most
@@ -491,9 +584,9 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     """
     w1, rest = works[0], works[1:]
     blocks = [slice(bounds[q], bounds[q + 1]) for q in range(len(rest))]
-    C1 = [_cross(w1, wk, buf) for wk in rest]
+    C1 = [structure.cross(0, q, works, buf) for q in range(1, len(works))]
     C1t = [C.T for C in C1]  # CSC views of the same arrays
-    K = [(q, s, _cross(rest[q], rest[s], buf))
+    K = [(q, s, structure.cross(q + 1, s + 1, works, buf))
          for q in range(len(rest)) for s in range(q + 1, len(rest))]
 
     def precondition(res):
@@ -588,7 +681,8 @@ def _column_scales(targets: np.ndarray, w: Optional[np.ndarray],
 def demean(problem: DemeanProblem, accelerate: bool = True,
            keep_coefs: bool = True,
            init_state: Optional[np.ndarray] = None,
-           consume_targets: bool = False) -> DemeanResult:
+           consume_targets: bool = False,
+           structure: Optional[FeStructure] = None) -> DemeanResult:
     """Demean every target column against the problem's fixed-effect structure.
 
     With two or more dimensions and ``accelerate`` set, dimension 1 is
@@ -613,7 +707,9 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     ``init_state`` warm-starts the coefficients of dimensions 2..Q
     (``fe_coef[1:]`` flattened to (sum G_q L_q, n_targets)).
     ``consume_targets`` lets the solver reuse (and destroy) the problem's
-    target buffer; only set it on throwaway problems.
+    target buffer; only set it on throwaway problems.  ``structure`` carries
+    the cross-tables from one call to the next over the same dimensions, as
+    the steps of an IRLS fit do; without it the call builds its own.
     """
     targets = problem.targets
     n, T = targets.shape
@@ -621,6 +717,10 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
         return DemeanResult(residuals=targets.copy(), iterations=0, converged=True,
                             fe_coef=[] if keep_coefs else None)
 
+    if structure is None:
+        structure = FeStructure(problem.dims)
+    elif structure.dims is not problem.dims:
+        raise DemeanError("the FE structure belongs to other dimensions")
     works = [_DimWork(d, problem.weights, n) for d in problem.dims]
     bounds = [0]
     for wk in works[1:]:
@@ -644,7 +744,7 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
 
     if accelerate and len(works) > 1:
         steps, converged, factor = _schur_cg(works, bounds, S, coef0, r, buf,
-                                             thr, problem.max_iter)
+                                             thr, problem.max_iter, structure)
         iterations = int(steps.max(initial=0))
         sweeps = iterations + 1
     else:

@@ -28,7 +28,7 @@ from . import formula as fml
 from .data import (CategoricalColumn, Dataset, NumericColumn, SampleMask, build_mask,
                    make_factor_index, panel_shift)
 from .demean import (DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanProblem, DemeanResult,
-                     FactorRecord, FeDim, demean, recover_fixef)
+                     FactorRecord, FeDim, FeStructure, demean, recover_fixef)
 
 __all__ = [
     "EstimationError",
@@ -36,6 +36,7 @@ __all__ = [
     "FAMILIES",
     "DofLedger",
     "Convergence",
+    "IrlsStep",
     "FitResult",
     "ModelFrame",
     "build_frame",
@@ -52,6 +53,8 @@ GLM_TOL = 1e-8
 # -log10(eps / SSR_GRAM_RTOL) = 12 digits when SSR >= SSR_GRAM_RTOL * y'Wy
 SSR_GRAM_RTOL = 1e-4
 IRLS_MAX_ITER = 200
+# the loosest inner demeaning tolerance of an IRLS step (see fit_glm_irls)
+INNER_TOL_MAX = 1e-3
 ETA_BOUND = {"poisson": 500.0, "logit": 30.0, "gaussian": np.inf}
 
 
@@ -67,30 +70,44 @@ class EstimationError(RuntimeError):
 class FamilySpec:
     name: str
     linkinv: Callable[[np.ndarray], np.ndarray]
-    mu_eta: Callable[[np.ndarray], np.ndarray]      # d mu / d eta
+    # d mu / d eta at (eta, mu = linkinv(eta)); a family reuses mu where it can
+    mu_eta: Callable[[np.ndarray, np.ndarray], np.ndarray]
     variance: Callable[[np.ndarray], np.ndarray]
-    deviance: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
+    # (y, user weights) -> the deviance at (eta, mu); what depends on y alone
+    # is formed once per fit
+    deviance: Callable[[np.ndarray, np.ndarray],
+                       Callable[[np.ndarray, np.ndarray], float]]
     init_eta: Callable[[np.ndarray], np.ndarray]
     validate: Callable[[np.ndarray], Optional[str]]
 
 
-def _pois_dev(y, mu, w):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(y > 0, y * np.log(y / mu), 0.0)
-    return float(2.0 * np.sum(w * (t - (y - mu))))
+def _pois_dev(y, w):
+    """The Poisson deviance 2 sum w (y log(y / mu) - (y - mu)) without a log
+    per step: log mu = eta, so it is 2 sum w y (log y - eta) - 2 sum w (y - mu),
+    with log y (0 where y = 0) formed once.  Both sums are grouped so that
+    their large parts cancel row by row, not in the totals."""
+    with np.errstate(divide="ignore"):
+        logy = np.where(y > 0, np.log(y), 0.0)
+    wy = w * y
+
+    def dev(eta, mu):
+        return 2.0 * float(np.einsum("i,i->", wy, logy - eta)
+                           - np.einsum("i,i->", w, y - mu))
+    return dev
 
 
-def _logit_dev(y, mu, w):
-    eps = 1e-12
-    mu = np.clip(mu, eps, 1 - eps)
-    return float(-2.0 * np.sum(w * (y * np.log(mu) + (1 - y) * np.log(1 - mu))))
+def _logit_dev(y, w):
+    def dev(eta, mu):
+        mu = np.clip(mu, 1e-12, 1 - 1e-12)
+        return float(-2.0 * np.sum(w * (y * np.log(mu) + (1 - y) * np.log(1 - mu))))
+    return dev
 
 
 FAMILIES = {
     "poisson": FamilySpec(
         name="poisson",
         linkinv=np.exp,
-        mu_eta=np.exp,
+        mu_eta=lambda eta, mu: mu,  # exp' = exp
         variance=lambda mu: mu,
         deviance=_pois_dev,
         init_eta=lambda y: np.log(y + 0.1),
@@ -99,7 +116,7 @@ FAMILIES = {
     "logit": FamilySpec(
         name="logit",
         linkinv=lambda eta: 1.0 / (1.0 + np.exp(-eta)),
-        mu_eta=lambda eta: (m := 1.0 / (1.0 + np.exp(-eta))) * (1 - m),
+        mu_eta=lambda eta, mu: mu * (1 - mu),
         variance=lambda mu: mu * (1 - mu),
         deviance=_logit_dev,
         init_eta=lambda y: np.log((y + 0.5) / (1.5 - y)),
@@ -108,9 +125,9 @@ FAMILIES = {
     "gaussian": FamilySpec(
         name="gaussian",
         linkinv=lambda eta: eta,
-        mu_eta=lambda eta: np.ones_like(eta),
+        mu_eta=lambda eta, mu: np.ones_like(eta),
         variance=lambda mu: np.ones_like(mu),
-        deviance=lambda y, mu, w: float(np.sum(w * (y - mu) ** 2)),
+        deviance=lambda y, w: lambda eta, mu: float(np.sum(w * (y - mu) ** 2)),
         init_eta=lambda y: y.copy(),
         validate=lambda y: None,
     ),
@@ -136,6 +153,12 @@ class DofLedger:
         return self.k_vars + self.k_fe
 
 
+class IrlsStep(NamedTuple):
+    deviance: float    # after the step
+    demean_tol: float  # of the step's inner demeaning
+    sweeps: int        # of the step's inner demeaning
+
+
 @dataclass
 class Convergence:
     demean_sweeps: int = 0
@@ -145,6 +168,7 @@ class Convergence:
     # the Schur complement factorization of the demeaning; for IRLS, of the
     # last step that made one
     demean_factor: Optional[FactorRecord] = None
+    irls_path: list[IrlsStep] = field(default_factory=list)  # one per IRLS step
 
 
 @dataclass
@@ -929,6 +953,24 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                  glm_tol: float = GLM_TOL,
                  irls_max_iter: int = IRLS_MAX_ITER,
                  offset: Optional[str] = None) -> FitResult:
+    """GLM by iteratively reweighted least squares on the demeaned ``[z, X]``.
+
+    The fit stops once a step moves the deviance by at most
+    ``glm_tol * (|deviance| + 0.1)``.  With two or more FE dimensions the
+    inner demeaning follows a tolerance schedule (Correia, Guimaraes and
+    Zylkin 2020).  Step 1 runs at ``demean_tol``, since it decides
+    collinearity.  Each later step runs at ``max(demean_tol,
+    min(INNER_TOL_MAX, 0.1 * |d dev| / (|dev| + 0.1)))``, where ``d dev``
+    and ``dev`` are the deviance move and deviance of the step before, and
+    from step 2 on never looser than the step before.  The fit stops only
+    on a step demeaned at ``demean_tol``: a step that meets the stopping
+    rule at a looser tolerance is followed by one at ``demean_tol``.  So
+    ``demean_tol`` (``--demean-tol``) is the tolerance of the first and of
+    the last step.  With fewer dimensions the demeaning is exact and every
+    step runs at ``demean_tol``.  Every step refills the cross-tables of
+    one ``FeStructure``.  ``Convergence.irls_path`` records each step's
+    deviance, inner tolerance and sweeps.
+    """
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     fam = FAMILIES.get(family)
     if fam is None:
@@ -942,28 +984,31 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     w_user = frame.weights if frame.weights is not None else np.ones(n)
     off = frame.offset if frame.offset is not None else 0.0
     eta_bound = ETA_BOUND[family]
+    deviance = fam.deviance(y, w_user)
+    structure = FeStructure(frame.dims)
+    schedule = len(frame.dims) > 1
 
     eta = fam.init_eta(y)
     mu = fam.linkinv(eta)
-    dev = fam.deviance(y, mu, w_user)
+    dev = deviance(eta, mu)
     sol = None
     warm_state = None
-    total_sweeps = 0
     factor = None
     converged = False
+    path: list[IrlsStep] = []
+    tol = demean_tol
 
     for it in range(1, irls_max_iter + 1):
-        mue = fam.mu_eta(eta)
+        mue = fam.mu_eta(eta, mu)
         var = fam.variance(mu)
         w_work = mue * mue / var
         z = eta + (y - mu) / mue - off
         wtot = w_user * w_work
         targets = _stack_f([z] + frame.x_cols)
         problem = DemeanProblem(targets=targets, dims=frame.dims, weights=wtot,
-                                tol=demean_tol, max_iter=demean_max_iter)
+                                tol=tol, max_iter=demean_max_iter)
         dres = _demean_converged(problem, keep_coefs=True, init_state=warm_state,
-                                 consume_targets=True)
-        total_sweeps += dres.sweeps
+                                 consume_targets=True, structure=structure)
         factor = dres.factor or factor
         warm_state = _state_from_coefs(dres)
         # the weighted LS step on [z, X]; the kept columns stay those of step 1
@@ -981,14 +1026,20 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
             raise EstimationError(
                 "IRLS diverged: unbounded coefficients (possible separation)")
         mu = fam.linkinv(eta)
-        dev_new = fam.deviance(y, mu, w_user)
+        dev_new = deviance(eta, mu)
         if not math.isfinite(dev_new):
             raise EstimationError("IRLS diverged: non-finite deviance")
-        if abs(dev_new - dev) <= glm_tol * (abs(dev_new) + 0.1):
-            dev = dev_new
+        path.append(IrlsStep(dev_new, tol, dres.sweeps))
+        move = abs(dev_new - dev) / (abs(dev_new) + 0.1)
+        dev = dev_new
+        if move <= glm_tol and tol == demean_tol:
             converged = True
             break
-        dev = dev_new
+        if schedule:
+            # from step 2 on, never looser than the step before
+            loosest = INNER_TOL_MAX if it == 1 else tol
+            tol = demean_tol if move <= glm_tol else \
+                max(demean_tol, min(loosest, 0.1 * move))
     irls_iters = it
     if not converged:
         raise EstimationError(f"IRLS did not converge within {irls_max_iter} iterations")
@@ -1001,10 +1052,11 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         coef=sol.coef, coef_names=[frame.x_names[k] for k in sol.kept],
         dropped_collinear=[frame.x_names[k] for k in sol.dropped],
         residuals=r, _fitted=mu, xtx_inv=sol.xtx_inv, dof=dof,
-        convergence=Convergence(demean_sweeps=total_sweeps,
+        # every inner solve converged: _demean_converged raises otherwise
+        convergence=Convergence(demean_sweeps=sum(st.sweeps for st in path),
                                 demean_converged=dres.converged,
                                 irls_iterations=irls_iters, irls_converged=converged,
-                                demean_factor=factor),
+                                demean_factor=factor, irls_path=path),
         family=family, lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
         mask=frame.mask, has_intercept=frame.has_intercept,
         ssr=ssr, sst=sst, ssr_fe_only=float("nan"),

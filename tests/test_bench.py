@@ -158,6 +158,12 @@ class TestRunBenchmark:
         assert rows[0]["seconds"] > 0
         assert rows[0]["demean_iterations"] >= 1
 
+    def test_irls_iterations_reported_for_poisson_only(self):
+        rows = run_benchmark([2000], [BenchCase("simple", 2, "ols"),
+                                      BenchCase("simple", 2, "poisson")], seed=1)
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert rows[0]["irls_iterations"] == -1 and rows[1]["irls_iterations"] >= 1
+
     def test_difficult_needs_more_iterations(self):
         simple = run_benchmark([5000], [BenchCase("simple", 2, "ols")], seed=2)
         hard = run_benchmark([5000], [BenchCase("difficult", 2, "ols")], seed=2)

@@ -405,12 +405,15 @@ class TestSimulateBench:
 
     def test_bench_smoke(self, tmp_path):
         out = str(tmp_path / "bench.csv")
-        code, *_ = run_cli(["bench", "--sizes", "1000", "--cases", "simple2fe",
-                            "--reps", "1", "--out", out])
+        code, *_ = run_cli(["bench", "--sizes", "1000", "--cases",
+                            "simple2fe,simple2fe-poisson", "--reps", "1", "--out", out])
         assert code == 0
         lines = Path(out).read_text().splitlines()
-        assert lines[0].startswith("case,n,rep,seconds,demean_iterations")
+        assert lines[0].startswith("case,n,rep,seconds,demean_iterations,irls_iterations")
         assert lines[1].startswith("simple2fe-ols,1000,0,")
+        assert lines[1].endswith(",-1,ok")  # no IRLS steps for OLS
+        assert lines[2].startswith("simple2fe-poisson,1000,0,")
+        assert int(lines[2].split(",")[5]) >= 1
 
     @pytest.mark.parametrize("args, message", [
         (["--sizes", "1000", "--cases", "simple2fe-poisson", "--plain"],

@@ -464,6 +464,114 @@ class TestSchurFactorization:
         assert np.allclose(res.residuals, oracle, atol=1e-8)
 
 
+def structure_layouts(rng, n=600):
+    """(codes, slopes-or-None) per dimension: two intercept dimensions, a
+    slope pair (slopes on both dimensions) and three dimensions."""
+    _, c1, c2, c3 = chain_three_fe(rng, n)
+    z1, z2 = rng.normal(size=(2, n, 1))
+    return {"2fe": [(c1, None), (c2, None)],
+            "slopes": [(c1, z1), (c2, np.hstack([z2, z2 ** 2]))],
+            "3fe": [(c1, None), (c2, z2), (c3, None)]}
+
+
+class TestFeStructure:
+    """Cross-tables kept by one fit: built once, refilled per set of weights."""
+
+    @pytest.mark.parametrize("layout", ["2fe", "slopes", "3fe"])
+    def test_refilled_tables_match_a_fresh_build(self, rng, layout):
+        module = importlib.import_module("fehd.demean")
+        pairs = structure_layouts(rng)[layout]
+        dims = [FeDim(fidx(c), slopes=z) for c, z in pairs]
+        n = len(pairs[0][0])
+        buf = np.empty(n)
+        structure = module.FeStructure(dims)
+        keys = [(a, b) for a in range(len(dims)) for b in range(a + 1, len(dims))]
+        for step, w in enumerate([None] + list(rng.uniform(0.01, 5.0, size=(2, n)))):
+            works = [module._DimWork(d, w, n) for d in dims]
+            for a, b in keys:
+                table = structure.cross(a, b, works, buf)
+                fresh = module._cross(works[a], works[b], buf)
+                assert table is structure.tables[a, b]
+                assert np.array_equal(table.indptr, fresh.indptr)
+                assert np.array_equal(table.indices, fresh.indices)
+                err = np.abs(table.data - fresh.data).max()
+                assert err <= 1e-14 * np.abs(fresh.data).max()
+            # the first set of weights builds, the later ones refill through the map
+            assert sorted(structure.maps) == (keys if step else [])
+
+    @pytest.mark.parametrize("layout", ["2fe", "slopes", "3fe"])
+    def test_single_weight_demean_builds_no_map(self, rng, layout, monkeypatch):
+        module = importlib.import_module("fehd.demean")
+
+        def no_map(*args):
+            raise AssertionError("a single-weight demean call built a row -> entry map")
+        monkeypatch.setattr(module, "_entry_map", no_map)
+        pairs = structure_layouts(rng)[layout]
+        dims = [FeDim(fidx(c), slopes=z) for c, z in pairs]
+        y = rng.normal(size=(len(pairs[0][0]), 2))
+        w = rng.uniform(0.5, 2.0, len(y))
+        for weights in (None, w):
+            res = demean(DemeanProblem(targets=y, dims=dims, weights=weights, tol=1e-10))
+            assert res.converged
+        structure = module.FeStructure(dims)
+        demean(DemeanProblem(targets=y, dims=dims, weights=w), structure=structure)
+        assert structure.tables and not structure.maps
+
+    def test_refilled_demean_matches_a_fresh_one(self, rng):
+        pairs = structure_layouts(rng)["3fe"]
+        dims = [FeDim(fidx(c), slopes=z) for c, z in pairs]
+        y = rng.normal(size=len(pairs[0][0]))
+        structure = importlib.import_module("fehd.demean").FeStructure(dims)
+        for w in rng.uniform(0.5, 2.0, size=(3, len(y))):
+            kept = demean(DemeanProblem(targets=y, dims=dims, weights=w, tol=1e-13),
+                          structure=structure)
+            fresh = demean(DemeanProblem(targets=y, dims=dims, weights=w, tol=1e-13))
+            assert kept.converged and fresh.converged
+            assert np.abs(kept.residuals - fresh.residuals).max() <= 1e-11
+        assert structure.maps
+
+    def test_structure_of_other_dimensions_rejected(self, rng):
+        module = importlib.import_module("fehd.demean")
+        y, c1, c2 = chain_two_fe(rng)
+        structure = module.FeStructure([FeDim(fidx(c1)), FeDim(fidx(c2))])
+        with pytest.raises(module.DemeanError, match="other dimensions"):
+            demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))]),
+                   structure=structure)
+
+
+@pytest.mark.parametrize("dense_cols", [0, 8, 10**6])
+@pytest.mark.parametrize("order", ["year last", "year first"])
+def test_schur_matrix_matches_the_dense_formula(rng, monkeypatch, dense_cols, order):
+    # A = K - C1' M1^+ C1 from the dummy designs; dense_cols 8 makes only the
+    # 5-group dimension dense, so both mixed blocks are formed
+    module = importlib.import_module("fehd.demean")
+    monkeypatch.setattr(module, "DENSE_COLS", dense_cols)
+    pairs = structure_layouts(rng)["3fe"]
+    if order == "year first":
+        pairs = [pairs[0], pairs[2], pairs[1]]
+    dims = [FeDim(fidx(c), slopes=z) for c, z in pairs]
+    n = len(pairs[0][0])
+    w = rng.uniform(0.5, 2.0, n)
+    works = [module._DimWork(d, w, n) for d in dims]
+    structure = module.FeStructure(dims)
+    buf = np.empty(n)
+    C1 = [structure.cross(0, q, works, buf) for q in range(1, 3)]
+    K = [(0, 1, structure.cross(1, 2, works, buf))]
+    A, within = module._schur_matrix(works[0], works[1:], C1, K, np.inf)
+    D = [d.design(n) for d in dims]
+    dummies = [np.hstack([np.equal.outer(c, np.arange(c.max() + 1)) * Z[:, [k]]
+                          for k in range(Z.shape[1])])
+               for (c, _), Z in zip(pairs, D)]
+    # columns group-major, as the solver lays them out
+    dummies = [X.reshape(n, Z.shape[1], -1).transpose(0, 2, 1).reshape(n, -1)
+               for X, Z in zip(dummies, D)]
+    D1, Dr = dummies[0], np.hstack(dummies[1:])
+    C = D1.T @ (w[:, None] * Dr)
+    dense = Dr.T @ (w[:, None] * Dr) - C.T @ np.linalg.pinv(D1.T @ (w[:, None] * D1)) @ C
+    assert within
+    assert np.abs(A.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 SCALE_FREE_PANELS = ("indiv_id + firm_id", "indiv_id + firm_id + year",
                      "indiv_id + firm_id_difficult", "indiv_id + firm_id_difficult[x2]")
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
-from fehd.estimators import (EstimationError, build_frame, fit_2sls, fit_glm_irls,
-                             fit_model, fit_ols, fixef, pivoted_cholesky_kept)
+from fehd.demean import DEFAULT_TOL, demean
+from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, build_frame,
+                             fit_2sls, fit_glm_irls, fit_model, fit_ols, fixef,
+                             pivoted_cholesky_kept)
 from fehd.formula import expand_models, parse_formula
 
 from oracles import dummy_irls, dummy_ols, random_instance, scipubs_like
@@ -423,6 +425,143 @@ class TestSolverRecord:
                            family="poisson")
         assert fit.convergence.demean_converged and fit.convergence.irls_converged
         assert fit.convergence.demean_factor.lu_nnz > 0
+
+
+def log_form_poisson_deviance(y, mu, w):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(y > 0, y * np.log(y / mu), 0.0)
+    return float(2.0 * np.sum(w * (t - (y - mu))))
+
+
+@pytest.fixture(scope="module")
+def glm_panel():
+    """Weights, an offset, three FE dimensions and a slope dimension."""
+    rng = np.random.default_rng(11)
+    n = 4000
+    g1, g2, g3 = rng.integers(0, 400, n), rng.integers(0, 40, n), rng.integers(0, 7, n)
+    x, s, x2 = rng.normal(size=(3, n))
+    off = 0.2 * rng.normal(size=n)
+    eta = (0.3 * x - 0.2 * x2 + off + 0.3 * rng.normal(size=400)[g1]
+           + 0.2 * rng.normal(size=40)[g2] * s + 0.2 * rng.normal(size=7)[g3])
+    return make_ds(count=rng.poisson(np.exp(eta)),
+                   binary=(rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float),
+                   x=x, x2=x2, s=s, off=off, w=rng.uniform(0.5, 2.0, n),
+                   g1=g1, g2=g2, g3=g3)
+
+
+GLM_FORMULA = {"poisson": "count ~ x + x2 | g1 + g2[s] + g3",
+               "logit": "binary ~ x + x2 | g1 + g2[s] + g3"}
+
+
+class TestIrlsSchedule:
+    """Log-free Poisson deviance, reused mu and the inner tolerance schedule."""
+
+    def test_log_free_deviance_matches_the_log_form(self, rng):
+        n = 5000
+        y = rng.poisson(0.7, n).astype(float)  # about half zero counts
+        y[:10] = 0.0
+        w = rng.uniform(0.2, 3.0, n)
+        eta = rng.normal(size=n) + 0.3 * rng.normal(size=n)  # offset included
+        mu = np.exp(eta)
+        dev = FAMILIES["poisson"].deviance(y, w)(eta, mu)
+        ref = log_form_poisson_deviance(y, mu, w)
+        assert abs(dev - ref) <= 1e-12 * abs(ref)
+
+    def test_fit_deviance_is_the_log_form_at_the_fit(self, glm_panel):
+        fit = fit_glm_irls(GLM_FORMULA["poisson"], glm_panel, family="poisson",
+                           weights="w", offset="off")
+        y = glm_panel.numeric("count")
+        assert (y == 0).any()
+        ref = log_form_poisson_deviance(y, fit.fitted, glm_panel.numeric("w"))
+        assert abs(fit.deviance - ref) <= 1e-12 * abs(ref)
+
+    def test_mu_eta_reuses_mu_bit_for_bit(self, rng):
+        eta = rng.normal(scale=3.0, size=1000)
+        pois, logit = FAMILIES["poisson"], FAMILIES["logit"]
+        assert np.array_equal(pois.mu_eta(eta, pois.linkinv(eta)), np.exp(eta))
+        m = 1.0 / (1.0 + np.exp(-eta))
+        assert np.array_equal(logit.mu_eta(eta, logit.linkinv(eta)), m * (1 - m))
+
+    @pytest.mark.parametrize("family", ["poisson", "logit"])
+    def test_default_tolerance_matches_a_tight_fit(self, glm_panel, family):
+        kw = dict(family=family, weights="w", offset="off")
+        fit = fit_glm_irls(GLM_FORMULA[family], glm_panel, **kw)
+        tight = fit_glm_irls(GLM_FORMULA[family], glm_panel, demean_tol=1e-12, **kw)
+        assert fit.coef_names == tight.coef_names == ["x", "x2"]
+        np.testing.assert_allclose(fit.coef, tight.coef, rtol=1e-6)
+        assert any(st.demean_tol > 1e-6 for st in fit.convergence.irls_path)
+
+    @pytest.mark.parametrize("family", ["poisson", "logit"])
+    @pytest.mark.parametrize("demean_tol", [1e-6, 1e-12])
+    def test_path_records_every_step(self, glm_panel, family, demean_tol):
+        fit = fit_glm_irls(GLM_FORMULA[family], glm_panel, family=family, weights="w",
+                           offset="off", demean_tol=demean_tol)
+        conv = fit.convergence
+        path = conv.irls_path
+        assert len(path) == conv.irls_iterations
+        assert path[-1].demean_tol == demean_tol and path[0].demean_tol == demean_tol
+        assert path[-1].deviance == fit.deviance
+        assert sum(st.sweeps for st in path) == conv.demean_sweeps
+        tols = [st.demean_tol for st in path[1:]]
+        assert all(demean_tol <= t <= INNER_TOL_MAX for t in tols)
+        assert tols == sorted(tols, reverse=True)  # never looser than the step before
+
+    def test_inner_tolerance_never_loosens(self):
+        # large counts: step 1 starts next to the fit, so the loose step 2
+        # raises the deviance, and step 3 moves it more than step 2 did
+        rng = np.random.default_rng(5)
+        n = 3000
+        g1, g2 = rng.integers(0, 300, n), rng.integers(0, 30, n)
+        x = rng.normal(size=n)
+        eta = (np.log(1e4) + 0.3 * x + 0.3 * rng.normal(size=300)[g1]
+               + 0.2 * rng.normal(size=30)[g2])
+        ds = make_ds(y=rng.poisson(np.exp(eta)), x=x, g1=g1, g2=g2)
+        path = fit_glm_irls("y ~ x | g1 + g2", ds, family="poisson").convergence.irls_path
+        tols = [st.demean_tol for st in path]
+        moves = [abs(b.deviance - a.deviance) / (abs(b.deviance) + 0.1)
+                 for a, b in zip(path, path[1:])]
+        capped = [k for k in range(1, len(moves))
+                  if 0.1 * moves[k] > tols[k + 1] > DEFAULT_TOL]
+        assert capped and tols[capped[0] + 2] == tols[capped[0] + 1]
+        assert tols[1:] == sorted(tols[1:], reverse=True)
+
+    def test_never_stops_on_a_loosely_demeaned_step(self, glm_panel):
+        # at demean_tol=1e-12 the steps stay loose until the deviance moves by
+        # 1e-11; with glm_tol=1e-6 the stopping rule holds on a loose step first
+        demean_tol, glm_tol = 1e-12, 1e-6
+        fit = fit_glm_irls(GLM_FORMULA["poisson"], glm_panel, family="poisson",
+                           weights="w", offset="off", demean_tol=demean_tol,
+                           glm_tol=glm_tol)
+        path = fit.convergence.irls_path
+        moves = [abs(b.deviance - a.deviance) / (abs(b.deviance) + 0.1)
+                 for a, b in zip(path, path[1:])]
+        met = [k + 1 for k, m in enumerate(moves) if m <= glm_tol]
+        assert met and met[0] < len(path) - 1
+        assert path[met[0]].demean_tol > demean_tol  # met on a loose step: go on
+        assert path[-1].demean_tol == demean_tol and moves[-1] <= glm_tol
+        assert fit.convergence.irls_converged and fit.convergence.demean_converged
+
+    def test_inner_solve_capped_on_a_later_step_raises(self, glm_panel, monkeypatch):
+        module = importlib.import_module("fehd.estimators")
+        calls = []
+
+        def capped_on_step_three(problem, **kw):
+            res = demean(problem, **kw)
+            calls.append(problem.tol)
+            if len(calls) == 3:
+                res.converged = False
+            return res
+        monkeypatch.setattr(module, "demean", capped_on_step_three)
+        with pytest.raises(EstimationError, match="demeaning did not converge"):
+            fit_glm_irls(GLM_FORMULA["poisson"], glm_panel, family="poisson",
+                         weights="w", offset="off")
+        assert len(calls) == 3 and calls[2] > calls[0]  # a loose step
+
+    @pytest.mark.parametrize("fe", ["", " | g1"])
+    def test_exact_demeaning_runs_every_step_at_demean_tol(self, glm_panel, fe):
+        fit = fit_glm_irls("count ~ x + x2" + fe, glm_panel, family="poisson",
+                           demean_tol=1e-12)
+        assert {st.demean_tol for st in fit.convergence.irls_path} == {1e-12}
 
 
 class TestFixef:
