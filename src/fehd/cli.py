@@ -39,6 +39,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
+    def long_options(self) -> dict[str, argparse.Action]:
+        """Each long option's action, keyed by its name with '-' as '_'."""
+        return {opt[2:].replace("-", "_"): action for action in self._actions
+                for opt in action.option_strings if opt.startswith("--")}
+
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="fehd", description="Fixed-effects regression engine")
@@ -70,7 +75,12 @@ def _build_parser() -> _Parser:
     fit.add_argument("--signif", dest="signif", action="store_true", default=None)
     fit.add_argument("--no-signif", dest="signif", action="store_false")
     fit.add_argument("--ci-level", type=float, default=None)
-    fit.add_argument("--collin-tol", type=float, default=None)
+    fit.add_argument("--collin-tol", type=float, default=None,
+                     help="drop a regressor once what the regressors before it "
+                          "in the formula leave of it is at most this, relative "
+                          "to its own sum of squares (the larger of it after and "
+                          "before demeaning): of two collinear regressors the "
+                          "later is dropped, whatever their units")
     fit.add_argument("--demean-tol", type=float, default=None,
                      help="demeaning stop: largest fixed-effect move per sweep, "
                           "relative to each column's standard deviation; for a "
@@ -80,8 +90,12 @@ def _build_parser() -> _Parser:
     fit.add_argument("--fe-coefs", default=None, help="dump recovered FE coefficients (CSV path)")
     fit.add_argument("--caption", default=None)
     fit.add_argument("--label", default=None)
-    fit.add_argument("--config", default=None, help="key = value config file")
+    fit.add_argument("--config", default=None,
+                     help="file of 'option = value' lines, one --option value "
+                          "each (a switch takes true or false); options given "
+                          "on the command line win")
     fit.add_argument("--dump-ast", action="store_true")
+    fit.set_defaults(fit_parser=fit)
 
     sim = sub.add_parser("simulate", help="generate the benchmark panel as CSV")
     sim.add_argument("--n", type=float, required=True)
@@ -114,8 +128,14 @@ FIT_DEFAULTS = {
 }
 
 
-def _load_config(path: str) -> dict:
-    out = {}
+# fit options a config file cannot set
+NOT_IN_CONFIG = ("help", "formula", "data", "config", "dump_ast")
+SWITCH_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _load_config(path: str) -> list[tuple[str, str]]:
+    """The (where, key, value) of each ``key = value`` line, in file order."""
+    out = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -127,34 +147,53 @@ def _load_config(path: str) -> dict:
                 k, v = (s.strip() for s in line.split("=", 1))
                 if v.startswith(("'", '"')) and v.endswith(v[0]):
                     v = v[1:-1]
-                out[k.replace("-", "_")] = v
+                out.append((f"{path}:{lineno}", k.replace("-", "_"), v))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
     return out
 
 
+def _config_value(where: str, key: str, raw: str, action: argparse.Action):
+    """A config value read as ``--key raw`` would be: the option's own type and
+    choices; a switch takes a true/false word."""
+    if action.nargs == 0:
+        if raw.lower() not in SWITCH_WORDS:
+            raise UsageError(f"{where}: {key} takes true or false, got {raw!r}")
+        return action.const if SWITCH_WORDS[raw.lower()] else not action.const
+    try:
+        val = raw if action.type is None else action.type(raw)
+    except (TypeError, ValueError):
+        raise UsageError(f"{where}: {key}: invalid {action.type.__name__} value {raw!r}")
+    if action.choices is not None and val not in action.choices:
+        raise UsageError(f"{where}: {key}: invalid choice {raw!r} (choose from "
+                         + ", ".join(map(str, action.choices)) + ")")
+    return val
+
+
 def _apply_config_and_defaults(args):
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    """Fill the fit options not given on the command line from ``--config``,
+    then from ``FIT_DEFAULTS``.  A repeatable option's lines append."""
+    options = args.fit_parser.long_options()
+    given = {k for k, v in vars(args).items() if v is not None}
+    cfg: dict = {}
+    for where, key, raw in _load_config(args.config) if args.config else []:
+        action = options.get(key)
+        if action is None:
+            raise UsageError(f"{where}: unknown config key {key!r}")
+        if action.dest in NOT_IN_CONFIG:
+            raise UsageError(f"{where}: {key} cannot be set in a config file")
+        val = _config_value(where, key, raw, action)
+        if action.dest in given:
+            continue
+        if isinstance(FIT_DEFAULTS.get(action.dest), list):
+            cfg.setdefault(action.dest, []).append(val)
+        else:
+            cfg[action.dest] = val
+    for key, val in cfg.items():
+        setattr(args, key, val)
     for key, default in FIT_DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            if key in cfg:
-                raw = cfg[key]
-                if isinstance(default, bool):
-                    val = raw.lower() in ("1", "true", "yes")
-                elif isinstance(default, float):
-                    val = float(raw)
-                elif isinstance(default, int):
-                    val = int(float(raw))
-                elif isinstance(default, list):
-                    val = [s.strip() for s in raw.split(",") if s.strip()]
-                else:
-                    val = raw
-                setattr(args, key, val)
-            else:
-                setattr(args, key, default if not isinstance(default, list) else list(default))
-    for key in ("weights", "offset", "subset", "split", "fsplit", "panel", "fitstat"):
-        if getattr(args, key, None) is None and key in cfg:
-            setattr(args, key, cfg[key])
+        if getattr(args, key) is None:
+            setattr(args, key, list(default) if isinstance(default, list) else default)
 
 
 def _resolve_threads(value: Optional[int]) -> int:

@@ -579,8 +579,8 @@ def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> Fact
 # Panel lags / leads / differences
 # ---------------------------------------------------------------------------
 
-def _panel_keys(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(composite int64 key, valid mask, x-independent) over all rows."""
+def _panel_codes(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unit codes, integer times, valid mask) over all rows of a panel."""
     if ds.panel is None:
         raise DataError("panel identifiers unset; pass --panel unit,time")
     unit_name, time_name = ds.panel
@@ -602,13 +602,40 @@ def _panel_keys(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.array_equal(rounded, tv):
         raise DataError(f"time column {time_name!r} must be integer-valued for panel shifts")
     t_int[valid] = rounded.astype(np.int64)
-    span = np.int64(1)
-    if valid.any():
-        span = np.int64(t_int[valid].max() - t_int[valid].min() + 1)
-    base = np.int64(t_int[valid].min()) if valid.any() else np.int64(0)
-    key = np.full(ds.n_rows, -1, dtype=np.int64)
-    key[valid] = ucodes[valid] * (2 * span + 1) + (t_int[valid] - base)
-    return key, valid, span
+    return ucodes, t_int, valid
+
+
+def panel_pairs(units: np.ndarray, times: np.ndarray,
+                shifts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per shift, the row pairs (a, b) of one unit with times[a] - times[b] == shift.
+
+    ``units`` holds integer unit codes and ``times`` integer times, one per
+    row.  Rows meet through one sorted key, unit * (2 span + 1) + time - min,
+    span being the range of the times, so a shift of at least span pairs
+    nothing.  A (unit, time) pair held by two rows is a ``DataError``.  This
+    is the one place that pairs panel rows: lags, leads and differences, and
+    the Newey-West and Driscoll-Kraay lag sums.
+    """
+    empty = np.zeros(0, dtype=np.intp)
+    if not len(times):
+        return [(empty, empty) for _ in shifts]
+    base = int(times.min())
+    span = int(times.max()) - base + 1
+    key = units.astype(np.int64) * np.int64(2 * span + 1) + (times - base)
+    order = np.argsort(key, kind="stable")
+    sorted_keys = key[order]
+    if (np.diff(sorted_keys) == 0).any():
+        raise DataError("duplicate (unit, time) pairs in the panel")
+    out = []
+    for shift in shifts:
+        if abs(shift) >= span:
+            out.append((empty, empty))
+            continue
+        target = key - shift  # the key of the row each row pairs with
+        pos = np.minimum(np.searchsorted(sorted_keys, target), len(key) - 1)
+        hit = sorted_keys[pos] == target
+        out.append((np.flatnonzero(hit), order[pos[hit]]))
+    return out
 
 
 def panel_shift(ds: Dataset, mask: Optional[SampleMask], var: str,
@@ -622,32 +649,18 @@ def panel_shift(ds: Dataset, mask: Optional[SampleMask], var: str,
     if op not in ("l", "f", "d"):
         raise DataError(f"unknown panel operator {op!r}")
     keep = mask.keep if mask is not None else np.ones(ds.n_rows, dtype=bool)
-    key, valid, span = _panel_keys(ds)
+    units, times, valid = _panel_codes(ds)
     use = valid & keep
-    keys_used = key[use]
-    order = np.argsort(keys_used, kind="stable")
-    sorted_keys = keys_used[order]
-    if len(sorted_keys) > 1 and (np.diff(sorted_keys) == 0).any():
-        raise DataError("duplicate (unit, time) pairs in the panel")
-    x = ds.numeric(var)
-    x_used = x[use]
+    x_used = ds.numeric(var)[use]
     rows_used = np.flatnonzero(use)
-
+    shifts = [-k if op == "f" else k for k in offsets]
     out = []
-    for k in offsets:
-        shift = -k if op == "f" else k
-        if abs(shift) >= span:  # no within-unit pair can be this far apart
-            out.append((f"{op}({var},{k})", np.full(ds.n_rows, np.nan)))
-            continue
-        target = keys_used - shift  # source key providing the shifted value
-        pos = np.searchsorted(sorted_keys, target)
-        pos_clipped = np.minimum(pos, len(sorted_keys) - 1)
-        hit = sorted_keys[pos_clipped] == target if len(sorted_keys) else np.zeros(0, bool)
-        col = np.full(ds.n_rows, np.nan)
-        src = order[pos_clipped]
-        vals = np.where(hit, x_used[src], np.nan)
+    for k, (a, b) in zip(offsets, panel_pairs(units[use], times[use], shifts)):
+        vals = np.full(len(rows_used), np.nan)
+        vals[a] = x_used[b]
         if op == "d":
             vals = x_used - vals
+        col = np.full(ds.n_rows, np.nan)
         col[rows_used] = vals
         out.append((f"{op}({var},{k})", col))
     return out

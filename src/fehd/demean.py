@@ -19,9 +19,12 @@ every structure with two or more dimensions (Gaure 2013; Correia 2017):
   builds it;
 * conjugate gradients run on that system with block-Jacobi preconditioning
   on K's diagonal blocks (group weights for intercept-only dimensions, the
-  per-group L x L blocks otherwise).  Coefficients whose block pivot falls
-  below ``PIVOT_RTOL`` are dropped (fixed at 0) and reported in
-  ``DemeanResult.dropped``;
+  per-group L x L blocks otherwise).  Each block is eliminated in column
+  order, intercept first, and a coefficient whose residual pivot is at most
+  ``PIVOT_RTOL`` relative to its own diagonal is dropped (fixed at 0) and
+  reported in ``DemeanResult.dropped`` (``column_drops``, the rule the
+  estimators apply to regressors too): a slope constant within its group is
+  dropped and its intercept kept, and units decide no drop;
 * a column still running after ``FACTOR_AFTER`` products restarts CG from its
   iterate with a sparse LU factorization of A as the preconditioner.  That
   happens on sparse FE graphs, such as firms that share workers only with
@@ -72,11 +75,12 @@ __all__ = [
     "FixefReport",
     "demean",
     "recover_fixef",
-    "gauss_solve_batched",
 ]
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
+# a slope-block coefficient is dropped once its residual pivot is at most
+# PIVOT_RTOL relative to its own diagonal, in column order (``column_drops``)
 PIVOT_RTOL = 1e-12
 # a column's scale and stopping threshold (see the module doc)
 SCALE_FLOOR = 1e-7
@@ -182,55 +186,34 @@ class FixefReport:
 
 
 # ---------------------------------------------------------------------------
-# Batched per-group linear solves
+# Collinearity
 # ---------------------------------------------------------------------------
 
-def gauss_solve_batched(M: np.ndarray, B: np.ndarray,
-                        rtol: float = PIVOT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Solve M[g] x[g] = B[g] for every group by Gaussian elimination.
+def column_drops(M: np.ndarray, tol: float,
+                 scale: Optional[np.ndarray] = None) -> np.ndarray:
+    """The collinear columns of each block of a (G, L, L) stack of Gram blocks.
 
-    Partial pivoting by rows; a pivot below ``rtol * max |diag|`` of its group
-    marks that coefficient as dropped (fixed at 0) and elimination continues.
-    ``M`` is (G, L, L), ``B`` is (G, L, R).  Returns (solution (G, L, R),
-    dropped mask (G, L)).
+    Each symmetric PSD block is eliminated column by column, in column order,
+    without pivoting.  Column k is dropped once its residual pivot, what is
+    left of its diagonal after the kept columns before it are eliminated, is
+    at most ``tol`` times its own scale: its diagonal, or the larger of that
+    and ``scale`` (G, L).  Rescaling a column rescales its pivot and its
+    scale alike, so units decide no drop, and of two collinear columns the
+    later one is dropped.  This is the one collinearity rule: FE slope
+    blocks (``_DimWork``) and regressor Grams (``estimators.solve_gram``)
+    both go through it.  Returns the dropped mask (G, L).
     """
-    A = np.array(M, dtype=np.float64, copy=True)
-    b = np.array(B, dtype=np.float64, copy=True)
-    if b.ndim == 2:
-        b = b[:, :, None]
-    G, L, _ = A.shape
-    gid = np.arange(G)
-    thresh = rtol * np.abs(A[:, np.arange(L), np.arange(L)]).max(axis=1)
-    dropped = np.zeros((G, L), dtype=bool)
-
-    for k in range(L):
-        piv = k + np.abs(A[:, k:, k]).argmax(axis=1)
-        swap = piv != k
-        if swap.any():
-            gi = gid[swap]
-            pi = piv[swap]
-            A[gi, k, :], A[gi, pi, :] = A[gi, pi, :].copy(), A[gi, k, :].copy()
-            b[gi, k, :], b[gi, pi, :] = b[gi, pi, :].copy(), b[gi, k, :].copy()
-        bad = np.abs(A[:, k, k]) <= thresh
-        if bad.any():
-            dropped[bad, k] = True
-            A[bad, k, :] = 0.0
-            A[bad, :, k] = 0.0
-            A[bad, k, k] = 1.0
-            b[bad, k, :] = 0.0
-        if k + 1 < L:
-            factor = A[:, k + 1:, k] / A[:, k, k][:, None]
-            A[:, k + 1:, :] -= factor[:, :, None] * A[:, k, None, :]
-            b[:, k + 1:, :] -= factor[:, :, None] * b[:, k, None, :]
-
-    x = np.zeros_like(b)
-    for k in range(L - 1, -1, -1):
-        acc = b[:, k, :].copy()
-        if k + 1 < L:
-            acc -= np.einsum("gj,gjr->gr", A[:, k, k + 1:], x[:, k + 1:, :])
-        x[:, k, :] = acc / A[:, k, k][:, None]
-    x[dropped, :] = 0.0
-    return x, dropped
+    S = np.array(M, dtype=np.float64)
+    d = np.diagonal(S, axis1=1, axis2=2)
+    thr = tol * (d if scale is None else np.maximum(d, scale))
+    dropped = np.zeros(thr.shape, dtype=bool)
+    for k in range(S.shape[1]):
+        piv = S[:, k, k]
+        dropped[:, k] = bad = piv <= thr[:, k]
+        inv = np.divide(1.0, piv, out=np.zeros_like(piv), where=~bad)
+        col = S[:, k + 1:, k] * inv[:, None]
+        S[:, k + 1:, k + 1:] -= col[:, :, None] * S[:, k, None, k + 1:]
+    return dropped
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +226,8 @@ class _DimWork:
     Coefficients are flat vectors of length G*L, group-major: entry g*L + l is
     group g's l-th coefficient (intercept first).  Intercept-only dimensions
     keep the group weights ``wsum``; slope dimensions keep the per-group
-    blocks ``M`` = Z'WZ and their inverses ``Minv``, whose pivot drops are
-    recorded in ``dropped``.
+    blocks ``M`` = Z'WZ and the inverses ``Minv`` of their kept parts; the
+    collinear coefficients (``column_drops``) are recorded in ``dropped``.
     """
 
     def __init__(self, dim: FeDim, w: Optional[np.ndarray], n: int):
@@ -270,9 +253,13 @@ class _DimWork:
                     prod *= w
                 M[:, a, c] = M[:, c, a] = np.bincount(self.g, weights=prod,
                                                       minlength=self.G)
-        eye = np.broadcast_to(np.eye(self.L), M.shape)
         self.Z, self.M = Z, M
-        self.Minv, self.dropped = gauss_solve_batched(M, eye)
+        self.dropped = column_drops(M, PIVOT_RTOL)
+        # invert the kept part of each block: dropped rows and columns are
+        # identity in the inverted block and zero in Minv
+        off = self.dropped[:, :, None] | self.dropped[:, None, :]
+        self.Minv = np.linalg.inv(np.where(off, np.eye(self.L), M))
+        self.Minv[off] = 0.0
 
     def sums(self, v: np.ndarray) -> np.ndarray:
         """D'W v: weighted per-group sums of one row vector (times each slope)."""
@@ -558,7 +545,7 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     D = [D2 ... DQ] the stacked designs of the others, the coefficients b of
     D solve A b = D'W (I - P1) y, with P1 the W-projection on D1's columns and
     A = K - C1' M1^+ C1, where K = D'W D, C1 = D1'W D and M1 = D1'W D1 is
-    block diagonal (group weights, or L x L blocks with pivot drops).  K's
+    block diagonal (group weights, or L x L blocks with collinear drops).  K's
     diagonal blocks are the dimensions' own group blocks; its off-diagonal
     blocks and C1 are sparse cross-tables with one entry per observed group
     pair, built or refilled once per call (``structure``), so a product with

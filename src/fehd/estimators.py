@@ -4,7 +4,8 @@ The design pipeline materializes virtual columns (logs, panel shifts), applies
 listwise deletion, expands ``i()`` terms, and builds the fixed-effect
 dimensions.  Each estimator demeans its columns in one batched call and forms
 their weighted cross-product (Gram) once; every least-squares solve is then
-``solve_gram`` on that Gram, with pivoted-Cholesky collinearity pruning.  By
+``solve_gram`` on that Gram, which drops collinear regressors in column
+order, by the rule that drops FE slope coefficients (``column_drops``).  By
 Frisch-Waugh-Lovell the 2SLS stages are solves on the Gram ``G`` of the
 demeaned block ``[y - offset, X, E, Z]`` or on ``T'GT`` for a map ``T`` of the
 block; IRLS solves each step on the Gram of ``[z, X]`` under the working
@@ -28,7 +29,8 @@ from . import formula as fml
 from .data import (CategoricalColumn, Dataset, NumericColumn, SampleMask, build_mask,
                    make_factor_index, panel_shift)
 from .demean import (DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanProblem, DemeanResult,
-                     FactorRecord, FeDim, FeStructure, demean, recover_fixef)
+                     FactorRecord, FeDim, FeStructure, column_drops, demean,
+                     recover_fixef)
 
 __all__ = [
     "EstimationError",
@@ -500,45 +502,8 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
 
 
 # ---------------------------------------------------------------------------
-# Weighted LS core with pivoted-Cholesky collinearity pruning
+# Weighted LS core with column-order collinearity pruning
 # ---------------------------------------------------------------------------
-
-def pivoted_cholesky_kept(A: np.ndarray, tol: float,
-                          scale: Optional[np.ndarray] = None) -> tuple[list[int], list[int]]:
-    """Greedy pivoted Cholesky column selection on a Gram matrix.
-
-    Each step keeps the column with the largest residual pivot.  A column is
-    dropped once its residual pivot is at most ``tol`` times its own scale:
-    its diagonal in ``A``, or the larger of that and ``scale`` (with fixed
-    effects: its sum of squares before demeaning from the demeaning scale,
-    which demeaning also stops relative to, so that a column the fixed
-    effects absorb, a constant among them, is dropped too).  Rescaling a
-    column rescales its pivot and its scale alike, so units do not decide
-    collinearity.  Returns (kept, dropped) index lists, kept in original order.
-    """
-    K = A.shape[0]
-    if K == 0:
-        return [], []
-    S = np.array(A, dtype=np.float64, copy=True)
-    d = np.diag(S).copy()
-    thr = tol * (d if scale is None else np.maximum(d, scale))
-    kept: list[int] = []
-    alive = np.ones(K, dtype=bool)
-    while True:
-        alive &= d > thr
-        if not alive.any():
-            break
-        j = int(np.argmax(np.where(alive, d, -np.inf)))
-        kept.append(j)
-        alive[j] = False
-        col = S[:, j].copy()
-        piv = col[j]
-        upd = np.outer(col, col) / piv
-        S -= upd
-        d = np.diag(S).copy()
-    dropped = [k for k in range(K) if k not in set(kept)]
-    return sorted(kept), dropped
-
 
 def _collin_scale(dres: DemeanResult, w: Optional[np.ndarray]) -> np.ndarray:
     """Each column's weighted sum of squares about its mean before demeaning,
@@ -602,15 +567,22 @@ def solve_gram(G: np.ndarray, iy: int, ixs, collin_tol: float,
     """Weighted least squares of column ``iy`` on columns ``ixs`` of a Gram.
 
     ``G`` is the weighted cross-product of demeaned columns (or of a linear
-    map of them, ``T'GT``).  Pivoted Cholesky drops collinear regressors
-    unless ``kept`` fixes the kept positions; ``scale`` (aligned with
-    ``ixs``) holds the regressors' ``_collin_scale``.  Every least-squares
+    map of them, ``T'GT``).  Unless ``kept`` fixes the kept positions, the
+    regressors are eliminated in column order and one is dropped once its
+    residual pivot is at most ``collin_tol`` relative to its own scale
+    (``demean.column_drops``): the larger of its diagonal in the Gram and
+    ``scale`` (aligned with ``ixs``), its ``_collin_scale``, the sum of
+    squares before demeaning, so that a column the fixed effects absorb, a
+    constant among them, is dropped too.  Units decide no drop, and of two
+    collinear regressors the later one is dropped.  Every least-squares
     solve in fehd goes through here.
     """
     gram = G[np.ix_(ixs, ixs)]
     xy = G[np.asarray(ixs, dtype=np.intp), iy] if ixs else np.zeros(0)
     if kept is None:
-        kept, dropped = pivoted_cholesky_kept(gram, collin_tol, scale)
+        drop = column_drops(gram[None], collin_tol,
+                            None if scale is None else scale[None])[0]
+        kept, dropped = np.flatnonzero(~drop).tolist(), np.flatnonzero(drop).tolist()
         if ixs and not kept:
             raise EstimationError("all regressors are collinear (or zero) after "
                                   "demeaning: " + ", ".join(names))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import fdtrc, gammaln, ndtr, stdtr
 
-from .data import DataError, Dataset, _factor_codes
+from .data import DataError, Dataset, _factor_codes, panel_pairs
 # unused here; still bound because the benchmark's tracing test
 # (perfbench/tests/test_tracing.py) looks the name up in this module
 from .data import make_factor_index  # noqa: F401
@@ -128,13 +128,13 @@ def _group_sums(scores: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndar
     return S
 
 
-def _hac_meat(S: np.ndarray, lag: int = 0, units: Optional[np.ndarray] = None,
-              times: Optional[np.ndarray] = None) -> np.ndarray:
-    """S'S plus, for l = 1..lag, Bartlett weight (1 - l / (lag + 1)) times
-    G_l + G_l', G_l the sum of S[a]' S[b] over row pairs of one unit l apart."""
+def _hac_meat(S: np.ndarray, pairs=()) -> np.ndarray:
+    """S'S plus, for the l-th (a, b) of ``pairs`` (the row pairs of one unit
+    l apart, l = 1..L), Bartlett weight (1 - l / (L + 1)) times G_l + G_l',
+    G_l the sum of S[a]' S[b]."""
     meat = S.T @ S
-    for l in range(1, lag + 1):
-        a, b = _lag_pairs(units, times, l)
+    lag = len(pairs)
+    for l, (a, b) in enumerate(pairs, 1):
         if not len(a):
             continue
         gamma = S[a].T @ S[b]
@@ -147,22 +147,6 @@ def _pair_codes(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int) -> tuple[np.nd
     combined = c1 * np.int64(n2) + c2
     uniq, inv = np.unique(combined, return_inverse=True)
     return inv.astype(np.int64), len(uniq)
-
-
-def _lag_pairs(unit_codes: np.ndarray, times: np.ndarray, lag: int):
-    """Row index pairs (a, b) with same unit and time_a - time_b == lag."""
-    span = int(times.max() - times.min() + 1) if len(times) else 1
-    base = int(times.min()) if len(times) else 0
-    key = unit_codes * np.int64(2 * span + 1) + (times - base)
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    target = key - lag
-    pos = np.searchsorted(sorted_keys, target)
-    pos_c = np.minimum(pos, len(sorted_keys) - 1)
-    hit = sorted_keys[pos_c] == target
-    a = np.flatnonzero(hit)
-    b = order[pos_c[hit]]
-    return a, b
 
 
 def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -> VcovMatrix:
@@ -242,7 +226,7 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
         lag = spec.lag if spec.lag is not None else default_lag(spec.kind, n_periods)
         if spec.kind == "nw":
             ucodes, _ = _factor_codes(ds, fit.mask, unit_name)
-            meat = _hac_meat(scores, lag, ucodes, times)
+            meat = _hac_meat(scores, panel_pairs(ucodes, times, range(1, lag + 1)))
             c = N / (N - K) if use_ssc else 1.0
             ssc["nw"] = c
             V = A_inv @ meat @ A_inv * c
@@ -254,8 +238,9 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
             tval_of_code = np.zeros(GT, dtype=np.int64)
             tval_of_code[tcodes] = times
             # the period sums form one series: a single unit
-            meat = _hac_meat(_group_sums(scores, tcodes, GT), lag,
-                             np.zeros(GT, dtype=np.int64), tval_of_code)
+            meat = _hac_meat(_group_sums(scores, tcodes, GT),
+                             panel_pairs(np.zeros(GT, dtype=np.int64), tval_of_code,
+                                         range(1, lag + 1)))
             c = (GT / (GT - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
             ssc["dk"] = c
             V = A_inv @ meat @ A_inv * c

@@ -146,6 +146,55 @@ class TestFit:
         payload = json.loads(out)
         assert payload["models"][0]["se_type"] == "IID"
 
+    @pytest.mark.parametrize("line, message", [
+        ("ci_level = abc", "ci_level: invalid float value 'abc'"),
+        ("collin_tol = x", "collin_tol: invalid float value 'x'"),
+        ("demean_maxiter = 2.5", "demean_maxiter: invalid int value '2.5'"),
+        ("output = jsn", "output: invalid choice 'jsn'"),
+        ("family = probit", "family: invalid choice 'probit'"),
+        ("signif = maybe", "signif takes true or false"),
+        ("threads = 2", "unknown config key 'threads'"),
+        ("vcvo = hc1", "unknown config key 'vcvo'"),
+        ("formula = y ~ x", "formula cannot be set in a config file"),
+    ])
+    def test_bad_config_value_is_usage_error(self, data_csv, tmp_path, line, message):
+        cfg = tmp_path / "fehd.conf"
+        cfg.write_text(f"# settings\n{line}\n")
+        code, out, err = run_cli(["fit", "--formula", "y ~ x", "--data", data_csv,
+                                  "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert f"fehd.conf:2: {message}" in err
+
+    def test_bad_config_value_rejected_even_when_flag_given(self, data_csv, tmp_path):
+        cfg = tmp_path / "fehd.conf"
+        cfg.write_text("output = jsn\n")
+        code, _, err = run_cli(["fit", "--formula", "y ~ x", "--data", data_csv,
+                                "--config", str(cfg), "--output", "json"])
+        assert code == 1 and "invalid choice 'jsn'" in err
+
+    def test_config_vcov_line_is_one_spec_and_repeats_append(self, data_csv, tmp_path):
+        lines = Path(data_csv).read_text().splitlines()
+        csv = tmp_path / "g.csv"
+        csv.write_text("\n".join([lines[0] + ",g"] + [f"{row},{i % 4}" for i, row
+                                                      in enumerate(lines[1:])]) + "\n")
+        cfg = tmp_path / "fehd.conf"
+        cfg.write_text("vcov = twoway=fe,g\nvcov = hc1\noutput = json\n")
+        code, out, _ = run_cli(["fit", "--formula", "y ~ x", "--data", str(csv),
+                                "--config", str(cfg)])
+        assert code == 0
+        assert [m["se_type"] for m in json.loads(out)["models"]] == [
+            "by: fe & g", "Heteroskedasticity-robust"]
+
+    @pytest.mark.parametrize("line, stars", [("signif = false", False),
+                                             ("signif = yes", True),
+                                             ("no_signif = true", False)])
+    def test_config_switch(self, data_csv, tmp_path, line, stars):
+        cfg = tmp_path / "fehd.conf"
+        cfg.write_text(line + "\n")
+        code, out, _ = run_cli(["fit", "--formula", "y ~ x", "--data", data_csv,
+                                "--config", str(cfg)])
+        assert code == 0 and ("***" in out) == stars
+
     def test_latex_output(self, data_csv):
         code, out, _ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
                                 "--output", "latex", "--caption", "T", "--label", "t"])

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import FactorIndex, first_appearance_codes
-from fehd.demean import (DemeanProblem, FactorRecord, FeDim, demean, gauss_solve_batched,
-                         recover_fixef)
+from fehd.demean import (PIVOT_RTOL, DemeanProblem, FactorRecord, FeDim, _DimWork,
+                         column_drops, demean, recover_fixef)
 from fehd.estimators import build_frame
 from fehd.formula import expand_models, parse_formula
 
@@ -54,23 +54,40 @@ class TestSweep:
         assert np.allclose(res.residuals[2:, 0], [-0.5, 0.5])
 
 
-class TestGaussSolve:
+class TestColumnDrops:
     def test_matches_numpy_solve(self, rng):
         G, L = 40, 3
-        A = rng.normal(size=(G, L, L))
-        M = np.einsum("gij,gkj->gik", A, A) + np.eye(L) * 0.1
-        B = rng.normal(size=(G, L, 2))
-        x, dropped = gauss_solve_batched(M, B)
-        assert not dropped.any()
-        expected = np.stack([np.linalg.solve(M[g], B[g]) for g in range(G)])
+        n = G * 5
+        codes = np.repeat(np.arange(G), 5)
+        z = rng.normal(size=(n, L - 1))
+        work = _DimWork(FeDim(fidx(codes), slopes=z), None, n)
+        assert not work.dropped.any()
+        c = rng.normal(size=G * L)
+        x = work.solve(c).reshape(G, L)
+        expected = np.stack([np.linalg.solve(work.M[g], c.reshape(G, L)[g])
+                             for g in range(G)])
         assert np.allclose(x, expected, atol=1e-10)
 
     def test_singular_column_dropped(self):
-        M = np.array([[[2.0, 0.0], [0.0, 0.0]]])
-        B = np.array([[[4.0], [1.0]]])
-        x, dropped = gauss_solve_batched(M, B)
+        # one group of two rows whose slope is zero: M = [[2, 0], [0, 0]]
+        codes = np.array([0, 0])
+        work = _DimWork(FeDim(fidx(codes), slopes=np.zeros((2, 1))), None, 2)
+        assert np.array_equal(work.M[0], [[2.0, 0.0], [0.0, 0.0]])
+        dropped = column_drops(work.M, PIVOT_RTOL)
         assert dropped[0, 1] and not dropped[0, 0]
-        assert np.allclose(x[0, :, 0], [2.0, 0.0])
+        assert np.array_equal(dropped, work.dropped)
+        x = work.solve(np.array([4.0, 1.0]))
+        assert np.allclose(x, [2.0, 0.0])
+
+    def test_later_of_two_collinear_columns_dropped(self):
+        M = np.array([[[1.0, 2.0], [2.0, 4.0]], [[4.0, 2.0], [2.0, 1.0]]])
+        assert column_drops(M, PIVOT_RTOL).tolist() == [[False, True], [False, True]]
+
+    def test_scale_floors_the_threshold(self):
+        # a pivot of 1e-3 survives its own diagonal but not a scale of 1e9
+        M = np.array([[[1.0, 0.0], [0.0, 1e-3]]])
+        assert not column_drops(M, 1e-10).any()
+        assert column_drops(M, 1e-10, np.array([[1.0, 1e9]]))[0].tolist() == [False, True]
 
 
 class TestPlainMode:

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
-from fehd.demean import DEFAULT_TOL, demean
+from fehd.demean import DEFAULT_TOL, column_drops, demean
 from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, build_frame,
-                             fit_2sls, fit_glm_irls, fit_model, fit_ols, fixef,
-                             pivoted_cholesky_kept)
+                             fit_2sls, fit_glm_irls, fit_model, fit_ols, fixef)
 from fehd.formula import expand_models, parse_formula
 
-from oracles import dummy_irls, dummy_ols, random_instance, scipubs_like
+from oracles import (connected_fe, dummy_design, dummy_irls, dummy_ols, random_instance,
+                     scipubs_like)
 
 
 def make_ds(**cols):
@@ -106,16 +106,23 @@ class TestFitOls:
             fit_ols("y ~ g", ds)
 
 
-class TestPivotedCholesky:
+class TestRegressorDrops:
+    """The regressor drops of ``solve_gram``, through its kernel ``column_drops``."""
+
+    @staticmethod
+    def kept_dropped(A, tol):
+        drop = column_drops(A[None], tol)[0]
+        return np.flatnonzero(~drop).tolist(), np.flatnonzero(drop).tolist()
+
     def test_keeps_independent_columns(self, rng):
         X = rng.normal(size=(30, 4))
-        kept, dropped = pivoted_cholesky_kept(X.T @ X, 1e-10)
+        kept, dropped = self.kept_dropped(X.T @ X, 1e-10)
         assert kept == [0, 1, 2, 3] and dropped == []
 
     def test_drops_exact_duplicates(self, rng):
         x = rng.normal(size=30)
         X = np.column_stack([x, x, rng.normal(size=30)])
-        kept, dropped = pivoted_cholesky_kept(X.T @ X, 1e-10)
+        kept, dropped = self.kept_dropped(X.T @ X, 1e-10)
         assert dropped == [1]
 
 
@@ -256,6 +263,84 @@ def test_rescaling_a_regressor_keeps_the_kept_set(case):
     expect = base.coef.copy()
     expect[base.coef_names.index(names[which])] /= factor
     np.testing.assert_allclose(scaled.coef, expect, rtol=1e-7, atol=1e-12)
+
+
+class TestDropOrder:
+    """Of two collinear columns the later one is dropped, whatever the units."""
+
+    @pytest.mark.parametrize("fe", ["", " | g"])
+    @pytest.mark.parametrize("unit", [1e-3, 1.0, 1e3])
+    def test_later_of_two_collinear_regressors_dropped(self, unit, fe):
+        rng = np.random.default_rng(0)
+        n = 200
+        a, c, e = rng.normal(size=(3, n))
+        ds = make_ds(y=a + c + e, a=a * unit, b=2 * a, c=c, g=rng.integers(0, 5, n))
+        fit = fit_ols("y ~ a + b + c" + fe, ds)
+        assert fit.dropped_collinear == ["b"] and fit.coef_names[-2:] == ["a", "c"]
+
+    @pytest.mark.parametrize("unit", [1e-3, 1.0, 1e3])
+    def test_instrument_collinear_with_exogenous_dropped(self, unit):
+        rng = np.random.default_rng(1)
+        n = 300
+        x, z, u = rng.normal(size=(3, n))
+        e = z + u + rng.normal(size=n)
+        ds = make_ds(y=x + e + u, x=x, e=e, z=z, zx=unit * x, g=rng.integers(0, 6, n))
+        fit = fit_2sls("y ~ x | g | e ~ z + zx", ds)
+        first = fit.iv_diag.first_stages[0]
+        assert first.dropped_collinear == ["zx"] and first.coef_names == ["x", "z"]
+        assert fit.dropped_collinear == [] and fit.coef_names == ["fit_e", "x"]
+
+    @pytest.mark.parametrize("unit", [1e-3, 1.0, 1e3])
+    def test_only_instrument_collinear_with_exogenous_is_an_error(self, unit):
+        rng = np.random.default_rng(2)
+        n = 300
+        x, e = rng.normal(size=(2, n))
+        ds = make_ds(y=x + e, x=x, e=e, zx=unit * x, g=rng.integers(0, 6, n))
+        with pytest.raises(EstimationError) as err:
+            fit_2sls("y ~ x | g | e ~ zx", ds)
+        assert str(err.value) == ("instruments for 'e' are collinear with the "
+                                  "exogenous regressors")
+
+
+@st.composite
+def scaled_slope_designs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(-9, 9))
+    n_fe = draw(st.integers(1, 3))
+    slope_dim = draw(st.integers(0, n_fe - 1))
+    n_const = draw(st.integers(0, 2))  # groups whose slope is constant within the group
+    return seed, k, n_fe, slope_dim, n_const
+
+
+@given(scaled_slope_designs())
+@settings(max_examples=30, deadline=None)
+def test_k_fe_is_the_rank_of_the_dense_fe_design(case):
+    # a slope column in units of 10^k spans what it spans in units of 1: the
+    # FE count is the rank of the dense FE design and x's estimate does not move
+    seed, k, n_fe, slope_dim, n_const = case
+    rng = np.random.default_rng(seed)
+    n = 200
+    counts = [int(rng.integers(2, 9)) for _ in range(n_fe)]
+    codes = connected_fe(rng, n, counts)
+    g = codes[slope_dim]
+    z = rng.normal(size=n)
+    for grp in range(n_const):
+        z[g == grp] = rng.normal()
+    x = rng.normal(size=n)
+    y = x + rng.normal(size=counts[slope_dim])[g] * z + rng.normal(size=n)
+    for c, G in zip(codes, counts):
+        y += rng.normal(size=G)[c]
+    specs = [(c, G, z[:, None] if q == slope_dim else None, True)
+             for q, (c, G) in enumerate(zip(codes, counts))]
+    D = dummy_design(np.empty((n, 0)), specs)
+    rank = np.linalg.matrix_rank(D / np.linalg.norm(D, axis=0))
+    formula = "y ~ x | " + " + ".join(f"f{q}[zs]" if q == slope_dim else f"f{q}"
+                                      for q in range(n_fe))
+    fits = [fit_ols(formula, make_ds(y=y, x=x, zs=z * unit,
+                                     **{f"f{q}": c for q, c in enumerate(codes)}))
+            for unit in (1.0, 10.0 ** k)]
+    assert [f.dof.k_fe for f in fits] == [rank, rank]
+    assert fits[1].coef[0] == pytest.approx(fits[0].coef[0], rel=1e-8)
 
 
 class TestFit2sls:

@@ -143,6 +143,34 @@ class TestComputeVcov:
             vc = compute_vcov(fit, spec, ds)
             assert np.abs(vc.matrix - expected).max() < 1e-10 * (1 + np.abs(expected).max())
 
+    def test_nw_rejects_duplicate_unit_time(self, rng):
+        # 400 rows: 50 units x 8 periods, then unit 0's time-5 row made a
+        # second time 4; dk sums the periods first, so it is unaffected
+        n = 400
+        unit = np.repeat(np.arange(50.0), 8)
+        time = np.tile(np.arange(8.0), 50)
+        time[5] = 4.0
+        x = rng.normal(size=n)
+        ds = make_ds(y=x + rng.normal(size=n), x=x, unit=unit, time=time)
+        fit = fit_ols("y ~ x", ds)
+        for lag in (0, 2, None):
+            with pytest.raises(DataError, match=r"duplicate \(unit, time\) pairs"):
+                compute_vcov(fit, VcovSpec("nw", unit="unit", time="time", lag=lag), ds)
+        with pytest.raises(DataError, match=r"duplicate \(unit, time\) pairs"):
+            compute_vcov(fit, VcovSpec("nw"), ds.with_panel("unit", "time"))
+        assert np.isfinite(compute_vcov(fit, VcovSpec("dk", time="time"), ds).matrix).all()
+
+    @pytest.mark.parametrize("lag", [6, 13])
+    def test_nw_lag_past_the_time_span_pairs_no_other_unit(self, lag, rng):
+        # 6 periods: a lag of 6 or more pairs nothing, never rows of two units
+        ds, fit = small_fit(rng, with_panel=True)
+        Xt = np.column_stack([np.ones(fit.dof.n_used), ds.numeric("x1"), ds.numeric("x2")])
+        expected = sandwich_nw(Xt, fit.residuals, None, fit.dof.k_total,
+                               ds.numeric("unit").astype(int), ds.numeric("time").astype(int),
+                               lag)
+        vc = compute_vcov(fit, VcovSpec("nw", unit="unit", time="time", lag=lag), ds)
+        assert np.abs(vc.matrix - expected).max() < 1e-10 * (1 + np.abs(expected).max())
+
     def test_recompute_equals_refit_bitwise(self, rng):
         ds, fit = small_fit(rng)
         spec = VcovSpec("cluster", factors=("g",))
