@@ -177,8 +177,12 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
                   timeout: Optional[float] = None,
                   accelerate: bool = True) -> list[dict]:
     """Wall-clock benchmark rows: (case, n, rep, seconds, demean_iterations,
-    irls_iterations, status); the iteration counts are -1 where there are
-    none (IRLS steps for OLS) or the fit failed.
+    irls_iterations, factor_s, switch_at, status); the iteration counts are
+    -1 where there are none (IRLS steps for OLS) or the fit failed.
+    ``factor_s`` and ``switch_at`` are the demeaning's factorization of the
+    Schur complement (``FactorRecord``: seconds spent, and products before
+    the first column switched; for IRLS, of the last step that made one),
+    -1 when A was never formed.
 
     Runs sequentially; a case whose run exceeds ``timeout`` seconds is recorded
     and skipped at larger sizes.
@@ -192,7 +196,7 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
             if case.name in timed_out:
                 rows.append({"case": case.name, "n": n, "rep": 0, "seconds": float("nan"),
                              "demean_iterations": -1, "irls_iterations": -1,
-                             "status": "skipped"})
+                             "factor_s": -1, "switch_at": -1, "status": "skipped"})
                 continue
             for rep in range(reps):
                 cfg = DgpConfig(n=int(n), seed=seed + rep)
@@ -202,18 +206,22 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
                         np.exp(ds.numeric("y")))})
                 t0 = time.perf_counter()
                 status = "ok"
-                iters = irls = -1
+                iters = irls = switch_at = factor_s = -1
                 try:
                     fit = _fit_case(ds, case, demean_tol, accelerate)
                     iters = fit.convergence.demean_sweeps
                     if case.family != "ols":
                         irls = fit.convergence.irls_iterations
+                    factor = fit.convergence.demean_factor
+                    if factor is not None and not factor.refused:
+                        factor_s, switch_at = factor.seconds, factor.switch_at
                 except EstimationError as exc:
                     status = f"error: {exc}"
                 dt = time.perf_counter() - t0
                 rows.append({"case": case.name, "n": int(n), "rep": rep,
                              "seconds": dt, "demean_iterations": iters,
-                             "irls_iterations": irls, "status": status})
+                             "irls_iterations": irls, "factor_s": factor_s,
+                             "switch_at": switch_at, "status": status})
                 if timeout is not None and dt > timeout:
                     timed_out.add(case.name)
                     break
@@ -247,7 +255,7 @@ def benchmark_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=["case", "n", "rep", "seconds",
                                         "demean_iterations", "irls_iterations",
-                                        "status"])
+                                        "factor_s", "switch_at", "status"])
     w.writeheader()
     for r in rows:
         w.writerow(r)

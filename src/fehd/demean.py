@@ -25,38 +25,42 @@ every structure with two or more dimensions (Gaure 2013; Correia 2017):
   reported in ``DemeanResult.dropped`` (``column_drops``, the rule the
   estimators apply to regressors too): a slope constant within its group is
   dropped and its intercept kept, and units decide no drop;
-* a column still running after ``FACTOR_AFTER`` products restarts CG from its
-  iterate with a sparse LU factorization of A as the preconditioner.  That
-  happens on sparse FE graphs, such as firms that share workers only with
-  their neighbours, where A is a small Laplacian-like matrix (Kline, Saggio
-  and Soelvsten 2020; Davis 2006), and CG on block Jacobi needs many
-  products.  A is formed and factored once per call, at the first column
-  that gets there, and is abandoned when its nonzeros pass
-  ``FACTOR_NNZ_BUDGET`` per cross-table nonzero: dense graphs stay on block
-  Jacobi.  Random graphs converge long before the switch.
+* a column whose remaining block-Jacobi work costs more than forming and
+  factoring A restarts CG with a sparse LU factorization of A as the
+  preconditioner.  That pays on sparse FE graphs, such as firms that share
+  workers only with their neighbours, where A is a small Laplacian-like
+  matrix (Kline, Saggio and Soelvsten 2020; Davis 2006) and block Jacobi
+  needs many products; random graphs shrink 30-50x per product and never
+  switch.  The decision weighs the products a column and the columns after
+  it are predicted to need against the flops of forming and factoring A
+  (``_factor_pays``); A's nonzeros are estimated first, in O(nnz C1), and a
+  dense A is refused unformed or priced out.  A is formed in one pass and
+  factored once per call; the later columns, and the later calls of the same
+  fit (``FeStructure``), switch at their first product, and after a refusal
+  none estimates again.
 
 Each target column is measured once, on entry.  Its scale is its weighted SD,
 floored at ``SCALE_FLOOR`` times its RMS so that a constant column has one.
 It stops once its move, the sup norm of its block-Jacobi preconditioned
-residual (also after the switch, so no accuracy rests on the factorization),
-is at most ``tol`` times its scale, but never below ``LEVEL_EPS`` machine
-epsilons of its RMS, the roundoff its level allows: units decide neither the
-sweeps nor the relative error.  With two dimensions the move is exactly that
-of a plain sweep from the current iterate.  The estimators judge
-collinearity against the same scales (``DemeanResult.scale``).  Work is
-counted in sweeps: the initial residual is one sweep and each product with A
+residual (also after the switch), is at most ``tol`` times its scale, but
+never below ``LEVEL_EPS`` machine epsilons of its RMS, the roundoff its level
+allows: units decide neither the sweeps nor the relative error.  With two
+dimensions the move is exactly that of a plain sweep from the current
+iterate.  The estimators judge collinearity against the same scales
+(``DemeanResult.scale``).  Work is counted in sweeps: the initial residual is one sweep and each product with A
 is one, before and after the switch; forming and factoring A is reported
 apart, in ``DemeanResult.factor``.  One dimension, and the comparison mode
 ``accelerate=False``, run plain alternating sweeps over the rows instead (one
 group-sum and one gather per dimension per sweep, stopping once no
 coefficient of dimensions 2..Q moves by more than the threshold).  Each
-target column runs its own iteration, switches at its own product count and
-stops on its own, so a batched run reproduces the single-column results bit
-for bit.
+target column runs its own iteration, restarts on its own when it switches
+and stops on its own, so a batched run reproduces the single-column results
+bit for bit, wherever each of them switched.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -85,17 +89,31 @@ PIVOT_RTOL = 1e-12
 # a column's scale and stopping threshold (see the module doc)
 SCALE_FLOOR = 1e-7
 LEVEL_EPS = 64
-# The Schur complement factorization (see the module doc): a column still
-# running after FACTOR_AFTER products switches to it (simple random graphs
-# stop after 5-7); A is abandoned once it holds more than FACTOR_NNZ_BUDGET
-# nonzeros per cross-table (C1) nonzero, both counted per group pair (a chain
-# of firms gives about 0.08, a random graph about 0.9); the factored matrix is
+# The Schur complement factorization (see the module doc).  A column switches
+# to it once the block-Jacobi products it and the columns after it still need
+# cost more than forming and factoring A (``_factor_pays``).  Costs are in
+# flops of a product with A, which reads each cross-table entry twice at 2
+# flops a read (about 2 Gflop/s on one 2.5 GHz core).  Forming A makes
+# sum_g r_g^2 multiply-adds over C1's rows (r_g entries in row g, in the
+# tables of sparse dimensions) and the LU about nnz(A)^2 / order; scipy makes
+# them with scattered writes, at about FACTOR_SCATTER product flops each.  A
+# dense block (``DENSE_COLS``) costs 2 flops per C1 entry and dense column,
+# and a formation FACTOR_FIXED_FLOPS more.  A switched column restarts and
+# makes about one product, with two applications of the factored
+# preconditioner, each six LU solves and a product with A at about 60 nnz(A)
+# flops (the LU holds about 2.3 nnz(A), and each solve is a scipy call).  A
+# is refused, unformed, when its nonzeros, estimated from the exact degrees
+# of up to FACTOR_SAMPLE rows per dimension, pass FACTOR_NNZ_BUDGET per
+# cross-table (C1) nonzero, both counted per group pair (a chain of firms
+# gives about 0.08, a random graph about 1); the factored matrix is
 # A + FACTOR_SHIFT * diag(K).
-FACTOR_AFTER = 30
+FACTOR_SCATTER = 10.0
+FACTOR_FIXED_FLOPS = 1e6
+FACTOR_SAMPLE = 8
 FACTOR_NNZ_BUDGET = 0.5
 FACTOR_SHIFT = 1e-10
-FACTOR_CHUNKS = 16  # dimension-1 group chunks C1' M1^+ C1 is summed over
 DENSE_COLS = 64  # a dimension with at most this many coefficients has dense blocks in A
+SCALE_SLICE = 1 << 16  # entries of C1' scaled at a time while A is formed
 
 
 class DemeanError(RuntimeError):
@@ -160,9 +178,11 @@ class FactorRecord:
     """One demean call's factorization of the Schur complement A."""
 
     dim: int        # order of A over the kept coefficients
-    nnz: int        # nonzeros of A; when over the budget, as far as it was formed
+    nnz: int        # nonzeros of A; when refused, the budget estimate's
     lu_nnz: int     # nonzeros of the LU factors; 0 when A was not factored
     seconds: float  # forming and factoring A
+    switch_at: int  # block-Jacobi products of the first column that switched
+    refused: bool = False  # the budget estimate refused A, which was not formed
 
 
 @dataclass
@@ -173,7 +193,7 @@ class DemeanResult:
     fe_coef: Optional[list[np.ndarray]] = None  # per dim: (G_q, L_q, n_targets)
     dropped: list[tuple[int, int, int]] = field(default_factory=list)  # (dim, group, col)
     sweeps: int = 0
-    factor: Optional[FactorRecord] = None  # None: no column reached FACTOR_AFTER
+    factor: Optional[FactorRecord] = None  # None: no column switched to a factored A
     # per target column: weighted SD floored at SCALE_FLOOR * RMS; None without FE
     scale: Optional[np.ndarray] = None
 
@@ -369,12 +389,21 @@ class FeStructure:
     the first refill, so a structure used once, as by every fit with one set
     of weights, never builds it.  Tables and maps hold O(n) memory: keep a
     structure no longer than its fit.
+
+    It also keeps what the fit learned about factoring the Schur complement
+    A: ``costs``, the switch's costs on the tables' pattern (``_SwitchCosts``,
+    made at the first decision), and ``factor_pays``, None until a column
+    switches, then True once A was factored, or False once A was refused or
+    found singular.  After a switch a later call switches at its first
+    product; after a refusal it never estimates A again.
     """
 
     def __init__(self, dims: list[FeDim]):
         self.dims = dims
         self.tables: dict[tuple[int, int], sp.csr_matrix] = {}
         self.maps: dict[tuple[int, int], np.ndarray] = {}
+        self.costs: Optional[_SwitchCosts] = None
+        self.factor_pays: Optional[bool] = None
 
     def cross(self, a: int, b: int, works: list[_DimWork],
               buf: np.ndarray) -> sp.csr_matrix:
@@ -399,102 +428,207 @@ def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
                          shape=(G * L, G * L)).tocsr()
 
 
-def _schur_matrix(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
-                  K: list, budget: float) -> tuple[sp.csr_matrix, bool]:
-    """A = K - C1' M1^+ C1 over the coefficients of dimensions 2..Q.
+def _dense_dims(widths: list[int]) -> list[bool]:
+    """Dimensions whose blocks of A are formed as dense arrays (``DENSE_COLS``)."""
+    return [n <= DENSE_COLS for n in widths]
 
-    A is formed block by block: block (q, s) is K_qs - C1_q' M1^+ C1_s, and
-    the block under the diagonal is its transpose.  The products are summed
-    over ``FACTOR_CHUNKS`` chunks of dimension-1 groups, so that no product
-    much larger than A itself is held.  A block that touches a dimension of
-    at most ``DENSE_COLS`` coefficients, such as the years of a panel, is
-    formed as a dense array, by sparse-times-dense products.  Returns
-    (A, within budget); past ``budget`` nonzeros A is left half formed.
+
+class _SwitchCosts:
+    """What switching to the factored A costs on one fit's tables, in product flops.
+
+    ``product`` is one product with A, ``form`` forming A with the fixed
+    cost of a formation; both follow from the tables' pattern alone.
+    ``nnz()`` estimates A's nonzeros (``_schur_nnz_estimate``) at its first
+    call and keeps the figure.
+    """
+
+    def __init__(self, rest: list[_DimWork], C1: list[sp.csr_matrix], K: list):
+        self.C1 = C1
+        self.widths = [wk.G * wk.L for wk in rest]
+        self.order = sum(self.widths)
+        entries = sum(C.nnz for C in C1)
+        self.product = 4.0 * (entries + sum(Kqs.nnz for *_, Kqs in K))
+        # r_g over the sparse dimensions' tables; a dense block streams each
+        # entry of C1 against a dense row instead
+        dense = _dense_dims(self.widths)
+        r = sum((np.diff(C.indptr) for C, d in zip(C1, dense) if not d),
+                np.zeros(C1[0].shape[0]))
+        dense_width = sum(n for n, d in zip(self.widths, dense) if d)
+        self.form = FACTOR_SCATTER * float(r @ r) + 2.0 * entries * dense_width \
+            + FACTOR_FIXED_FLOPS
+        self._nnz: Optional[int] = None
+
+    def nnz(self) -> int:
+        if self._nnz is None:
+            self._nnz = _schur_nnz_estimate(self.C1, self.widths)
+        return self._nnz
+
+
+def _schur_nnz_estimate(C1: list[sp.csr_matrix], widths: list[int]) -> int:
+    """A's nonzeros, from the exact degrees of up to ``FACTOR_SAMPLE`` rows per dimension.
+
+    Row i of A, a coefficient of dimension q, is nonzero in the columns that
+    share a row of C1 with it: K's pattern lies inside that one, since every
+    observation has a dimension-1 group.  Evenly spaced rows are counted
+    exactly, one at a time, as the distinct columns of the rows of C1 they
+    share, and a block that touches a dense dimension counts whole, as
+    ``_schur_matrix`` forms it.  One gather over C1's entries finds the
+    sampled columns; the rest of the work is the sample's.
+    """
+    dense = _dense_dims(widths)
+    sparse_C = [C for C, d in zip(C1, dense) if not d]
+    dense_width = sum(n for n, d in zip(widths, dense) if d)
+    total = 0.0
+    for C, n, d in zip(C1, widths, dense):
+        if d:
+            total += n * sum(widths)
+            continue
+        rows = np.unique(np.linspace(0, n - 1, min(n, FACTOR_SAMPLE)).astype(np.int64))
+        picked = np.zeros(n, dtype=bool)
+        picked[rows] = True
+        hit = np.flatnonzero(picked[C.indices]).astype(C.indptr.dtype)
+        at = np.searchsorted(rows, C.indices[hit])  # the sample row of each hit
+        groups = np.searchsorted(C.indptr, hit, side="right") - 1
+        degree = 0
+        for t in range(len(rows)):
+            shared = groups[at == t]
+            for P in sparse_C:
+                start = P.indptr[shared]
+                length = P.indptr[shared + 1] - start
+                ends = np.cumsum(length)
+                entry = np.repeat(start - ends + length, length) + np.arange(length.sum())
+                degree += len(np.unique(P.indices[entry]))
+        total += n * (degree / len(rows) + dense_width)
+    return int(round(total))
+
+
+def _schur_matrix(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
+                  K: list) -> sp.csr_matrix:
+    """A = K - C1' M1^+ C1 over the coefficients of dimensions 2..Q, in one pass.
+
+    Block (q, s) is K_qs - (M1^+ C1_q)' C1_s, and the block under the
+    diagonal is its transpose.  (M1^+ C1_q)' is the one copy of a table
+    made: C1_q' in CSR with each entry divided by its group's weight when
+    dimension 1 has no slopes, or the transpose of one block-diagonal
+    product when it has.  A block that touches a dimension of at most
+    ``DENSE_COLS`` coefficients, such as the years of a panel, is formed as
+    a dense array, by sparse-times-dense products.
     """
     Q = len(rest)
-    dense = [wk.G * wk.L <= DENSE_COLS for wk in rest]
-    acc: dict[tuple[int, int], object] = {}
-    for q, wk in enumerate(rest):
-        diag = _block_diag(wk.blocks())
-        acc[q, q] = diag.toarray() if dense[q] else diag
-    for q, s, Kqs in K:
-        acc[q, s] = Kqs.toarray() if dense[q] or dense[s] else Kqs
-    M1inv = w1.blocks(inverse=True)
-    step = -(-w1.G // FACTOR_CHUNKS)
-    within = True
-    for lo in range(0, w1.G, step):
-        Cg = [C[lo * w1.L:(lo + step) * w1.L] for C in C1]
-        MCg = [_block_diag(M1inv[lo:lo + step]) @ C for C in Cg]
-        MCd = {s: MCg[s].toarray() for s in range(Q) if dense[s]}
-        for q in range(Q):
-            for s in range(q, Q):
-                if dense[s]:
-                    acc[q, s] = acc[q, s] - Cg[q].T @ MCd[s]
-                elif dense[q]:
-                    acc[q, s] = acc[q, s] - (Cg[s].T @ MCd[q]).T
-                else:
-                    acc[q, s] = acc[q, s] - Cg[q].T @ MCg[s]
-        nnz = sum((1 if q == s else 2) * (b.size if isinstance(b, np.ndarray) else b.nnz)
-                  for (q, s), b in acc.items())
-        if nnz > budget:
-            within = False
-            break
+    dense = _dense_dims([wk.G * wk.L for wk in rest])
+    if w1.Z is None:
+        left = [C.T.tocsr() for C in C1]
+        for Lq in left:  # in slices, so that no temporary as large as C1 is held
+            for lo in range(0, Lq.nnz, SCALE_SLICE):
+                Lq.data[lo:lo + SCALE_SLICE] /= w1.wsum[Lq.indices[lo:lo + SCALE_SLICE]]
+    else:
+        M1inv = _block_diag(w1.Minv)
+        left = [(M1inv @ C).T.tocsr() for C in C1]
+    Kd = {(q, s): Kqs for q, s, Kqs in K}
     grid = [[None] * Q for _ in rest]
-    for (q, s), b in acc.items():
-        grid[q][s] = b = sp.csr_matrix(b) if isinstance(b, np.ndarray) else b
-        if q != s:
-            grid[s][q] = b.T
-    return sp.bmat(grid, format="csr"), within
+    for q in range(Q):
+        for s in range(q, Q):
+            Kqs = _block_diag(rest[q].blocks()) if q == s else Kd[q, s]
+            if dense[s]:
+                b = Kqs.toarray() - left[q] @ C1[s].toarray()
+            elif dense[q]:
+                b = Kqs.toarray() - (left[s] @ C1[q].toarray()).T
+            else:
+                b = Kqs - left[q] @ C1[s]
+            grid[q][s] = b = sp.csr_matrix(b)
+            if q != s:
+                grid[s][q] = b.T
+    return grid[0][0] if Q == 1 else sp.bmat(grid, format="csr")
 
 
 def _factor_schur(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
-                  K: list) -> tuple[Optional[Callable], FactorRecord]:
+                  K: list, costs: _SwitchCosts,
+                  switch_at: int) -> tuple[Optional[Callable], FactorRecord]:
     """Form and factor A; returns (preconditioner, record).
 
+    A is refused, and not formed, when the estimate of its nonzeros
+    (``costs.nnz()``) passes ``FACTOR_NNZ_BUDGET`` per cross-table nonzero.
     A is singular (a null direction per connected component of the FE
     graph, more with three or more dimensions), so SuperLU factors
     P = A + FACTOR_SHIFT * diag(K) on the kept coefficients; dropped ones
-    stay at 0.  The preconditioner is R A R with R = P^-1 (I + (P - A) P^-1),
-    one step of iterative refinement towards A's own solve:
-    * R squares the shift's relative error on A's low modes;
+    stay at 0.  The preconditioner is R A R with R = P^-1 (I + E + E^2),
+    E = (P - A) P^-1, two steps of iterative refinement towards A's own
+    solve:
+    * R cubes the shift's relative error on A's low modes, which a switched
+      column meets at full size, since it restarts from its initial
+      residual;
     * the product with A in the middle removes what P^-1 makes of the
       roundoff along A's null directions, amplified by 1 / FACTOR_SHIFT;
       left in, it swamps a residual near the stopping tolerance.
-    It is None when A overran the budget or could not be factored.
+    It is None when A was refused or could not be factored.
     """
-    from scipy.sparse.linalg import splu  # fits that never switch skip the import
-
     t0 = time.perf_counter()
+    kept = ~np.concatenate([wk.dropped.ravel() for wk in rest])
     # per group pair, C1's blocks hold L1 x Lq entries and A's about Lq x Lq
     pairs = sum(C.nnz * wk.L for C, wk in zip(C1, rest)) / w1.L
-    A, within = _schur_matrix(w1, rest, C1, K, FACTOR_NNZ_BUDGET * pairs)
-    kept = ~np.concatenate([wk.dropped.ravel() for wk in rest])
-    lu = None
-    if within:
-        if not kept.all():
-            A = A[kept][:, kept]
-        diag = np.concatenate([wk.blocks().diagonal(axis1=1, axis2=2).ravel()
-                               for wk in rest])
-        shift = FACTOR_SHIFT * diag[kept]
-        try:
-            # P is symmetric up to roundoff, and P' is a CSC view of its arrays
-            lu = splu((A + sp.diags(shift)).T, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:  # exactly singular: stay on block Jacobi
-            pass
+    nnz = costs.nnz()
+    if nnz > FACTOR_NNZ_BUDGET * pairs:
+        return None, FactorRecord(int(kept.sum()), nnz, 0, time.perf_counter() - t0,
+                                  switch_at, refused=True)
+    from scipy.sparse.linalg import splu  # fits that never switch skip the import
+
+    A = _schur_matrix(w1, rest, C1, K)
+    if not kept.all():
+        A = A[kept][:, kept]
+    diag = np.concatenate([wk.blocks().diagonal(axis1=1, axis2=2).ravel()
+                           for wk in rest])
+    shift = FACTOR_SHIFT * diag[kept]
+    try:
+        # P is symmetric up to roundoff, and P' is a CSC view of its arrays
+        lu = splu((A + sp.diags(shift)).T, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # exactly singular: stay on block Jacobi
+        lu = None
     record = FactorRecord(int(kept.sum()), A.nnz,
                           0 if lu is None else lu.L.nnz + lu.U.nnz,
-                          time.perf_counter() - t0)
+                          time.perf_counter() - t0, switch_at)
     if lu is None:
         return None, record
 
     def refine(v):
-        return lu.solve(v + shift * lu.solve(v))
+        return lu.solve(v + shift * lu.solve(v + shift * lu.solve(v)))
 
     def solve(res):
         z = np.zeros_like(res)
         z[kept] = refine(A @ refine(res[kept]))
         return z
     return solve, record
+
+
+def _factor_pays(ratios: list[float], columns_after: int, costs: _SwitchCosts) -> bool:
+    """Whether a column on block Jacobi switches to the factored A now.
+
+    ``ratios`` holds the column's sup norm of z over its threshold: for its
+    initial residual, then after each of its k products.  From k = 2 on, the
+    mean shrink per product so far predicts the products the column still needs, and
+    each of the ``columns_after`` columns after it is predicted to need as
+    many as this one in all.  The mean includes the first product, which
+    removes the fast modes: on small chains the sup norm stalls for a few
+    products and then drops, and a recent rate would overstate what is left
+    there, switching where block Jacobi is cheaper.  The switch pays once
+    those products cost more than forming and factoring A and the factored
+    run of each of these columns, as the module constants' comment prices
+    them.  A's nonzeros are estimated only when the products alone outweigh
+    forming A.  This is the one place the switch is decided.
+    """
+    k = len(ratios) - 1
+    if k < 2:  # the first product's drop alone is no rate
+        return False
+    shrink = math.log(ratios[0] / ratios[-1])  # over k products
+    left = k * math.log(ratios[-1]) / shrink if shrink > 0.0 else math.inf
+    columns = 1 + columns_after
+    block_jacobi = (columns * left + columns_after * k) * costs.product
+    factored = costs.form + columns * costs.product
+    if block_jacobi <= factored:
+        return False
+    nnz = costs.nnz()
+    factored += FACTOR_SCATTER * nnz * nnz / costs.order \
+        + columns * 120.0 * nnz
+    return block_jacobi > factored
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +693,16 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     (a = a0 - M1^+ C1 (b - b0)); the rows are read once for the initial
     residual and written once at the end, with y - D b - D1 a.
 
-    A column that has made ``FACTOR_AFTER`` products without stopping
-    restarts CG from its iterate on the factored A (``_factor_schur``,
-    formed at the first such column and reused by later ones), keeping the
-    block-Jacobi stopping rule.  If a factored step finds no descent
-    direction, the column restarts on block Jacobi.
+    Before each product, a column still on block Jacobi records its ratio
+    sup|z| / thr[j] and asks ``_factor_pays`` whether to switch to the
+    factored A (``_factor_schur``, formed at the first column that switches
+    and reused by later ones, which switch at their first product, as do the
+    calls after it on the same ``structure``).  A switched column restarts
+    CG from its initial residual, so where it switched changes no digit of
+    its result, and keeps the block-Jacobi stopping rule.  Once A is
+    refused or found singular, no column of this call or a later one
+    switches.  If a factored step finds no descent direction, the column
+    continues on block Jacobi.
 
     Precondition: r == targets - D S.  Mutates S, coef0 and r in place
     (r becomes the residuals).  Returns per-column (CG steps, converged) and
@@ -597,6 +736,13 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
             Ap[blocks[q]] -= Ct @ m
         return m, Ap
 
+    def pays(ratios, columns_after):
+        if structure.factor_pays or factor is not None:
+            return True  # A is or was factored in this fit
+        if structure.costs is None:
+            structure.costs = _SwitchCosts(rest, C1, K)
+        return _factor_pays(ratios, columns_after, structure.costs)
+
     factor = None  # (factored preconditioner or None, record), formed once
     T = r.shape[1]
     steps = np.zeros(T, dtype=np.int64)
@@ -604,28 +750,37 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     for j in range(T):
         e = r[:, j]
         db = np.zeros(S.shape[0])
-        a = w1.solve(w1.sums(e))
-        res = np.concatenate([wk.sums(e) - Ct @ a for wk, Ct in zip(rest, C1t)])
+        a0 = w1.solve(w1.sums(e))
+        res0 = np.concatenate([wk.sums(e) - Ct @ a0 for wk, Ct in zip(rest, C1t)])
+        a, res = a0.copy(), res0.copy()
         z = precondition(res)
         factored = None  # the factored preconditioner while this column runs on it
+        ratios = []  # sup|z| / thr[j] on block Jacobi, None once the column decided
         p = z.copy()
         rz = float(np.dot(res, z))
         k = 0
-        while k < max_iter and np.abs(z).max() > thr[j]:
-            if k == FACTOR_AFTER:
-                if factor is None:
-                    factor = _factor_schur(w1, rest, C1, K)
-                factored = factor[0]
-                if factored is not None:  # restart from the iterate
-                    p = factored(res)
-                    rz = float(np.dot(res, p))
+        while k < max_iter and (zmax := float(np.abs(z).max())) > thr[j]:
+            if ratios is not None and structure.factor_pays is not False:
+                ratios.append(zmax / thr[j])
+                if pays(ratios, T - 1 - j):
+                    ratios = None
+                    if factor is None:
+                        factor = _factor_schur(w1, rest, C1, K, structure.costs, k)
+                        structure.factor_pays = factor[0] is not None
+                    factored = factor[0]
+                    if factored is not None:  # restart from the initial residual
+                        db.fill(0.0)
+                        a, res = a0.copy(), res0.copy()
+                        z = precondition(res)
+                        p = factored(res)
+                        rz = float(np.dot(res, p))
             m, Ap = product(p)
             k += 1
             pAp = float(np.dot(p, Ap))
             if not pAp > 0.0:
                 if factored is None:
                     break  # no descent direction left: report the column unconverged
-                factored = None  # restart on block Jacobi from the iterate
+                factored = None  # continue on block Jacobi from the iterate
                 p = z.copy()
                 rz = float(np.dot(res, z))
                 continue
@@ -676,13 +831,14 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     eliminated in closed form and the coefficients of dimensions 2..Q are
     found by block-Jacobi preconditioned conjugate gradients on their Schur
     complement A (``_schur_cg``); a sweep is the initial residual or one
-    operator product on the cross-tables.  A column still running after
-    ``FACTOR_AFTER`` products continues with a sparse LU factorization of A
-    as the preconditioner; its products still count as sweeps, and forming
-    and factoring A, once per call, is reported in ``factor``
-    (``FactorRecord``: A's order and nonzeros, the factors' nonzeros and the
-    seconds spent; ``lu_nnz`` is 0 when A overran its budget and the columns
-    stayed on block Jacobi).  Otherwise, and always with one
+    operator product on the cross-tables.  A column whose predicted
+    block-Jacobi products cost more than forming and factoring A restarts
+    with a sparse LU factorization of A as the preconditioner; its products
+    still count as sweeps, and forming and factoring A, once per call, is
+    reported in ``factor`` (``FactorRecord``: A's order and nonzeros, the
+    factors' nonzeros, the seconds spent and the products the first column
+    made before it switched; ``refused`` when the estimate of A's nonzeros
+    passed the budget and A was not formed).  Otherwise, and always with one
     dimension, plain alternating sweeps over the rows run to their fixed
     point; a sweep is one group-sum and one gather per dimension.  A column
     stops once the move a plain sweep would make (for CG: the sup norm of
@@ -695,8 +851,9 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     (``fe_coef[1:]`` flattened to (sum G_q L_q, n_targets)).
     ``consume_targets`` lets the solver reuse (and destroy) the problem's
     target buffer; only set it on throwaway problems.  ``structure`` carries
-    the cross-tables from one call to the next over the same dimensions, as
-    the steps of an IRLS fit do; without it the call builds its own.
+    the cross-tables, and what the fit learned about factoring A, from one
+    call to the next over the same dimensions, as the steps of an IRLS fit
+    do; without it the call builds its own.
     """
     targets = problem.targets
     n, T = targets.shape

@@ -167,8 +167,9 @@ class Convergence:
     demean_converged: bool = True
     irls_iterations: int = 0
     irls_converged: bool = True
-    # the Schur complement factorization of the demeaning; for IRLS, of the
-    # last step that made one
+    # the Schur complement factorization of the demeaning, or its refusal;
+    # for IRLS, of the last step that made one (a step after the first
+    # switch switches at product 0, and one after a refusal never estimates)
     demean_factor: Optional[FactorRecord] = None
     irls_path: list[IrlsStep] = field(default_factory=list)  # one per IRLS step
 

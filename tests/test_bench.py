@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 from unittest import mock
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fehd import bench
-from fehd.bench import (BenchCase, DgpConfig, dataset_to_csv, parse_cases,
-                        run_benchmark, simulate_panel)
+from fehd.bench import (BenchCase, DgpConfig, benchmark_csv, dataset_to_csv,
+                        parse_cases, run_benchmark, simulate_panel)
 from fehd.data import CategoricalColumn, Dataset, NumericColumn, load_csv
 from fehd.estimators import fit_ols
 from fehd.inference import VcovSpec, compute_vcov
@@ -163,6 +164,18 @@ class TestRunBenchmark:
                                       BenchCase("simple", 2, "poisson")], seed=1)
         assert [r["status"] for r in rows] == ["ok", "ok"]
         assert rows[0]["irls_iterations"] == -1 and rows[1]["irls_iterations"] >= 1
+
+    def test_factorization_columns(self, monkeypatch):
+        # -1 where A was never formed; a switch forced at product 1 reports it
+        case = BenchCase("difficult", 2, "ols")
+        plain = run_benchmark([2000], [case], seed=1)[0]
+        assert plain["factor_s"] == plain["switch_at"] == -1
+        module = importlib.import_module("fehd.demean")
+        monkeypatch.setattr(module, "_factor_pays", lambda ratios, *_: len(ratios) > 1)
+        monkeypatch.setattr(module, "FACTOR_NNZ_BUDGET", np.inf)
+        row = run_benchmark([2000], [case], seed=1)[0]
+        assert row["status"] == "ok" and row["switch_at"] == 1 and row["factor_s"] > 0
+        assert "factor_s,switch_at,status" in benchmark_csv([row]).splitlines()[0]
 
     def test_difficult_needs_more_iterations(self):
         simple = run_benchmark([5000], [BenchCase("simple", 2, "ols")], seed=2)

@@ -347,7 +347,8 @@ class TestConjugateGradientAnyStructure:
 
 @pytest.fixture
 def switch_at(monkeypatch):
-    """Set the product count after which CG switches to the factored Schur complement.
+    """Make the switch decision: a column switches to the factored Schur
+    complement once it has made k products, or never with k None.
 
     The nonzero budget is lifted too: these small designs have few
     cross-table entries for the size of A.
@@ -355,7 +356,8 @@ def switch_at(monkeypatch):
     module = importlib.import_module("fehd.demean")
 
     def switch(k, budget=np.inf):
-        monkeypatch.setattr(module, "FACTOR_AFTER", k)
+        monkeypatch.setattr(module, "_factor_pays",
+                            lambda ratios, *_: k is not None and len(ratios) > k)
         monkeypatch.setattr(module, "FACTOR_NNZ_BUDGET", budget)
     return switch
 
@@ -415,7 +417,7 @@ class TestSchurFactorization:
         y, c1, c2 = chain_two_fe(rng)
         w = rng.uniform(0.5, 2.0, len(y))
         dims = lambda: [FeDim(fidx(c1)), FeDim(fidx(c2))]
-        switch_at(10_000)
+        switch_at(None)
         cg = demean(DemeanProblem(targets=y, dims=dims(), weights=w, tol=1e-13))
         switch_at(6)
         res = demean(DemeanProblem(targets=y, dims=dims(), weights=w, tol=1e-13))
@@ -455,14 +457,39 @@ class TestSchurFactorization:
         oracle = dummy_residualize(Y, specs((c1, None), (c2, None), (c3, None)), weights=w)
         assert np.allclose(both.residuals, oracle, atol=1e-8)
 
+    def test_batch_matches_per_column_runs_under_the_rule(self, rng, monkeypatch):
+        # long chains, where the rule itself switches: the batch switches at
+        # the first column's product 1, the single columns later, each
+        # restarting from its initial residual
+        y, (c1, c2) = two_chains(rng, lambda r: chain_two_fe(r, 10_000, 1_000, 200))
+        Y = np.column_stack([rng.normal(size=2_000)[c1], y, rng.normal(size=len(y)), 3.0 * y])
+        w = rng.uniform(0.5, 2.0, len(y))
+        dims = lambda: [FeDim(fidx(c)) for c in (c1, c2)]
+        both = demean(DemeanProblem(targets=Y, dims=dims(), weights=w, tol=1e-10))
+        assert both.converged and both.factor.lu_nnz > 0
+        switched = []
+        for j in range(Y.shape[1]):
+            solo = demean(DemeanProblem(targets=Y[:, j], dims=dims(), weights=w, tol=1e-10))
+            assert (solo.factor is None) == (j == 0)
+            switched.append(solo.factor and solo.factor.switch_at)
+            assert np.array_equal(both.residuals[:, j], solo.residuals[:, 0])
+            for cb, cs in zip(both.fe_coef, solo.fe_coef):
+                assert np.array_equal(cb[:, :, j], cs[:, :, 0])
+        assert min(switched[1:]) > both.factor.switch_at
+        monkeypatch.setattr(importlib.import_module("fehd.demean"), "_factor_pays",
+                            lambda *args: False)
+        tight = demean(DemeanProblem(targets=Y, dims=dims(), weights=w, tol=1e-13))
+        assert tight.converged and tight.factor is None
+        assert np.abs(both.residuals - tight.residuals).max() <= 1e-8
+
     def test_budget_overrun_stays_on_block_jacobi(self, rng, switch_at):
         y, (c1, c2) = two_chains(rng)
         dims = lambda: [FeDim(fidx(c1)), FeDim(fidx(c2))]
-        switch_at(10_000)
+        switch_at(None)
         cg = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-13))
         switch_at(2, budget=1e-3)
         res = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-13))
-        assert res.factor.lu_nnz == 0 and res.factor.nnz > 0
+        assert res.factor.refused and res.factor.lu_nnz == 0 and res.factor.nnz > 0
         assert res.sweeps == cg.sweeps and np.array_equal(res.residuals, cg.residuals)
         oracle = dummy_residualize(y[:, None], specs((c1, None), (c2, None)))
         assert res.converged and np.allclose(res.residuals, oracle, atol=1e-8)
@@ -470,7 +497,7 @@ class TestSchurFactorization:
     def test_no_descent_direction_falls_back_to_block_jacobi(self, rng, switch_at,
                                                              monkeypatch):
         switch_at(2)
-        record = FactorRecord(dim=12, nnz=0, lu_nnz=1, seconds=0.0)
+        record = FactorRecord(dim=12, nnz=0, lu_nnz=1, seconds=0.0, switch_at=2)
         monkeypatch.setattr(importlib.import_module("fehd.demean"), "_factor_schur",
                             lambda *args: (np.zeros_like, record))
         y, c1, c2 = chain_two_fe(rng)
@@ -574,7 +601,7 @@ def test_schur_matrix_matches_the_dense_formula(rng, monkeypatch, dense_cols, or
     buf = np.empty(n)
     C1 = [structure.cross(0, q, works, buf) for q in range(1, 3)]
     K = [(0, 1, structure.cross(1, 2, works, buf))]
-    A, within = module._schur_matrix(works[0], works[1:], C1, K, np.inf)
+    A = module._schur_matrix(works[0], works[1:], C1, K)
     D = [d.design(n) for d in dims]
     dummies = [np.hstack([np.equal.outer(c, np.arange(c.max() + 1)) * Z[:, [k]]
                           for k in range(Z.shape[1])])
@@ -585,8 +612,76 @@ def test_schur_matrix_matches_the_dense_formula(rng, monkeypatch, dense_cols, or
     D1, Dr = dummies[0], np.hstack(dummies[1:])
     C = D1.T @ (w[:, None] * Dr)
     dense = Dr.T @ (w[:, None] * Dr) - C.T @ np.linalg.pinv(D1.T @ (w[:, None] * D1)) @ C
-    assert within
     assert np.abs(A.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("dense_cols", [0, 8])
+@pytest.mark.parametrize("layout", ["2fe", "slopes", "3fe"])
+def test_nnz_estimate_of_every_row_is_exact(rng, monkeypatch, layout, dense_cols):
+    # sampling every row of A counts its pattern exactly; a block that
+    # touches a dense dimension (dense_cols 8: the 5-group one) counts whole.
+    # Random weights: unweighted, some entries of these designs cancel exactly
+    module = importlib.import_module("fehd.demean")
+    monkeypatch.setattr(module, "DENSE_COLS", dense_cols)
+    monkeypatch.setattr(module, "FACTOR_SAMPLE", 10**6)
+    pairs = structure_layouts(rng)[layout]
+    dims = [FeDim(fidx(c), slopes=z) for c, z in pairs]
+    n = len(pairs[0][0])
+    w = rng.uniform(0.5, 2.0, n)
+    works = [module._DimWork(d, w, n) for d in dims]
+    structure = module.FeStructure(dims)
+    buf = np.empty(n)
+    C1 = [structure.cross(0, q, works, buf) for q in range(1, len(dims))]
+    K = [(q - 1, s - 1, structure.cross(q, s, works, buf))
+         for q in range(1, len(dims)) for s in range(q + 1, len(dims))]
+    A = module._schur_matrix(works[0], works[1:], C1, K)
+    costs = module._SwitchCosts(works[1:], C1, K)
+    bounds = np.cumsum([0] + costs.widths)
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    dense = [width <= dense_cols for width in costs.widths]
+    expect = sum(costs.widths[q] * costs.widths[s] if dense[q] or dense[s] else A[bq][:, bs].nnz
+                 for q, bq in enumerate(blocks) for s, bs in enumerate(blocks))
+    assert costs.order == A.shape[0] and costs.nnz() == expect
+
+
+class FixedCosts:
+    """Switch costs of a made-up design, in products of 1 flop."""
+
+    def __init__(self, form, nnz):
+        self.product, self.form, self.order, self._nnz = 1.0, form, 100, nnz
+
+    def nnz(self):
+        if self._nnz is None:
+            raise AssertionError("estimated A where the products alone decide")
+        return self._nnz
+
+
+class TestFactorPays:
+    """``_factor_pays``: predicted block-Jacobi products against A's cost."""
+
+    def test_no_rate_before_the_second_product(self):
+        module = importlib.import_module("fehd.demean")
+        assert not module._factor_pays([1e6], 10, FixedCosts(0.0, 0))
+        assert not module._factor_pays([1e6, 1e6], 10, FixedCosts(0.0, 0))
+
+    def test_fast_shrink_never_estimates(self):
+        # 40x per product: 1.2 products left, cheaper than forming A
+        module = importlib.import_module("fehd.demean")
+        assert not module._factor_pays([3e4, 800, 20], 2, FixedCosts(20.0, None))
+
+    def test_slow_shrink_pays_on_a_sparse_a(self):
+        # 2x per product down to 1e4: 13.3 products left, 15.3 in all for
+        # each of the 2 columns after, 44 against 20 + 3 products for A and
+        # the factored runs, and 120 nnz(A) per run more
+        module = importlib.import_module("fehd.demean")
+        ratios = [1e4 * 2.0 ** 2, 2e4, 1e4]
+        assert module._factor_pays(ratios, 2, FixedCosts(20.0, 0.01))
+        assert not module._factor_pays(ratios, 2, FixedCosts(20.0, 100))
+        assert not module._factor_pays(ratios, 0, FixedCosts(20.0, None))
+
+    def test_a_stalled_column_switches(self):
+        module = importlib.import_module("fehd.demean")
+        assert module._factor_pays([5e3, 5.5e3, 6e3], 0, FixedCosts(1e9, 0))
 
 
 SCALE_FREE_PANELS = ("indiv_id + firm_id", "indiv_id + firm_id + year",

@@ -485,7 +485,7 @@ class TestSolverRecord:
     @pytest.mark.parametrize("shift", [None, 1e-6])
     def test_difficult_assignment_factors_and_converges(self, panel, monkeypatch, shift):
         # a large shift leaves an error of about shift / (A's smallest
-        # eigenvalue) in one plain solve with the factor; refinement squares it
+        # eigenvalue) in one plain solve with the factor; refinement cubes it
         module = importlib.import_module("fehd.demean")
         if shift is not None:
             monkeypatch.setattr(module, "FACTOR_SHIFT", shift)
@@ -495,7 +495,7 @@ class TestSolverRecord:
         assert fit.convergence.demean_converged
         assert record.dim == 435 and record.lu_nnz >= record.nnz > 0 and record.seconds > 0
         tight = fit_ols(formula, panel, demean_tol=1e-12)
-        monkeypatch.setattr(module, "FACTOR_AFTER", 10_000)
+        monkeypatch.setattr(module, "_factor_pays", lambda *args: False)
         unfactored = fit_ols(formula, panel, demean_tol=1e-12)
         assert unfactored.convergence.demean_factor is None
         for ref in (tight, unfactored):
@@ -509,7 +509,70 @@ class TestSolverRecord:
         fit = fit_glm_irls("ycount ~ x1 | indiv_id + firm_id_difficult", ds,
                            family="poisson")
         assert fit.convergence.demean_converged and fit.convergence.irls_converged
+        # the steps after the first switch switch at their first product
         assert fit.convergence.demean_factor.lu_nnz > 0
+        assert fit.convergence.demean_factor.switch_at == 0
+
+    @pytest.mark.parametrize("family", ["ols", "poisson"])
+    def test_simple_assignment_forms_no_part_of_a(self, panel, monkeypatch, family):
+        # random graphs stop within a few products, and a Poisson step that
+        # runs longer meets a dense A that the cost rule turns down
+        module = importlib.import_module("fehd.demean")
+
+        def formed(*args):
+            raise AssertionError("a simple-assignment fit formed A")
+        monkeypatch.setattr(module, "_factor_schur", formed)
+        monkeypatch.setattr(module, "_schur_matrix", formed)
+        if family == "ols":
+            fit = fit_ols("y ~ x1 + x2 | indiv_id + firm_id + year", panel)
+        else:
+            ycount = np.random.default_rng(1).poisson(np.exp(panel.numeric("y") - 1))
+            ds = panel.with_columns({"ycount": NumericColumn(ycount.astype(float))})
+            fit = fit_glm_irls("ycount ~ x1 + x2 | indiv_id + firm_id", ds,
+                               family="poisson")
+        assert fit.convergence.demean_converged and fit.convergence.demean_factor is None
+
+    def test_dense_graph_estimates_a_once_per_irls_fit(self, panel, monkeypatch):
+        # the switch forced at every column's first product: the first one
+        # estimates A, which passes its budget on the random graph; the
+        # refusal holds for the rest of the fit
+        module = importlib.import_module("fehd.demean")
+        ycount = np.random.default_rng(1).poisson(np.exp(panel.numeric("y") - 1))
+        ds = panel.with_columns({"ycount": NumericColumn(ycount.astype(float))})
+        formula = "ycount ~ x1 + x2 | indiv_id + firm_id"
+        free = fit_glm_irls(formula, ds, family="poisson")
+        calls = {"_schur_nnz_estimate": 0, "_factor_schur": 0}
+        for name in calls:
+            def counted(*args, name=name, run=getattr(module, name)):
+                calls[name] += 1
+                return run(*args)
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, "_factor_pays", lambda ratios, *_: len(ratios) > 1)
+        fit = fit_glm_irls(formula, ds, family="poisson")
+        record = fit.convergence.demean_factor
+        assert calls == {"_schur_nnz_estimate": 1, "_factor_schur": 1}
+        assert fit.convergence.irls_iterations > 1
+        assert record.refused and record.lu_nnz == 0 and record.switch_at == 1
+        # C1 holds at most one entry per row
+        assert record.nnz > module.FACTOR_NNZ_BUDGET * panel.n_rows
+        # a refusal leaves every column on block Jacobi: the same fit
+        assert np.array_equal(fit.coef, free.coef)
+        assert [st.sweeps for st in fit.convergence.irls_path] == \
+            [st.sweeps for st in free.convergence.irls_path]
+
+    def test_difficult_assignment_switches_early(self, monkeypatch):
+        panel = simulate_panel(DgpConfig(n=250_000, seed=0))
+        module = importlib.import_module("fehd.demean")
+        formula = "y ~ x1 + x2 | indiv_id + firm_id_difficult"
+        fit = fit_ols(formula, panel)
+        record = fit.convergence.demean_factor
+        assert fit.convergence.demean_converged
+        assert record.switch_at <= 5 and record.lu_nnz > 0 and not record.refused
+        monkeypatch.setattr(module, "_factor_pays", lambda *args: False)
+        unfactored = fit_ols(formula, panel, demean_tol=1e-12)
+        assert unfactored.convergence.demean_factor is None
+        assert np.abs(fit.residuals - unfactored.residuals).max() <= 1e-8
+        assert np.abs(fit.coef - unfactored.coef).max() <= 1e-8
 
 
 def log_form_poisson_deviance(y, mu, w):
