@@ -240,9 +240,8 @@ def _fit_case(ds, case: BenchCase, demean_tol: float, accelerate: bool):
                                  ols_targets)
         frame = build_frame(ds, fml.expand_models(fml.parse_formula(case.formula()))[0])
         problem, sel_map = ols_targets([frame], tol=demean_tol)
-        dres = demean(problem, accelerate=False, keep_coefs=False, consume_targets=True)
-        fit = finish_ols_group([frame], sel_map, dres.residuals, dres,
-                               DEFAULT_COLLIN_TOL)[0]
+        dres = demean(problem, accelerate=False, consume_targets=True)
+        fit = finish_ols_group([frame], sel_map, dres, DEFAULT_COLLIN_TOL)[0]
         if isinstance(fit, Exception):
             raise fit
         return fit

@@ -94,7 +94,6 @@ def _build_parser() -> _Parser:
                      help="file of 'option = value' lines, one --option value "
                           "each (a switch takes true or false); options given "
                           "on the command line win")
-    fit.add_argument("--dump-ast", action="store_true")
     fit.set_defaults(fit_parser=fit)
 
     sim = sub.add_parser("simulate", help="generate the benchmark panel as CSV")
@@ -129,7 +128,7 @@ FIT_DEFAULTS = {
 
 
 # fit options a config file cannot set
-NOT_IN_CONFIG = ("help", "formula", "data", "config", "dump_ast")
+NOT_IN_CONFIG = ("help", "formula", "data", "config")
 SWITCH_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -209,10 +208,6 @@ def _resolve_threads(value: Optional[int]) -> int:
 
 def cmd_fit(args, threads: int) -> int:
     _apply_config_and_defaults(args)
-    if args.dump_ast:
-        spec = fml.parse_formula(args.formula)
-        _emit(json.dumps(fml.ast_to_dict(spec), indent=2) + "\n", args.file)
-        return 0
     panel = [s.strip() for s in args.panel.split(",")] if args.panel else None
     ds = _load_run_columns(args, panel)
     if panel is not None:

@@ -150,7 +150,6 @@ class FactorIndex:
 
     group_of_row: np.ndarray  # int64, length n_used
     n_groups: int
-    group_sizes: np.ndarray
     # per factor: its raw values at each group's first row (floats, or the
     # codes of a categorical) and the categorical's levels (None if numeric)
     label_parts: tuple[tuple[np.ndarray, Optional[tuple[str, ...]]], ...] = ()
@@ -569,9 +568,8 @@ def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> Fact
         codes2, n2 = _factor_codes(ds, mask, name)
         combined = codes * np.int64(n2) + codes2
         codes, n, first_rows = first_appearance_codes(combined, return_first_rows=True)
-    sizes = np.bincount(codes, minlength=n)
     rows = np.flatnonzero(mask.keep)[first_rows]  # each group's first dataset row
-    return FactorIndex(group_of_row=codes, n_groups=n, group_sizes=sizes,
+    return FactorIndex(group_of_row=codes, n_groups=n,
                        label_parts=tuple(_label_part(ds, name, rows) for name in factors))
 
 

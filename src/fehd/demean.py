@@ -190,7 +190,7 @@ class DemeanResult:
     residuals: np.ndarray  # (n_used, n_targets)
     iterations: int
     converged: bool
-    fe_coef: Optional[list[np.ndarray]] = None  # per dim: (G_q, L_q, n_targets)
+    fe_coef: list[np.ndarray] = field(default_factory=list)  # per dim: (G_q, L_q, n_targets)
     dropped: list[tuple[int, int, int]] = field(default_factory=list)  # (dim, group, col)
     sweeps: int = 0
     factor: Optional[FactorRecord] = None  # None: no column switched to a factored A
@@ -395,7 +395,9 @@ class FeStructure:
     made at the first decision), and ``factor_pays``, None until a column
     switches, then True once A was factored, or False once A was refused or
     found singular.  After a switch a later call switches at its first
-    product; after a refusal it never estimates A again.
+    product; after a refusal it never estimates A again.  ``state`` holds
+    the coefficients of dimensions 2..Q (``fe_coef[1:]`` stacked) that the
+    last call ended at; the next call with as many targets starts from them.
     """
 
     def __init__(self, dims: list[FeDim]):
@@ -404,6 +406,7 @@ class FeStructure:
         self.maps: dict[tuple[int, int], np.ndarray] = {}
         self.costs: Optional[_SwitchCosts] = None
         self.factor_pays: Optional[bool] = None
+        self.state: Optional[np.ndarray] = None
 
     def cross(self, a: int, b: int, works: list[_DimWork],
               buf: np.ndarray) -> sp.csr_matrix:
@@ -821,8 +824,6 @@ def _column_scales(targets: np.ndarray, w: Optional[np.ndarray],
 
 
 def demean(problem: DemeanProblem, accelerate: bool = True,
-           keep_coefs: bool = True,
-           init_state: Optional[np.ndarray] = None,
            consume_targets: bool = False,
            structure: Optional[FeStructure] = None) -> DemeanResult:
     """Demean every target column against the problem's fixed-effect structure.
@@ -846,20 +847,18 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     its weighted SD floored as the module doc says.  Each target column
     runs its own iteration, so a batched run reproduces the single-column
     results bit for bit.  ``sweeps`` reports the slowest column's count and
-    ``iterations`` its CG steps (sweeps - 1 in the plain mode).
-    ``init_state`` warm-starts the coefficients of dimensions 2..Q
-    (``fe_coef[1:]`` flattened to (sum G_q L_q, n_targets)).
-    ``consume_targets`` lets the solver reuse (and destroy) the problem's
-    target buffer; only set it on throwaway problems.  ``structure`` carries
-    the cross-tables, and what the fit learned about factoring A, from one
-    call to the next over the same dimensions, as the steps of an IRLS fit
-    do; without it the call builds its own.
+    ``iterations`` its CG steps (sweeps - 1 in the plain mode); ``fe_coef``
+    the FE coefficients the residuals were formed with.  ``consume_targets``
+    lets the solver reuse (and destroy) the problem's target buffer; only
+    set it on throwaway problems.  ``structure`` carries the cross-tables,
+    what the fit learned about factoring A and the warm start (where the
+    last call ended) from one call to the next over the same dimensions, as
+    the steps of an IRLS fit do; without it the call starts cold.
     """
     targets = problem.targets
     n, T = targets.shape
     if not problem.dims:
-        return DemeanResult(residuals=targets.copy(), iterations=0, converged=True,
-                            fe_coef=[] if keep_coefs else None)
+        return DemeanResult(residuals=targets.copy(), iterations=0, converged=True)
 
     if structure is None:
         structure = FeStructure(problem.dims)
@@ -869,8 +868,9 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     bounds = [0]
     for wk in works[1:]:
         bounds.append(bounds[-1] + wk.G * wk.L)
-    S = np.zeros((bounds[-1], T)) if init_state is None else \
-        np.array(init_state, dtype=np.float64, copy=True)
+    S = np.zeros((bounds[-1], T))
+    if structure.state is not None and structure.state.shape == S.shape:
+        S[:] = structure.state  # the warm start: where the last call ended
     coef0 = np.zeros((works[0].G * works[0].L, T))
     # F-order for contiguous per-column views; copied unless the caller
     # explicitly hands over ownership of the target buffer
@@ -881,7 +881,7 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     buf = np.empty(n)  # the one row buffer every gather goes through
     scale, rms = _column_scales(targets, problem.weights, buf)
     thr = np.maximum(problem.tol * scale, LEVEL_EPS * np.finfo(np.float64).eps * rms)
-    if init_state is not None and np.any(S):
+    if np.any(S):
         for j in range(T):
             for q, wk in enumerate(works[1:]):
                 wk.subtract(S[bounds[q]:bounds[q + 1], j], r[:, j], buf)
@@ -898,11 +898,10 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
         sweeps = int(steps.max(initial=0))
         iterations = max(sweeps - 1, 0)
 
-    fe_coef = None
-    if keep_coefs:
-        fe_coef = [coef0.reshape(works[0].G, works[0].L, T)] + [
-            S[bounds[q]:bounds[q + 1]].reshape(wk.G, wk.L, T)
-            for q, wk in enumerate(works[1:])]
+    structure.state = S
+    fe_coef = [coef0.reshape(works[0].G, works[0].L, T)] + [
+        S[bounds[q]:bounds[q + 1]].reshape(wk.G, wk.L, T)
+        for q, wk in enumerate(works[1:])]
     dropped = [(q, int(g), int(c)) for q, wk in enumerate(works)
                for g, c in zip(*np.nonzero(wk.dropped))]
     return DemeanResult(residuals=r, iterations=iterations,
@@ -915,18 +914,16 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
 # Fixed-effect coefficient recovery
 # ---------------------------------------------------------------------------
 
-def recover_fixef(result: DemeanResult, problem: DemeanProblem,
-                  target: int = 0) -> tuple[list[np.ndarray], FixefReport]:
-    """Per-dimension coefficient sets for one target column.
+def recover_fixef(result: DemeanResult, dims: list[FeDim],
+                  combination: np.ndarray) -> tuple[list[np.ndarray], FixefReport]:
+    """Per-dimension coefficient sets of sum_j c_j target_j: ``fe_coef @ c``.
 
     Intercept-carrying dimensions beyond the first are normalized so their
     first group's intercept is zero, the shifts being folded into the first
     intercept-carrying dimension.  Slope coefficients are left untouched.
     """
-    if result.fe_coef is None:
-        raise DemeanError("fe_coef not retained; rerun demean with keep_coefs=True")
-    coefs = [np.array(c[:, :, target], copy=True) for c in result.fe_coef]
-    intercept_dims = [q for q, d in enumerate(problem.dims) if d.intercept]
+    coefs = [c @ combination for c in result.fe_coef]
+    intercept_dims = [q for q, d in enumerate(dims) if d.intercept]
     notes = []
     if len(intercept_dims) > 1:
         base = intercept_dims[0]

@@ -10,7 +10,7 @@ Frisch-Waugh-Lovell the 2SLS stages are solves on the Gram ``G`` of the
 demeaned block ``[y - offset, X, E, Z]`` or on ``T'GT`` for a map ``T`` of the
 block; IRLS solves each step on the Gram of ``[z, X]`` under the working
 weights.  Every fit keeps one ``Design`` record, from which inference forms
-the score rows on first use and ``fixef`` recovers the fixed effects.
+the score rows on first use and ``fixef`` reads the fit's own fixed effects.
 ``fit_model`` is the one estimator dispatch, and ``ols_targets`` the one
 layout of OLS target columns, for single and pooled fits alike.
 """
@@ -178,26 +178,31 @@ class Convergence:
 class Design:
     """What a fit retains of its design; every estimator fills it the same way.
 
-    ``fixef()`` recovers the fixed effects as the FE projection of
-    ``fe_target - sum_k coef[k] * x_raw[k]`` under ``fe_weights``.
-    ``ensure_scores()`` forms the score rows ``D * (weights * r)``, where
-    ``D`` holds the demeaned kept regressors, drawn from ``block``, and ``r``
-    is the fit's residual.
+    ``demeaned`` is the fit's one demeaning: its residuals are ``block``, and
+    its ``fe_coef`` the fixed effects each target column lost.  The fit's
+    residual is ``block @ resid_map`` (for a GLM, the last IRLS step's
+    working residual), so ``fixef()`` reads its fixed effects as
+    ``fe_coef @ resid_map``.  ``ensure_scores()`` forms the score rows
+    ``D * (weights * r)``, ``D`` the demeaned kept regressors drawn from
+    ``block`` and ``r`` the fit's residual.
     """
     dims: list[FeDim]                 # the fixed-effect dimensions
     weights: Optional[np.ndarray]     # user weights; None when unweighted
     y: np.ndarray                     # observed outcome
     offset: Optional[np.ndarray]
-    # y - offset with the user weights (OLS, 2SLS); the last IRLS working
-    # response with the working weights (GLM)
-    fe_target: np.ndarray
-    fe_weights: Optional[np.ndarray]
-    x_raw: list[np.ndarray]           # raw kept regressors, aligned with coef
-    block: np.ndarray                 # demeaned columns D is formed from
+    # y - offset, read only by FitResult.fitted; None where the fit stores its
+    # fitted values (GLM) or forms no residuals (first stages)
+    fe_target: Optional[np.ndarray]
+    demeaned: DemeanResult
     # D = block[:, regressors] for a list of positions, block @ regressors
     # for a (block columns x kept) map
     regressors: Union[list[int], np.ndarray]
-    resid_map: Optional[np.ndarray] = None  # r = block @ resid_map; None: fit.residuals
+    resid_map: np.ndarray             # c: the residual is block @ c
+
+    @property
+    def block(self) -> np.ndarray:
+        """The demeaned columns D and the residual are formed from."""
+        return self.demeaned.residuals
 
 
 @dataclass
@@ -263,7 +268,7 @@ class FitResult:
                 mat = np.column_stack([d.block[:, j] for j in d.regressors])
             else:
                 mat = np.empty((len(d.y), 0))
-            r = self.residuals if d.resid_map is None else d.block @ d.resid_map
+            r = d.block @ d.resid_map if self.residuals is None else self.residuals
             wr = r if d.weights is None else d.weights * r
             self.scores = mat * wr[:, None]
         return self.scores
@@ -651,8 +656,8 @@ def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
     """
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     problem, sel_map = ols_targets([frame], demean_tol, demean_max_iter)
-    dres = _demean_converged(problem, keep_coefs=False, consume_targets=True)
-    fit = finish_ols_group([frame], sel_map, dres.residuals, dres, collin_tol)[0]
+    dres = _demean_converged(problem, consume_targets=True)
+    fit = finish_ols_group([frame], sel_map, dres, collin_tol)[0]
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -714,18 +719,19 @@ def ols_targets(frames: list[ModelFrame], tol: float = DEFAULT_TOL,
 
 
 def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int]]],
-                     R: np.ndarray, dres, collin_tol: float):
-    """Solve a pooled group of OLS models from one batched demeaned matrix.
+                     dres: DemeanResult, collin_tol: float):
+    """Solve a pooled group of OLS models from one batched demeaning.
 
-    ``R`` holds the demeaned distinct target columns; ``sel_map`` gives each
-    model its (lhs index, rhs indices) into R.  One cross-product of R serves
-    every model's normal equations, and models sharing a kept design solve
-    their residuals in a single matrix product.  Returns a FitResult or an
+    Its residuals R hold the demeaned distinct target columns; ``sel_map``
+    gives each model its (lhs index, rhs indices) into R.  One cross-product
+    of R serves every model's normal equations, and models sharing a kept
+    design solve their residuals in a single matrix product.  Returns a FitResult or an
     exception per model, aligned with ``frames``.  This is the only code that
     builds an OLS FitResult; a single fit is a group of one.
     """
     w = frames[0].weights
-    n = R.shape[0]
+    R = dres.residuals
+    n, p = R.shape
     G_all = _gram(R, w)
     scale = _collin_scale(dres, w)
 
@@ -778,6 +784,9 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
             y = frame.shifted_y
             r = resid[m]
+            c = np.zeros(p)
+            c[iy] = 1.0
+            c[list(kept_cols)] -= sol.coef
             ssr = sol.ssr if sol.ssr is not None else _wssr(r, w)
             if frame.lhs_name not in sst_cache:
                 sst_cache[frame.lhs_name] = _sst(
@@ -796,9 +805,8 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
                 ssr=ssr, sst=sst,
                 ssr_fe_only=float(G_all[iy, iy]),
                 design=Design(dims=frame.dims, weights=w, y=frame.y,
-                              offset=frame.offset, fe_target=y, fe_weights=w,
-                              x_raw=[frame.x_cols[k] for k in sol.kept],
-                              block=R, regressors=list(kept_cols)),
+                              offset=frame.offset, fe_target=y, demeaned=dres,
+                              regressors=list(kept_cols), resid_map=c),
             ))
         except EstimationError as exc:
             out.append(exc)
@@ -834,7 +842,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
             + [frame.inst[:, j] for j in range(n_inst)])
     problem = DemeanProblem(targets=_stack_f(cols), dims=frame.dims, weights=w,
                             tol=demean_tol, max_iter=demean_max_iter)
-    dres = _demean_converged(problem, keep_coefs=False, consume_targets=True)
+    dres = _demean_converged(problem, consume_targets=True)
     R = dres.residuals
     G = _gram(R, w)
     p = R.shape[1]
@@ -874,9 +882,8 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
             family="ols", lhs_name=frame.endo_names[j],
             ssr=ssr1, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie]),
             design=Design(dims=frame.dims, weights=w, y=cols[ie], offset=None,
-                          fe_target=cols[ie], fe_weights=w,
-                          x_raw=[cols[k] for k in kept_pos], block=R,
-                          regressors=kept_pos, resid_map=resid_map)))
+                          fe_target=None, demeaned=dres, regressors=kept_pos,
+                          resid_map=resid_map)))
 
     # second stage: y on [E_hat, X] = R @ T[:, 1:], solved from T'GT
     names2 = [f"fit_{e}" for e in frame.endo_names] + frame.x_names
@@ -908,8 +915,8 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
         ssr=_wssr(r, w), sst=sst, ssr_fe_only=float(G[0, 0]),
         iv_diag=iv_diag,
         design=Design(dims=frame.dims, weights=w, y=frame.y, offset=frame.offset,
-                      fe_target=y, fe_weights=w, x_raw=[cols[k] for k in orig_pos],
-                      block=R, regressors=T[:, [1 + k for k in sol.kept]]),
+                      fe_target=y, demeaned=dres,
+                      regressors=T[:, [1 + k for k in sol.kept]], resid_map=c),
     )
 
 
@@ -941,8 +948,9 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     ``demean_tol`` (``--demean-tol``) is the tolerance of the first and of
     the last step.  With fewer dimensions the demeaning is exact and every
     step runs at ``demean_tol``.  Every step refills the cross-tables of
-    one ``FeStructure``.  ``Convergence.irls_path`` records each step's
-    deviance, inner tolerance and sweeps.
+    one ``FeStructure`` and starts from the FE coefficients the step before
+    ended at.  ``Convergence.irls_path`` records each step's deviance, inner
+    tolerance and sweeps.
     """
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     fam = FAMILIES.get(family)
@@ -965,7 +973,6 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     mu = fam.linkinv(eta)
     dev = deviance(eta, mu)
     sol = None
-    warm_state = None
     factor = None
     converged = False
     path: list[IrlsStep] = []
@@ -980,10 +987,8 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         targets = _stack_f([z] + frame.x_cols)
         problem = DemeanProblem(targets=targets, dims=frame.dims, weights=wtot,
                                 tol=tol, max_iter=demean_max_iter)
-        dres = _demean_converged(problem, keep_coefs=True, init_state=warm_state,
-                                 consume_targets=True, structure=structure)
+        dres = _demean_converged(problem, consume_targets=True, structure=structure)
         factor = dres.factor or factor
-        warm_state = _state_from_coefs(dres)
         # the weighted LS step on [z, X]; the kept columns stay those of step 1
         R = dres.residuals
         sol = solve_gram(_gram(R, wtot), 0, range(1, R.shape[1]), collin_tol,
@@ -1035,18 +1040,9 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         ssr=ssr, sst=sst, ssr_fe_only=float("nan"),
         deviance=dev,
         design=Design(dims=frame.dims, weights=frame.weights, y=y, offset=frame.offset,
-                      fe_target=z, fe_weights=wtot,
-                      x_raw=[frame.x_cols[k] for k in sol.kept], block=R,
-                      regressors=[1 + k for k in sol.kept]),
+                      fe_target=None, demeaned=dres,
+                      regressors=[1 + k for k in sol.kept], resid_map=c),
     )
-
-
-def _state_from_coefs(dres: DemeanResult) -> Optional[np.ndarray]:
-    if dres.fe_coef is None or len(dres.fe_coef) <= 1:
-        return None
-    T = dres.fe_coef[0].shape[2]
-    parts = [c.reshape(-1, T) for c in dres.fe_coef[1:]]
-    return np.concatenate(parts, axis=0) if parts else None
 
 
 # ---------------------------------------------------------------------------
@@ -1086,21 +1082,18 @@ class FixefSet:
 
 
 def fixef(fit: FitResult) -> tuple[dict[str, FixefSet], object]:
-    """Recover the fixed-effect coefficient sets of a fitted model.
+    """The fit's own fixed-effect coefficient sets, at its demeaning tolerance.
 
-    Returns a map from the fixed-effect label to its coefficient set
-    (group labels plus an n_groups x n_coef_cols array), and the
-    identification report.
+    They are read off the fit's demeaning (``Design``), not solved again, so
+    with the regressor part they reproduce the fitted values (their link for
+    a GLM) to rounding.  Returns a map from the fixed-effect label to its
+    coefficient set (group labels plus an n_groups x n_coef_cols array), and
+    the identification report.
     """
     d = fit.design
     if not d.dims:
         raise EstimationError("model has no fixed-effects")
-    target = d.fe_target.copy()
-    for c, col in zip(fit.coef, d.x_raw):
-        target -= c * col
-    problem = DemeanProblem(targets=target, dims=d.dims, weights=d.fe_weights)
-    res = demean(problem, keep_coefs=True)
-    coefs, report = recover_fixef(res, problem, target=0)
+    coefs, report = recover_fixef(d.demeaned, d.dims, d.resid_map)
     out = {}
     for q, dim in enumerate(d.dims):
         label = dim.label or f"fe{q + 1}"

@@ -231,6 +231,18 @@ class _Parser:
             raise FormulaError(f"expected {what}, found {t.text or 'end of input'!r}", t.pos)
         return self.next().text
 
+    def items(self, item, sep: str) -> list:
+        """``item (sep item)*``: the one list grammar of the language."""
+        out = [item()]
+        while self.accept(sep):
+            out.append(item())
+        return out
+
+    def at_call(self, names) -> bool:
+        """Whether the next tokens are one of ``names`` and an opening '('."""
+        t = self.peek()
+        return t.kind == "ident" and t.text in names and self.toks[self.i + 1].text == "("
+
     # -- entry --
     def parse(self) -> FormulaSpec:
         lhs = self.parse_lhs()
@@ -270,16 +282,14 @@ class _Parser:
 
     # -- lhs --
     def parse_lhs(self) -> tuple[Term, ...]:
-        t = self.peek()
-        if t.kind == "ident" and t.text == "c" and self.toks[self.i + 1].text == "(":
-            self.next()
-            self.next()
-            terms = [self.parse_column_term("left-hand side")]
-            while self.accept(","):
-                terms.append(self.parse_column_term("left-hand side"))
+        def column_term():
+            return self.parse_column_term("left-hand side")
+        if self.at_call(("c",)):
+            self.i += 2
+            terms = self.items(column_term, ",")
             self.expect(")")
             return tuple(terms)
-        return (self.parse_column_term("left-hand side"),)
+        return (column_term(),)
 
     def parse_column_term(self, where: str) -> Term:
         """A term producing exactly one column: var, log/exp(var), l/f/d(var, k)."""
@@ -287,15 +297,12 @@ class _Parser:
         if t.kind != "ident":
             raise FormulaError(f"expected a variable in {where}, found {t.text!r}", t.pos)
         name = t.text
-        if name in STEPWISE_KINDS and self.toks[self.i + 1].text == "(":
+        if self.at_call(STEPWISE_KINDS):
             raise FormulaError(f"stepwise function {name!r} is not allowed in {where}", t.pos)
-        if name in UNARY_FUNCS and self.toks[self.i + 1].text == "(":
+        if self.at_call(UNARY_FUNCS):
             self.next()
-            self.next()
-            var = self.ident("variable name")
-            self.expect(")")
-            return Func(name, var)
-        if name in LAG_OPS and self.toks[self.i + 1].text == "(":
+            return self.parse_func(name)
+        if self.at_call(LAG_OPS):
             lag = self.parse_lag_call()
             if len(lag.offsets) != 1:
                 raise FormulaError(
@@ -303,6 +310,13 @@ class _Parser:
             return lag
         self.next()
         return Var(name)
+
+    def parse_func(self, name: str) -> Func:
+        """The ``(var)`` of a log/exp call whose name was read."""
+        self.expect("(")
+        var = self.ident("variable name")
+        self.expect(")")
+        return Func(name, var)
 
     # -- rhs --
     def parse_rhs(self) -> tuple[tuple[Term, ...], bool]:
@@ -313,10 +327,7 @@ class _Parser:
                 raise FormulaError(
                     "literal 1 is only supported as the sole right-hand-side term", t.pos)
             return (), True
-        terms = [self.parse_term()]
-        while self.accept("+"):
-            terms.append(self.parse_term())
-        return tuple(terms), False
+        return tuple(self.items(self.parse_term, "+")), False
 
     def parse_term(self) -> Term:
         t = self.peek()
@@ -327,40 +338,28 @@ class _Parser:
         if nxt.text != "(":
             return Var(name)
         if name in STEPWISE_KINDS:
-            return self.parse_stepwise(name)
+            args, pos = self.stepwise_args(self.parse_term)
+            if any(isinstance(term, Stepwise) for group in args for term in group):
+                raise FormulaError("nested stepwise functions are not allowed", pos)
+            return Stepwise(name, args)
         if name == "i":
             return self.parse_i_call()
         if name in LAG_OPS:
             self.i -= 1  # rewind to the op name
             return self.parse_lag_call()
         if name in UNARY_FUNCS:
-            self.next()
-            var = self.ident("variable name")
-            self.expect(")")
-            return Func(name, var)
+            return self.parse_func(name)
         raise FormulaError(
             f"unknown function {name!r}; supported calls are "
             f"i, sw, sw0, csw, csw0, mvsw, l, f, d, log, exp", t.pos)
 
-    def parse_stepwise(self, kind: str) -> Stepwise:
+    def stepwise_args(self, item) -> tuple[tuple, int]:
+        """The ``(group, ...)`` of a stepwise call whose name was read, each
+        group ``item ('+' item)*``; returns the groups and the '(' position."""
         pos = self.expect("(").pos
-        args = [self.parse_term_group()]
-        while self.accept(","):
-            args.append(self.parse_term_group())
+        args = self.items(lambda: tuple(self.items(item, "+")), ",")
         self.expect(")")
-        if not args or not all(args):
-            raise FormulaError(f"{kind}() requires nonempty arguments", pos)
-        for group in args:
-            for term in group:
-                if isinstance(term, Stepwise):
-                    raise FormulaError("nested stepwise functions are not allowed", pos)
-        return Stepwise(kind, tuple(tuple(g) for g in args))
-
-    def parse_term_group(self) -> list[Term]:
-        terms = [self.parse_term()]
-        while self.accept("+"):
-            terms.append(self.parse_term())
-        return terms
+        return tuple(args), pos
 
     def parse_lag_call(self) -> LagOp:
         op = self.ident()
@@ -399,7 +398,7 @@ class _Parser:
         return [a]
 
     def parse_i_call(self) -> InteractionI:
-        pos = self.expect("(").pos
+        self.expect("(")
         var = self.ident("variable name")
         interact = None
         interact_cat = False
@@ -408,12 +407,10 @@ class _Parser:
         while self.accept(","):
             t = self.peek()
             if t.kind == "ident" and t.text == "ref" and self.toks[self.i + 1].text == "=":
-                self.next()
-                self.next()
+                self.i += 2
                 ref = tuple(self.parse_value_or_list())
             elif t.kind == "ident" and t.text == "bin" and self.toks[self.i + 1].text == "=":
-                self.next()
-                self.next()
+                self.i += 2
                 bins = self.parse_bin_map()
             elif t.kind == "ident":
                 if interact is not None:
@@ -441,25 +438,21 @@ class _Parser:
         raise FormulaError(f"expected a value, found {t.text!r}", t.pos)
 
     def parse_value_list(self) -> list:
+        """``[v, ...]`` or ``c(v, ...)``."""
         if self.accept("["):
-            vals = [self.parse_value()]
-            while self.accept(","):
-                vals.append(self.parse_value())
-            self.expect("]")
-            return vals
-        if self.peek().text == "c" and self.toks[self.i + 1].text == "(":
-            self.next()
-            self.next()
-            vals = [self.parse_value()]
-            while self.accept(","):
-                vals.append(self.parse_value())
-            self.expect(")")
-            return vals
-        raise FormulaError(f"expected a list, found {self.peek().text!r}", self.peek().pos)
+            closer = "]"
+        elif self.at_call(("c",)):
+            self.i += 2
+            closer = ")"
+        else:
+            raise FormulaError(f"expected a list, found {self.peek().text!r}", self.peek().pos)
+        vals = self.items(self.parse_value, ",")
+        self.expect(closer)
+        return vals
 
     def parse_value_or_list(self) -> list:
         t = self.peek()
-        if t.text == "[" or (t.text == "c" and self.toks[self.i + 1].text == "("):
+        if t.text == "[" or self.at_call(("c",)):
             return self.parse_value_list()
         v = self.parse_value()
         if self.accept(":"):
@@ -471,21 +464,16 @@ class _Parser:
         return [v]
 
     def parse_bin_map(self) -> list[tuple]:
-        pos = self.expect("{").pos
-        bins = []
-        while True:
+        def entry():
             t = self.peek()
             if t.kind != "string":
                 raise FormulaError("bin keys must be quoted strings", t.pos)
             label = self.next().text[1:-1]
             self.expect(":")
-            vals = tuple(self.parse_value_or_list())
-            bins.append((label, vals))
-            if not self.accept(","):
-                break
+            return label, tuple(self.parse_value_or_list())
+        self.expect("{")
+        bins = self.items(entry, ",")
         self.expect("}")
-        if not bins:
-            raise FormulaError("empty bin map", pos)
         return bins
 
     # -- post parts (fe or iv) --
@@ -513,52 +501,26 @@ class _Parser:
         if is_iv:
             return ("iv", self.parse_iv_part(), pos)
         self.i = start
-        return ("fe", self.parse_fe_part(), pos)
+        return ("fe", tuple(self.items(self.parse_fe_term, "+")), pos)
 
     def parse_iv_part(self) -> IvPart:
-        endo = [self.ident("endogenous variable")]
-        while self.accept("+"):
-            endo.append(self.ident("endogenous variable"))
+        endo = self.items(lambda: self.ident("endogenous variable"), "+")
         self.expect("~")
-        instruments = [self.parse_term()]
-        while self.accept("+"):
-            instruments.append(self.parse_term())
+        instruments = self.items(self.parse_term, "+")
         for term in instruments:
             if isinstance(term, Stepwise):
                 raise FormulaError("stepwise functions are not allowed among instruments")
         return IvPart(tuple(endo), tuple(instruments))
 
-    def parse_fe_part(self) -> tuple:
-        terms = [self.parse_fe_term()]
-        while self.accept("+"):
-            terms.append(self.parse_fe_term())
-        return tuple(terms)
-
     def parse_fe_term(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text in STEPWISE_KINDS and self.toks[self.i + 1].text == "(":
+        if self.at_call(STEPWISE_KINDS):
             kind = self.next().text
-            pos = self.expect("(").pos
-            args = [self.parse_fe_group()]
-            while self.accept(","):
-                args.append(self.parse_fe_group())
-            self.expect(")")
-            if not args or not all(args):
-                raise FormulaError(f"{kind}() requires nonempty arguments", pos)
-            return FeStepwise(kind, tuple(tuple(g) for g in args))
+            return FeStepwise(kind, self.stepwise_args(self.parse_fe_atom)[0])
         return self.parse_fe_atom()
-
-    def parse_fe_group(self) -> list[FeTerm]:
-        terms = [self.parse_fe_atom()]
-        while self.accept("+"):
-            terms.append(self.parse_fe_atom())
-        return terms
 
     def parse_fe_atom(self) -> FeTerm:
         pos = self.peek().pos
-        factors = [self.ident("fixed-effect factor")]
-        while self.accept("^"):
-            factors.append(self.ident("fixed-effect factor"))
+        factors = self.items(lambda: self.ident("fixed-effect factor"), "^")
         slope_vars: tuple[str, ...] = ()
         intercept = True
         if self.accept("[["):
@@ -572,9 +534,7 @@ class _Parser:
         return term
 
     def parse_slope_list(self, closer: str) -> tuple[str, ...]:
-        names = [self.ident("slope variable")]
-        while self.accept(","):
-            names.append(self.ident("slope variable"))
+        names = self.items(lambda: self.ident("slope variable"), ",")
         if closer == "]]":
             # the tokenizer may have produced ']' ']' or ']]'
             if not self.accept("]]"):

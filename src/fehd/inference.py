@@ -150,9 +150,10 @@ def _pair_codes(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int) -> tuple[np.nd
 
 
 def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -> VcovMatrix:
-    """Sandwich VCOV A^-1 M A^-1 from a fit's stored bread and scores."""
+    """Sandwich VCOV A^-1 M A^-1 from a fit's stored bread and scores.
+    The IID matrix reads no scores, so it forms none."""
     A_inv = fit.xtx_inv
-    scores = fit.ensure_scores()
+    scores = None if spec.kind == "iid" else fit.ensure_scores()
     N = fit.dof.n_used
     K = fit.dof.k_total
     df_resid = fit.dof.df_resid
@@ -285,20 +286,23 @@ def coeftable(fit: FitResult, vcov: VcovMatrix) -> list[dict]:
     return rows
 
 
+def _joint_f(fit: FitResult, V: np.ndarray, which: list[int]) -> dict:
+    """Joint nullity F-test of ``fit.coef[which]`` under the vcov matrix V."""
+    q = len(which)
+    g = fit.coef[which]
+    stat = float(g @ np.linalg.solve(V[np.ix_(which, which)], g)) / q
+    df2 = fit.dof.df_resid
+    return {"stat": stat, "p": _f_sf(stat, q, df2), "df1": q, "df2": df2}
+
+
 def wald_test(fit: FitResult, vcov: VcovMatrix,
               which: Optional[list[int]] = None) -> dict:
     """Joint nullity F-test of the (non-intercept) coefficients under a vcov."""
     if which is None:
         which = [k for k, nm in enumerate(fit.coef_names) if nm != "(Intercept)"]
-    q = len(which)
-    if q == 0:
+    if not which:
         raise EstimationError("wald test: no testable coefficients")
-    g = fit.coef[which]
-    Vq = vcov.matrix[np.ix_(which, which)]
-    stat = float(g @ np.linalg.solve(Vq, g)) / q
-    df2 = fit.dof.df_resid
-    p = _f_sf(stat, q, df2)
-    return {"stat": stat, "p": p, "df1": q, "df2": df2, "vcov": vcov.label}
+    return {**_joint_f(fit, vcov.matrix, which), "vcov": vcov.label}
 
 
 def _family_loglik(fit: FitResult, y, w, mu, ssr: float) -> float:
@@ -392,7 +396,8 @@ def fit_stats(fit: FitResult, requested: list[str],
 
 def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
              ds: Optional[Dataset] = None) -> dict:
-    """First-stage F per endogenous variable plus the Wu-Hausman test."""
+    """First-stage F per endogenous variable, under ``vcov_spec`` (IID by
+    default), plus the Wu-Hausman test."""
     if fit.iv_diag is None:
         raise EstimationError("iv_tests requires a 2SLS fit")
     spec = vcov_spec or VcovSpec("iid")
@@ -401,17 +406,7 @@ def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
     for fs in diag.first_stages:
         # the instruments: the first stage's regressors that follow E in the block
         sub = [i for i, j in enumerate(fs.design.regressors) if j > diag.endo_cols[-1]]
-        q = len(sub)
-        if spec.kind == "iid":
-            V1 = (fs.ssr / fs.dof.df_resid) * fs.xtx_inv
-        else:
-            V1 = compute_vcov(fs, spec, ds).matrix
-        g = fs.coef[sub]
-        Vq = V1[np.ix_(sub, sub)]
-        stat = float(g @ np.linalg.solve(Vq, g)) / q
-        df2 = fs.dof.df_resid
-        ivf[fs.lhs_name] = {"stat": stat, "p": _f_sf(stat, q, df2),
-                            "df1": q, "df2": df2}
+        ivf[fs.lhs_name] = _joint_f(fs, compute_vcov(fs, spec, ds).matrix, sub)
 
     # Wu-Hausman: y on [E, X, V], V_j = E_j - E_hat_j the first-stage
     # residuals, solved on the Gram of the block [R, V].  V is formed over the

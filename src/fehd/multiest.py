@@ -132,14 +132,13 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
         group_frames = [frames[r] for r in ridxs]
         problem, sel_map = ols_targets(group_frames, options.demean_tol,
                                        options.demean_max_iter)
-        dres = demean(problem, keep_coefs=False, consume_targets=True)
+        dres = demean(problem, consume_targets=True)
         if not dres.converged:
             for r in ridxs:
                 records[r].error = (f"demeaning did not converge within "
                                     f"{problem.max_iter} iterations")
             return
-        results = finish_ols_group(group_frames, sel_map, dres.residuals, dres,
-                                   options.collin_tol)
+        results = finish_ols_group(group_frames, sel_map, dres, options.collin_tol)
         for r, res in zip(ridxs, results):
             if isinstance(res, Exception):
                 records[r].error = str(res)

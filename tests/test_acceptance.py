@@ -68,8 +68,7 @@ def test_02_balanced_panel_one_iteration():
         c1 = np.repeat(np.arange(NI), NT)
         c2 = np.tile(np.arange(NT), NI)
         y = rng.normal(size=NI * NT) + rng.normal(size=NI)[c1] + rng.normal(size=NT)[c2]
-        dims = [FeDim(FactorIndex(c1, NI, np.bincount(c1))),
-                FeDim(FactorIndex(c2, NT, np.bincount(c2)))]
+        dims = [FeDim(FactorIndex(c1, NI)), FeDim(FactorIndex(c2, NT))]
         res = demean(DemeanProblem(targets=y, dims=dims))
         assert res.converged, f"panel {k} did not converge"
         assert res.iterations == 1, f"panel {k}: iterations={res.iterations}"

@@ -116,13 +116,6 @@ class TestFit:
         assert lines[0] == "model,sample,fe,level,col,value"
         assert len(lines) == 7  # header + 6 groups
 
-    def test_dump_ast_flag(self, data_csv):
-        code, out, _ = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
-                                "--dump-ast"])
-        assert code == 0
-        ast = json.loads(out)
-        assert ast["node"] == "FormulaSpec"
-
     def test_split_and_fsplit_exclusive(self, data_csv):
         code, _, err = run_cli(["fit", "--formula", "y ~ x", "--data", data_csv,
                                 "--split", "fe", "--fsplit", "fe"])

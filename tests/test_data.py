@@ -359,7 +359,7 @@ class TestFactorIndex:
         ds = Dataset(n_rows=4, columns={"g": NumericColumn(np.ones(4))})
         idx = make_factor_index(ds, build_mask(ds, {}), ["g"])
         assert idx.n_groups == 1
-        assert idx.group_sizes.tolist() == [4]
+        assert idx.group_of_row.tolist() == [0, 0, 0, 0]
 
     def test_unobserved_tuple_absent(self):
         a = np.array([0.0, 0, 1, 1])
@@ -427,7 +427,7 @@ class TestFactorIndex:
         labelled, _ = fixef(fit)
         (dim,) = fit.design.dims
         idx = dim.index
-        direct = FactorIndex(idx.group_of_row, idx.n_groups, idx.group_sizes)
+        direct = FactorIndex(idx.group_of_row, idx.n_groups)
         assert direct.levels == ()
         fit.design.dims = [replace(dim, index=direct)]
         numbered, _ = fixef(fit)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import FactorIndex, first_appearance_codes
-from fehd.demean import (PIVOT_RTOL, DemeanProblem, FactorRecord, FeDim, _DimWork,
-                         column_drops, demean, recover_fixef)
+from fehd.demean import (PIVOT_RTOL, DemeanProblem, FactorRecord, FeDim, FeStructure,
+                         _DimWork, column_drops, demean, recover_fixef)
 from fehd.estimators import build_frame
 from fehd.formula import expand_models, parse_formula
 
@@ -18,7 +18,7 @@ from oracles import dummy_ols, dummy_residualize
 def fidx(codes):
     codes = np.asarray(codes, dtype=np.int64)
     n = codes.max() + 1
-    return FactorIndex(codes, int(n), np.bincount(codes, minlength=n))
+    return FactorIndex(codes, int(n))
 
 
 def random_two_fe(rng, n=180, g1=9, g2=6):
@@ -209,10 +209,10 @@ class TestTwoFeConjugateGradient:
 
     def test_warm_start_at_solution_takes_one_sweep(self, rng):
         y, c1, c2 = chain_two_fe(rng)
-        dims = lambda: [FeDim(fidx(c1)), FeDim(fidx(c2))]
-        cold = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-12))
-        warm = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-8),
-                      init_state=cold.fe_coef[1].reshape(-1, 1))
+        dims = [FeDim(fidx(c1)), FeDim(fidx(c2))]
+        structure = FeStructure(dims)  # the warm start: where the last call ended
+        cold = demean(DemeanProblem(targets=y, dims=dims, tol=1e-12), structure=structure)
+        warm = demean(DemeanProblem(targets=y, dims=dims, tol=1e-8), structure=structure)
         assert warm.converged and warm.sweeps == 1 and warm.iterations == 0
         assert np.allclose(warm.residuals, cold.residuals, atol=1e-12)
 
@@ -310,10 +310,10 @@ class TestConjugateGradientAnyStructure:
 
     def test_three_fe_warm_start_at_solution_takes_one_sweep(self, rng):
         y, c1, c2, c3 = chain_three_fe(rng)
-        dims = lambda: [FeDim(fidx(c)) for c in (c1, c2, c3)]
-        cold = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-12))
-        state = np.concatenate([c.reshape(-1, 1) for c in cold.fe_coef[1:]])
-        warm = demean(DemeanProblem(targets=y, dims=dims(), tol=1e-8), init_state=state)
+        dims = [FeDim(fidx(c)) for c in (c1, c2, c3)]
+        structure = FeStructure(dims)
+        cold = demean(DemeanProblem(targets=y, dims=dims, tol=1e-12), structure=structure)
+        warm = demean(DemeanProblem(targets=y, dims=dims, tol=1e-8), structure=structure)
         assert cold.sweeps > 1
         assert warm.converged and warm.sweeps == 1 and warm.iterations == 0
         assert np.allclose(warm.residuals, cold.residuals, atol=1e-12)
@@ -733,7 +733,7 @@ class TestRecoverFixef:
         codes = np.array([0, 0, 1, 1, 2])
         problem = DemeanProblem(targets=y, dims=[FeDim(fidx(codes))])
         res = demean(problem)
-        coefs, report = recover_fixef(res, problem)
+        coefs, report = recover_fixef(res, problem.dims, np.ones(1))
         assert np.allclose(coefs[0][:, 0], [1.5, 3.5, 10.0])
         assert report.free_constants == 0
 
@@ -750,7 +750,7 @@ class TestRecoverFixef:
         problem = DemeanProblem(targets=target, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))],
                                 tol=1e-12)
         res = demean(problem)
-        coefs, report = recover_fixef(res, problem)
+        coefs, report = recover_fixef(res, problem.dims, np.ones(1))
         assert report.free_constants == 1
         assert abs(coefs[1][0, 0]) < 1e-12  # normalized to zero at first group
         # dummy regression with level-0 dummies dropped and an intercept
@@ -769,16 +769,9 @@ class TestRecoverFixef:
         y = rng.normal(size=n)
         problem = DemeanProblem(targets=y, dims=[FeDim(fidx(codes), slopes=z)])
         res = demean(problem)
-        coefs, _ = recover_fixef(res, problem)
+        coefs, _ = recover_fixef(res, problem.dims, np.ones(1))
         for g in range(6):
             sel = codes == g
             Zg = np.column_stack([np.ones(sel.sum()), z[sel, 0]])
             bg, *_ = np.linalg.lstsq(Zg, y[sel], rcond=None)
             assert np.allclose(coefs[0][g], bg, atol=1e-10)
-
-    def test_requires_kept_coefs(self, rng):
-        y, c1, c2 = random_two_fe(rng)
-        problem = DemeanProblem(targets=y, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))])
-        res = demean(problem, keep_coefs=False)
-        with pytest.raises(Exception, match="fe_coef"):
-            recover_fixef(res, problem)

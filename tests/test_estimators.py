@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
-from fehd.demean import DEFAULT_TOL, column_drops, demean
+from fehd.demean import DEFAULT_TOL, DemeanProblem, column_drops, demean, recover_fixef
 from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, build_frame,
                              fit_2sls, fit_glm_irls, fit_model, fit_ols, fixef)
 from fehd.formula import expand_models, parse_formula
@@ -731,38 +731,79 @@ class TestFixef:
         assert np.allclose(ours_f2, beta[-3:], atol=1e-7)
         assert report.free_constants == 1
 
-    @pytest.mark.parametrize("case", ["ols", "ols-weighted-offset", "2sls", "poisson-weighted"])
-    def test_fixef_reconstructs_fitted(self, rng, case):
-        # the recovered FE plus the regressor part reproduce the fitted values
-        # (their log for Poisson)
-        n = 90
-        x = rng.normal(size=n)
-        c1 = rng.integers(0, 5, n)
-        c2 = rng.integers(0, 3, n)
-        z = rng.normal(size=n)
-        e = z + 0.5 * x + rng.normal(size=n)
-        off = rng.normal(size=n)
-        w = rng.uniform(0.5, 2.0, n)
-        y = x + c1 * 0.3 - c2 * 0.2 + rng.normal(size=n)
-        count = rng.poisson(np.exp(0.3 * x + 0.1 * c1)).astype(float)
-        ds = make_ds(y=y, x=x, e=e, z=z, off=off, w=w, count=count, f1=c1, f2=c2)
+    @pytest.mark.parametrize("tol", [1e-12, DEFAULT_TOL])
+    @pytest.mark.parametrize("case", ["ols", "ols-weighted-offset", "2sls",
+                                      "poisson-weighted", "firm-slope"])
+    def test_fixef_reconstructs_fitted(self, difficult_panel, case, tol):
+        # the fit's own fixed effects plus the regressor part reproduce its
+        # fitted values (their log for Poisson) to rounding, at any demeaning
+        # tolerance; a re-solve of the FE would miss them by its own error
+        ds = difficult_panel
+        x, e, off = ds.numeric("x1"), ds.numeric("e"), ds.numeric("off")
+        fe = "indiv_id + firm_id_difficult"
         if case == "ols":
-            fit = fit_ols("y ~ x | f1 + f2", ds, demean_tol=1e-12)
+            fit = fit_ols(f"y ~ x1 | {fe}", ds, demean_tol=tol)
             part, target = x * fit.coef[0], fit.fitted
         elif case == "ols-weighted-offset":
-            fit = fit_ols("y ~ x | f1 + f2", ds, demean_tol=1e-12, weights="w", offset="off")
+            fit = fit_ols(f"y ~ x1 | {fe}", ds, demean_tol=tol, weights="w", offset="off")
             part, target = x * fit.coef[0] + off, fit.fitted
         elif case == "2sls":
-            fit = fit_2sls("y ~ x | f1 + f2 | e ~ z", ds, demean_tol=1e-12, offset="off")
+            fit = fit_2sls(f"y ~ x1 | {fe} | e ~ z", ds, demean_tol=tol, offset="off")
             part, target = np.column_stack([e, x]) @ fit.coef + off, fit.fitted
-        else:
-            fit = fit_glm_irls("count ~ x | f1 + f2", ds, family="poisson",
-                               demean_tol=1e-12, weights="w")
+        elif case == "poisson-weighted":
+            fit = fit_glm_irls(f"count ~ x1 | {fe}", ds, family="poisson",
+                               demean_tol=tol, weights="w")
             part, target = x * fit.coef[0], np.log(fit.fitted)
+        else:
+            fit = fit_ols("y ~ x1 | indiv_id + firm_id_difficult[x2]", ds, demean_tol=tol)
+            part, target = x * fit.coef[0], fit.fitted
+        assert np.abs(part + fe_rows(fit) - target).max() <= 1e-10
+
+    def test_fixef_matches_a_tight_resolve(self, difficult_panel):
+        ds = difficult_panel
+        fit = fit_ols("y ~ x1 | indiv_id + firm_id_difficult", ds, demean_tol=1e-13)
+        dims = fit.design.dims
+        target = ds.numeric("y") - fit.coef[0] * ds.numeric("x1")
+        tight = demean(DemeanProblem(targets=target, dims=dims, tol=1e-14))
+        want, _ = recover_fixef(tight, dims, np.ones(1))
         coefs, _ = fixef(fit)
-        a1 = np.array([coefs["f1"].by_level[str(v)][0] for v in c1])
-        a2 = np.array([coefs["f2"].by_level[str(v)][0] for v in c2])
-        assert np.allclose(part + a1 + a2, target, atol=1e-6)
+        for got, ref in zip(coefs.values(), want):
+            assert np.abs(got.coef - ref).max() <= 1e-10
+
+    def test_fixef_makes_no_demeaning_call(self, difficult_panel, monkeypatch):
+        fit = fit_ols("y ~ x1 | indiv_id + firm_id_difficult", difficult_panel)
+
+        def refuse(*args, **kw):
+            raise AssertionError("fixef demeaned again")
+        monkeypatch.setattr(importlib.import_module("fehd.estimators"), "demean", refuse)
+        coefs, report = fixef(fit)
+        assert set(coefs) == {"indiv_id", "firm_id_difficult"}
+        assert report.free_constants == 1
+
+
+@pytest.fixture(scope="module")
+def difficult_panel():
+    """A 3000-row difficult firm chain (``simulate_panel``), where a demeaning
+    at the default tolerance leaves FE errors near 1e-6, plus the columns of
+    weighted, offset, IV and Poisson fits."""
+    ds = simulate_panel(DgpConfig(n=3000, seed=1))
+    g = np.random.default_rng(5)
+    n = ds.n_rows
+    x = ds.numeric("x1")
+    z = g.normal(size=n)
+    extra = {"w": g.uniform(0.5, 2.0, n), "off": g.normal(size=n), "z": z,
+             "e": z + 0.5 * x + g.normal(size=n),
+             "count": g.poisson(np.exp(0.3 * x)).astype(float)}
+    return ds.with_columns({k: NumericColumn(v) for k, v in extra.items()})
+
+
+def fe_rows(fit) -> np.ndarray:
+    """Each row's fixed-effect part, from ``fixef``: sum over dimensions of
+    its group's coefficients times the dimension's design row."""
+    coefs, _ = fixef(fit)
+    n = fit.dof.n_used
+    return sum(np.einsum("ij,ij->i", fset.coef[dim.index.group_of_row], dim.design(n))
+               for fset, dim in zip(coefs.values(), fit.design.dims))
 
 
 def test_fit_model_dispatch():

@@ -89,6 +89,41 @@ class TestParse:
         json.dumps(ast_to_dict(spec))
 
 
+# malformed formulas: (formula, message, offset); the offset is None where
+# the error concerns a whole part rather than a token
+MALFORMED = [
+    ("y ~ x +", "expected term, found 'end of input'", 7),
+    ("c(y, ) ~ x", "expected a variable in left-hand side, found ')'", 5),
+    ("sw(y) ~ x", "stepwise function 'sw' is not allowed in left-hand side", 0),
+    ("l(y, 1:2) ~ x", "l() in left-hand side must have a single offset", 0),
+    ("y ~ 1 + x", "literal 1 is only supported as the sole right-hand-side term", 4),
+    ("y ~ 3", "unexpected numeric literal '3' in term position", 4),
+    ("y ~ sw(x, sw(a, b))", "nested stepwise functions are not allowed", 6),
+    ("y ~ sw(x,)", "expected term, found ')'", 9),
+    ("y ~ l(x, 1.5)", "offsets must be integers, got 1.5", 9),
+    ("y ~ l(x, 1:a)", "expected integer after ':'", 11),
+    ("y ~ l(x, c)", "expected a list, found 'c'", 9),
+    ("y ~ i(g, x, z)", "i() accepts a single interacting variable", 12),
+    ("y ~ i(g, ref=1.5:3)", "range bounds must be integers", 13),
+    ("y ~ i(g, bin={'a': [1],})", "bin keys must be quoted strings", 23),
+    ("y ~ x | f1[f1]", "slope variables must be distinct from factors", 8),
+    ("y ~ x | f1[[z] ]x", "unexpected trailing input 'x'", 16),
+    ("y ~ x | sw(f1,)", "expected fixed-effect factor, found ')'", 14),
+    ("y ~ x | e ~ z | f", "IV part must be the last formula part", 8),
+    ("y ~ x | e ~ sw(z)", "stepwise functions are not allowed among instruments", None),
+    ("y ~ log(x", "expected ')', found 'end of input'", 9),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", MALFORMED)
+def test_malformed_formula_message_and_offset(text, message, offset):
+    with pytest.raises(FormulaError) as err:
+        parse_formula(text)
+    assert err.value.offset == offset
+    want = message if offset is None else f"{message} (at offset {offset})"
+    assert str(err.value) == want
+
+
 class TestExpansion:
     def test_multiple_lhs(self):
         models = expand_models(parse_formula("c(y1, y2) ~ x"))

@@ -404,6 +404,20 @@ class TestIvTests:
             wh = (ssr_r - ssr_u) / (ssr_u / (n - rank_u))
             assert out["wh"]["stat"] == pytest.approx(wh, rel=1e-8)
 
+    def test_iid_ivf_follows_ssc(self):
+        # each first-stage F is the joint F under compute_vcov of that stage,
+        # so ssc="none" moves it under IID as under the sandwiches
+        ds = scipubs_like()
+        fit = fit_2sls("articles ~ 1 | indiv + year | funding ~ policy", ds)
+        (first,) = fit.iv_diag.first_stages
+        sub = [first.coef_names.index("policy")]
+        for ssc in ("default", "none"):
+            spec = VcovSpec("iid", ssc=ssc)
+            V = compute_vcov(first, spec, ds).matrix[np.ix_(sub, sub)]
+            g = first.coef[sub]
+            want = float(g @ np.linalg.solve(V, g))
+            assert iv_tests(fit, spec, ds)["ivf"]["stat"] == pytest.approx(want, rel=1e-12)
+
     def test_ivf_pvalues_uniform_under_null(self):
         # instruments orthogonal to the endo: first-stage F p-values ~ U(0,1)
         reps, n = 400, 120
