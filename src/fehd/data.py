@@ -503,9 +503,11 @@ def first_appearance_codes(values: np.ndarray,
 def _table_codes(values: np.ndarray, lo: int, span: int, return_first_rows: bool):
     """``first_appearance_codes`` of integers in ``[lo, lo + span)``."""
     n = len(values)
-    if values.dtype != np.uint64:  # every other integer type fits int64
-        values = values.astype(np.int64, copy=False)
-    offsets = values - values.dtype.type(lo)  # in [0, span): no overflow
+    if values.dtype == np.uint64:
+        offsets = (values - np.uint64(lo)).view(np.int64)  # < span: no sign bit
+    else:  # every other integer type fits int64; the caller's array is not written
+        offsets = values.astype(np.int64)
+        offsets -= lo
     first = np.full(span, n, dtype=np.intp)  # each value's first row; n = absent
     np.minimum.at(first, offsets, np.arange(n, dtype=np.intp))
     present = np.flatnonzero(first < n)
@@ -513,26 +515,31 @@ def _table_codes(values: np.ndarray, lo: int, span: int, return_first_rows: bool
     order = np.argsort(first_rows, kind="stable")
     rank = np.empty(span, dtype=np.int64)
     rank[present[order]] = np.arange(len(present))
-    codes = rank[offsets]
+    # gathered over the offsets, whose last read this is: no second n-row array
+    codes = np.take(rank, offsets, out=offsets, mode="clip")
     if return_first_rows:
         return codes, len(present), first_rows[order]
     return codes, len(present)
 
 
 def _factor_values(ds: Dataset, mask: SampleMask, name: str) -> np.ndarray:
-    """Validated raw integer values of a factor column on the kept rows."""
+    """Validated raw integer values of a factor column on the kept rows.
+
+    A column the mask keeps whole is read as it is, without a copy.
+    """
     col = ds.column(name)
     keep = mask.keep
+    whole = mask.n_used == len(keep)
     if isinstance(col, CategoricalColumn):
-        codes = col.codes[keep].astype(np.int64)
+        codes = col.codes if whole else col.codes[keep]
         if (codes < 0).any():
             raise DataError(f"factor {name!r} has missing values inside the sample")
         return codes
-    vals = col.values[keep]
-    if np.isnan(vals).any():
-        raise DataError(f"factor {name!r} has missing values inside the sample")
+    vals = col.values if whole else col.values[keep]
     rounded = np.rint(vals)
-    if not np.array_equal(rounded, vals):
+    if not np.array_equal(rounded, vals):  # NaN equals nothing, so it fails here too
+        if np.isnan(vals).any():
+            raise DataError(f"factor {name!r} has missing values inside the sample")
         raise DataError(f"numeric non-integer column {name!r} used as factor")
     return rounded.astype(np.int64)
 
@@ -568,7 +575,9 @@ def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> Fact
         codes2, n2 = _factor_codes(ds, mask, name)
         combined = codes * np.int64(n2) + codes2
         codes, n, first_rows = first_appearance_codes(combined, return_first_rows=True)
-    rows = np.flatnonzero(mask.keep)[first_rows]  # each group's first dataset row
+    # each group's first dataset row
+    keep = mask.keep
+    rows = first_rows if mask.n_used == len(keep) else np.flatnonzero(keep)[first_rows]
     return FactorIndex(group_of_row=codes, n_groups=n,
                        label_parts=tuple(_label_part(ds, name, rows) for name in factors))
 

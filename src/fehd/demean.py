@@ -11,12 +11,13 @@ every structure with two or more dimensions (Gaure 2013; Correia 2017):
   C1 = D1'W D and M1 = D1'W D1.  K's diagonal blocks are per-group and its
   other blocks, like C1, are sparse cross-tables with one entry per observed
   group pair; a product with A never reads the rows.  The tables live in an
-  ``FeStructure``, one per fit.  Its first call builds them through scipy;
-  a later call under new weights, such as the next IRLS step, refills their
-  values with one ``np.bincount`` per table over a row -> entry map, since
-  the pattern depends on the codes alone.  The map is built at that first
-  refill, so a fit with one set of weights (OLS, 2SLS, pooled fits) never
-  builds it;
+  ``FeStructure``, one per fit.  Its first call builds them: a table with
+  few possible group pairs, such as firms by years, by ``np.bincount`` over
+  the pair key, any other through scipy's sort (``_cross``).  A later call
+  under new weights, such as the next IRLS step, refills their values with
+  one ``np.bincount`` per table over a row -> entry map, since the pattern
+  depends on the codes alone.  The map is built at that first refill, so a
+  fit with one set of weights (OLS, 2SLS, pooled fits) never builds it;
 * conjugate gradients run on that system with block-Jacobi preconditioning
   on K's diagonal blocks (group weights for intercept-only dimensions, the
   per-group L x L blocks otherwise).  Each block is eliminated in column
@@ -356,12 +357,40 @@ def _cross_entries(wa: _DimWork, wb: _DimWork) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _cross(wa: _DimWork, wb: _DimWork, buf: np.ndarray) -> sp.csr_matrix:
-    """Cross-table Da'W Db: one entry per observed group pair (and slope pair);
-    scipy sorts the rows' pairs and sums the duplicates into fresh arrays."""
+def _cross_keys(wa: _DimWork, wb: _DimWork) -> np.ndarray:
+    """The key row * n_columns + column of each of ``_cross_values``, flattened."""
     rows, cols = _cross_entries(wa, wb)
-    return sp.csr_matrix((_cross_values(wa, wb, buf).ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(wa.G * wa.L, wb.G * wb.L))
+    keys = rows.astype(np.int64)
+    keys *= wb.G * wb.L
+    keys += cols
+    return keys.ravel()
+
+
+def _cross(wa: _DimWork, wb: _DimWork, buf: np.ndarray) -> sp.csr_matrix:
+    """Cross-table Da'W Db: one entry per observed group pair (and slope pair).
+
+    A table whose pair-key space, rows times columns, is at most a quarter
+    of its entries (one per row and slope pair) is built in canonical CSR
+    directly, by one ``np.bincount`` of the pattern and one of the values
+    over the pair key, in row order like the refill: its key and count
+    arrays then cost less than scipy's COO staging, about 20 bytes an
+    entry.  Any other table goes through scipy, which sorts the rows' pairs
+    and sums the duplicates into fresh arrays.
+    """
+    shape = (wa.G * wa.L, wb.G * wb.L)
+    vals = _cross_values(wa, wb, buf).ravel()
+    if 4 * shape[0] * shape[1] > len(vals):
+        rows, cols = _cross_entries(wa, wb)
+        return sp.csr_matrix((vals, (rows.ravel(), cols.ravel())), shape=shape)
+    keys = _cross_keys(wa, wb)
+    size = shape[0] * shape[1]
+    count = np.bincount(keys, minlength=size)
+    present = np.flatnonzero(count)  # sorted: row by row, columns ascending
+    data = np.bincount(keys, weights=vals, minlength=size)[present]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(count.reshape(shape), axis=1), out=indptr[1:])
+    indices = (present % shape[1]).astype(np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _entry_map(table: sp.csr_matrix, wa: _DimWork, wb: _DimWork) -> np.ndarray:
@@ -370,25 +399,26 @@ def _entry_map(table: sp.csr_matrix, wa: _DimWork, wb: _DimWork) -> np.ndarray:
     A canonical CSR table lists its entries in (row, column) order, so their
     keys row * n_columns + column are sorted and a binary search finds each.
     """
-    table.sum_duplicates()  # a no-op on the canonical tables scipy builds
+    table.sum_duplicates()  # a no-op on the canonical tables ``_cross`` builds
     ncols = table.shape[1]
     keys = np.repeat(np.arange(table.shape[0], dtype=np.int64) * ncols,
                      np.diff(table.indptr)) + table.indices
-    rows, cols = _cross_entries(wa, wb)
-    return np.searchsorted(keys, (rows.astype(np.int64) * ncols + cols).ravel())
+    return np.searchsorted(keys, _cross_keys(wa, wb))
 
 
 class FeStructure:
     """The fixed-effect structure of one fit, shared by its demean calls.
 
     It keeps the cross-table Da'W Db of each dimension pair that
-    ``_schur_cg`` reads.  The first call builds a table through scipy, which
-    sorts the rows' group pairs; a later call, under other weights, refills
-    the values of that table with one ``np.bincount`` over a row -> entry
-    map, the table's pattern being fixed by the codes.  The map is built at
-    the first refill, so a structure used once, as by every fit with one set
-    of weights, never builds it.  Tables and maps hold O(n) memory: keep a
-    structure no longer than its fit.
+    ``_schur_cg`` reads.  The first call builds a table by ``np.bincount``
+    over the pair key when its key space is at most a quarter of its
+    entries, where the key arrays cost less memory than scipy's staging,
+    and through scipy's sort otherwise (``_cross``).  A later call, under
+    other weights, refills the values of that table with one
+    ``np.bincount`` over a row -> entry map, the table's pattern being fixed
+    by the codes.  The map is built at the first refill, so a structure used
+    once, as by every fit with one set of weights, never builds it.  Tables
+    and maps hold O(n) memory: keep a structure no longer than its fit.
 
     It also keeps what the fit learned about factoring the Schur complement
     A: ``costs``, the switch's costs on the tables' pattern (``_SwitchCosts``,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import formula as fml
 from .data import (CategoricalColumn, Dataset, NumericColumn, SampleMask, build_mask,
@@ -55,6 +54,7 @@ GLM_TOL = 1e-8
 # -log10(eps / SSR_GRAM_RTOL) = 12 digits when SSR >= SSR_GRAM_RTOL * y'Wy
 SSR_GRAM_RTOL = 1e-4
 IRLS_MAX_ITER = 200
+ROW_BLOCK = 1 << 12  # rows of the pooled residual update in one product
 # the loosest inner demeaning tolerance of an IRLS step (see fit_glm_irls)
 INNER_TOL_MAX = 1e-3
 ETA_BOUND = {"poisson": 500.0, "logit": 30.0, "gaussian": np.inf}
@@ -520,18 +520,21 @@ def _collin_scale(dres: DemeanResult, w: Optional[np.ndarray]) -> np.ndarray:
 
 
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A x = b and return (x, A^-1); Cholesky with QR-style fallback."""
+    """Solve A x = b and return (x, A^-1) through the Cholesky factor A = LL'.
+
+    With L^-1 in hand, A^-1 = L^-T L^-1 (exactly symmetric: numpy forms the
+    product with syrk) and x = L^-T (L^-1 b).  A Gram that is not positive
+    definite, singular or indefinite, makes ``cholesky`` raise and falls
+    back to least squares and the pseudo-inverse.
+    """
     if A.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
     try:
-        c, low = scipy.linalg.cho_factor(A)
-        x = scipy.linalg.cho_solve((c, low), b)
-        inv = scipy.linalg.cho_solve((c, low), np.eye(A.shape[0]))
-        return x, inv
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        Linv = np.linalg.inv(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError:
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        inv = np.linalg.pinv(A)
-        return x, inv
+        return x, np.linalg.pinv(A)
+    return Linv.T @ (Linv @ b), Linv.T @ Linv
 
 
 def _stack_f(cols: list[np.ndarray]) -> np.ndarray:
@@ -544,11 +547,14 @@ def _stack_f(cols: list[np.ndarray]) -> np.ndarray:
 
 
 def _gram(R: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
-    """The weighted cross-product R'WR of an F-order matrix."""
+    """The weighted cross-product R'WR of an F-order matrix.
+
+    Unweighted, numpy sees ``R.T @ R`` as one operand times its own
+    transpose and calls BLAS syrk: half the multiply-adds of a gemm, and an
+    exactly symmetric result.
+    """
     if w is None:
-        blas_syrk = scipy.linalg.get_blas_funcs("syrk", (R,))
-        G = blas_syrk(1.0, R, trans=1)  # upper triangle of R'R
-        return G + np.triu(G, 1).T
+        return R.T @ R
     return R.T @ (R * w[:, None])
 
 
@@ -767,9 +773,11 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
                 X = R[:, lo:lo + len(kept_cols)]  # a view: no n-row copy
             else:
                 X = _stack_f([R[:, j] for j in kept_cols])
-            # RES -= X Gamma in place, without an n-row temporary
-            gemm = scipy.linalg.get_blas_funcs("gemm", (X, Gamma))
-            RES = gemm(-1.0, X, Gamma, beta=1.0, c=RES, overwrite_c=True)
+            # RES -= X Gamma in place, a block of rows at a time: the
+            # temporary is ROW_BLOCK rows, never n, and formed transposed so
+            # that it shares RES's F order
+            for at in range(0, n, ROW_BLOCK):
+                RES[at:at + ROW_BLOCK] -= (Gamma.T @ X[at:at + ROW_BLOCK].T).T
         for j, m in enumerate(members):
             resid[m] = np.ascontiguousarray(RES[:, j])
 

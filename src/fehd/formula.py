@@ -251,10 +251,12 @@ class _Parser:
         fe: tuple = ()
         iv = None
         parts = []
-        while self.accept("|"):
+        while self.peek().text == "|":
+            if len(parts) == 2:
+                raise FormulaError("too many formula parts: expected lhs ~ rhs | fe | iv",
+                                   self.peek().pos)
+            self.next()
             parts.append(self.parse_post_part())
-        if len(parts) > 2:
-            raise FormulaError("too many formula parts: expected lhs ~ rhs | fe | iv")
         if len(parts) == 1:
             kind, payload, pos = parts[0]
             if kind == "iv":
@@ -271,9 +273,7 @@ class _Parser:
             fe = payload1
             iv = payload2
         self._check_eof()
-        spec = FormulaSpec(lhs=lhs, rhs=rhs, fe=fe, iv=iv, intercept_only=intercept_only)
-        _validate(spec)
-        return spec
+        return FormulaSpec(lhs=lhs, rhs=rhs, fe=fe, iv=iv, intercept_only=intercept_only)
 
     def _check_eof(self):
         t = self.peek()
@@ -327,7 +327,22 @@ class _Parser:
                 raise FormulaError(
                     "literal 1 is only supported as the sole right-hand-side term", t.pos)
             return (), True
-        return tuple(self.items(self.parse_term, "+")), False
+        return tuple(self.part_terms(self.parse_term, "the rhs part")), False
+
+    def part_terms(self, item, where: str) -> list:
+        """``item ('+' item)*`` of a formula part, with one stepwise call at most."""
+        stepwise = []
+
+        def located():
+            pos = self.peek().pos
+            term = item()
+            if isinstance(term, (Stepwise, FeStepwise)):
+                if stepwise:
+                    raise FormulaError(
+                        f"only one stepwise function is allowed in {where}", pos)
+                stepwise.append(term)
+            return term
+        return self.items(located, "+")
 
     def parse_term(self) -> Term:
         t = self.peek()
@@ -501,16 +516,21 @@ class _Parser:
         if is_iv:
             return ("iv", self.parse_iv_part(), pos)
         self.i = start
-        return ("fe", tuple(self.items(self.parse_fe_term, "+")), pos)
+        return ("fe", tuple(self.part_terms(self.parse_fe_term, "the fixed-effects part")),
+                pos)
 
     def parse_iv_part(self) -> IvPart:
         endo = self.items(lambda: self.ident("endogenous variable"), "+")
         self.expect("~")
-        instruments = self.items(self.parse_term, "+")
-        for term in instruments:
+
+        def instrument():
+            pos = self.peek().pos
+            term = self.parse_term()
             if isinstance(term, Stepwise):
-                raise FormulaError("stepwise functions are not allowed among instruments")
-        return IvPart(tuple(endo), tuple(instruments))
+                raise FormulaError("stepwise functions are not allowed among instruments",
+                                   pos)
+            return term
+        return IvPart(tuple(endo), tuple(self.items(instrument, "+")))
 
     def parse_fe_term(self):
         if self.at_call(STEPWISE_KINDS):
@@ -543,22 +563,6 @@ class _Parser:
         else:
             self.expect("]")
         return tuple(names)
-
-
-def _count_stepwise(terms) -> int:
-    return sum(1 for t in terms if isinstance(t, (Stepwise, FeStepwise)))
-
-
-def _validate(spec: FormulaSpec):
-    if _count_stepwise(spec.rhs) > 1:
-        raise FormulaError("only one stepwise function is allowed in the rhs part")
-    if _count_stepwise(spec.fe) > 1:
-        raise FormulaError("only one stepwise function is allowed in the fixed-effects part")
-    if spec.iv is not None:
-        if not spec.iv.endo:
-            raise FormulaError("IV part requires at least one endogenous variable")
-        if not spec.iv.instruments:
-            raise FormulaError("IV part requires at least one instrument")
 
 
 def parse_formula(text: str) -> FormulaSpec:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import fdtrc, gammaln, ndtr, stdtr
 
 from .data import DataError, Dataset, _factor_codes, panel_pairs
 # unused here; still bound because the benchmark's tracing test
@@ -266,11 +265,13 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
 
 def _f_sf(stat: float, df1: int, df2: int) -> float:
     """Upper tail of F(df1, df2) at ``stat``; 1 at or below zero."""
+    from scipy.special import fdtrc  # loaded by the first tail a run computes
     return float(fdtrc(df1, df2, max(stat, 0.0)))
 
 
 def coeftable(fit: FitResult, vcov: VcovMatrix) -> list[dict]:
     """Per-coefficient rows: estimate, se, t/z statistic, p-value."""
+    from scipy.special import ndtr, stdtr  # loaded by the first tail a run computes
     se = np.sqrt(np.maximum(np.diag(vcov.matrix), 0.0))
     rows = []
     student = fit.family in ("ols", "2sls", "gaussian")
@@ -308,6 +309,7 @@ def wald_test(fit: FitResult, vcov: VcovMatrix,
 def _family_loglik(fit: FitResult, y, w, mu, ssr: float) -> float:
     """Log-likelihood of outcome ``y`` at mean ``mu``; Gaussian from the SSR."""
     if fit.family == "poisson":
+        from scipy.special import gammaln  # only Poisson likelihoods read it
         with np.errstate(divide="ignore", invalid="ignore"):
             lmu = np.log(mu)
         return float(np.sum(w * (y * lmu - mu - gammaln(y + 1.0))))

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .data import Dataset
 from .estimators import EstimationError, FitResult
@@ -325,6 +324,7 @@ def plot_data(models: list, vcov_specs: Optional[list] = None,
               ci_level: float = 0.95, ds: Optional[Dataset] = None,
               keep: Optional[list] = None, drop: Optional[list] = None) -> str:
     """Coefficient-plot data as CSV: point estimates and Student-t CIs."""
+    from scipy.special import stdtrit  # loaded by the first plot a run makes
     vcov_specs = vcov_specs or [VcovSpec("iid")]
     if not 0.0 <= ci_level < 1.0:
         raise EstimationError("ci_level must be in [0, 1)")

@@ -440,6 +440,21 @@ class TestFactorIndex:
         with pytest.raises(DataError, match="non-integer"):
             make_factor_index(ds, build_mask(ds, {}), ["g"])
 
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "masked"])
+    @pytest.mark.parametrize("column, message", [
+        pytest.param(NumericColumn(np.array([1.0, np.nan, 3.0, 4.0])),
+                     "has missing values inside the sample", id="nan"),
+        pytest.param(NumericColumn(np.array([1.0, 2.5, 3.0, 4.0])),
+                     "numeric non-integer column 'g' used as factor", id="non-integer"),
+        pytest.param(CategoricalColumn(codes=np.array([0, -1, 1, 0], dtype=np.int32),
+                                       levels=("a", "b")),
+                     "has missing values inside the sample", id="categorical-missing")])
+    def test_bad_factor_value_names_its_error(self, whole, column, message):
+        # a mask that keeps the column whole reads it without a copy
+        ds = Dataset(n_rows=4, columns={"g": column})
+        with pytest.raises(DataError, match=message):
+            make_factor_index(ds, SampleMask(keep=np.array([True, True, True, whole])), ["g"])
+
 
 def unique_codes(values):
     """First-appearance codes through the ``np.unique`` sort."""
@@ -454,7 +469,10 @@ def unique_codes(values):
 def code_inputs(draw):
     n = draw(st.integers(0, 40))
     kind = draw(st.sampled_from(["int8", "int32", "int64", "uint8", "uint64",
-                                 "span", "str"]))
+                                 "span", "str", "float"]))
+    if kind == "float":  # integer-valued, as factor columns are
+        return np.array(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
+                        dtype=np.float64)
     if kind == "str":
         return np.array(draw(st.lists(st.sampled_from(["a", "b", "", "é", "x,y"]),
                                       min_size=n, max_size=n)), dtype=object)
@@ -478,7 +496,9 @@ def code_inputs(draw):
 @given(code_inputs())
 @settings(max_examples=300, deadline=None)
 def test_first_appearance_codes_match_unique_sort(values):
+    given_values = values.copy()
     codes, n, first_rows = first_appearance_codes(values, return_first_rows=True)
+    assert np.array_equal(values, given_values)  # the input is left as it was
     want_codes, want_n, want_rows = unique_codes(values)
     assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
     assert type(n) is type(want_n) and n == want_n

@@ -3,6 +3,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
@@ -510,18 +511,28 @@ class TestSchurFactorization:
 
 def structure_layouts(rng, n=600):
     """(codes, slopes-or-None) per dimension: two intercept dimensions, a
-    slope pair (slopes on both dimensions) and three dimensions."""
+    slope pair (slopes on both dimensions), three dimensions, and three led
+    by a 5-group dimension, whose table with the 12-group one has a pair-key
+    space under a quarter of its entries (``_cross``'s direct build)."""
     _, c1, c2, c3 = chain_three_fe(rng, n)
     z1, z2 = rng.normal(size=(2, n, 1))
     return {"2fe": [(c1, None), (c2, None)],
             "slopes": [(c1, z1), (c2, np.hstack([z2, z2 ** 2]))],
-            "3fe": [(c1, None), (c2, z2), (c3, None)]}
+            "3fe": [(c1, None), (c2, z2), (c3, None)],
+            "years": [(c3, None), (c2, None), (c1, z1)]}
+
+
+def scipy_cross(module, wa, wb, buf):
+    """A cross-table through scipy's COO staging, sort and duplicate sum."""
+    rows, cols = module._cross_entries(wa, wb)
+    return sp.csr_matrix((module._cross_values(wa, wb, buf).ravel(),
+                          (rows.ravel(), cols.ravel())), shape=(wa.G * wa.L, wb.G * wb.L))
 
 
 class TestFeStructure:
     """Cross-tables kept by one fit: built once, refilled per set of weights."""
 
-    @pytest.mark.parametrize("layout", ["2fe", "slopes", "3fe"])
+    @pytest.mark.parametrize("layout", ["2fe", "slopes", "3fe", "years"])
     def test_refilled_tables_match_a_fresh_build(self, rng, layout):
         module = importlib.import_module("fehd.demean")
         pairs = structure_layouts(rng)[layout]
@@ -543,7 +554,39 @@ class TestFeStructure:
             # the first set of weights builds, the later ones refill through the map
             assert sorted(structure.maps) == (keys if step else [])
 
-    @pytest.mark.parametrize("layout", ["2fe", "slopes", "3fe"])
+    @pytest.mark.parametrize("slopes", [(0, 0), (1, 0), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_small_key_table_matches_the_scipy_build(self, rng, slopes, weighted,
+                                                     monkeypatch):
+        module = importlib.import_module("fehd.demean")
+        n = 2000
+        dims = [FeDim(fidx(first_appearance_codes(rng.integers(0, g, n))[0]),
+                      slopes=rng.normal(size=(n, L)) if L else None)
+                for g, L in zip((40, 7), slopes)]
+        w = rng.uniform(0.01, 5.0, n) if weighted else None
+        wa, wb = (module._DimWork(d, w, n) for d in dims)
+        buf = np.empty(n)
+        assert 4 * wa.G * wa.L * wb.G * wb.L <= n * wa.L * wb.L  # the direct build
+        ref = scipy_cross(module, wa, wb, buf)
+        staged, real = [], sp.csr_matrix
+
+        def csr_matrix(arg, **kw):
+            staged.append(isinstance(arg[1], tuple))  # (data, (rows, cols)): COO staging
+            return real(arg, **kw)
+        monkeypatch.setattr(sp, "csr_matrix", csr_matrix)
+        table = module._cross(wa, wb, buf)
+        monkeypatch.undo()
+        assert staged == [False]
+        assert table.has_canonical_format
+        assert table.indices.dtype == table.indptr.dtype == np.int32
+        assert np.array_equal(table.indptr, ref.indptr)
+        assert np.array_equal(table.indices, ref.indices)
+        if weighted or any(slopes):
+            assert np.abs(table.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+        else:  # counts
+            assert np.array_equal(table.data, ref.data)
+
+    @pytest.mark.parametrize("layout", ["2fe", "slopes", "3fe", "years"])
     def test_single_weight_demean_builds_no_map(self, rng, layout, monkeypatch):
         module = importlib.import_module("fehd.demean")
 

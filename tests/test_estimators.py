@@ -1,14 +1,17 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
 from fehd.demean import DEFAULT_TOL, DemeanProblem, column_drops, demean, recover_fixef
-from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, build_frame,
-                             fit_2sls, fit_glm_irls, fit_model, fit_ols, fixef)
+from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, _gram, _solve_spd,
+                             build_frame, finish_ols_group, fit_2sls, fit_glm_irls,
+                             fit_model, fit_ols, fixef, ols_targets)
 from fehd.formula import expand_models, parse_formula
 
 from oracles import (connected_fe, dummy_design, dummy_irls, dummy_ols, random_instance,
@@ -19,6 +22,60 @@ def make_ds(**cols):
     n = len(next(iter(cols.values())))
     return Dataset(n_rows=n, columns={k: NumericColumn(np.asarray(v, dtype=float))
                                       for k, v in cols.items()})
+
+
+class TestNumpySolves:
+    """The dense solves on numpy's LAPACK, against scipy's where it has the routine."""
+
+    @pytest.mark.parametrize("A", [[[1.0, 1.0], [1.0, 1.0]],   # singular
+                                   [[1.0, 2.0], [2.0, 1.0]]])  # indefinite
+    def test_solve_spd_falls_back_off_positive_definite(self, A):
+        A, b = np.array(A), np.array([1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A)
+        x, inv = _solve_spd(A, b)
+        assert np.array_equal(x, np.linalg.lstsq(A, b, rcond=None)[0])
+        assert np.array_equal(inv, np.linalg.pinv(A))
+
+    def test_solve_spd_matches_scipy_cholesky(self, rng):
+        X = rng.normal(size=(200, 6))
+        A, b = X.T @ X, rng.normal(size=6)
+        x, inv = _solve_spd(A, b)
+        factor = scipy.linalg.cho_factor(A)
+        assert np.allclose(x, scipy.linalg.cho_solve(factor, b), rtol=1e-13, atol=0)
+        assert np.allclose(inv, scipy.linalg.cho_solve(factor, np.eye(6)), rtol=1e-13,
+                           atol=1e-16)
+        assert np.array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("shape", [(1_000_000, 3), (60_000, 24), (50_000, 3)])
+    def test_gram_is_the_syrk_result(self, rng, shape):
+        R = np.asfortranarray(rng.normal(size=shape))
+        upper = scipy.linalg.get_blas_funcs("syrk", (R,))(1.0, R, trans=1)
+        assert np.array_equal(_gram(R, None), upper + np.triu(upper, 1).T)
+
+    def test_pooled_residual_update_has_no_n_row_temporary(self, rng):
+        n = 200_000
+        x1, x2 = rng.normal(size=(2, n))
+        ds = make_ds(f1=rng.integers(0, 2000, n), f2=rng.integers(0, 100, n), x1=x1,
+                     x2=x2, **{f"y{k}": x1 - x2 + rng.normal(size=n) for k in range(4)})
+        frames = [build_frame(ds, m) for m in
+                  expand_models(parse_formula("c(y0, y1, y2, y3) ~ x1 + x2 | f1 + f2"))]
+        problem, sel_map = ols_targets(frames)
+        dres = demean(problem, consume_targets=True)
+        before = dres.residuals.copy()
+        tracemalloc.start()
+        try:
+            fits = finish_ols_group(frames, sel_map, dres, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the four residual columns are updated in place, a block of rows at
+        # a time: less than one n-row column is ever allocated
+        assert peak < 8 * n
+        for k, fit in enumerate(fits):
+            assert np.shares_memory(fit.residuals, dres.residuals)
+            want = before[:, k] - before[:, 4:] @ fit.coef
+            assert np.allclose(fit.residuals, want, rtol=0, atol=1e-12)
 
 
 class TestFitOls:

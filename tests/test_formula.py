@@ -89,8 +89,7 @@ class TestParse:
         json.dumps(ast_to_dict(spec))
 
 
-# malformed formulas: (formula, message, offset); the offset is None where
-# the error concerns a whole part rather than a token
+# malformed formulas: (formula, message, offset of the offending token)
 MALFORMED = [
     ("y ~ x +", "expected term, found 'end of input'", 7),
     ("c(y, ) ~ x", "expected a variable in left-hand side, found ')'", 5),
@@ -110,7 +109,12 @@ MALFORMED = [
     ("y ~ x | f1[[z] ]x", "unexpected trailing input 'x'", 16),
     ("y ~ x | sw(f1,)", "expected fixed-effect factor, found ')'", 14),
     ("y ~ x | e ~ z | f", "IV part must be the last formula part", 8),
-    ("y ~ x | e ~ sw(z)", "stepwise functions are not allowed among instruments", None),
+    ("y ~ x | e ~ sw(z)", "stepwise functions are not allowed among instruments", 12),
+    ("y ~ x | e ~ z + sw(z)", "stepwise functions are not allowed among instruments", 16),
+    ("y ~ sw(a) + sw(b)", "only one stepwise function is allowed in the rhs part", 12),
+    ("y ~ x | sw(a) + csw(b)",
+     "only one stepwise function is allowed in the fixed-effects part", 16),
+    ("y ~ x | f | e ~ z | g", "too many formula parts: expected lhs ~ rhs | fe | iv", 18),
     ("y ~ log(x", "expected ')', found 'end of input'", 9),
 ]
 
@@ -120,8 +124,7 @@ def test_malformed_formula_message_and_offset(text, message, offset):
     with pytest.raises(FormulaError) as err:
         parse_formula(text)
     assert err.value.offset == offset
-    want = message if offset is None else f"{message} (at offset {offset})"
-    assert str(err.value) == want
+    assert str(err.value) == f"{message} (at offset {offset})"
 
 
 class TestExpansion:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -532,14 +533,38 @@ class TestTwoSlsOracle:
         assert_rel_close(wh["stat"], (ssr_r - ssr_u) / n_endo / (ssr_u / (n - rank_u)))
 
 
-def test_import_leaves_out_scipy_stats():
-    # p-values and quantiles come from scipy.special: importing scipy.stats
-    # would also load scipy.optimize and scipy.sparse.linalg on every run
-    code = ("import sys, fehd; print(sorted(m for m in ('scipy.stats', "
-            "'scipy.sparse.linalg') if m in sys.modules))")
+def loaded_modules(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after running ``code``."""
+    code += f"\nimport json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     src = str(Path(fehd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_import_leaves_out_scipy_stats():
+    # p-values and quantiles come from scipy.special: importing scipy.stats
+    # would also load scipy.optimize and scipy.sparse.linalg on every run
+    assert loaded_modules("import fehd", ("scipy.stats", "scipy.sparse.linalg")) == []
+
+
+def test_fits_load_no_dense_linalg_or_special_functions():
+    # the solves run on numpy's LAPACK; scipy.special loads with the first
+    # p-value or quantile, scipy.sparse.linalg with the first factored A
+    code = """
+import numpy as np
+from fehd.data import Dataset, NumericColumn
+from fehd.estimators import fit_glm_irls, fit_ols
+rng = np.random.default_rng(0)
+n = 2000
+x = rng.normal(size=n)
+cols = {"f1": rng.integers(0, 50, n), "f2": rng.integers(0, 30, n), "x": x,
+        "y": x + rng.normal(size=n), "yc": rng.poisson(np.exp(0.3 * x))}
+ds = Dataset(n, {k: NumericColumn(np.asarray(v, dtype=float)) for k, v in cols.items()})
+fit_ols("y ~ x | f1 + f2", ds)
+fit_glm_irls("yc ~ x | f1 + f2", ds, family="poisson")
+"""
+    assert loaded_modules(code, ("scipy.linalg", "scipy.special",
+                                 "scipy.sparse.linalg")) == []
