@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import CategoricalColumn, Dataset, NumericColumn
+from .data import Dataset, NumericColumn
 from .demean import DEFAULT_TOL
 from .estimators import EstimationError, fit_glm_irls, fit_ols
 

@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
     fit.set_defaults(fit_parser=fit)
 
     sim = sub.add_parser("simulate", help="generate the benchmark panel as CSV")
-    sim.add_argument("--n", type=float, required=True)
+    sim.add_argument("--n", required=True, help="rows, e.g. 1e5")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
 
@@ -303,11 +303,11 @@ def _dump_fe_coefs(multi, path: str):
         if not rec.fit.fe_labels:
             continue
         coefs, _report = fixef(rec.fit)
+        head = f"({k}),{rec.provenance.sample_label}"
         for label, fset in coefs.items():
             for g, level in enumerate(fset.levels):
                 for c in range(fset.coef.shape[1]):
-                    lines.append(
-                        f"({k}),{rec.sample_label},{label},{level},{c},{float(fset.coef[g, c])!r}")
+                    lines.append(f"{head},{label},{level},{c},{float(fset.coef[g, c])!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -320,8 +320,21 @@ def _emit(text: str, path: Optional[str]):
         sys.stdout.write(text)
 
 
+def _row_count(flag: str, text: str) -> int:
+    """A panel size given to ``flag``: a finite number such as 1e5, truncated
+    to an integer of at least ``NB_YEAR``, the rows of one simulated person."""
+    try:
+        n = int(float(text))
+    except (ValueError, OverflowError):  # not a number, nan, +-inf
+        n = 0
+    if n < bench_mod.NB_YEAR:
+        raise UsageError(f"{flag} takes finite row counts of at least "
+                         f"{bench_mod.NB_YEAR}, got {text.strip()!r}")
+    return n
+
+
 def cmd_simulate(args) -> int:
-    cfg = bench_mod.DgpConfig(n=int(float(args.n)), seed=args.seed)
+    cfg = bench_mod.DgpConfig(n=_row_count("--n", args.n), seed=args.seed)
     ds = bench_mod.simulate_panel(cfg)
     bench_mod.dataset_to_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows to {args.out}", file=sys.stderr)
@@ -329,7 +342,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(float(s)) for s in args.sizes.split(",") if s.strip()]
+    sizes = [_row_count("--sizes", s) for s in args.sizes.split(",") if s.strip()]
     try:
         cases = bench_mod.parse_cases(args.cases)
     except ValueError as exc:

@@ -173,15 +173,12 @@ class FactorIndex:
 # CSV loading
 # ---------------------------------------------------------------------------
 
-def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
-             columns: Optional[Iterable[str]] = None) -> Dataset:
+def load_csv(path: str, columns: Optional[Iterable[str]] = None) -> Dataset:
     """Load an RFC-4180-style CSV (UTF-8, header row required).
 
     Columns whose non-missing fields all parse as floats become numeric;
     everything else becomes categorical.  Empty fields and the strings
     NA / NaN / nan, with any surrounding whitespace, are treated as missing.
-    ``schema_hints`` maps column names to 'numeric' or 'categorical' to
-    override the inference.
 
     ``columns`` names the columns to load, in header order; header columns
     not named are skipped, and names the header lacks are ignored.  ``None``
@@ -197,12 +194,11 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
     From the first block holding a loaded cell that parser rejects (a missing
     value, text, ``1_0``, non-ASCII digits) to the end of the file, the loaded
     fields are kept as strings and converted with ``float()`` semantics as
-    described above; a column hinted categorical is read that way throughout.
-    So a file with missing values costs at most one block more than a string
-    read.  A column that turns out categorical after numeric blocks rereads
-    those rows as strings.  Both ways give the same values.
+    described above.  So a file with missing values costs at most one block
+    more than a string read.  A column that turns out categorical after
+    numeric blocks rereads those rows as strings.  Both ways give the same
+    values.
     """
-    hints = schema_hints or {}
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
@@ -214,33 +210,27 @@ def load_csv(path: str, schema_hints: Optional[dict[str, str]] = None,
             read = [k for k, name in enumerate(header) if name in wanted]
             # a text column after numeric blocks rereads them, so a pipe skips
             # the typed blocks
-            typed = fh.seekable() and not _has_info_separators(path) \
-                and all(hints.get(header[k]) != "categorical" for k in read)
+            typed = fh.seekable() and not _has_info_separators(path)
             blocks, rest = _read_body(path, fh, len(header), read, typed)
             n_typed = sum(len(b) for b in blocks)
             n_rows = n_typed + (0 if rest is None else len(rest))
             if n_rows == 0:
                 raise DataError(f"{path}: no data rows")
             parsed = {}
-            for k, name in enumerate(header):
-                hint = hints.get(name)
-                if hint not in (None, "numeric", "categorical"):
-                    raise DataError(f"bad schema hint for {name!r}: {hint!r}")
-                if k not in read:
-                    continue
+            for k in read:
+                name = header[k]
                 typed_part = [b[f"f{k}"] for b in blocks]
                 if rest is None:
                     parsed[name] = NumericColumn(np.concatenate(typed_part))
                     continue
-                col = _parse_column(name, rest[f"f{k}"], hint)
+                col = _parse_column(rest[f"f{k}"])
                 if typed_part and isinstance(col, NumericColumn):
                     col = NumericColumn(np.concatenate(typed_part + [col.values]))
                 elif typed_part:  # its levels need the typed rows' strings
                     fh.seek(0)
                     _read_header(path, fh)
                     head = _loadtxt(fh, len(header), [k], "O", n_typed)
-                    col = _parse_column(name, np.concatenate([head[f"f{k}"], rest[f"f{k}"]]),
-                                        hint)
+                    col = _parse_column(np.concatenate([head[f"f{k}"], rest[f"f{k}"]]))
                 parsed[name] = col
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
@@ -351,36 +341,24 @@ def _ragged_error(path: str, n_fields: int,
 _strip = np.frompyfunc(str.strip, 1, 1)
 
 
-def _parse_column(name: str, cells: np.ndarray, hint: Optional[str]) -> Column:
+def _parse_column(cells: np.ndarray) -> Column:
     """A numeric or categorical column from an object array of field strings."""
-    if hint != "categorical":
-        try:  # float() of every cell: ' 1.5 ', 'nan' and 'inf' parse as floats
-            return NumericColumn(cells.astype(np.float64))
-        except ValueError:
-            pass
+    try:  # float() of every cell: ' 1.5 ', 'nan' and 'inf' parse as floats
+        return NumericColumn(cells.astype(np.float64))
+    except ValueError:
+        pass
     present = ~np.isin(_strip(cells), list(MISSING_STRINGS))
     kept = cells[present]
-    if hint != "categorical":
-        try:
-            values = np.full(len(cells), np.nan)
-            values[present] = kept.astype(np.float64)
-            return NumericColumn(values)
-        except ValueError:
-            if hint == "numeric":
-                raise DataError(f"column {name!r}: non-numeric value "
-                                f"{_first_non_float(kept)!r}") from None
+    try:
+        values = np.full(len(cells), np.nan)
+        values[present] = kept.astype(np.float64)
+        return NumericColumn(values)
+    except ValueError:
+        pass
     codes = np.full(len(cells), -1, dtype=np.int32)
     kept_codes, _, first_rows = first_appearance_codes(kept, return_first_rows=True)
     codes[present] = kept_codes
     return CategoricalColumn(codes, tuple(kept[first_rows]))
-
-
-def _first_non_float(cells: np.ndarray) -> str:
-    for c in cells:
-        try:
-            float(c)
-        except ValueError:
-            return c
 
 
 # ---------------------------------------------------------------------------

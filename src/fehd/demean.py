@@ -189,7 +189,6 @@ class FactorRecord:
 @dataclass
 class DemeanResult:
     residuals: np.ndarray  # (n_used, n_targets)
-    iterations: int
     converged: bool
     fe_coef: list[np.ndarray] = field(default_factory=list)  # per dim: (G_q, L_q, n_targets)
     dropped: list[tuple[int, int, int]] = field(default_factory=list)  # (dim, group, col)
@@ -198,12 +197,15 @@ class DemeanResult:
     # per target column: weighted SD floored at SCALE_FLOOR * RMS; None without FE
     scale: Optional[np.ndarray] = None
 
+    @property
+    def iterations(self) -> int:  # the slowest column's CG steps, sweeps - 1
+        return max(self.sweeps - 1, 0)
+
 
 @dataclass
 class FixefReport:
     free_constants: int
     dropped: list[tuple[int, int, int]]
-    notes: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +890,7 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     targets = problem.targets
     n, T = targets.shape
     if not problem.dims:
-        return DemeanResult(residuals=targets.copy(), iterations=0, converged=True)
+        return DemeanResult(residuals=targets.copy(), converged=True)
 
     if structure is None:
         structure = FeStructure(problem.dims)
@@ -919,14 +921,12 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     if accelerate and len(works) > 1:
         steps, converged, factor = _schur_cg(works, bounds, S, coef0, r, buf,
                                              thr, problem.max_iter, structure)
-        iterations = int(steps.max(initial=0))
-        sweeps = iterations + 1
+        sweeps = int(steps.max(initial=0)) + 1
     else:
         factor = None
         steps, converged = _plain_sweeps(works, bounds, S, coef0, r, buf,
                                          thr, problem.max_iter)
         sweeps = int(steps.max(initial=0))
-        iterations = max(sweeps - 1, 0)
 
     structure.state = S
     fe_coef = [coef0.reshape(works[0].G, works[0].L, T)] + [
@@ -934,8 +934,7 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
         for q, wk in enumerate(works[1:])]
     dropped = [(q, int(g), int(c)) for q, wk in enumerate(works)
                for g, c in zip(*np.nonzero(wk.dropped))]
-    return DemeanResult(residuals=r, iterations=iterations,
-                        converged=bool(converged.all()), fe_coef=fe_coef,
+    return DemeanResult(residuals=r, converged=bool(converged.all()), fe_coef=fe_coef,
                         dropped=dropped, sweeps=sweeps, factor=factor,
                         scale=scale)
 
@@ -954,7 +953,6 @@ def recover_fixef(result: DemeanResult, dims: list[FeDim],
     """
     coefs = [c @ combination for c in result.fe_coef]
     intercept_dims = [q for q, d in enumerate(dims) if d.intercept]
-    notes = []
     if len(intercept_dims) > 1:
         base = intercept_dims[0]
         shift_total = 0.0
@@ -963,9 +961,6 @@ def recover_fixef(result: DemeanResult, dims: list[FeDim],
             coefs[q][:, 0] -= shift
             shift_total += shift
         coefs[base][:, 0] += shift_total
-        notes.append(
-            f"{len(intercept_dims) - 1} intercept dimension(s) normalized to zero "
-            f"at their first group; constants folded into dimension {base}")
     report = FixefReport(free_constants=max(0, len(intercept_dims) - 1),
-                         dropped=list(result.dropped), notes=notes)
+                         dropped=list(result.dropped))
     return coefs, report

@@ -11,8 +11,11 @@ demeaned block ``[y - offset, X, E, Z]`` or on ``T'GT`` for a map ``T`` of the
 block; IRLS solves each step on the Gram of ``[z, X]`` under the working
 weights.  Every fit keeps one ``Design`` record, from which inference forms
 the score rows on first use and ``fixef`` reads the fit's own fixed effects.
-``fit_model`` is the one estimator dispatch, and ``ols_targets`` the one
-layout of OLS target columns, for single and pooled fits alike.
+``fit_model`` is the one estimator dispatch, ``ols_targets`` the one layout
+of OLS target columns, for single and pooled fits alike, and ``_fit_result``
+the one ``FitResult`` builder.  A fit stores no fact it can derive: its FE
+labels are its dimensions' labels, and OLS and 2SLS fitted values are formed
+from the design record on first use.
 """
 
 from __future__ import annotations
@@ -134,6 +137,9 @@ FAMILIES = {
         validate=lambda y: None,
     ),
 }
+# the families whose dispersion is fixed at 1: their IID variance is the
+# bread, their tests are z tests, and their null model keeps the offset
+FIXED_DISPERSION = ("poisson", "logit")
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +196,6 @@ class Design:
     weights: Optional[np.ndarray]     # user weights; None when unweighted
     y: np.ndarray                     # observed outcome
     offset: Optional[np.ndarray]
-    # y - offset, read only by FitResult.fitted; None where the fit stores its
-    # fitted values (GLM) or forms no residuals (first stages)
-    fe_target: Optional[np.ndarray]
     demeaned: DemeanResult
     # D = block[:, regressors] for a list of positions, block @ regressors
     # for a (block columns x kept) map
@@ -225,35 +228,41 @@ class IvDiag:
 
 @dataclass
 class FitResult:
-    coef: np.ndarray
+    """One fit, built by ``_fit_result``; what it can derive (FE labels, OLS
+    and 2SLS fitted values) it reads from ``design`` instead of storing."""
+    coef: np.ndarray                  # of the kept regressors
     coef_names: list[str]
     dropped_collinear: list[str]
-    residuals: np.ndarray
-    xtx_inv: np.ndarray
+    residuals: np.ndarray             # None for a 2SLS first stage
+    xtx_inv: np.ndarray               # the bread: the kept Gram's inverse
     dof: DofLedger
     convergence: Convergence
-    family: str
+    family: str                       # "ols", "2sls" or a FAMILIES key
     lhs_name: str
-    fe_labels: list[str]
     mask: SampleMask
-    has_intercept: bool
     ssr: float
-    sst: float
-    ssr_fe_only: float
+    sst: float                        # about the weighted mean
+    ssr_fe_only: float                # of the demeaned outcome; NaN for a GLM
     design: Design
     deviance: float = float("nan")
     iv_diag: Optional[IvDiag] = None
-    sample_label: str = ""
+    sample_label: str = ""            # the split sample; "" for all rows
     scores: Optional[np.ndarray] = None  # per-observation score rows, see ensure_scores
     _fitted: Optional[np.ndarray] = None  # see fitted
 
     @property
+    def fe_labels(self) -> list[str]:  # the FE terms as written, one per dimension
+        return [d.label for d in self.design.dims]
+
+    @property
     def fitted(self) -> Optional[np.ndarray]:
         """Fitted values.  A GLM fit stores them; OLS and 2SLS fits form
-        ``(y - offset) - residuals + offset`` from their design on first use."""
+        ``(y - offset) - residuals + offset`` from their design on first use;
+        first stages, which form no residuals, have none."""
         if self._fitted is None and self.residuals is not None:
             d = self.design
-            self._fitted = np.subtract(d.fe_target, self.residuals)
+            y = d.y if d.offset is None else d.y - d.offset
+            self._fitted = np.subtract(y, self.residuals)
             if d.offset is not None:
                 self._fitted += d.offset
         return self._fitted
@@ -410,19 +419,18 @@ def _produced_columns(ds: Dataset, mask: SampleMask, term) -> list[tuple[str, np
 
 @dataclass
 class ModelFrame:
+    """One model's columns on its estimation sample."""
     mask: SampleMask
     lhs_name: str
     y: np.ndarray
-    x_cols: list[np.ndarray]
+    x_cols: list[np.ndarray]          # without FE, the intercept's ones first
     x_names: list[str]
-    dims: list[FeDim]
-    fe_labels: list[str]
-    has_intercept: bool
+    dims: list[FeDim]                 # their labels are the FE terms as written
     weights: Optional[np.ndarray] = None
     offset: Optional[np.ndarray] = None
-    endo: Optional[np.ndarray] = None
+    endo: list[np.ndarray] = field(default_factory=list)  # empty without an IV part
     endo_names: list[str] = field(default_factory=list)
-    inst: Optional[np.ndarray] = None
+    inst: list[np.ndarray] = field(default_factory=list)
     inst_names: list[str] = field(default_factory=list)
 
     @property
@@ -460,27 +468,19 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
 
     lhs_name, y = produce(model.lhs)[0]
 
-    cols: list[tuple[str, np.ndarray]] = []
+    cols = [] if model.fe_terms else [("(Intercept)", np.ones(n))]
     for term in model.rhs_terms:
         cols.extend(produce(term))
-    has_intercept = len(model.fe_terms) == 0
-    names = ["(Intercept)"] if has_intercept else []
-    arrays = [np.ones(n)] if has_intercept else []
-    for name, arr in cols:
-        names.append(name)
-        arrays.append(arr)
 
     dims = []
-    fe_labels = []
     for fe in model.fe_terms:
         idx = cached(fe.factors, lambda: make_factor_index(pool, mask, list(fe.factors)))
         slopes = None
         if fe.slope_vars:
             slopes = np.column_stack([_take_rows(pool.numeric(v), mask)
                                       for v in fe.slope_vars])
-        label = fml.format_fe_term(fe)
-        dims.append(FeDim(index=idx, slopes=slopes, intercept=fe.intercept, label=label))
-        fe_labels.append(label)
+        dims.append(FeDim(index=idx, slopes=slopes, intercept=fe.intercept,
+                          label=fml.format_fe_term(fe)))
 
     w = None
     if weights:
@@ -489,22 +489,14 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
             raise EstimationError(f"weights column {weights!r} must be strictly positive")
     off = _take_rows(pool.numeric(offset), mask) if offset else None
 
-    endo = inst = None
-    endo_names: list[str] = []
-    inst_names: list[str] = []
-    if model.iv is not None:
-        endo_names = list(model.iv.endo)
-        endo = np.column_stack([_take_rows(pool.numeric(e), mask) for e in endo_names])
-        icols: list[tuple[str, np.ndarray]] = []
-        for term in model.iv.instruments:
-            icols.extend(produce(term))
-        inst_names = [nm for nm, _ in icols]
-        inst = np.column_stack([arr for _, arr in icols])
-
-    return ModelFrame(mask=mask, lhs_name=lhs_name, y=y, x_cols=arrays,
-                      x_names=names, dims=dims, fe_labels=fe_labels,
-                      has_intercept=has_intercept, weights=w, offset=off,
-                      endo=endo, endo_names=endo_names, inst=inst, inst_names=inst_names)
+    endo_names = list(model.iv.endo) if model.iv is not None else []
+    icols = [c for term in (model.iv.instruments if model.iv is not None else ())
+             for c in produce(term)]
+    return ModelFrame(mask=mask, lhs_name=lhs_name, y=y, x_cols=[arr for _, arr in cols],
+                      x_names=[nm for nm, _ in cols], dims=dims, weights=w, offset=off,
+                      endo=[_take_rows(pool.numeric(e), mask) for e in endo_names],
+                      endo_names=endo_names, inst=[arr for _, arr in icols],
+                      inst_names=[nm for nm, _ in icols])
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +628,8 @@ def _demean_converged(problem: DemeanProblem, **kw) -> DemeanResult:
     return dres
 
 
-def _sst(y, w, centered) -> float:
-    """Total sum of squares of y, about its weighted mean if centered."""
+def _sst(y, w) -> float:
+    """Total sum of squares of y about its weighted mean."""
     if w is None:
         sw = float(len(y))
         sy = float(y.sum())
@@ -646,7 +638,29 @@ def _sst(y, w, centered) -> float:
         sw = float(w.sum())
         sy = float(np.einsum("i,i->", w, y))
         ss = float(np.einsum("i,i,i->", w, y, y))
-    return ss - sy * sy / sw if centered else ss
+    return ss - sy * sy / sw
+
+
+def _fit_result(frame: ModelFrame, sol: GramSolve, names: list[str],
+                dres: DemeanResult, regressors: Union[list[int], np.ndarray],
+                resid_map: np.ndarray,
+                outcome: Optional[np.ndarray] = None,
+                convergence: Optional[Convergence] = None, **kw) -> FitResult:
+    """The one FitResult builder: fills what comes from the frame, the solve
+    (of regressors ``names``) and the demeaning ``dres``; ``kw`` holds the
+    rest.  ``outcome`` replaces the frame's outcome and offset, as a first
+    stage's endogenous column does."""
+    if convergence is None:
+        convergence = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged,
+                                  demean_factor=dres.factor)
+    design = Design(dims=frame.dims, weights=frame.weights,
+                    y=frame.y if outcome is None else outcome,
+                    offset=frame.offset if outcome is None else None,
+                    demeaned=dres, regressors=regressors, resid_map=resid_map)
+    return FitResult(coef=sol.coef, coef_names=[names[k] for k in sol.kept],
+                     dropped_collinear=[names[k] for k in sol.dropped],
+                     xtx_inv=sol.xtx_inv, convergence=convergence, mask=frame.mask,
+                     design=design, **kw)
 
 
 def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
@@ -790,32 +804,18 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         iy, sol, kept_cols = solved[m]
         try:
             dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
-            y = frame.shifted_y
             r = resid[m]
             c = np.zeros(p)
             c[iy] = 1.0
             c[list(kept_cols)] -= sol.coef
             ssr = sol.ssr if sol.ssr is not None else _wssr(r, w)
             if frame.lhs_name not in sst_cache:
-                sst_cache[frame.lhs_name] = _sst(
-                    y, w, centered=frame.has_intercept or bool(frame.dims))
-            sst = sst_cache[frame.lhs_name]
-            out.append(FitResult(
-                coef=sol.coef, coef_names=[frame.x_names[k] for k in sol.kept],
-                dropped_collinear=[frame.x_names[k] for k in sol.dropped],
-                residuals=r, xtx_inv=sol.xtx_inv, dof=dof,
-                convergence=Convergence(demean_sweeps=dres.sweeps,
-                                        demean_converged=dres.converged,
-                                        demean_factor=dres.factor),
-                family="ols", lhs_name=frame.lhs_name,
-                fe_labels=list(frame.fe_labels), mask=frame.mask,
-                has_intercept=frame.has_intercept,
-                ssr=ssr, sst=sst,
-                ssr_fe_only=float(G_all[iy, iy]),
-                design=Design(dims=frame.dims, weights=w, y=frame.y,
-                              offset=frame.offset, fe_target=y, demeaned=dres,
-                              regressors=list(kept_cols), resid_map=c),
-            ))
+                sst_cache[frame.lhs_name] = _sst(frame.shifted_y, w)
+            out.append(_fit_result(
+                frame, sol, frame.x_names, dres, list(kept_cols), c,
+                residuals=r, dof=dof, family="ols", lhs_name=frame.lhs_name,
+                ssr=ssr, sst=sst_cache[frame.lhs_name],
+                ssr_fe_only=float(G_all[iy, iy])))
         except EstimationError as exc:
             out.append(exc)
     return out
@@ -832,10 +832,10 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
              demean_max_iter: int = DEFAULT_MAX_ITER,
              offset: Optional[str] = None) -> FitResult:
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
-    if frame.endo is None:
+    if not frame.endo:
         raise EstimationError("fit_2sls requires an IV part (endo ~ instruments)")
-    n_endo = frame.endo.shape[1]
-    n_inst = frame.inst.shape[1]
+    n_endo = len(frame.endo)
+    n_inst = len(frame.inst)
     if n_inst < n_endo:
         raise EstimationError(
             f"under-identification: {n_endo} endogenous variable(s) but only "
@@ -846,8 +846,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     kx = len(frame.x_cols)
 
     # the block [y - offset, X, E, Z]; every stage is a solve on its Gram
-    cols = ([y] + frame.x_cols + [frame.endo[:, j] for j in range(n_endo)]
-            + [frame.inst[:, j] for j in range(n_inst)])
+    cols = [y] + frame.x_cols + frame.endo + frame.inst
     problem = DemeanProblem(targets=_stack_f(cols), dims=frame.dims, weights=w,
                             tol=demean_tol, max_iter=demean_max_iter)
     dres = _demean_converged(problem, consume_targets=True)
@@ -860,12 +859,6 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     stage1_names = frame.x_names + frame.inst_names
     scale = _collin_scale(dres, w)
     k_fe = _k_fe(frame.dims, dres.dropped)
-    conv = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged,
-                       demean_factor=dres.factor)
-
-    def fit_result(**kw) -> FitResult:
-        return FitResult(convergence=conv, fe_labels=list(frame.fe_labels),
-                         mask=frame.mask, has_intercept=frame.has_intercept, **kw)
 
     # first stages: E_j on [X, Z]; E_hat_j = R @ first_map[:, j]
     first_map = np.zeros((p, n_endo))
@@ -882,16 +875,11 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
         resid_map = -first_map[:, j]
         resid_map[ie] = 1.0
         ssr1 = sol.ssr if sol.ssr is not None else _wssr(R @ resid_map, w)
-        first_stages.append(fit_result(
-            coef=sol.coef, coef_names=[stage1_names[k] for k in sol.kept],
-            dropped_collinear=[stage1_names[k] for k in sol.dropped],
-            residuals=None, xtx_inv=sol.xtx_inv,
-            dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
+        first_stages.append(_fit_result(
+            frame, sol, stage1_names, dres, kept_pos, resid_map, outcome=cols[ie],
+            residuals=None, dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
             family="ols", lhs_name=frame.endo_names[j],
-            ssr=ssr1, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie]),
-            design=Design(dims=frame.dims, weights=w, y=cols[ie], offset=None,
-                          fe_target=None, demeaned=dres, regressors=kept_pos,
-                          resid_map=resid_map)))
+            ssr=ssr1, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie])))
 
     # second stage: y on [E_hat, X] = R @ T[:, 1:], solved from T'GT
     names2 = [f"fit_{e}" for e in frame.endo_names] + frame.x_names
@@ -909,23 +897,15 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     c[orig_pos] = -sol.coef
     r = R @ c
     dof = _dof(n, len(sol.kept), k_fe)
-    sst = _sst(y, w, centered=frame.has_intercept or bool(frame.dims))
     exog_kept = [k - n_endo for k in sol.kept if k >= n_endo]
     iv_diag = IvDiag(endo_names=list(frame.endo_names), first_stages=first_stages,
                      gram=G, endo_cols=endo_pos,
                      exog_cols=[x_pos[k] for k in exog_kept],
                      exog_names=[frame.x_names[k] for k in exog_kept])
-    return fit_result(
-        coef=sol.coef, coef_names=[names2[k] for k in sol.kept],
-        dropped_collinear=[names2[k] for k in sol.dropped],
-        residuals=r, xtx_inv=sol.xtx_inv, dof=dof,
-        family="2sls", lhs_name=frame.lhs_name,
-        ssr=_wssr(r, w), sst=sst, ssr_fe_only=float(G[0, 0]),
-        iv_diag=iv_diag,
-        design=Design(dims=frame.dims, weights=w, y=frame.y, offset=frame.offset,
-                      fe_target=y, demeaned=dres,
-                      regressors=T[:, [1 + k for k in sol.kept]], resid_map=c),
-    )
+    return _fit_result(
+        frame, sol, names2, dres, T[:, [1 + k for k in sol.kept]], c,
+        residuals=r, dof=dof, family="2sls", lhs_name=frame.lhs_name,
+        ssr=_wssr(r, w), sst=_sst(y, w), ssr_fe_only=float(G[0, 0]), iv_diag=iv_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,24 +1013,15 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     r = y - mu
     dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
     ssr = float(np.sum(w_user * r * r))
-    sst = _sst(y, frame.weights, centered=True)
-    return FitResult(
-        coef=sol.coef, coef_names=[frame.x_names[k] for k in sol.kept],
-        dropped_collinear=[frame.x_names[k] for k in sol.dropped],
-        residuals=r, _fitted=mu, xtx_inv=sol.xtx_inv, dof=dof,
-        # every inner solve converged: _demean_converged raises otherwise
-        convergence=Convergence(demean_sweeps=sum(st.sweeps for st in path),
-                                demean_converged=dres.converged,
-                                irls_iterations=irls_iters, irls_converged=converged,
-                                demean_factor=factor, irls_path=path),
-        family=family, lhs_name=frame.lhs_name, fe_labels=list(frame.fe_labels),
-        mask=frame.mask, has_intercept=frame.has_intercept,
-        ssr=ssr, sst=sst, ssr_fe_only=float("nan"),
-        deviance=dev,
-        design=Design(dims=frame.dims, weights=frame.weights, y=y, offset=frame.offset,
-                      fe_target=None, demeaned=dres,
-                      regressors=[1 + k for k in sol.kept], resid_map=c),
-    )
+    # every inner solve converged: _demean_converged raises otherwise
+    conv = Convergence(demean_sweeps=sum(st.sweeps for st in path),
+                       demean_converged=dres.converged,
+                       irls_iterations=irls_iters, irls_converged=converged,
+                       demean_factor=factor, irls_path=path)
+    return _fit_result(
+        frame, sol, frame.x_names, dres, [1 + k for k in sol.kept], c, convergence=conv,
+        residuals=r, _fitted=mu, dof=dof, family=family, lhs_name=frame.lhs_name,
+        ssr=ssr, sst=_sst(y, frame.weights), ssr_fe_only=float("nan"), deviance=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1038,7 @@ def fit_model(frame_or_model, ds: Optional[Dataset] = None, family: str = "ols",
     the estimator's solver options.
     """
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
-    if frame.endo is not None:
+    if frame.endo:
         if family != "ols":
             raise EstimationError("IV estimation is only available for OLS models")
         return fit_2sls(frame, **kw)

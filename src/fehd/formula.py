@@ -49,9 +49,6 @@ __all__ = [
 STEPWISE_KINDS = ("sw", "sw0", "csw", "csw0", "mvsw")
 LAG_OPS = ("l", "f", "d")
 UNARY_FUNCS = ("log", "exp")
-RESERVED_CALLS = set(STEPWISE_KINDS) | set(LAG_OPS) | set(UNARY_FUNCS) | {"i", "c"}
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._]*")
 
 
 class FormulaError(ValueError):

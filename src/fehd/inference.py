@@ -5,9 +5,11 @@ and a design record (``FitResult.design``) from which the per-observation
 score rows are formed on first use, so any VCOV can be computed after the fact
 without refitting.  Likelihoods and ``sq.cor`` read the observed outcome from
 the same record.  The IV tests are least-squares solves on the Gram of the
-2SLS block; the first stages are ordinary fits.  Small-sample corrections use
-K = K_vars + K_fe from the degrees-of-freedom ledger; pass ``ssc='none'`` to
-disable them.
+2SLS block; the first stages are ordinary fits.  Every robust VCOV is one
+sandwich A^-1 M A^-1 c, its kind choosing only the meat M and the factor c,
+and every cluster factor is G/(G-1) (N-1)/(N-K), with K = K_vars + K_fe from
+the degrees-of-freedom ledger; pass ``ssc='none'`` to disable the factors.
+The families in ``estimators.FIXED_DISPERSION`` take sigma^2 = 1 and z tests.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .data import DataError, Dataset, _factor_codes, panel_pairs
 # unused here; still bound because the benchmark's tracing test
 # (perfbench/tests/test_tracing.py) looks the name up in this module
 from .data import make_factor_index  # noqa: F401
-from .estimators import (DEFAULT_COLLIN_TOL, EstimationError, FitResult, _wssr,
-                         solve_gram)
+from .estimators import (DEFAULT_COLLIN_TOL, FIXED_DISPERSION, EstimationError,
+                         FitResult, _wssr, solve_gram)
 
 __all__ = [
     "VcovSpec",
@@ -149,104 +151,36 @@ def _pair_codes(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int) -> tuple[np.nd
 
 
 def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -> VcovMatrix:
-    """Sandwich VCOV A^-1 M A^-1 from a fit's stored bread and scores.
-    The IID matrix reads no scores, so it forms none."""
-    A_inv = fit.xtx_inv
-    scores = None if spec.kind == "iid" else fit.ensure_scores()
-    N = fit.dof.n_used
-    K = fit.dof.k_total
-    df_resid = fit.dof.df_resid
-    ssc: dict[str, float] = {}
-    use_ssc = spec.ssc == "default"
+    """The VCOV of a fit from its stored bread A^-1 and, past IID, its scores.
 
+    IID is sigma^2 A^-1, sigma^2 = SSR / df_resid (SSR / N under
+    ``ssc='none'``) or 1 for the fixed-dispersion families; it forms no
+    scores.  Every other kind is the one sandwich A^-1 M A^-1 c, the kind
+    choosing the meat M of the score rows s_i and the factor c (``_meat``).
+    K = K_vars + K_fe; each factor is recorded in ``ssc``, and is 1 under
+    ``ssc='none'``:
+
+    =======  ====================================  ===========================
+    hc1      sum of s_i s_i'                       N/(N-K)
+    cluster  sum of S_g S_g' over G clusters       G/(G-1) (N-1)/(N-K)
+    twoway   c1 M1 + c2 M2 - c12 M12 (12: pairs)   1; each c_j is the above
+    nw       hc1's plus Bartlett lags within units N/(N-K)
+    dk       nw's on the sums of G periods         G/(G-1) (N-1)/(N-K)
+    =======  ====================================  ===========================
+    """
+    A_inv = fit.xtx_inv
+    ssc: dict[str, float] = {}
     if spec.kind == "iid":
-        if fit.family in ("poisson", "logit"):
+        if fit.family in FIXED_DISPERSION:
             sigma2 = 1.0
         else:
-            denom = df_resid if use_ssc else N
+            denom = fit.dof.df_resid if spec.ssc == "default" else fit.dof.n_used
             sigma2 = fit.ssr / denom
             ssc["sigma2_denominator"] = float(denom)
-        V = sigma2 * A_inv
-        label = "IID"
-    elif spec.kind == "hc1":
-        meat = scores.T @ scores
-        c = N / (N - K) if use_ssc else 1.0
-        ssc["hc1"] = c
+        V, label = sigma2 * A_inv, "IID"
+    else:
+        meat, c, label = _meat(fit, spec, ds, ssc)
         V = A_inv @ meat @ A_inv * c
-        label = "Heteroskedasticity-robust"
-    elif spec.kind == "cluster":
-        if ds is None:
-            raise EstimationError("cluster vcov needs the dataset for the cluster column")
-        codes, G = _factor_codes(ds, fit.mask, spec.factors[0])
-        if G <= 1:
-            raise EstimationError(
-                f"cluster variable {spec.factors[0]!r} has a single cluster; "
-                f"clustered variance is undefined")
-        meat = _hac_meat(_group_sums(scores, codes, G))
-        c = (G / (G - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
-        ssc["cluster"] = c
-        ssc["n_clusters"] = float(G)
-        V = A_inv @ meat @ A_inv * c
-        label = f"by: {spec.factors[0]}"
-    elif spec.kind == "twoway":
-        if ds is None:
-            raise EstimationError("twoway vcov needs the dataset for the cluster columns")
-        c1, G1 = _factor_codes(ds, fit.mask, spec.factors[0])
-        c2, G2 = _factor_codes(ds, fit.mask, spec.factors[1])
-        if G1 <= 1 or G2 <= 1:
-            raise EstimationError("twoway clustering needs at least two clusters per factor")
-        c12, G12 = _pair_codes(c1, G1, c2, G2)
-        meat = np.zeros((scores.shape[1], scores.shape[1]))
-        for codes, G, name in ((c1, G1, "cluster1"), (c2, G2, "cluster2")):
-            cf = (G / (G - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
-            ssc[name] = cf
-            meat += cf * _hac_meat(_group_sums(scores, codes, G))
-        cf = (G12 / (G12 - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
-        ssc["intersection"] = cf
-        meat -= cf * _hac_meat(_group_sums(scores, c12, G12))
-        V = A_inv @ meat @ A_inv
-        label = f"by: {spec.factors[0]} & {spec.factors[1]}"
-    elif spec.kind in ("nw", "dk"):
-        if ds is None:
-            raise EstimationError(f"{spec.kind} vcov needs the dataset for panel columns")
-        unit_name, time_name = spec.unit, spec.time
-        if time_name is None and ds.panel is not None:
-            time_name = ds.panel[1]
-        if spec.kind == "nw" and unit_name is None and ds.panel is not None:
-            unit_name = ds.panel[0]
-        if time_name is None or (spec.kind == "nw" and unit_name is None):
-            raise EstimationError(f"{spec.kind} vcov needs unit/time identifiers: name "
-                                  "them in the request or give the data a panel")
-        tvals = ds.numeric(time_name)[fit.mask.keep]
-        rounded = np.rint(tvals)
-        if np.isnan(tvals).any() or not np.array_equal(rounded, tvals):
-            raise EstimationError(f"time column {time_name!r} must be integer-valued")
-        times = rounded.astype(np.int64)
-        n_periods = len(np.unique(times))
-        lag = spec.lag if spec.lag is not None else default_lag(spec.kind, n_periods)
-        if spec.kind == "nw":
-            ucodes, _ = _factor_codes(ds, fit.mask, unit_name)
-            meat = _hac_meat(scores, panel_pairs(ucodes, times, range(1, lag + 1)))
-            c = N / (N - K) if use_ssc else 1.0
-            ssc["nw"] = c
-            V = A_inv @ meat @ A_inv * c
-            label = f"Newey-West (L={lag})"
-        else:
-            tcodes, GT = _factor_codes(ds, fit.mask, time_name)
-            if GT <= 1:
-                raise EstimationError("dk vcov needs at least two time periods")
-            tval_of_code = np.zeros(GT, dtype=np.int64)
-            tval_of_code[tcodes] = times
-            # the period sums form one series: a single unit
-            meat = _hac_meat(_group_sums(scores, tcodes, GT),
-                             panel_pairs(np.zeros(GT, dtype=np.int64), tval_of_code,
-                                         range(1, lag + 1)))
-            c = (GT / (GT - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
-            ssc["dk"] = c
-            V = A_inv @ meat @ A_inv * c
-            label = f"Driscoll-Kraay (L={lag})"
-    else:  # pragma: no cover
-        raise EstimationError(f"unknown vcov kind {spec.kind!r}")
 
     V = (V + V.T) / 2.0
     if V.shape[0] and (np.diag(V) < 0).any():
@@ -257,6 +191,78 @@ def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -
             V = (evecs * evals) @ evecs.T
             V = (V + V.T) / 2.0
     return VcovMatrix(matrix=V, ssc=ssc, label=label, spec=spec)
+
+
+def _meat(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset],
+          ssc: dict[str, float]) -> tuple[np.ndarray, float, str]:
+    """The meat M, the factor c (recorded in ``ssc``) and the label of a
+    sandwich kind; see ``compute_vcov``."""
+    N = fit.dof.n_used
+    K = fit.dof.k_total
+    use_ssc = spec.ssc == "default"
+    hc_factor = N / (N - K) if use_ssc else 1.0
+    if spec.kind != "hc1" and ds is None:
+        raise EstimationError(f"{spec.kind} vcov needs the dataset for its cluster "
+                              f"or panel columns")
+
+    def clusters(name: str) -> tuple[np.ndarray, int]:
+        codes, G = _factor_codes(ds, fit.mask, name)
+        if G <= 1:
+            raise EstimationError(f"cluster variable {name!r} has a single cluster; "
+                                  f"clustered variance is undefined")
+        return codes, G
+
+    def cluster_factor(G: int) -> float:
+        return (G / (G - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
+
+    scores = fit.ensure_scores()
+    if spec.kind == "hc1":
+        c = ssc["hc1"] = hc_factor
+        return scores.T @ scores, c, "Heteroskedasticity-robust"
+    if spec.kind == "cluster":
+        codes, G = clusters(spec.factors[0])
+        c = ssc["cluster"] = cluster_factor(G)
+        ssc["n_clusters"] = float(G)
+        return _hac_meat(_group_sums(scores, codes, G)), c, f"by: {spec.factors[0]}"
+    if spec.kind == "twoway":
+        (c1, G1), (c2, G2) = clusters(spec.factors[0]), clusters(spec.factors[1])
+        c12, G12 = _pair_codes(c1, G1, c2, G2)
+        meat = np.zeros((scores.shape[1], scores.shape[1]))
+        for codes, G, name in ((c1, G1, "cluster1"), (c2, G2, "cluster2")):
+            cf = ssc[name] = cluster_factor(G)
+            meat += cf * _hac_meat(_group_sums(scores, codes, G))
+        cf = ssc["intersection"] = cluster_factor(G12)
+        meat -= cf * _hac_meat(_group_sums(scores, c12, G12))
+        # the factors are inside the meat; times 1.0 is exact
+        return meat, 1.0, f"by: {spec.factors[0]} & {spec.factors[1]}"
+
+    # nw, dk
+    unit_name, time_name = (spec.unit, spec.time) if ds.panel is None else \
+        (spec.unit or ds.panel[0], spec.time or ds.panel[1])
+    if time_name is None or (spec.kind == "nw" and unit_name is None):
+        raise EstimationError(f"{spec.kind} vcov needs unit/time identifiers: name "
+                              "them in the request or give the data a panel")
+    tvals = ds.numeric(time_name)[fit.mask.keep]
+    rounded = np.rint(tvals)
+    if np.isnan(tvals).any() or not np.array_equal(rounded, tvals):
+        raise EstimationError(f"time column {time_name!r} must be integer-valued")
+    times = rounded.astype(np.int64)
+    lag = spec.lag if spec.lag is not None else \
+        default_lag(spec.kind, len(np.unique(times)))
+    if spec.kind == "nw":
+        ucodes, _ = _factor_codes(ds, fit.mask, unit_name)
+        c = ssc["nw"] = hc_factor
+        return (_hac_meat(scores, panel_pairs(ucodes, times, range(1, lag + 1))), c,
+                f"Newey-West (L={lag})")
+    tcodes, GT = clusters(time_name)
+    tval_of_code = np.zeros(GT, dtype=np.int64)
+    tval_of_code[tcodes] = times
+    c = ssc["dk"] = cluster_factor(GT)
+    # the period sums form one series: a single unit
+    meat = _hac_meat(_group_sums(scores, tcodes, GT),
+                     panel_pairs(np.zeros(GT, dtype=np.int64), tval_of_code,
+                                 range(1, lag + 1)))
+    return meat, c, f"Driscoll-Kraay (L={lag})"
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +280,7 @@ def coeftable(fit: FitResult, vcov: VcovMatrix) -> list[dict]:
     from scipy.special import ndtr, stdtr  # loaded by the first tail a run computes
     se = np.sqrt(np.maximum(np.diag(vcov.matrix), 0.0))
     rows = []
-    student = fit.family in ("ols", "2sls", "gaussian")
+    student = fit.family not in FIXED_DISPERSION
     for name, est, s in zip(fit.coef_names, fit.coef, se):
         with np.errstate(divide="ignore", invalid="ignore"):
             stat = est / s if s > 0 else np.inf * np.sign(est) if est else np.nan
@@ -332,7 +338,7 @@ def _loglik_null(fit: FitResult) -> float:
     d = fit.design
     y = d.y
     # the Gaussian null model is a constant plus the offset
-    if d.offset is not None and fit.family not in ("poisson", "logit"):
+    if d.offset is not None and fit.family not in FIXED_DISPERSION:
         y = y - d.offset
     w = d.weights if d.weights is not None else np.ones(len(y))
     mu0 = float((w * y).sum() / w.sum())
@@ -350,7 +356,6 @@ def fit_stats(fit: FitResult, requested: list[str],
     out: dict = {}
     iv = None  # iv_tests output, shared by ivf and wh
     n = fit.dof.n_used
-    centered = fit.has_intercept or bool(fit.fe_labels)
     for name in requested:
         if name not in SUPPORTED_STATS:
             raise EstimationError(f"unknown fit statistic {name!r}; supported: "
@@ -360,11 +365,8 @@ def fit_stats(fit: FitResult, requested: list[str],
         elif name == "r2":
             out["r2"] = 1.0 - fit.ssr / fit.sst if fit.sst > 0 else float("nan")
         elif name == "ar2":
-            if fit.sst <= 0:
-                out["ar2"] = float("nan")
-            else:
-                denom_tot = n - 1 if centered else n
-                out["ar2"] = 1.0 - (fit.ssr / fit.dof.df_resid) / (fit.sst / denom_tot)
+            out["ar2"] = (1.0 - (fit.ssr / fit.dof.df_resid) / (fit.sst / (n - 1))
+                          if fit.sst > 0 else float("nan"))
         elif name == "wr2":
             out["wr2"] = (1.0 - fit.ssr / fit.ssr_fe_only
                           if fit.fe_labels and fit.ssr_fe_only > 0 else float("nan"))

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .estimators import EstimationError, FitResult
+from .estimators import FIXED_DISPERSION, EstimationError, FitResult
 from .inference import VcovSpec, coeftable, compute_vcov, fit_stats
 
 __all__ = ["TableSpec", "render_table", "plot_data", "format_number"]
@@ -78,7 +78,7 @@ class TableSpec:
 
 
 def _default_stats(fit: FitResult) -> list[str]:
-    if fit.family in ("poisson", "logit"):
+    if fit.family in FIXED_DISPERSION:
         return ["n", "ll", "bic", "apr2", "sq.cor"]
     stats = ["n", "r2"]
     if fit.fe_labels:

@@ -417,6 +417,13 @@ class TestSimulateBench:
                                        "firm_id_difficult", "x1", "x2", "y"]
         assert len(lines) == 1001
 
+    @pytest.mark.parametrize("n", ["5", "0", "nan", "inf", "-20", "abc"])
+    def test_simulate_bad_size_exit_one(self, tmp_path, n):
+        out = str(tmp_path / "sim.csv")
+        code, _, err = run_cli(["simulate", "--n", n, "--out", out])
+        assert code == 1 and err.startswith("--n takes finite row counts of at least 10")
+        assert not Path(out).exists()
+
     def test_simulated_csv_roundtrips_through_fit(self, tmp_path):
         out = str(tmp_path / "panel.csv")
         run_cli(["simulate", "--n", "2e3", "--seed", "5", "--out", out])
@@ -460,7 +467,11 @@ class TestSimulateBench:
     @pytest.mark.parametrize("args, message", [
         (["--sizes", "1000", "--cases", "simple2fe-poisson", "--plain"],
          "plain mode times OLS"),
-        (["--sizes", "100,50", "--cases", "simple2fe"], "sorted")])
+        (["--sizes", "100,50", "--cases", "simple2fe"], "sorted"),
+        (["--sizes", "inf", "--cases", "simple2fe"], "--sizes takes finite row counts"),
+        (["--sizes", "100,nan", "--cases", "simple2fe"], "got 'nan'"),
+        (["--sizes", "5", "--cases", "simple2fe"], "at least 10, got '5'"),
+        (["--sizes", "1e4,abc", "--cases", "simple2fe"], "got 'abc'")])
     def test_bench_bad_request_exit_one(self, args, message):
         code, _, err = run_cli(["bench"] + args)
         assert code == 1 and message in err

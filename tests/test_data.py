@@ -64,11 +64,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(str(tmp_path / "absent.csv"))
 
-    def test_schema_hint(self, tmp_path):
-        path = write(tmp_path, "g\n1\n2\n1\n")
-        ds = load_csv(path, schema_hints={"g": "categorical"})
-        assert isinstance(ds.columns["g"], CategoricalColumn)
-
     @pytest.mark.parametrize("text, expected", [
         pytest.param('g,y\n"a,b",1\nc,2\n', {"g": ["a,b", "c"], "y": [1, 2]},
                      id="quoted-comma"),
@@ -158,12 +153,6 @@ class TestLoadCsv:
         assert ds.columns["y"].levels == (f"{sep}1", "2")
         assert isinstance(ds.columns["x"], NumericColumn)
 
-    @pytest.mark.parametrize("columns", [None, ["x"], ["y"]])
-    def test_bad_schema_hint_on_numeric_column(self, tmp_path, columns):
-        path = write(tmp_path, "x,y\n1,2\n3,4\n")
-        with pytest.raises(DataError, match="bad schema hint for 'x': 'Numeric'"):
-            load_csv(path, schema_hints={"x": "Numeric"}, columns=columns)
-
     @pytest.mark.parametrize("block_rows", [1, 2, 4])
     def test_strings_after_typed_blocks(self, tmp_path, monkeypatch, block_rows):
         # rows 1-4 parse as floats; the cells after them do not
@@ -174,22 +163,9 @@ class TestLoadCsv:
         assert ds.columns["g"].codes.tolist() == [0, 1, 2, 1, 3, 4]
         np.testing.assert_array_equal(ds.numeric("y"), [1, 2, 3, 4, np.nan, 6])
         np.testing.assert_array_equal(ds.numeric("x"), np.zeros(6))
-        with pytest.raises(DataError, match="non-numeric value 'b'"):
-            load_csv(path, schema_hints={"g": "numeric"})
         with pytest.raises(DataError, match="row 7 has 2 fields, expected 3"):
             load_csv(write(tmp_path, "g,y,x\n1,1,0\n2,2,0\n3,3,0\n4,4,0\nNA,5,0\n6,6\n"),
                      columns=["y"])
-
-    def test_numeric_hint_names_first_bad_value(self, tmp_path):
-        path = write(tmp_path, "g\n1\nNA\nabc\nxyz\n")
-        with pytest.raises(DataError, match="non-numeric value 'abc'"):
-            load_csv(path, schema_hints={"g": "numeric"})
-
-    def test_categorical_hint_keeps_missing(self, tmp_path):
-        ds = load_csv(write(tmp_path, "g\n2\nNA\n1\n2\n"),
-                      schema_hints={"g": "categorical"})
-        assert ds.columns["g"].levels == ("2", "1")
-        assert ds.columns["g"].codes.tolist() == [0, -1, 1, 0]
 
     def test_not_utf8_after_typed_blocks(self, tmp_path):
         # past the first read buffer: a retry from the failing block must not
@@ -210,7 +186,7 @@ class TestLoadCsv:
 MISSING = {"", "NA", "NaN", "nan"}
 
 
-def reference_load_csv(path, hints):
+def reference_load_csv(path):
     """The loader's semantics, one cell at a time: csv.reader and float()."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
@@ -218,13 +194,12 @@ def reference_load_csv(path, hints):
     for k, name in enumerate(header):
         cells = [row[k] for row in rows]
         missing = [c.strip() in MISSING for c in cells]
-        if hints.get(name) != "categorical":
-            try:
-                columns[name] = np.array(
-                    [np.nan if m else float(c) for c, m in zip(cells, missing)])
-                continue
-            except ValueError:
-                pass
+        try:
+            columns[name] = np.array(
+                [np.nan if m else float(c) for c, m in zip(cells, missing)])
+            continue
+        except ValueError:
+            pass
         levels = {}
         codes = [-1 if m else levels.setdefault(c, len(levels))
                  for c, m in zip(cells, missing)]
@@ -252,29 +227,28 @@ def csv_tables(draw):
             + (TEXT_TOKENS if draw(st.booleans()) else [])
         columns.append(draw(st.lists(st.sampled_from(tokens),
                                      min_size=n_rows, max_size=n_rows)))
-    hints = {f"c{k}": "categorical" for k in range(n_cols) if draw(st.booleans())}
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     terminator = draw(st.sampled_from(["\n", "\r\n"]))
     read = draw(st.none() | st.lists(st.sampled_from(
         [f"c{k}" for k in range(n_cols)] + ["absent"]), unique=True))
     block_rows = draw(st.sampled_from([1, 2, 3, data.TYPED_BLOCK_ROWS]))
-    return columns, hints, quoting, terminator, read, block_rows
+    return columns, quoting, terminator, read, block_rows
 
 
 @given(csv_tables())
 @settings(max_examples=200, deadline=None)
 def test_load_csv_matches_cellwise_reference(tmp_path_factory, table):
-    columns, hints, quoting, terminator, read, block_rows = table
+    columns, quoting, terminator, read, block_rows = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=quoting, lineterminator=terminator)
         writer.writerow([f"c{k}" for k in range(len(columns))])
         writer.writerows(zip(*columns))
-    n_rows, expected = reference_load_csv(path, hints)
+    n_rows, expected = reference_load_csv(path)
     if read is not None:
         expected = {name: want for name, want in expected.items() if name in read}
     with mock.patch.object(data, "TYPED_BLOCK_ROWS", block_rows):
-        ds = load_csv(str(path), schema_hints=hints, columns=read)
+        ds = load_csv(str(path), columns=read)
     assert ds.n_rows == n_rows and list(ds.columns) == list(expected)
     for name, want in expected.items():
         col = ds.columns[name]

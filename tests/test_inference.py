@@ -209,6 +209,78 @@ class TestComputeVcov:
         n, k = fit.dof.n_used, fit.dof.k_total
         assert np.allclose(vd.matrix, v.matrix * n / (n - k), rtol=1e-12)
 
+    @pytest.mark.parametrize("ssc", ["default", "none"])
+    @pytest.mark.parametrize("kind", ["iid", "hc1", "cluster", "twoway", "nw", "dk"])
+    def test_small_sample_factors_and_sandwich_by_hand(self, kind, ssc, rng):
+        # every recorded factor is its textbook formula (1 under ssc='none'),
+        # and the matrix is A^-1 M A^-1 c with M formed here from the scores
+        ds, _ = small_fit(rng, with_panel=True)
+        fit = fit_ols("y ~ x1 + x2 | g", ds, demean_tol=1e-12)
+        N, K, df = fit.dof.n_used, fit.dof.k_total, fit.dof.df_resid
+        on = ssc == "default"
+        A = fit.xtx_inv
+        S = fit.ensure_scores()
+        unit = ds.numeric("unit").astype(int)
+        time = ds.numeric("time").astype(int)
+
+        def cluster_factor(codes):
+            G = len(np.unique(codes))
+            return (G / (G - 1)) * ((N - 1) / (N - K)) if on else 1.0
+
+        def sums(codes):
+            levels, inv = np.unique(codes, return_inverse=True)
+            out = np.zeros((len(levels), S.shape[1]))
+            np.add.at(out, inv, S)
+            return out, levels
+
+        def bartlett(rows, at, lag):
+            # rows[i] paired with rows[j] where at[j] = at[i] - l, same series
+            meat = rows.T @ rows
+            for l in range(1, lag + 1):
+                for i, j in ((i, j) for i in range(len(at)) for j in range(len(at))
+                             if at[j] == at[i] - l):
+                    g = np.outer(rows[i], rows[j]) * (1 - l / (lag + 1))
+                    meat += g + g.T
+            return meat
+
+        spec = {"iid": VcovSpec("iid", ssc=ssc), "hc1": VcovSpec("hc1", ssc=ssc),
+                "cluster": VcovSpec("cluster", factors=("unit",), ssc=ssc),
+                "twoway": VcovSpec("twoway", factors=("unit", "time"), ssc=ssc),
+                "nw": VcovSpec("nw", unit="unit", time="time", lag=2, ssc=ssc),
+                "dk": VcovSpec("dk", time="time", lag=2, ssc=ssc)}[kind]
+        vc = compute_vcov(fit, spec, ds)
+        if kind == "iid":
+            denom = df if on else N
+            assert vc.ssc == {"sigma2_denominator": float(denom)}
+            want = fit.ssr / denom * A
+        elif kind in ("hc1", "nw"):
+            c = N / (N - K) if on else 1.0
+            assert vc.ssc == {kind: c}
+            if kind == "hc1":
+                meat = S.T @ S
+            else:
+                meat = sum(bartlett(S[unit == u], time[unit == u], 2)
+                           for u in np.unique(unit))
+            want = A @ meat @ A * c
+        elif kind == "cluster":
+            c = cluster_factor(unit)
+            assert vc.ssc == {"cluster": c, "n_clusters": 15.0}
+            su, _ = sums(unit)
+            want = A @ (su.T @ su) @ A * c
+        elif kind == "twoway":
+            both = unit * 100 + time
+            c1, c2, c12 = cluster_factor(unit), cluster_factor(time), cluster_factor(both)
+            assert vc.ssc == {"cluster1": c1, "cluster2": c2, "intersection": c12}
+            meat = sum(f * m.T @ m for f, m in ((c1, sums(unit)[0]), (c2, sums(time)[0]),
+                                                (-c12, sums(both)[0])))
+            want = A @ meat @ A
+        else:
+            c = cluster_factor(time)
+            assert vc.ssc == {"dk": c}
+            st, periods = sums(time)
+            want = A @ bartlett(st, periods, 2) @ A * c
+        assert np.abs(vc.matrix - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_labels(self, rng):
         ds, fit = small_fit(rng, with_panel=True)
         assert compute_vcov(fit, VcovSpec("iid")).label == "IID"

@@ -120,7 +120,7 @@ class TestSplit:
         ds = scipubs_like()
         multi = run_multi("articles ~ funding | indiv + year", ds,
                           MultiOptions(split="eu_us"))
-        labels = [r.sample_label for r in multi.results]
+        labels = [r.provenance.sample_label for r in multi.results]
         assert labels == ["EU", "US"]
         assert multi.results[0].fit.dof.n_used == 550
         assert multi.results[1].fit.dof.n_used == 530
@@ -129,7 +129,7 @@ class TestSplit:
         ds = scipubs_like()
         multi = run_multi("articles ~ funding | indiv + year", ds,
                           MultiOptions(fsplit="eu_us"))
-        labels = [r.sample_label for r in multi.results]
+        labels = [r.provenance.sample_label for r in multi.results]
         assert labels == ["Full sample", "EU", "US"]
         assert multi.results[0].fit.dof.n_used == 1080
 
@@ -146,7 +146,7 @@ class TestSplit:
         region[0] = np.inf
         ds = panel.with_columns({"region": NumericColumn(region)})
         multi = run_multi("y1 ~ x1 | f1", ds, MultiOptions(split="region"))
-        assert [r.sample_label for r in multi.results] == ["0", "1"]
+        assert [r.provenance.sample_label for r in multi.results] == ["0", "1"]
         assert multi.results[0].fit.dof.n_used == 199
 
     def test_result_count_law(self, panel):
@@ -157,7 +157,7 @@ class TestSplit:
 
     def test_ordering_model_major_then_split(self, panel):
         multi = run_multi("c(y1, y2) ~ x1 | f1", panel, MultiOptions(split="region"))
-        sig = [(r.provenance.lhs_index, r.sample_label) for r in multi.results]
+        sig = [(r.provenance.lhs_index, r.provenance.sample_label) for r in multi.results]
         assert sig == [(0, "0"), (0, "1"), (1, "0"), (1, "1")]
 
 
