@@ -3,8 +3,9 @@
 The generator builds a balanced panel of individuals over 10 years working in
 firms, with a simple (random) and a difficult (sequential) firm assignment.
 The outcome is y = x1 + 0.05 x2 + unit, year and firm effects plus noise, with
-x2 = x1^2 and all effects standard normal.  The RNG is numpy's counter-based
-PCG64, seeded explicitly, so identical configs reproduce identical data.
+x2 = x1^2 and all effects standard normal.  The RNG is numpy's PCG64, a
+permuted congruential generator, seeded explicitly, so identical configs
+reproduce identical data.
 """
 
 from __future__ import annotations
@@ -32,32 +33,30 @@ NB_INDIV_PER_FIRM = 23
 class DgpConfig:
     n: int
     seed: int = 0
-    nb_year: int = NB_YEAR
-    nb_indiv_per_firm: int = NB_INDIV_PER_FIRM
 
     def __post_init__(self):
-        if self.n < self.nb_year:
-            raise ValueError(f"n must be at least nb_year={self.nb_year}")
+        if self.n < NB_YEAR:
+            raise ValueError(f"n must be at least nb_year={NB_YEAR}")
 
     @property
     def nb_indiv(self) -> int:
-        return int(round(self.n / self.nb_year))
+        return int(round(self.n / NB_YEAR))
 
     @property
     def nb_firm(self) -> int:
-        return max(int(round(self.nb_indiv / self.nb_indiv_per_firm)), 1)
+        return max(int(round(self.nb_indiv / NB_INDIV_PER_FIRM)), 1)
 
     @property
     def n_rows(self) -> int:
-        # the panel is balanced: nb_indiv individuals x nb_year years
-        return self.nb_indiv * self.nb_year
+        # the panel is balanced: nb_indiv individuals x NB_YEAR years
+        return self.nb_indiv * NB_YEAR
 
 
 def simulate_panel(cfg: DgpConfig) -> Dataset:
     """Generate the benchmark panel; deterministic under (n, seed)."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_rows
-    nb_indiv, nb_firm, nb_year = cfg.nb_indiv, cfg.nb_firm, cfg.nb_year
+    nb_indiv, nb_firm, nb_year = cfg.nb_indiv, cfg.nb_firm, NB_YEAR
 
     indiv_id = np.repeat(np.arange(1, nb_indiv + 1), nb_year)
     year = np.tile(np.arange(1, nb_year + 1), nb_indiv)
@@ -173,8 +172,7 @@ def parse_cases(text: str) -> list[BenchCase]:
 
 
 def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
-                  seed: int = 0, demean_tol: float = DEFAULT_TOL,
-                  timeout: Optional[float] = None,
+                  seed: int = 0, timeout: Optional[float] = None,
                   accelerate: bool = True) -> list[dict]:
     """Wall-clock benchmark rows: (case, n, rep, seconds, demean_iterations,
     irls_iterations, factor_s, switch_at, status); the iteration counts are
@@ -208,7 +206,7 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
                 status = "ok"
                 iters = irls = switch_at = factor_s = -1
                 try:
-                    fit = _fit_case(ds, case, demean_tol, accelerate)
+                    fit = _fit_case(ds, case, DEFAULT_TOL, accelerate)
                     iters = fit.convergence.demean_sweeps
                     if case.family != "ols":
                         irls = fit.convergence.irls_iterations

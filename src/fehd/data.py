@@ -1,4 +1,19 @@
-"""Columnar dataset, CSV loading, sample masks, factor indexing and panel shifts."""
+"""Columnar dataset, CSV loading, sample masks, factor indexing and panel shifts.
+
+A factor-like column is one read as groups or times: fixed-effect factors,
+cluster and twoway columns, Newey-West units, Newey-West and Driscoll-Kraay
+times, the panel unit and time, and ``--split``/``--subset`` columns.  Every
+reader of one follows the rules here:
+
+- presence: a value is present unless the column's ``missing`` says so
+  (NaN, +-inf, or a categorical's code -1);
+- integers: a numeric factor or time must hold integral values on the rows
+  it is read over (``_factor_values``, ``_time_values``);
+- codes: groups are numbered in order of first appearance
+  (``make_factor_index``);
+- labels: a level prints as its category, or as its number with an integral
+  float shown without a decimal point (``_level_label``).
+"""
 
 from __future__ import annotations
 
@@ -126,6 +141,11 @@ class SampleMask:
             object.__setattr__(self, "_n_used", cached)
         return cached
 
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """``values`` on the kept rows; the array itself, not a copy, when
+        every row is kept, so treat the result as read-only."""
+        return values if self.n_used == len(self.keep) else values[self.keep]
+
     def signature(self) -> bytes:
         """A key equal for equal masks over one dataset's rows.
 
@@ -163,7 +183,12 @@ class FactorIndex:
     def levels(self) -> tuple[str, ...]:
         cached = getattr(self, "_levels", None)
         if cached is None:
-            parts = [_labels(raw, levels) for raw, levels in self.label_parts]
+            # numeric values are read one scalar at a time: a list of them held
+            # while the strings are made left a 1e6-row fit's peak RSS 3 MB
+            # higher at a 1e5-group factor
+            parts = [[_level_label(v) for v in raw] if levels is None
+                     else [levels[c] for c in raw.tolist()]
+                     for raw, levels in self.label_parts]
             cached = tuple(map("^".join, zip(*parts)))
             object.__setattr__(self, "_levels", cached)
         return cached
@@ -430,21 +455,21 @@ def evaluate_subset(ds: Dataset, expr: str) -> np.ndarray:
         elif not np.isfinite(value):
             target = raw  # inf and nan have no integer form: compare the token
         else:
-            target = str(int(value)) if value == int(value) else str(value)
+            target = _level_label(value)
         if target in col.levels:
-            code = col.levels.index(target)
-            hit = col.codes == code
+            hit = col.codes == col.levels.index(target)
         else:
             hit = np.zeros(ds.n_rows, dtype=bool)
-        return hit if op == "==" else (~hit & (col.codes >= 0))
-    vals = col.values
-    if not isinstance(value, float):
-        raise DataError(f"subset value {raw!r} is not numeric but {name!r} is")
-    with np.errstate(invalid="ignore"):
-        out = {"==": vals == value, "!=": vals != value, "<": vals < value,
-               "<=": vals <= value, ">": vals > value, ">=": vals >= value}[op]
-    out = out & ~np.isnan(vals)
-    return out
+        if op == "!=":
+            hit = ~hit
+    else:
+        vals = col.values
+        if not isinstance(value, float):
+            raise DataError(f"subset value {raw!r} is not numeric but {name!r} is")
+        with np.errstate(invalid="ignore"):
+            hit = {"==": vals == value, "!=": vals != value, "<": vals < value,
+                   "<=": vals <= value, ">": vals > value, ">=": vals >= value}[op]
+    return hit & ~col.missing
 
 
 # ---------------------------------------------------------------------------
@@ -506,24 +531,25 @@ def _factor_values(ds: Dataset, mask: SampleMask, name: str) -> np.ndarray:
     A column the mask keeps whole is read as it is, without a copy.
     """
     col = ds.column(name)
-    keep = mask.keep
-    whole = mask.n_used == len(keep)
+    if mask.take(col.missing).any():
+        raise DataError(f"factor {name!r} has missing values inside the sample")
     if isinstance(col, CategoricalColumn):
-        codes = col.codes if whole else col.codes[keep]
-        if (codes < 0).any():
-            raise DataError(f"factor {name!r} has missing values inside the sample")
-        return codes
-    vals = col.values if whole else col.values[keep]
+        return mask.take(col.codes)
+    vals = mask.take(col.values)
     rounded = np.rint(vals)
-    if not np.array_equal(rounded, vals):  # NaN equals nothing, so it fails here too
-        if np.isnan(vals).any():
-            raise DataError(f"factor {name!r} has missing values inside the sample")
+    if not np.array_equal(rounded, vals):
         raise DataError(f"numeric non-integer column {name!r} used as factor")
     return rounded.astype(np.int64)
 
 
-def _factor_codes(ds: Dataset, mask: SampleMask, name: str) -> tuple[np.ndarray, int]:
-    return first_appearance_codes(_factor_values(ds, mask, name))
+def _time_values(ds: Dataset, mask: SampleMask, name: str) -> np.ndarray:
+    """Integer values of a time column on the kept rows, where a missing or
+    non-integral value is an error."""
+    vals = mask.take(ds.numeric(name))
+    rounded = np.rint(vals)
+    if mask.take(ds.column(name).missing).any() or not np.array_equal(rounded, vals):
+        raise DataError(f"time column {name!r} must be integer-valued")
+    return rounded.astype(np.int64)
 
 
 def _label_part(ds: Dataset, name: str, rows: np.ndarray):
@@ -534,13 +560,9 @@ def _label_part(ds: Dataset, name: str, rows: np.ndarray):
     return col.values[rows], None
 
 
-def _labels(raw: np.ndarray, levels: Optional[tuple[str, ...]]) -> list[str]:
-    """Display labels of one ``FactorIndex.label_parts`` entry."""
-    if levels is not None:
-        return [levels[c] for c in raw.tolist()]
-    # no list of Python ints here: one held while the strings are made left
-    # a 1e6-row fit's peak RSS 3 MB higher at a 1e5-group factor
-    return [str(int(v)) for v in raw]
+def _level_label(v) -> str:
+    """A level's display label: an integral float prints without its decimal point."""
+    return str(int(v)) if isinstance(v, float) and v.is_integer() else str(v)
 
 
 def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> FactorIndex:
@@ -550,7 +572,7 @@ def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> Fact
     codes, n, first_rows = first_appearance_codes(
         _factor_values(ds, mask, factors[0]), return_first_rows=True)
     for name in factors[1:]:
-        codes2, n2 = _factor_codes(ds, mask, name)
+        codes2, n2 = first_appearance_codes(_factor_values(ds, mask, name))
         combined = codes * np.int64(n2) + codes2
         codes, n, first_rows = first_appearance_codes(combined, return_first_rows=True)
     # each group's first dataset row
@@ -564,30 +586,17 @@ def make_factor_index(ds: Dataset, mask: SampleMask, factors: list[str]) -> Fact
 # Panel lags / leads / differences
 # ---------------------------------------------------------------------------
 
-def _panel_codes(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unit codes, integer times, valid mask) over all rows of a panel."""
+def _panel_codes(ds: Dataset) -> tuple[np.ndarray, np.ndarray, SampleMask]:
+    """(unit codes, integer times) on the panel's rows where both unit and
+    time are present, and those rows."""
     if ds.panel is None:
         raise DataError("panel identifiers unset; pass --panel unit,time")
     unit_name, time_name = ds.panel
     ucol = ds.column(unit_name)
-    if isinstance(ucol, CategoricalColumn):
-        ucodes = ucol.codes.astype(np.int64)
-        uvalid = ucodes >= 0
-    else:
-        uvals = ucol.values
-        uvalid = ~np.isnan(uvals)
-        ucodes = np.zeros(ds.n_rows, dtype=np.int64)
-        ucodes[uvalid], _ = first_appearance_codes(uvals[uvalid])
-    tvals = ds.numeric(time_name)
-    tvalid = ~np.isnan(tvals)
-    valid = uvalid & tvalid
-    t_int = np.zeros(ds.n_rows, dtype=np.int64)
-    tv = tvals[valid]
-    rounded = np.rint(tv)
-    if not np.array_equal(rounded, tv):
-        raise DataError(f"time column {time_name!r} must be integer-valued for panel shifts")
-    t_int[valid] = rounded.astype(np.int64)
-    return ucodes, t_int, valid
+    rows = SampleMask(~(ucol.missing | ds.column(time_name).missing))
+    raw = ucol.codes if isinstance(ucol, CategoricalColumn) else ucol.values
+    units, _ = first_appearance_codes(rows.take(raw))
+    return units, _time_values(ds, rows, time_name), rows
 
 
 def panel_pairs(units: np.ndarray, times: np.ndarray,
@@ -623,8 +632,8 @@ def panel_pairs(units: np.ndarray, times: np.ndarray,
     return out
 
 
-def panel_shift(ds: Dataset, mask: Optional[SampleMask], var: str,
-                op: str, offsets: tuple[int, ...]) -> list[tuple[str, np.ndarray]]:
+def panel_shift(ds: Dataset, var: str, op: str,
+                offsets: tuple[int, ...]) -> list[tuple[str, np.ndarray]]:
     """Lag (``l``), lead (``f``) or difference (``d``) columns of ``var``.
 
     Shifts follow time-value arithmetic (lag 1 means time t-1) within units;
@@ -633,19 +642,16 @@ def panel_shift(ds: Dataset, mask: Optional[SampleMask], var: str,
     """
     if op not in ("l", "f", "d"):
         raise DataError(f"unknown panel operator {op!r}")
-    keep = mask.keep if mask is not None else np.ones(ds.n_rows, dtype=bool)
-    units, times, valid = _panel_codes(ds)
-    use = valid & keep
-    x_used = ds.numeric(var)[use]
-    rows_used = np.flatnonzero(use)
+    units, times, rows = _panel_codes(ds)
+    x_used = rows.take(ds.numeric(var))
     shifts = [-k if op == "f" else k for k in offsets]
     out = []
-    for k, (a, b) in zip(offsets, panel_pairs(units[use], times[use], shifts)):
-        vals = np.full(len(rows_used), np.nan)
+    for k, (a, b) in zip(offsets, panel_pairs(units, times, shifts)):
+        vals = np.full(len(x_used), np.nan)
         vals[a] = x_used[b]
         if op == "d":
             vals = x_used - vals
         col = np.full(ds.n_rows, np.nan)
-        col[rows_used] = vals
+        col[rows.keep] = vals
         out.append((f"{op}({var},{k})", col))
     return out

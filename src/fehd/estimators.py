@@ -322,14 +322,13 @@ def _materialize(ds: Dataset, model: fml.ModelSpec) -> Dataset:
             vals = ds.numeric(term.var)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.log(vals) if term.fn == "log" else np.exp(vals)
-            out = np.where(np.isfinite(out), out, np.nan)
-            extra[name] = NumericColumn(out)
+            extra[name] = NumericColumn(out)  # +-inf results count as missing
         elif isinstance(term, fml.LagOp):
             needed = [k for k in term.offsets
                       if not ds.has_column(f"{term.op}({term.var},{k})")]
             if not needed:
                 continue
-            for name, col in panel_shift(ds, None, term.var, term.op, tuple(needed)):
+            for name, col in panel_shift(ds, term.var, term.op, tuple(needed)):
                 extra[name] = NumericColumn(col)
     return ds.with_columns(extra) if extra else ds
 
@@ -378,15 +377,7 @@ def role_columns(model: fml.ModelSpec, weights: Optional[str] = None,
     return roles
 
 
-def _take_rows(values: np.ndarray, mask: SampleMask) -> np.ndarray:
-    # full-sample masks return the column itself; treated as read-only downstream
-    if mask.n_used == len(values):
-        return values
-    return values[mask.keep]
-
-
 def _produced_columns(ds: Dataset, mask: SampleMask, term) -> list[tuple[str, np.ndarray]]:
-    keep = mask.keep
     if isinstance(term, (fml.Var, fml.Func)):
         name = _term_pool_columns(term)[0]
         col = ds.column(name)
@@ -394,9 +385,9 @@ def _produced_columns(ds: Dataset, mask: SampleMask, term) -> list[tuple[str, np
             raise EstimationError(
                 f"variable {name!r} is categorical; use i({name}) or move it "
                 f"to the fixed-effects part")
-        return [(name, _take_rows(col.values, mask))]
+        return [(name, mask.take(col.values))]
     if isinstance(term, fml.LagOp):
-        return [(name, _take_rows(ds.numeric(name), mask))
+        return [(name, mask.take(ds.numeric(name)))
                 for name in _term_pool_columns(term)]
     if isinstance(term, fml.InteractionI):
         base = ds.column(term.var)
@@ -405,15 +396,15 @@ def _produced_columns(ds: Dataset, mask: SampleMask, term) -> list[tuple[str, np
         if term.interact is not None:
             icol = ds.column(term.interact)
             if term.interact_categorical:
-                interacting = (icol.values() if isinstance(icol, CategoricalColumn)
-                               else icol.values)[keep]
+                interacting = mask.take(icol.values() if isinstance(icol, CategoricalColumn)
+                                        else icol.values)
             else:
                 if isinstance(icol, CategoricalColumn):
                     raise EstimationError(
                         f"i({term.var}, {term.interact}): interacting variable is "
                         f"categorical; prefix it with i. to interact two categoricals")
-                interacting = icol.values[keep]
-        return fml.expand_i(term, base_vals[keep], interacting)
+                interacting = mask.take(icol.values)
+        return fml.expand_i(term, mask.take(base_vals), interacting)
     raise EstimationError(f"cannot build columns for {fml.format_term(term)}")
 
 
@@ -477,24 +468,24 @@ def build_frame(ds: Dataset, model: fml.ModelSpec,
         idx = cached(fe.factors, lambda: make_factor_index(pool, mask, list(fe.factors)))
         slopes = None
         if fe.slope_vars:
-            slopes = np.column_stack([_take_rows(pool.numeric(v), mask)
+            slopes = np.column_stack([mask.take(pool.numeric(v))
                                       for v in fe.slope_vars])
         dims.append(FeDim(index=idx, slopes=slopes, intercept=fe.intercept,
                           label=fml.format_fe_term(fe)))
 
     w = None
     if weights:
-        w = _take_rows(pool.numeric(weights), mask)
+        w = mask.take(pool.numeric(weights))
         if (w <= 0).any():
             raise EstimationError(f"weights column {weights!r} must be strictly positive")
-    off = _take_rows(pool.numeric(offset), mask) if offset else None
+    off = mask.take(pool.numeric(offset)) if offset else None
 
     endo_names = list(model.iv.endo) if model.iv is not None else []
     icols = [c for term in (model.iv.instruments if model.iv is not None else ())
              for c in produce(term)]
     return ModelFrame(mask=mask, lhs_name=lhs_name, y=y, x_cols=[arr for _, arr in cols],
                       x_names=[nm for nm, _ in cols], dims=dims, weights=w, offset=off,
-                      endo=[_take_rows(pool.numeric(e), mask) for e in endo_names],
+                      endo=[mask.take(pool.numeric(e)) for e in endo_names],
                       endo_names=endo_names, inst=[arr for _, arr in icols],
                       inst_names=[nm for nm, _ in icols])
 
@@ -1021,7 +1012,9 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     return _fit_result(
         frame, sol, frame.x_names, dres, [1 + k for k in sol.kept], c, convergence=conv,
         residuals=r, _fitted=mu, dof=dof, family=family, lhs_name=frame.lhs_name,
-        ssr=ssr, sst=_sst(y, frame.weights), ssr_fe_only=float("nan"), deviance=dev)
+        ssr=ssr, sst=_sst(y if family in FIXED_DISPERSION else frame.shifted_y,
+                          frame.weights),  # as OLS for the gaussian family
+        ssr_fe_only=float("nan"), deviance=dev)
 
 
 # ---------------------------------------------------------------------------

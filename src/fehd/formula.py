@@ -714,12 +714,6 @@ def expand_models(spec: FormulaSpec) -> list[ModelSpec]:
 # i() expansion
 # ---------------------------------------------------------------------------
 
-def _level_label(v) -> str:
-    if isinstance(v, float) and v == int(v):
-        return str(int(v))
-    return str(v)
-
-
 def _level_sort_key(v):
     if isinstance(v, (int, float, np.integer, np.floating)):
         return (0, float(v), "")
@@ -785,7 +779,7 @@ def expand_i(term: InteractionI, column: np.ndarray,
             for ilv in ilevels:
                 col = ((codes == level_code[lv]) & (icodes == icode[ilv])).astype(np.float64)
                 col[(codes < 0) | (icodes < 0)] = np.nan
-                out.append((f"{term.var}::{_level_label(lv)}:{term.interact}::{_level_label(ilv)}", col))
+                out.append((f"{term.var}::{lv}:{term.interact}::{ilv}", col))
         return out
 
     z = None
@@ -796,9 +790,9 @@ def expand_i(term: InteractionI, column: np.ndarray,
         col[codes < 0] = np.nan
         if z is not None:
             col = col * z
-            name = f"{term.var}::{_level_label(lv)}:{term.interact}"
+            name = f"{term.var}::{lv}:{term.interact}"
         else:
-            name = f"{term.var}::{_level_label(lv)}"
+            name = f"{term.var}::{lv}"
         out.append((name, col))
     return out
 

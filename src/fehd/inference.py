@@ -20,10 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DataError, Dataset, _factor_codes, panel_pairs
-# unused here; still bound because the benchmark's tracing test
-# (perfbench/tests/test_tracing.py) looks the name up in this module
-from .data import make_factor_index  # noqa: F401
+from .data import DataError, Dataset, _time_values, make_factor_index, panel_pairs
 from .estimators import (DEFAULT_COLLIN_TOL, FIXED_DISPERSION, EstimationError,
                          FitResult, _wssr, solve_gram)
 
@@ -206,11 +203,11 @@ def _meat(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset],
                               f"or panel columns")
 
     def clusters(name: str) -> tuple[np.ndarray, int]:
-        codes, G = _factor_codes(ds, fit.mask, name)
-        if G <= 1:
+        idx = make_factor_index(ds, fit.mask, [name])
+        if idx.n_groups <= 1:
             raise EstimationError(f"cluster variable {name!r} has a single cluster; "
                                   f"clustered variance is undefined")
-        return codes, G
+        return idx.group_of_row, idx.n_groups
 
     def cluster_factor(G: int) -> float:
         return (G / (G - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
@@ -242,15 +239,11 @@ def _meat(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset],
     if time_name is None or (spec.kind == "nw" and unit_name is None):
         raise EstimationError(f"{spec.kind} vcov needs unit/time identifiers: name "
                               "them in the request or give the data a panel")
-    tvals = ds.numeric(time_name)[fit.mask.keep]
-    rounded = np.rint(tvals)
-    if np.isnan(tvals).any() or not np.array_equal(rounded, tvals):
-        raise EstimationError(f"time column {time_name!r} must be integer-valued")
-    times = rounded.astype(np.int64)
+    times = _time_values(ds, fit.mask, time_name)
     lag = spec.lag if spec.lag is not None else \
         default_lag(spec.kind, len(np.unique(times)))
     if spec.kind == "nw":
-        ucodes, _ = _factor_codes(ds, fit.mask, unit_name)
+        ucodes = make_factor_index(ds, fit.mask, [unit_name]).group_of_row
         c = ssc["nw"] = hc_factor
         return (_hac_meat(scores, panel_pairs(ucodes, times, range(1, lag + 1))), c,
                 f"Newey-West (L={lag})")

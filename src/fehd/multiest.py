@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import formula as fml
-from .data import (CategoricalColumn, DataError, Dataset, evaluate_subset)
+from .data import CategoricalColumn, DataError, Dataset, _level_label, evaluate_subset
 from .demean import DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanError
 # unused here; still bound because the benchmark's tracing test
 # (perfbench/tests/test_tracing.py) looks the name up in this module
@@ -82,8 +82,7 @@ def _split_plans(ds: Dataset, options: MultiOptions):
     else:
         vals = col.values
         for v in np.unique(vals[~col.missing]):
-            label = str(int(v)) if v == int(v) else str(v)
-            plans.append((label, vals == v))
+            plans.append((_level_label(v), vals == v))
     if options.fsplit:
         plans = [("Full sample", None)] + plans
     return plans

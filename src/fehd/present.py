@@ -36,7 +36,7 @@ CONSOLE_LEGEND = "Signif. codes: 0 '***' 0.001 '**' 0.01 '*' 0.05 '.' 0.1 ' ' 1"
 LATEX_LEGEND = r"Signif. Codes: ***: 0.01, **: 0.05, *: 0.1"
 
 
-def format_number(v, signif: int = 4) -> str:
+def format_number(v) -> str:
     """4 significant digits, scientific below 1e-4."""
     if v is None:
         return "--"
@@ -46,10 +46,8 @@ def format_number(v, signif: int = 4) -> str:
         return "--"
     if v == 0:
         return "0"
-    if abs(v) < 1e-4:
-        return f"{v:.4g}"
-    out = f"{v:.{signif}g}"
-    if "e" in out:  # large magnitudes: keep positional with separators
+    out = f"{v:.4g}"
+    if "e" in out and abs(v) >= 1e-4:  # large magnitudes: keep positional with separators
         out = f"{v:,.1f}" if abs(v) >= 1e6 else f"{v:.6g}"
     return out
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -405,6 +406,63 @@ class TestIvAndGlmPlumbing:
                                   str(path), "--family", family, "--output", "json"])
         assert code == 2 and out == ""
         assert "IV estimation is only available for OLS models" in err
+
+
+def _inf_panel_csv(tmp_path, column):
+    """60 rows, 6 units over times 1..10, with one +inf cell in ``column``.
+
+    ``g`` and ``h`` hold 6 and 5 clusters and ``s`` is positive throughout.
+    """
+    rng = np.random.default_rng(8)
+    n = 60
+    cols = {"y": rng.normal(size=n), "x": rng.normal(size=n),
+            "u": np.repeat(np.arange(1.0, 7.0), 10), "t": np.tile(np.arange(1.0, 11.0), 6),
+            "g": np.arange(n) % 6 + 1.0, "h": np.arange(n) % 5 + 1.0,
+            "s": np.arange(1.0, n + 1.0)}
+    cols[column][4] = np.inf  # unit 1, time 5
+    path = tmp_path / "inf.csv"
+    path.write_text(",".join(cols) + "\n" + "".join(
+        ",".join(repr(float(cols[c][i])) for c in cols) + "\n" for i in range(n)))
+    return str(path)
+
+
+class TestInfiniteFactorValues:
+    """An infinite value in a column read as groups or times is a missing value."""
+
+    CASES = {
+        "cluster": ("g", ["--formula", "y ~ x", "--vcov", "cluster=g"],
+                    "error: factor 'g' has missing values inside the sample"),
+        "twoway": ("h", ["--formula", "y ~ x", "--vcov", "twoway=g,h"],
+                   "error: factor 'h' has missing values inside the sample"),
+        "nw unit": ("u", ["--formula", "y ~ x", "--vcov", "nw=u,t"],
+                    "error: factor 'u' has missing values inside the sample"),
+        "nw time": ("t", ["--formula", "y ~ x", "--vcov", "nw=u,t"],
+                    "error: time column 't' must be integer-valued"),
+        "dk time": ("t", ["--formula", "y ~ x", "--vcov", "dk=t"],
+                    "error: time column 't' must be integer-valued"),
+        # the row at time inf and the row at time 6, which lags onto time 5,
+        # lose their lags: 54 - 2 rows
+        "lag panel time": ("t", ["--formula", "y ~ l(x, 1)", "--panel", "u,t"], 52),
+        "numeric subset": ("s", ["--formula", "y ~ x", "--subset", "s > 0"], 59),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_named_error_or_row_dropped(self, tmp_path, case):
+        column, args, expected = self.CASES[case]
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fehd.cli", "--threads", "1", "fit",
+             "--data", _inf_panel_csv(tmp_path, column), "--output", "json", *args],
+            capture_output=True, text=True, env=env)
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        if isinstance(expected, int):
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["models"][0]["nobs"] == expected
+        else:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert expected in proc.stderr.splitlines()
 
 
 class TestSimulateBench:

@@ -493,7 +493,7 @@ class TestPanelShift:
 
     def test_lag_range(self):
         ds, x = self.make_panel(1, 10)
-        cols = panel_shift(ds, None, "x", "l", (0, 1, 2, 3))
+        cols = panel_shift(ds, "x", "l", (0, 1, 2, 3))
         assert [n for n, _ in cols] == ["l(x,0)", "l(x,1)", "l(x,2)", "l(x,3)"]
         l3 = dict(cols)["l(x,3)"]
         assert np.isnan(l3[:3]).all()
@@ -501,21 +501,21 @@ class TestPanelShift:
 
     def test_lead_then_lag_identity(self):
         ds, x = self.make_panel(2, 8)
-        f1 = dict(panel_shift(ds, None, "x", "f", (1,)))["f(x,1)"]
+        f1 = dict(panel_shift(ds, "x", "f", (1,)))["f(x,1)"]
         ds2 = ds.with_columns({"fx": NumericColumn(f1)})
-        back = dict(panel_shift(ds2, None, "fx", "l", (1,)))["l(fx,1)"]
+        back = dict(panel_shift(ds2, "fx", "l", (1,)))["l(fx,1)"]
         interior = ~np.isnan(back)
         assert np.allclose(back[interior], x[interior])
 
     def test_diff_constant_zero(self):
         ds, _ = self.make_panel(1, 6)
         ds = ds.with_columns({"c": NumericColumn(np.full(6, 3.25))})
-        d = dict(panel_shift(ds, None, "c", "d", (1,)))["d(c,1)"]
+        d = dict(panel_shift(ds, "c", "d", (1,)))["d(c,1)"]
         assert np.isnan(d[0]) and np.allclose(d[1:], 0.0)
 
     def test_offset_zero_identity(self):
         ds, x = self.make_panel(2, 5)
-        l0 = dict(panel_shift(ds, None, "x", "l", (0,)))["l(x,0)"]
+        l0 = dict(panel_shift(ds, "x", "l", (0,)))["l(x,0)"]
         assert np.allclose(l0, x)
 
     def test_gap_produces_missing(self):
@@ -524,7 +524,7 @@ class TestPanelShift:
         ds = Dataset(n_rows=4, columns={
             "unit": NumericColumn(unit), "time": NumericColumn(time),
             "x": NumericColumn(np.arange(4.0))}, panel=("unit", "time"))
-        l1 = dict(panel_shift(ds, None, "x", "l", (1,)))["l(x,1)"]
+        l1 = dict(panel_shift(ds, "x", "l", (1,)))["l(x,1)"]
         assert np.isnan(l1[0]) and l1[1] == 0.0 and np.isnan(l1[2]) and l1[3] == 2.0
 
     def test_duplicate_pair_rejected(self):
@@ -532,12 +532,12 @@ class TestPanelShift:
             "unit": NumericColumn(np.zeros(3)), "time": NumericColumn(np.array([1.0, 1.0, 2.0])),
             "x": NumericColumn(np.arange(3.0))}, panel=("unit", "time"))
         with pytest.raises(DataError, match="duplicate"):
-            panel_shift(ds, None, "x", "l", (1,))
+            panel_shift(ds, "x", "l", (1,))
 
     def test_panel_unset_rejected(self):
         ds = Dataset(n_rows=2, columns={"x": NumericColumn(np.zeros(2))})
         with pytest.raises(DataError, match="panel identifiers unset"):
-            panel_shift(ds, None, "x", "l", (1,))
+            panel_shift(ds, "x", "l", (1,))
 
 
 class TestSubset:
@@ -563,3 +563,17 @@ class TestSubset:
         ds = Dataset(n_rows=1, columns={"x": NumericColumn(np.zeros(1))})
         with pytest.raises(DataError, match="subset"):
             evaluate_subset(ds, "x ** 2")
+
+
+@pytest.mark.parametrize("value, label", [(3, "3"), (3.0, "3"), (-0.0, "0"),
+                                          (np.float64(12.0), "12"), (2.5, "2.5"),
+                                          ("3.0", "3.0")])
+def test_level_label(value, label):
+    assert data._level_label(value) == label
+
+
+def test_take_of_a_full_mask_is_the_column_itself():
+    values = np.arange(5.0)
+    assert SampleMask(np.ones(5, dtype=bool)).take(values) is values
+    kept = SampleMask(np.array([True, False, True, True, False])).take(values)
+    assert kept.tolist() == [0.0, 2.0, 3.0]

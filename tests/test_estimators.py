@@ -494,6 +494,13 @@ class TestGlm:
         o = fit_ols(formula, ds, demean_tol=1e-12)
         assert np.abs(g.coef - o.coef).max() < 1e-8
 
+    def test_gaussian_family_measures_r2_about_y_less_the_offset(self, rng):
+        ds, formula, *_ = random_instance(rng, n_max=200, weighted=False)
+        ds = ds.with_columns({"off": NumericColumn(rng.normal(size=ds.n_rows))})
+        g = fit_glm_irls(formula, ds, family="gaussian", offset="off", demean_tol=1e-12)
+        o = fit_ols(formula, ds, offset="off", demean_tol=1e-12)
+        assert g.sst == pytest.approx(o.sst, rel=1e-12)
+
     def test_family_domain_validation(self):
         ds = make_ds(y=[-1, 2, 3])
         with pytest.raises(EstimationError, match="Poisson requires"):

@@ -5,7 +5,7 @@ writes itself, and compares what it prints with ``tests/golden/<case>.txt``:
 a first line ``exit <code>``, then stdout, then (for a case that writes
 ``--fe-coefs``) a ``--- fe-coefs`` line and that file.  The cases cover every
 vcov kind, OLS, 2SLS, Poisson, logit and gaussian fits, an offset, a split,
-``--ssc none`` and each output format.  A change meant to leave the numbers
+panel lags, a ``--subset``, ``--ssc none`` and each output format.  A change meant to leave the numbers
 alone must leave these files alone; regenerate them only for a change that
 means to move them:
 
@@ -61,6 +61,9 @@ CASES = {
         "--formula", "y ~ x1 + x2 | indiv_id + year", "--split", "grp",
         "--vcov", "iid", "--vcov", "cluster=indiv_id", "--output", "plotdata",
         "--fe-coefs", "{tmp}/fe.csv"],
+    "lags_subset_nw_json": [
+        "--formula", "y ~ x1 + l(x2, 1:2) | indiv_id", "--panel", "indiv_id,year",
+        "--subset", "x2 > 0.5", "--vcov", "nw", "--output", "json"],
 }
 
 
