@@ -746,9 +746,10 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     w1, rest = works[0], works[1:]
     blocks = [slice(bounds[q], bounds[q + 1]) for q in range(len(rest))]
     C1 = [structure.cross(0, q, works, buf) for q in range(1, len(works))]
-    C1t = [C.T for C in C1]  # CSC views of the same arrays
+    C1t = [C.T for C in C1]  # CSC views of the same arrays, as is Kt
     K = [(q, s, structure.cross(q + 1, s + 1, works, buf))
          for q in range(len(rest)) for s in range(q + 1, len(rest))]
+    Kt = [Kqs.T for *_, Kqs in K]
 
     def precondition(res):
         if len(rest) == 1:
@@ -764,9 +765,9 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
         Ap = np.empty_like(p)
         for q, wk in enumerate(rest):
             Ap[blocks[q]] = wk.gram(parts[q])
-        for q, s, Kqs in K:
+        for (q, s, Kqs), Kst in zip(K, Kt):
             Ap[blocks[q]] += Kqs @ parts[s]
-            Ap[blocks[s]] += Kqs.T @ parts[q]
+            Ap[blocks[s]] += Kst @ parts[q]
         for q, Ct in enumerate(C1t):
             Ap[blocks[q]] -= Ct @ m
         return m, Ap

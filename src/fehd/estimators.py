@@ -10,7 +10,7 @@ Frisch-Waugh-Lovell the 2SLS stages are solves on the Gram ``G`` of the
 demeaned block ``[y - offset, X, E, Z]`` or on ``T'GT`` for a map ``T`` of the
 block; IRLS solves each step on the Gram of ``[z, X]`` under the working
 weights.  Every fit keeps one ``Design`` record, from which inference forms
-the score rows on first use and ``fixef`` reads the fit's own fixed effects.
+the score rows at each call and ``fixef`` reads the fit's own fixed effects.
 ``fit_model`` is the one estimator dispatch, ``ols_targets`` the one layout
 of OLS target columns, for single and pooled fits alike, and ``_fit_result``
 the one ``FitResult`` builder.  A fit stores no fact it can derive: its FE
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -188,9 +188,11 @@ class Design:
     its ``fe_coef`` the fixed effects each target column lost.  The fit's
     residual is ``block @ resid_map`` (for a GLM, the last IRLS step's
     working residual), so ``fixef()`` reads its fixed effects as
-    ``fe_coef @ resid_map``.  ``ensure_scores()`` forms the score rows
-    ``D * (weights * r)``, ``D`` the demeaned kept regressors drawn from
-    ``block`` and ``r`` the fit's residual.
+    ``fe_coef @ resid_map``.  ``FitResult.score_rows()`` forms the score
+    rows ``D * (weights * r)`` at each call, ``D`` the demeaned kept
+    regressors drawn from ``block`` and ``r`` the fit's residual.  Each
+    dimension's ``FactorIndex`` also serves as the codes of a cluster, NW
+    unit or DK time variable that is the dimension's one factor.
     """
     dims: list[FeDim]                 # the fixed-effect dimensions
     weights: Optional[np.ndarray]     # user weights; None when unweighted
@@ -247,7 +249,6 @@ class FitResult:
     deviance: float = float("nan")
     iv_diag: Optional[IvDiag] = None
     sample_label: str = ""            # the split sample; "" for all rows
-    scores: Optional[np.ndarray] = None  # per-observation score rows, see ensure_scores
     _fitted: Optional[np.ndarray] = None  # see fitted
 
     @property
@@ -267,20 +268,24 @@ class FitResult:
                 self._fitted += d.offset
         return self._fitted
 
-    def ensure_scores(self) -> np.ndarray:
-        """Materialize the per-observation score rows on first use."""
-        if self.scores is None:
-            d = self.design
-            if isinstance(d.regressors, np.ndarray):
-                mat = d.block @ d.regressors
-            elif d.regressors:
-                mat = np.column_stack([d.block[:, j] for j in d.regressors])
-            else:
-                mat = np.empty((len(d.y), 0))
-            r = d.block @ d.resid_map if self.residuals is None else self.residuals
-            wr = r if d.weights is None else d.weights * r
-            self.scores = mat * wr[:, None]
-        return self.scores
+    def score_rows(self) -> np.ndarray:
+        """The per-observation score rows, (n_used, K), formed anew at each
+        call: a fit keeps none."""
+        cols = list(self._score_columns())
+        return np.column_stack(cols) if cols else np.empty((len(self.design.y), 0))
+
+    def _score_columns(self) -> Iterator[np.ndarray]:
+        """The columns of ``score_rows()``, D[:, k] * (weights * r), each
+        formed as it is read; a 2SLS map forms D whole first."""
+        d = self.design
+        r = d.block @ d.resid_map if self.residuals is None else self.residuals
+        wr = r if d.weights is None else d.weights * r
+        if isinstance(d.regressors, np.ndarray):
+            D, cols = d.block @ d.regressors, range(d.regressors.shape[1])
+        else:
+            D, cols = d.block, d.regressors
+        for j in cols:
+            yield D[:, j] * wr
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +325,7 @@ def _materialize(ds: Dataset, model: fml.ModelSpec) -> Dataset:
             if ds.has_column(name) or name in extra:
                 continue
             vals = ds.numeric(term.var)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 out = np.log(vals) if term.fn == "log" else np.exp(vals)
             extra[name] = NumericColumn(out)  # +-inf results count as missing
         elif isinstance(term, fml.LagOp):

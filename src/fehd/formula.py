@@ -798,7 +798,8 @@ def expand_i(term: InteractionI, column: np.ndarray,
 
 
 def _is_missing(v) -> bool:
-    return v is None or (isinstance(v, float) and np.isnan(v))
+    """The data presence rule: None, NaN and +-inf are missing."""
+    return v is None or (isinstance(v, float) and not np.isfinite(v))
 
 
 def _coerce_key(v):

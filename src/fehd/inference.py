@@ -1,10 +1,13 @@
 """Variance-covariance matrices, fit statistics and IV diagnostics.
 
 Estimation is separate from inference: every estimator stores its bread matrix
-and a design record (``FitResult.design``) from which the per-observation
-score rows are formed on first use, so any VCOV can be computed after the fact
-without refitting.  Likelihoods and ``sq.cor`` read the observed outcome from
-the same record.  The IV tests are least-squares solves on the Gram of the
+and a design record (``FitResult.design``) from which each VCOV call forms the
+per-observation score rows and drops them, so any VCOV can be computed after
+the fact without refitting and a fit keeps nothing per row for it.  Cluster,
+two-way and DK meats sum the score columns one at a time.  A cluster, NW unit
+or DK time variable that is one of the fit's FE factors takes that dimension's
+codes.  Likelihoods and ``sq.cor`` read the observed outcome from the same
+record.  The IV tests are least-squares solves on the Gram of the
 2SLS block; the first stages are ordinary fits.  Every robust VCOV is one
 sandwich A^-1 M A^-1 c, its kind choosing only the meat M and the factor c,
 and every cluster factor is G/(G-1) (N-1)/(N-K), with K = K_vars + K_fe from
@@ -118,12 +121,16 @@ def default_lag(kind: str, n_periods: int) -> int:
 # VCOV computation
 # ---------------------------------------------------------------------------
 
-def _group_sums(scores: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per-group column sums of the score rows, (n_groups, K)."""
-    S = np.empty((n_groups, scores.shape[1]))
-    for k in range(scores.shape[1]):
-        S[:, k] = np.bincount(codes, weights=scores[:, k], minlength=n_groups)
-    return S
+def _group_sums(fit: FitResult, codings) -> list[np.ndarray]:
+    """Per (codes, n_groups) of ``codings``, the per-group column sums of the
+    fit's score rows, (n_groups, K); each score column is formed once and
+    summed under every coding before the next."""
+    K = len(fit.coef)
+    sums = [np.empty((G, K)) for _, G in codings]
+    for k, col in enumerate(fit._score_columns()):
+        for S, (codes, G) in zip(sums, codings):
+            S[:, k] = np.bincount(codes, weights=col, minlength=G)
+    return sums
 
 
 def _hac_meat(S: np.ndarray, pairs=()) -> np.ndarray:
@@ -141,10 +148,21 @@ def _hac_meat(S: np.ndarray, pairs=()) -> np.ndarray:
     return meat
 
 
-def _pair_codes(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int) -> tuple[np.ndarray, int]:
-    combined = c1 * np.int64(n2) + c2
-    uniq, inv = np.unique(combined, return_inverse=True)
-    return inv.astype(np.int64), len(uniq)
+def _pair_codes(c1: np.ndarray, c2: np.ndarray, n2: int) -> tuple[np.ndarray, int]:
+    """Codes of the observed (c1, c2) pairs, numbered in the order of the key
+    c1 * n2 + c2, as ``np.unique(key, return_inverse=True)`` numbers them;
+    the sorted keys' buffer takes the run count and the key's the codes."""
+    key = c1 * np.int64(n2)
+    key += c2
+    order = np.argsort(key)
+    keys = key[order]
+    run = np.empty(len(keys), dtype=bool)
+    run[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run[1:])
+    np.cumsum(run, out=keys)
+    keys -= 1
+    key[order] = keys
+    return key, int(keys[-1]) + 1 if len(keys) else 0
 
 
 def compute_vcov(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset] = None) -> VcovMatrix:
@@ -202,34 +220,44 @@ def _meat(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset],
         raise EstimationError(f"{spec.kind} vcov needs the dataset for its cluster "
                               f"or panel columns")
 
-    def clusters(name: str) -> tuple[np.ndarray, int]:
+    def codes(name: str) -> tuple[np.ndarray, int]:
+        # a variable that is one of the fit's FE factors reads that
+        # dimension's codes: the same mask, the same first-appearance codes
+        for dim in fit.design.dims:
+            if dim.label == name and len(dim.index.label_parts) == 1:
+                return dim.index.group_of_row, dim.index.n_groups
         idx = make_factor_index(ds, fit.mask, [name])
-        if idx.n_groups <= 1:
+        return idx.group_of_row, idx.n_groups
+
+    def clusters(name: str) -> tuple[np.ndarray, int]:
+        got = codes(name)
+        if got[1] <= 1:
             raise EstimationError(f"cluster variable {name!r} has a single cluster; "
                                   f"clustered variance is undefined")
-        return idx.group_of_row, idx.n_groups
+        return got
 
     def cluster_factor(G: int) -> float:
         return (G / (G - 1)) * ((N - 1) / (N - K)) if use_ssc else 1.0
 
-    scores = fit.ensure_scores()
     if spec.kind == "hc1":
         c = ssc["hc1"] = hc_factor
+        scores = fit.score_rows()
         return scores.T @ scores, c, "Heteroskedasticity-robust"
     if spec.kind == "cluster":
-        codes, G = clusters(spec.factors[0])
+        c1, G = clusters(spec.factors[0])
         c = ssc["cluster"] = cluster_factor(G)
         ssc["n_clusters"] = float(G)
-        return _hac_meat(_group_sums(scores, codes, G)), c, f"by: {spec.factors[0]}"
+        return _hac_meat(*_group_sums(fit, [(c1, G)])), c, f"by: {spec.factors[0]}"
     if spec.kind == "twoway":
         (c1, G1), (c2, G2) = clusters(spec.factors[0]), clusters(spec.factors[1])
-        c12, G12 = _pair_codes(c1, G1, c2, G2)
-        meat = np.zeros((scores.shape[1], scores.shape[1]))
-        for codes, G, name in ((c1, G1, "cluster1"), (c2, G2, "cluster2")):
+        c12, G12 = _pair_codes(c1, c2, G2)
+        S1, S2, S12 = _group_sums(fit, [(c1, G1), (c2, G2), (c12, G12)])
+        meat = np.zeros((len(fit.coef), len(fit.coef)))
+        for S, G, name in ((S1, G1, "cluster1"), (S2, G2, "cluster2")):
             cf = ssc[name] = cluster_factor(G)
-            meat += cf * _hac_meat(_group_sums(scores, codes, G))
+            meat += cf * _hac_meat(S)
         cf = ssc["intersection"] = cluster_factor(G12)
-        meat -= cf * _hac_meat(_group_sums(scores, c12, G12))
+        meat -= cf * _hac_meat(S12)
         # the factors are inside the meat; times 1.0 is exact
         return meat, 1.0, f"by: {spec.factors[0]} & {spec.factors[1]}"
 
@@ -243,16 +271,15 @@ def _meat(fit: FitResult, spec: VcovSpec, ds: Optional[Dataset],
     lag = spec.lag if spec.lag is not None else \
         default_lag(spec.kind, len(np.unique(times)))
     if spec.kind == "nw":
-        ucodes = make_factor_index(ds, fit.mask, [unit_name]).group_of_row
+        pairs = panel_pairs(codes(unit_name)[0], times, range(1, lag + 1))
         c = ssc["nw"] = hc_factor
-        return (_hac_meat(scores, panel_pairs(ucodes, times, range(1, lag + 1))), c,
-                f"Newey-West (L={lag})")
+        return _hac_meat(fit.score_rows(), pairs), c, f"Newey-West (L={lag})"
     tcodes, GT = clusters(time_name)
     tval_of_code = np.zeros(GT, dtype=np.int64)
     tval_of_code[tcodes] = times
     c = ssc["dk"] = cluster_factor(GT)
     # the period sums form one series: a single unit
-    meat = _hac_meat(_group_sums(scores, tcodes, GT),
+    meat = _hac_meat(*_group_sums(fit, [(tcodes, GT)]),
                      panel_pairs(np.zeros(GT, dtype=np.int64), tval_of_code,
                                  range(1, lag + 1)))
     return meat, c, f"Driscoll-Kraay (L={lag})"

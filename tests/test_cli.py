@@ -465,6 +465,21 @@ class TestInfiniteFactorValues:
             assert expected in proc.stderr.splitlines()
 
 
+def test_exp_overflow_drops_the_row_without_a_warning(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("y,x\n1.0,0.1\n2.5,0.4\n2.0,0.3\n4.0,0.9\n3.0,800\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fehd.cli", "--threads", "1", "fit", "--data", str(path),
+         "--output", "json", "--formula", "y ~ exp(x)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["models"][0]["nobs"] == 4
+
+
 class TestSimulateBench:
     def test_simulate_writes_csv(self, tmp_path):
         out = str(tmp_path / "panel.csv")

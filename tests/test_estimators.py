@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, _gram, _s
                              build_frame, finish_ols_group, fit_2sls, fit_glm_irls,
                              fit_model, fit_ols, fixef, ols_targets)
 from fehd.formula import expand_models, parse_formula
+from fehd.inference import VcovSpec, compute_vcov
 
 from oracles import (connected_fe, dummy_design, dummy_irls, dummy_ols, random_instance,
                      scipubs_like)
@@ -474,7 +476,7 @@ class TestGlm:
         y = rng.poisson(np.exp(0.4 * x + 0.2 * (c1 % 3))).astype(float)
         ds = make_ds(y=y, x=x, f1=c1)
         fit = fit_glm_irls("y ~ x | f1", ds, family="poisson", demean_tol=1e-12)
-        grad = fit.ensure_scores().sum(axis=0)
+        grad = fit.score_rows().sum(axis=0)
         assert np.abs(grad).max() <= 1e-6 * n
 
     def test_logit_matches_dummy_irls(self, rng):
@@ -897,3 +899,25 @@ def test_prebuilt_frame_rejects_weights_and_offset(rng, fit):
             fit(frame, **kw, **extra)
     alone = fit(frame, **kw)
     assert np.array_equal(alone.coef, fit(formula, ds, **kw).coef)
+
+
+@pytest.mark.parametrize("formula, fes", [
+    ("y ~ x1 + x2", ("indiv_id", "firm_id_difficult")),
+    ("y ~ x1 + x2", ("indiv_id", "firm_id_difficult", "year")),
+    ("count ~ x1", ("indiv_id", "firm_id_difficult")),
+])
+def test_fe_order_changes_no_estimate(difficult_panel, formula, fes):
+    """Every order of the FE dimensions gives the same coefficients, SEs and
+    fitted values, within the demeaning tolerance."""
+    tol = 1e-8
+    spec = VcovSpec("cluster", factors=("firm_id_difficult",))
+    out = []
+    for order in itertools.permutations(fes):
+        fit = fit_model(f"{formula} | {' + '.join(order)}", difficult_panel,
+                        family="poisson" if formula.startswith("count") else "ols",
+                        demean_tol=tol)
+        se = np.sqrt(np.diag(compute_vcov(fit, spec, difficult_panel).matrix))
+        out.append((fit.coef, se, fit.fitted))
+    for got in out[1:]:
+        for g, want in zip(got, out[0]):
+            assert np.abs(g - want).max() <= 10 * tol * (1 + np.abs(want).max())

@@ -258,6 +258,11 @@ class TestExpandI:
         merged = dict(out)["year::8 - 9"]
         assert np.array_equal(merged, np.isin(col, (8, 9)).astype(float))
 
+    def test_infinite_values_are_missing(self):
+        out = expand_i(parse_formula("y ~ i(x)").rhs[0], np.array([1.0, 2.0, np.inf, -np.inf]))
+        assert [n for n, _ in out] == ["x::2"]
+        assert np.array_equal(out[0][1], [0.0, 1.0, np.nan, np.nan], equal_nan=True)
+
     def test_unknown_ref_raises(self):
         with pytest.raises(FormulaError, match="unknown reference"):
             expand_i(InteractionI("g", ref=(42,)), np.array([1.0, 2.0]))

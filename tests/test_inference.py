@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ import scipy.stats
 
 import fehd
 
-from fehd.data import DataError, Dataset, NumericColumn
-from fehd.estimators import EstimationError, fit_2sls, fit_ols
-from fehd.inference import (VcovSpec, coeftable, compute_vcov, default_lag,
+from fehd import inference
+from fehd.data import DataError, Dataset, NumericColumn, make_factor_index
+from fehd.estimators import EstimationError, FitResult, fit_2sls, fit_ols
+from fehd.inference import (VcovSpec, _pair_codes, coeftable, compute_vcov, default_lag,
                             fit_stats, iv_tests, parse_vcov_spec, wald_test)
 
 import oracles
@@ -219,7 +221,7 @@ class TestComputeVcov:
         N, K, df = fit.dof.n_used, fit.dof.k_total, fit.dof.df_resid
         on = ssc == "default"
         A = fit.xtx_inv
-        S = fit.ensure_scores()
+        S = fit.score_rows()
         unit = ds.numeric("unit").astype(int)
         time = ds.numeric("time").astype(int)
 
@@ -287,6 +289,76 @@ class TestComputeVcov:
         assert compute_vcov(fit, VcovSpec("cluster", factors=("g",)), ds).label == "by: g"
         assert compute_vcov(fit, VcovSpec("nw", unit="unit", time="time", lag=1),
                             ds).label == "Newey-West (L=1)"
+
+
+class TestNoPerRowState:
+    """A VCOV call forms its score rows and codes and keeps none of them."""
+
+    SPECS = (VcovSpec("iid"), VcovSpec("hc1"), VcovSpec("cluster", factors=("g",)),
+             VcovSpec("twoway", factors=("unit", "g")),
+             VcovSpec("nw", unit="unit", time="time", lag=1), VcovSpec("dk", time="time"))
+
+    @staticmethod
+    def fe_fit(rng, formula="y ~ x1 + x2 | unit + g + time"):
+        ds, _ = small_fit(rng, with_panel=True)
+        w = NumericColumn(rng.uniform(0.5, 2.0, ds.n_rows))
+        ds = ds.with_columns({"w": w, **{f"{c}_copy": ds.column(c) for c in ("g", "unit", "time")}})
+        return ds, fit_ols(formula, ds, weights="w", demean_tol=1e-12)
+
+    def test_fit_has_no_scores_field(self):
+        assert "scores" not in {f.name for f in dataclasses.fields(FitResult)}
+
+    def test_call_order_changes_no_bit(self):
+        def fresh():
+            return self.fe_fit(np.random.default_rng(0))
+        ds, fit = fresh()
+        # each kind computed first on a fit of its own
+        first = [compute_vcov(fresh()[1], spec, ds).matrix for spec in self.SPECS]
+        for order in (self.SPECS, self.SPECS[::-1]):
+            got = {spec: compute_vcov(fit, spec, ds).matrix for spec in order}
+            for spec, want in zip(self.SPECS, first):
+                assert np.array_equal(got[spec], want), spec
+
+    @pytest.mark.parametrize("spec, rebuilt", [
+        (VcovSpec("cluster", factors=("g",)), VcovSpec("cluster", factors=("g_copy",))),
+        (VcovSpec("twoway", factors=("unit", "g")),
+         VcovSpec("twoway", factors=("unit_copy", "g_copy"))),
+        (VcovSpec("nw", unit="unit", time="time", lag=2),
+         VcovSpec("nw", unit="unit_copy", time="time_copy", lag=2)),
+        (VcovSpec("dk", time="time", lag=1), VcovSpec("dk", time="time_copy", lag=1)),
+    ])
+    def test_fe_variables_read_the_fit_codes(self, spec, rebuilt, rng, monkeypatch):
+        ds, fit = self.fe_fit(rng)
+        want = compute_vcov(fit, rebuilt, ds)
+        calls = []
+        monkeypatch.setattr(inference, "make_factor_index",
+                            lambda *a: calls.append(a) or make_factor_index(*a))
+        got = compute_vcov(fit, spec, ds)
+        assert calls == []
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.ssc == want.ssc
+
+    def test_fe_with_slopes_or_two_factors_rebuilds_codes(self, rng, monkeypatch):
+        # a column named like a two-factor FE is not that FE
+        ds, fit = self.fe_fit(rng, "y ~ x1 | g[x2] + time^g")
+        ds = ds.with_columns({"time^g": ds.column("unit")})
+        calls = []
+        monkeypatch.setattr(inference, "make_factor_index",
+                            lambda *a: calls.append(a[2]) or make_factor_index(*a))
+        for name, copy in (("g", "g_copy"), ("time^g", "unit_copy")):
+            got = compute_vcov(fit, VcovSpec("cluster", factors=(name,)), ds).matrix
+            want = compute_vcov(fit, VcovSpec("cluster", factors=(copy,)), ds).matrix
+            assert np.array_equal(got, want)
+        assert calls == [["g"], ["g_copy"], ["time^g"], ["unit_copy"]]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    def test_pair_codes_match_unique_inverse(self, n, rng):
+        n1, n2 = 7, 40
+        c1, c2 = rng.integers(0, n1, n), rng.integers(0, n2, n)
+        levels, inv = np.unique(c1 * np.int64(n2) + c2, return_inverse=True)
+        codes, G = _pair_codes(c1, c2, n2)
+        assert codes.dtype == np.int64 and G == len(levels)
+        assert np.array_equal(codes, inv)
 
 
 class TestFitStats:
