@@ -25,7 +25,7 @@ from .estimators import DEFAULT_COLLIN_TOL, EstimationError, fixef, model_column
 from .formula import FormulaError
 from .inference import parse_vcov_spec
 from .multiest import MultiOptions, run_multi
-from .present import TableSpec, plot_data, render_table
+from .present import TableSpec, plot_data, render_table, row_patterns
 
 USAGE_EXIT = 1
 ESTIMATION_EXIT = 2
@@ -208,6 +208,11 @@ def _resolve_threads(value: Optional[int]) -> int:
 
 def cmd_fit(args, threads: int) -> int:
     _apply_config_and_defaults(args)
+    for opt in ("keep", "drop", "order"):
+        try:
+            setattr(args, opt, row_patterns(getattr(args, opt)))
+        except ValueError as exc:
+            raise UsageError(f"--{opt}: {exc}")
     panel = [s.strip() for s in args.panel.split(",")] if args.panel else None
     ds = _load_run_columns(args, panel)
     if panel is not None:

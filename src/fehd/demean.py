@@ -162,8 +162,8 @@ class DemeanProblem:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if (self.weights <= 0).any():
                 raise DemeanError("weights must be strictly positive")
-        if self.tol <= 0:
-            raise DemeanError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # NaN fails too
+            raise DemeanError(f"demeaning tol must be finite and > 0, got {self.tol!r}")
         n = self.targets.shape[0]
         for d in self.dims:
             if len(d.index.group_of_row) != n:

@@ -61,6 +61,9 @@ ROW_BLOCK = 1 << 12  # rows of the pooled residual update in one product
 # the loosest inner demeaning tolerance of an IRLS step (see fit_glm_irls)
 INNER_TOL_MAX = 1e-3
 ETA_BOUND = {"poisson": 500.0, "logit": 30.0, "gaussian": np.inf}
+# how far from its bound a row held at a bound starts (see _mu_at_bound): far
+# enough to stay inside _logit_dev's clip, near enough to beat init_eta
+MU_START_RANGE = (1e-10, 0.1)
 
 
 class EstimationError(RuntimeError):
@@ -84,6 +87,10 @@ class FamilySpec:
                        Callable[[np.ndarray, np.ndarray], float]]
     init_eta: Callable[[np.ndarray], np.ndarray]
     validate: Callable[[np.ndarray], Optional[str]]
+    link: Callable[[np.ndarray], np.ndarray]
+    # the ends of the mean's range an outcome can reach: a fixed-effect group
+    # whose outcomes all sit at one has its ML effect at -inf or +inf
+    bounds: tuple = ()
 
 
 def _pois_dev(y, w):
@@ -117,6 +124,8 @@ FAMILIES = {
         deviance=_pois_dev,
         init_eta=lambda y: np.log(y + 0.1),
         validate=lambda y: None if (y >= 0).all() else "Poisson requires y >= 0",
+        link=np.log,
+        bounds=(0.0,),
     ),
     "logit": FamilySpec(
         name="logit",
@@ -126,6 +135,8 @@ FAMILIES = {
         deviance=_logit_dev,
         init_eta=lambda y: np.log((y + 0.5) / (1.5 - y)),
         validate=lambda y: None if np.isin(y, (0.0, 1.0)).all() else "logit requires y in {0, 1}",
+        link=lambda mu: np.log(mu / (1 - mu)),
+        bounds=(0.0, 1.0),
     ),
     "gaussian": FamilySpec(
         name="gaussian",
@@ -135,6 +146,7 @@ FAMILIES = {
         deviance=lambda y, w: lambda eta, mu: float(np.sum(w * (y - mu) ** 2)),
         init_eta=lambda y: y.copy(),
         validate=lambda y: None,
+        link=lambda mu: mu,
     ),
 }
 # the families whose dispersion is fixed at 1: their IID variance is the
@@ -601,6 +613,14 @@ def solve_gram(G: np.ndarray, iy: int, ixs, collin_tol: float,
 # OLS
 # ---------------------------------------------------------------------------
 
+def _check_tol(name: str, value: float, zero_ok: bool = False) -> None:
+    """A tolerance is finite and > 0 (>= 0 where ``zero_ok``): NaN or inf
+    would change what a fit computes without a word."""
+    if not (0 <= value if zero_ok else 0 < value) or not math.isfinite(value):
+        raise EstimationError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, "
+                              f"got {value!r}")
+
+
 def _k_fe(dims: list[FeDim], dropped: list) -> int:
     if not dims:
         return 0
@@ -745,6 +765,7 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
     exception per model, aligned with ``frames``.  This is the only code that
     builds an OLS FitResult; a single fit is a group of one.
     """
+    _check_tol("collin_tol", collin_tol, zero_ok=True)
     w = frames[0].weights
     R = dres.residuals
     n, p = R.shape
@@ -827,6 +848,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
              demean_tol: float = DEFAULT_TOL,
              demean_max_iter: int = DEFAULT_MAX_ITER,
              offset: Optional[str] = None) -> FitResult:
+    _check_tol("collin_tol", collin_tol, zero_ok=True)
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     if not frame.endo:
         raise EstimationError("fit_2sls requires an IV part (endo ~ instruments)")
@@ -908,6 +930,56 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
 # GLM via IRLS
 # ---------------------------------------------------------------------------
 
+def _rows_at_bound(y: np.ndarray, dims: list[FeDim], bounds: tuple) -> Optional[np.ndarray]:
+    """The rows IRLS starts at a bound of the family's mean (a Poisson count
+    of 0, a logit outcome of 0 or 1): those of every group, in a dimension
+    with an intercept, whose rows not yet marked all sit at one of
+    ``bounds``; None when there are none.  Such a group's ML effect lies at
+    -inf or +inf.  Marking rows at one bound can leave a group whose other
+    rows all sit at the other, so marking repeats until it finds no group;
+    with one bound the first pass is final.  Weights are positive, so a group
+    sits at bound b when its sum of |y - b| over the unmarked rows is 0."""
+    dims = [d for d in dims if d.intercept]
+    keep = np.ones(len(y))  # 0.0 on the marked rows
+    while True:
+        found = np.zeros(len(y), dtype=bool)
+        for d in dims:
+            g, G = d.index.group_of_row, d.index.n_groups
+            live = np.bincount(g, weights=keep, minlength=G) > 0
+            for b in bounds:
+                at = live & (np.bincount(g, weights=np.abs(y - b) * keep, minlength=G) == 0)
+                found |= at[g]
+        found &= keep > 0
+        if not found.any():
+            break
+        keep[found] = 0.0
+        if len(bounds) == 1:
+            break
+    return None if keep.all() else keep == 0
+
+
+def _mu_at_bound(y: np.ndarray, w: np.ndarray, dev: float, glm_tol: float) -> np.ndarray:
+    """The means at which IRLS starts and holds the rows whose groups sit at
+    a bound (``y`` and ``w`` are those rows'; see ``_rows_at_bound``).
+
+    Their groups' ML effects lie at -inf or +inf.  Left to IRLS from
+    ``init_eta``, each step would move them by about one, and the fit would
+    spend its last steps on their shrinking deviance.  Instead they start at
+    ``mu_s`` from their bound, chosen so that their whole deviance, about
+    ``2 mu_s sum w``, is a tenth of what the stopping rule resolves at the
+    start's deviance ``dev``.  Every step then holds them: their working
+    weights are those of ``mu_s``, and their working response is ``eta``
+    itself (y - mu taken as 0), so they pull on no coefficient.  The fixed
+    point solves the score equations of the other rows alone, those of the
+    fit on the sample without them, with nobs and df kept; and a row in
+    several such groups, whose ``eta`` sums their effects, never gets a
+    working weight that rounds to 0.
+    """
+    mu_s = 0.1 * glm_tol * (abs(dev) + 0.1) / (2.0 * float(w.sum()))
+    mu_s = min(max(mu_s, MU_START_RANGE[0]), MU_START_RANGE[1])
+    return np.where(y == 0, mu_s, y - mu_s)
+
+
 def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                  family: str = "poisson",
                  weights: Optional[str] = None,
@@ -934,8 +1006,13 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     step runs at ``demean_tol``.  Every step refills the cross-tables of
     one ``FeStructure`` and starts from the FE coefficients the step before
     ended at.  ``Convergence.irls_path`` records each step's deviance, inner
-    tolerance and sweeps.
+    tolerance and sweeps.  Rows of fixed-effect groups whose outcomes all
+    sit at a bound of the mean (``_rows_at_bound``) stay in the sample but
+    start and stay next to it (``_mu_at_bound``), so the coefficients are
+    those of the fit without them.  A fit with no other row is an error.
     """
+    _check_tol("collin_tol", collin_tol, zero_ok=True)
+    _check_tol("glm_tol", glm_tol)
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     fam = FAMILIES.get(family)
     if fam is None:
@@ -956,6 +1033,17 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     eta = fam.init_eta(y)
     mu = fam.linkinv(eta)
     dev = deviance(eta, mu)
+    at_bound = _rows_at_bound(y, frame.dims, fam.bounds)
+    if at_bound is not None:
+        if at_bound.all():
+            raise EstimationError(
+                f"every observation is in a fixed-effect group whose {frame.lhs_name!r} "
+                f"is all " + " or all ".join(f"{b:g}" for b in fam.bounds)
+                + ": nothing is left to identify the coefficients")
+        mu_held = _mu_at_bound(y[at_bound], w_user[at_bound], dev, glm_tol)
+        eta[at_bound] = fam.link(mu_held)
+        mu = fam.linkinv(eta)
+        dev = deviance(eta, mu)
     sol = None
     factor = None
     converged = False
@@ -963,10 +1051,15 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     tol = demean_tol
 
     for it in range(1, irls_max_iter + 1):
+        if at_bound is not None:  # rows at a bound are held (see _mu_at_bound)
+            mu[at_bound] = mu_held
         mue = fam.mu_eta(eta, mu)
         var = fam.variance(mu)
         w_work = mue * mue / var
-        z = eta + (y - mu) / mue - off
+        u = y - mu
+        if at_bound is not None:
+            u[at_bound] = 0.0
+        z = eta + u / mue - off
         wtot = w_user * w_work
         targets = _stack_f([z] + frame.x_cols)
         problem = DemeanProblem(targets=targets, dims=frame.dims, weights=wtot,
@@ -984,7 +1077,10 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         eta = off + (z - R @ c)  # R @ c is the working residual
         if not np.all(np.isfinite(eta)):
             raise EstimationError("IRLS diverged: non-finite linear predictor")
-        if np.abs(eta).max() > eta_bound:
+        # a row in two groups at a bound sits near twice its start: only the
+        # other rows can diverge
+        if np.abs(eta).max() > eta_bound and (
+                at_bound is None or np.abs(eta[~at_bound]).max() > eta_bound):
             raise EstimationError(
                 "IRLS diverged: unbounded coefficients (possible separation)")
         mu = fam.linkinv(eta)

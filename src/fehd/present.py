@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -13,7 +13,8 @@ from .data import Dataset
 from .estimators import FIXED_DISPERSION, EstimationError, FitResult
 from .inference import VcovSpec, coeftable, compute_vcov, fit_stats
 
-__all__ = ["TableSpec", "render_table", "plot_data", "format_number"]
+__all__ = ["TableSpec", "RowPattern", "row_patterns", "render_table", "plot_data",
+           "format_number"]
 
 STAT_LABELS = {
     "n": "Observations",
@@ -59,6 +60,28 @@ def stars_for(p: float, thresholds) -> str:
     return ""
 
 
+class RowPattern(NamedTuple):
+    """A keep, drop or order pattern: a regex searched for in a row name,
+    its match negated when the pattern was written with a leading '!'."""
+    regex: re.Pattern
+    negate: bool
+
+
+def row_patterns(patterns) -> list[RowPattern]:
+    """Compile row patterns once; a ``RowPattern`` passes through.  An
+    invalid regex raises ValueError."""
+    out = []
+    for pat in patterns:
+        if not isinstance(pat, RowPattern):
+            negate = pat.startswith("!")
+            try:
+                pat = RowPattern(re.compile(pat[1:] if negate else pat), negate)
+            except re.error as exc:
+                raise ValueError(f"invalid pattern {pat!r}: {exc}") from None
+        out.append(pat)
+    return out
+
+
 @dataclass
 class TableSpec:
     models: list  # FitResult or (label, FitResult)
@@ -73,6 +96,11 @@ class TableSpec:
     output: str = "text"  # text | latex | json
     caption: Optional[str] = None
     label: Optional[str] = None
+
+    def __post_init__(self):
+        # keep, drop and order: regex strings ('!' negates) or RowPatterns
+        self.keep, self.drop, self.order = (row_patterns(p)
+                                            for p in (self.keep, self.drop, self.order))
 
 
 def _default_stats(fit: FitResult) -> list[str]:
@@ -112,14 +140,8 @@ def _build_columns(spec: TableSpec) -> list[_Col]:
     return cols
 
 
-def _match_any(name: str, patterns: list[str]) -> bool:
-    for pat in patterns:
-        negate = pat.startswith("!")
-        body = pat[1:] if negate else pat
-        hit = re.search(body, name) is not None
-        if hit != negate:
-            return True
-    return False
+def _match_any(name: str, patterns: list[RowPattern]) -> bool:
+    return any((p.regex.search(name) is not None) != p.negate for p in patterns)
 
 
 def _select_rows(names: list[str], spec: TableSpec) -> list[str]:
@@ -324,6 +346,7 @@ def plot_data(models: list, vcov_specs: Optional[list] = None,
     """Coefficient-plot data as CSV: point estimates and Student-t CIs."""
     from scipy.special import stdtrit  # loaded by the first plot a run makes
     vcov_specs = vcov_specs or [VcovSpec("iid")]
+    keep, drop = row_patterns(keep or []), row_patterns(drop or [])
     if not 0.0 <= ci_level < 1.0:
         raise EstimationError("ci_level must be in [0, 1)")
     lines = ["model,coef,estimate,ci_low,ci_high,level"]

@@ -166,6 +166,58 @@ class TestFit:
                                 "--config", str(cfg), "--output", "json"])
         assert code == 1 and "invalid choice 'jsn'" in err
 
+    @pytest.mark.parametrize("option, pattern", [("--keep", "["), ("--drop", "("),
+                                                 ("--order", "*x"), ("--keep", "!(")])
+    @pytest.mark.parametrize("output", ["text", "plotdata"])
+    def test_invalid_row_pattern_is_usage_error(self, data_csv, option, pattern, output):
+        code, out, err = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
+                                  "--output", output, option, "x", option, pattern])
+        assert code == 1 and out == ""
+        assert err.startswith(f"{option}: invalid pattern {pattern!r}: ")
+
+    def test_invalid_row_pattern_in_config_is_usage_error(self, data_csv, tmp_path):
+        cfg = tmp_path / "fehd.conf"
+        cfg.write_text("keep = [\n")
+        code, out, err = run_cli(["fit", "--formula", "y ~ x", "--data", data_csv,
+                                  "--config", str(cfg)])
+        assert code == 1 and err.startswith("--keep: invalid pattern '['")
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--demean-tol", "inf", "demeaning tol must be finite and > 0, got inf"),
+        ("--demean-tol", "nan", "demeaning tol must be finite and > 0, got nan"),
+        ("--demean-tol", "0", "demeaning tol must be finite and > 0, got 0.0"),
+        ("--collin-tol", "nan", "collin_tol must be finite and >= 0, got nan"),
+        ("--collin-tol", "-1", "collin_tol must be finite and >= 0, got -1.0"),
+        ("--collin-tol", "inf", "collin_tol must be finite and >= 0, got inf"),
+    ])
+    @pytest.mark.parametrize("family", ["ols", "poisson"])
+    def test_unusable_tolerance_exit_two(self, tmp_path, option, value, message, family):
+        rng = np.random.default_rng(5)
+        n = 400
+        g, h = rng.integers(0, 20, n), rng.integers(0, 15, n)
+        x = rng.normal(size=n)
+        y = rng.poisson(np.exp(0.3 * x + 0.3 * rng.normal(size=20)[g]))
+        path = tmp_path / "gh.csv"
+        path.write_text("y,x,g,h\n" + "".join(
+            f"{y[i]},{float(x[i])!r},{g[i]},{h[i]}\n" for i in range(n)))
+        code, out, err = run_cli(["fit", "--formula", "y ~ x | g + h", "--data", str(path),
+                                  "--family", family, option, value])
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("family", ["poisson", "logit"])
+    def test_outcome_at_a_bound_everywhere_exit_two(self, tmp_path, family):
+        rng = np.random.default_rng(6)
+        n = 3000
+        path = tmp_path / "zero.csv"
+        path.write_text("y,x,g,h\n" + "".join(
+            f"0,{float(x)!r},{g},{h}\n" for x, g, h in
+            zip(rng.normal(size=n), rng.integers(0, 50, n), rng.integers(0, 30, n))))
+        code, out, err = run_cli(["fit", "--formula", "y ~ x | g + h", "--data", str(path),
+                                  "--family", family])
+        assert code == 2 and out == ""
+        assert "every observation is in a fixed-effect group whose 'y' is all 0" in err
+
     def test_config_vcov_line_is_one_spec_and_repeats_append(self, data_csv, tmp_path):
         lines = Path(data_csv).read_text().splitlines()
         csv = tmp_path / "g.csv"

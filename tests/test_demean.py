@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import FactorIndex, first_appearance_codes
-from fehd.demean import (PIVOT_RTOL, DemeanProblem, FactorRecord, FeDim, FeStructure,
+from fehd.demean import (PIVOT_RTOL, DemeanError, DemeanProblem, FactorRecord, FeDim, FeStructure,
                          _DimWork, column_drops, demean, recover_fixef)
 from fehd.estimators import build_frame
 from fehd.formula import expand_models, parse_formula
@@ -119,6 +119,11 @@ class TestDemean:
         res = demean(DemeanProblem(targets=y, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))],
                                    tol=1e-14, max_iter=2))
         assert not res.converged
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, -np.inf, np.nan])
+    def test_problem_rejects_an_unusable_tol(self, tol):
+        with pytest.raises(DemeanError, match="demeaning tol must be finite and > 0"):
+            DemeanProblem(targets=np.zeros(4), dims=[FeDim(fidx([0, 0, 1, 1]))], tol=tol)
 
     def test_orthogonality_to_fe_columns(self, rng):
         y, c1, c2 = random_two_fe(rng)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import Dataset, NumericColumn
 from fehd.demean import DEFAULT_TOL, DemeanProblem, column_drops, demean, recover_fixef
-from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, _gram, _solve_spd,
-                             build_frame, finish_ols_group, fit_2sls, fit_glm_irls,
-                             fit_model, fit_ols, fixef, ols_targets)
+from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, _gram, _mu_at_bound,
+                             _rows_at_bound, _solve_spd, build_frame, finish_ols_group,
+                             fit_2sls, fit_glm_irls, fit_model, fit_ols, fixef, ols_targets)
 from fehd.formula import expand_models, parse_formula
 from fehd.inference import VcovSpec, compute_vcov
 
@@ -921,3 +921,169 @@ def test_fe_order_changes_no_estimate(difficult_panel, formula, fes):
     for got in out[1:]:
         for g, want in zip(got, out[0]):
             assert np.abs(g - want).max() <= 10 * tol * (1 + np.abs(want).max())
+
+
+def bound_design(rng, family, weighted, two_factor):
+    """A 2FE design with groups whose outcomes all sit at a bound of the
+    family's mean in both dimensions: Poisson groups of zeros; logit groups
+    of zeros, and groups of ones in the first dimension.  With
+    ``two_factor`` the second dimension is ``f2^f3``.  Returns the dataset,
+    the formula, the rows marked at a bound and the oracle's FE specs over
+    the other rows."""
+    n, G1, G2, G3 = 900, 40, 6, 4
+    c1, c2, c3 = (rng.integers(0, G, n) for G in (G1, G2, G3))
+    x = rng.normal(size=n, scale=0.4)
+    if family == "logit" and two_factor:
+        # groups 3 and 4 of f1 will be all ones: none of their rows is in
+        # group 5 of f2^f3.  Group 5 of a plain f2 keeps such rows, so it is
+        # all zeros only once they are set aside: marking takes two passes.
+        c2[np.isin(c1, [3, 4]) & (c2 * G3 + c3 == 5)] = 0
+    c23 = c2 * G3 + c3 if two_factor else c2
+    eta = 0.5 * x + rng.normal(size=G1, scale=0.3)[c1] + \
+        rng.normal(size=G2 * G3, scale=0.3)[c23]
+    if family == "poisson":
+        y = rng.poisson(np.exp(eta)).astype(float)
+    else:
+        y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
+    at = np.isin(c1, [0, 1, 2]) | (c23 == 5)
+    assert at.any() and (c23 == 5).any()
+    y[at] = 0.0
+    if family == "logit":
+        ones = np.isin(c1, [3, 4])
+        y[ones] = 1.0
+        at |= ones
+    cols = dict(y=y, x=x, f1=c1, f2=c2, f3=c3)
+    formula = "y ~ x | f1 + " + ("f2^f3" if two_factor else "f2")
+    if weighted:
+        cols["w"] = rng.uniform(0.5, 3.0, n)
+    specs = []
+    for c in (c1[~at], c23[~at]):
+        codes = np.unique(c, return_inverse=True)[1]
+        # the other rows have no group at a bound: the rule leaves nothing behind
+        sums = np.bincount(codes, weights=y[~at])
+        assert sums.all() and (family == "poisson" or (sums < np.bincount(codes)).all())
+        specs.append((codes, codes.max() + 1, None, True))
+    return make_ds(**cols), formula, at, specs
+
+
+def without_rows(ds, rows):
+    return make_ds(**{k: ds.numeric(k)[~rows] for k in ds.columns})
+
+
+class TestGroupsAtABound:
+    """Rows of FE groups whose outcomes all sit at a bound of the mean start
+    and stay next to it."""
+
+    @pytest.mark.parametrize("family", ["poisson", "logit"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("two_factor", [False, True])
+    def test_matches_a_fit_on_the_other_rows(self, family, weighted, two_factor,
+                                             monkeypatch):
+        rng = np.random.default_rng([7, weighted, two_factor])
+        ds, formula, at, specs = bound_design(rng, family, weighted, two_factor)
+        w = ds.numeric("w") if weighted else None
+        kw = dict(family=family, weights="w" if weighted else None, demean_tol=1e-12)
+        fit = fit_glm_irls(formula, ds, **kw)
+        oracle, _ = dummy_irls(ds.numeric("y")[~at], ds.numeric("x")[~at, None], specs,
+                               family=family, weights=None if w is None else w[~at])
+        assert np.abs(fit.coef - oracle).max() <= 1e-8 * np.abs(oracle).max()
+        assert fit.dof.n_used == ds.n_rows and fit.convergence.irls_converged
+        # held rows pull on nothing: the fit without them, to rounding
+        without = fit_glm_irls(formula, without_rows(ds, at), **kw)
+        assert np.abs(fit.coef / without.coef - 1).max() <= 1e-12
+        if family == "poisson" or two_factor:  # no cascade: see the next test
+            assert fit.deviance == pytest.approx(without.deviance, rel=1e-7)
+        # every row from init_eta, as before the rule: the same sample and,
+        # for Poisson, the same coefficients in more steps; the logit groups
+        # of ones run past ETA_BOUND
+        monkeypatch.setattr(importlib.import_module("fehd.estimators"), "_rows_at_bound",
+                            lambda *a: None)
+        if family == "logit":
+            with pytest.raises(EstimationError, match="possible separation"):
+                fit_glm_irls(formula, ds, **kw)
+            return
+        before = fit_glm_irls(formula, ds, **kw)
+        assert fit.dof == before.dof
+        assert np.abs(fit.coef - before.coef).max() <= 1e-8 * np.abs(before.coef).max()
+        assert fit.convergence.irls_iterations < before.convergence.irls_iterations
+
+    @pytest.mark.xfail(strict=True, reason="a row in an all-one group and in a group "
+                       "all zeros only without it is held at a mean far from its outcome")
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_logit_cascade_deviance_is_that_of_the_fit_without_the_rows(self, weighted):
+        rng = np.random.default_rng([7, weighted, False])
+        ds, formula, at, _ = bound_design(rng, "logit", weighted, two_factor=False)
+        kw = dict(family="logit", weights="w" if weighted else None, demean_tol=1e-12)
+        fit = fit_glm_irls(formula, ds, **kw)
+        without = fit_glm_irls(formula, without_rows(ds, at), **kw)
+        assert fit.deviance == pytest.approx(without.deviance, rel=1e-7)
+
+    @staticmethod
+    def dims(formula, **cols):
+        return build_frame(make_ds(**cols), expand_models(parse_formula(formula))[0]).dims
+
+    def test_rows_at_a_bound(self):
+        y = np.array([0.0, 0, 1, 0, 1, 1])
+        dims = self.dims("y ~ 1 | g + h", y=y, g=[0, 0, 1, 1, 2, 2], h=[0, 1, 0, 1, 0, 1])
+        assert np.array_equal(_rows_at_bound(y, dims, (0.0,)), [1, 1, 0, 0, 0, 0])
+        # without g's all-0 and all-1 groups, h = 0 is all ones, h = 1 all zeros
+        assert _rows_at_bound(y, dims, (0.0, 1.0)).all()
+        assert _rows_at_bound(y, dims[1:], (0.0, 1.0)) is None
+        assert _rows_at_bound(y, [], (0.0,)) is None
+        slopes = self.dims("y ~ 1 | g[[x]]", y=y, g=[0, 0, 1, 1, 2, 2], x=np.arange(6))
+        assert _rows_at_bound(y, slopes, (0.0, 1.0)) is None
+
+    def test_marking_repeats_until_no_group_is_left_at_a_bound(self):
+        # g = 0 is all ones; without its rows h = 0 is all zeros, and then
+        # g = 2 all ones; g = 1 and h = 1 keep both outcomes
+        y = np.array([1.0, 1, 0, 1, 0, 0, 1])
+        dims = self.dims("y ~ 1 | g + h", y=y, g=[0, 0, 1, 1, 1, 2, 2],
+                         h=[0, 0, 0, 1, 1, 0, 1])
+        assert np.array_equal(_rows_at_bound(y, dims, (0.0, 1.0)), [1, 1, 1, 0, 0, 1, 1])
+        assert _rows_at_bound(y, dims, (0.0,)) is None
+
+    @pytest.mark.parametrize("family, mu", [("poisson", 0.0), ("logit", 0.0),
+                                            ("logit", 1.0)])
+    def test_start_stays_inside_the_logit_clip(self, family, mu):
+        fam = FAMILIES[family]
+        for glm_tol, dev in [(1e-8, 1e4), (1e-14, 1.0), (0.5, 1e6)]:
+            m = _mu_at_bound(np.full(3, mu), np.ones(3), dev, glm_tol)
+            assert np.all((m > 1e-12) & (m < 1 - 1e-12))
+            assert np.all(np.abs(m - mu) <= 0.1)
+            np.testing.assert_allclose(fam.linkinv(fam.link(m)), m, rtol=1e-6)
+
+    @pytest.mark.parametrize("family", ["poisson", "logit"])
+    def test_no_row_left_is_a_named_error(self, rng, family):
+        n = 3000
+        ds = make_ds(y=np.zeros(n), x=rng.normal(size=n), g=rng.integers(0, 50, n),
+                     h=rng.integers(0, 30, n))
+        with pytest.raises(EstimationError, match="every observation is in a "
+                                                  "fixed-effect group whose 'y' is all 0"):
+            fit_glm_irls("y ~ x | g + h", ds, family=family)
+
+    def test_without_such_groups_no_row_is_held(self, glm_panel, monkeypatch):
+        # a call would raise
+        monkeypatch.setattr(importlib.import_module("fehd.estimators"), "_mu_at_bound", None)
+        fit_glm_irls(GLM_FORMULA["poisson"], glm_panel, family="poisson", weights="w",
+                     offset="off")
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_collin_tol(self, rng, value):
+        ds = make_ds(y=rng.poisson(1.0, 60), x=rng.normal(size=60), g=np.arange(60) % 5)
+        for fit, kw in [(fit_ols, {}), (fit_glm_irls, {"family": "poisson"})]:
+            with pytest.raises(EstimationError, match="collin_tol must be finite and >= 0"):
+                fit("y ~ x | g", ds, collin_tol=value, **kw)
+        with pytest.raises(EstimationError, match="collin_tol must be finite and >= 0"):
+            fit_2sls("y ~ 1 | g | x ~ y", ds, collin_tol=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-8])
+    def test_glm_tol(self, rng, value):
+        ds = make_ds(y=rng.poisson(1.0, 60), x=rng.normal(size=60))
+        with pytest.raises(EstimationError, match="glm_tol must be finite and > 0"):
+            fit_glm_irls("y ~ x", ds, family="poisson", glm_tol=value)
+
+    def test_zero_collin_tol_is_allowed(self, rng):
+        ds = make_ds(y=rng.normal(size=60), x=rng.normal(size=60), g=np.arange(60) % 5)
+        assert fit_ols("y ~ x | g", ds, collin_tol=0.0).coef_names == ["x"]

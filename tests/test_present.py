@@ -7,7 +7,7 @@ from fehd.data import Dataset, NumericColumn
 from fehd.estimators import fit_ols
 from fehd.inference import VcovSpec
 from fehd.multiest import MultiOptions, run_multi
-from fehd.present import TableSpec, format_number, plot_data, render_table
+from fehd.present import TableSpec, format_number, plot_data, render_table, row_patterns
 
 from oracles import scipubs_like
 
@@ -49,6 +49,20 @@ class TestTextTable:
         fit = fit_ols("y ~ x", ds)
         out = render_table(TableSpec(models=[fit], keep=["!Intercept"]))
         assert "(Intercept)" not in out and "x" in out
+
+    def test_row_patterns_are_compiled_once(self):
+        pats = row_patterns(["x", "!^b"])
+        assert [(p.regex.pattern, p.negate) for p in pats] == [("x", False), ("^b", True)]
+        assert row_patterns(pats) == pats
+        spec = TableSpec(models=[], keep=pats, drop=["y"])
+        assert spec.keep == pats and spec.drop == row_patterns(["y"])
+
+    @pytest.mark.parametrize("pattern", ["[", "(", "*x", "!["])
+    def test_invalid_row_pattern_is_a_value_error(self, pattern):
+        with pytest.raises(ValueError, match="invalid pattern"):
+            row_patterns([pattern])
+        with pytest.raises(ValueError, match="invalid pattern"):
+            TableSpec(models=[], order=[pattern])
 
     def test_selection_does_not_alter_values(self, sci_fits):
         ds, fits = sci_fits
