@@ -14,14 +14,15 @@ the score rows at each call and ``fixef`` reads the fit's own fixed effects.
 ``fit_model`` is the one estimator dispatch, ``ols_targets`` the one layout
 of OLS target columns, for single and pooled fits alike, and ``_fit_result``
 the one ``FitResult`` builder.  A fit stores no fact it can derive: its FE
-labels are its dimensions' labels, and OLS and 2SLS fitted values are formed
-from the design record on first use.
+labels are its dimensions' labels, its residuals are formed from the design
+record at each read, and OLS and 2SLS fitted values on first use.  No code
+writes into a demeaning's residuals once ``demean`` returns, so a pooled fit
+reads the same block, and forms the same residuals, as a standalone fit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -57,7 +58,6 @@ GLM_TOL = 1e-8
 # -log10(eps / SSR_GRAM_RTOL) = 12 digits when SSR >= SSR_GRAM_RTOL * y'Wy
 SSR_GRAM_RTOL = 1e-4
 IRLS_MAX_ITER = 200
-ROW_BLOCK = 1 << 12  # rows of the pooled residual update in one product
 # the loosest inner demeaning tolerance of an IRLS step (see fit_glm_irls)
 INNER_TOL_MAX = 1e-3
 ETA_BOUND = {"poisson": 500.0, "logit": 30.0, "gaussian": np.inf}
@@ -197,11 +197,12 @@ class Design:
     """What a fit retains of its design; every estimator fills it the same way.
 
     ``demeaned`` is the fit's one demeaning: its residuals are ``block``, and
-    its ``fe_coef`` the fixed effects each target column lost.  The fit's
-    residual is ``block @ resid_map`` (for a GLM, the last IRLS step's
-    working residual), so ``fixef()`` reads its fixed effects as
-    ``fe_coef @ resid_map``.  ``FitResult.score_rows()`` forms the score
-    rows ``D * (weights * r)`` at each call, ``D`` the demeaned kept
+    its ``fe_coef`` the fixed effects each target column lost.  No fit
+    writes into ``block``.  The fit's residual is ``block @ resid_map`` (for
+    a GLM, the last IRLS step's working residual), so ``fixef()`` reads its
+    fixed effects as ``fe_coef @ resid_map``; ``FitResult.residuals`` forms
+    it from this record at each read.  ``FitResult.score_rows()`` forms the
+    score rows ``D * (weights * r)`` at each call, ``D`` the demeaned kept
     regressors drawn from ``block`` and ``r`` the fit's residual.  Each
     dimension's ``FactorIndex`` also serves as the codes of a cluster, NW
     unit or DK time variable that is the dimension's one factor.
@@ -215,6 +216,9 @@ class Design:
     # for a (block columns x kept) map
     regressors: Union[list[int], np.ndarray]
     resid_map: np.ndarray             # c: the residual is block @ c
+    # OLS: the outcome's block column, the residual being formed as
+    # block[:, outcome] - D @ coef; None for 2SLS, its first stages and GLMs
+    outcome: Optional[int] = None
 
     @property
     def block(self) -> np.ndarray:
@@ -231,8 +235,8 @@ class IvDiag:
     in that block.
     """
     endo_names: list[str]
-    # E_j on [X, Z]: ordinary FitResults, whose residuals and fitted values
-    # are not formed (None); their design maps give both from the block
+    # E_j on [X, Z]: ordinary FitResults, whose residuals (block @ resid_map)
+    # and fitted values are formed from the shared block when read
     first_stages: list["FitResult"]
     gram: np.ndarray
     endo_cols: list[int]
@@ -242,12 +246,12 @@ class IvDiag:
 
 @dataclass
 class FitResult:
-    """One fit, built by ``_fit_result``; what it can derive (FE labels, OLS
-    and 2SLS fitted values) it reads from ``design`` instead of storing."""
+    """One fit, built by ``_fit_result``; what it can derive (FE labels,
+    residuals, OLS and 2SLS fitted values) it reads from ``design`` instead
+    of storing."""
     coef: np.ndarray                  # of the kept regressors
     coef_names: list[str]
     dropped_collinear: list[str]
-    residuals: np.ndarray             # None for a 2SLS first stage
     xtx_inv: np.ndarray               # the bread: the kept Gram's inverse
     dof: DofLedger
     convergence: Convergence
@@ -268,11 +272,23 @@ class FitResult:
         return [d.label for d in self.design.dims]
 
     @property
-    def fitted(self) -> Optional[np.ndarray]:
-        """Fitted values.  A GLM fit stores them; OLS and 2SLS fits form
-        ``(y - offset) - residuals + offset`` from their design on first use;
-        first stages, which form no residuals, have none."""
-        if self._fitted is None and self.residuals is not None:
+    def residuals(self) -> np.ndarray:
+        """The residuals, formed from ``design`` at each read: ``y - fitted``
+        for a GLM, ``block[:, outcome] - D @ coef`` for OLS, and ``block @
+        resid_map`` for 2SLS and its first stages."""
+        d = self.design
+        if self.family in FAMILIES:
+            return d.y - self._fitted
+        if d.outcome is None:
+            return d.block @ d.resid_map
+        return d.block[:, d.outcome] - d.block[:, d.regressors] @ self.coef
+
+    @property
+    def fitted(self) -> np.ndarray:
+        """Fitted values.  A GLM fit stores them; OLS and 2SLS fits, first
+        stages included, form ``(y - offset) - residuals + offset`` from
+        their design on first use."""
+        if self._fitted is None:
             d = self.design
             y = d.y if d.offset is None else d.y - d.offset
             self._fitted = np.subtract(y, self.residuals)
@@ -290,7 +306,7 @@ class FitResult:
         """The columns of ``score_rows()``, D[:, k] * (weights * r), each
         formed as it is read; a 2SLS map forms D whole first."""
         d = self.design
-        r = d.block @ d.resid_map if self.residuals is None else self.residuals
+        r = self.residuals
         wr = r if d.weights is None else d.weights * r
         if isinstance(d.regressors, np.ndarray):
             D, cols = d.block @ d.regressors, range(d.regressors.shape[1])
@@ -659,20 +675,21 @@ def _sst(y, w) -> float:
 
 def _fit_result(frame: ModelFrame, sol: GramSolve, names: list[str],
                 dres: DemeanResult, regressors: Union[list[int], np.ndarray],
-                resid_map: np.ndarray,
-                outcome: Optional[np.ndarray] = None,
+                resid_map: np.ndarray, outcome: Optional[int] = None,
+                y: Optional[np.ndarray] = None,
                 convergence: Optional[Convergence] = None, **kw) -> FitResult:
     """The one FitResult builder: fills what comes from the frame, the solve
     (of regressors ``names``) and the demeaning ``dres``; ``kw`` holds the
-    rest.  ``outcome`` replaces the frame's outcome and offset, as a first
-    stage's endogenous column does."""
+    rest.  ``outcome`` is ``Design.outcome``.  ``y`` replaces the frame's
+    outcome and offset, as a first stage's endogenous column does."""
     if convergence is None:
         convergence = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged,
                                   demean_factor=dres.factor)
     design = Design(dims=frame.dims, weights=frame.weights,
-                    y=frame.y if outcome is None else outcome,
-                    offset=frame.offset if outcome is None else None,
-                    demeaned=dres, regressors=regressors, resid_map=resid_map)
+                    y=frame.y if y is None else y,
+                    offset=frame.offset if y is None else None,
+                    demeaned=dres, regressors=regressors, resid_map=resid_map,
+                    outcome=outcome)
     return FitResult(coef=sol.coef, coef_names=[names[k] for k in sol.kept],
                      dropped_collinear=[names[k] for k in sol.dropped],
                      xtx_inv=sol.xtx_inv, convergence=convergence, mask=frame.mask,
@@ -760,10 +777,12 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
 
     Its residuals R hold the demeaned distinct target columns; ``sel_map``
     gives each model its (lhs index, rhs indices) into R.  One cross-product
-    of R serves every model's normal equations, and models sharing a kept
-    design solve their residuals in a single matrix product.  Returns a FitResult or an
-    exception per model, aligned with ``frames``.  This is the only code that
-    builds an OLS FitResult; a single fit is a group of one.
+    of R serves every model's normal equations.  R is only read: each fit
+    forms its residuals from it when they are read (``FitResult.residuals``),
+    and only an SSR that the Gram leaves with too few digits is summed over
+    the rows here.  Returns a FitResult or an exception per model, aligned
+    with ``frames``.  This is the only code that builds an OLS FitResult; a
+    single fit is a group of one.
     """
     _check_tol("collin_tol", collin_tol, zero_ok=True)
     w = frames[0].weights
@@ -771,70 +790,28 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
     n, p = R.shape
     G_all = _gram(R, w)
     scale = _collin_scale(dres, w)
-
-    solved: list = [None] * len(frames)
-    by_design: dict[tuple, list[int]] = {}
-    for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
-        try:
-            sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names, scale=scale[ixs])
-            kept_cols = tuple(ixs[k] for k in sol.kept)
-            solved[m] = (iy, sol, kept_cols)
-            by_design.setdefault(kept_cols, []).append(m)
-        except EstimationError as exc:
-            solved[m] = exc
-
-    # a demeaned outcome that no model uses as a regressor is dead once G_all
-    # is formed; a run of such columns, each the outcome of one model only,
-    # takes its models' residuals in place
-    spare = {iy for iy, _ in sel_map} - {j for _, ixs in sel_map for j in ixs}
-    uses = Counter(iy for iy, _ in sel_map)
-    resid: dict[int, np.ndarray] = {}
-    for kept_cols, members in by_design.items():
-        iys = [solved[m][0] for m in members]
-        lo = iys[0]
-        if iys == list(range(lo, lo + len(iys))) and \
-                all(iy in spare and uses[iy] == 1 for iy in iys):
-            RES = R[:, lo:lo + len(iys)]  # a view: no n-row copy
-        else:
-            RES = _stack_f([R[:, iy] for iy in iys])
-        if kept_cols:
-            Gamma = np.column_stack([solved[m][1].coef for m in members])
-            lo = kept_cols[0]
-            if kept_cols == tuple(range(lo, lo + len(kept_cols))):
-                X = R[:, lo:lo + len(kept_cols)]  # a view: no n-row copy
-            else:
-                X = _stack_f([R[:, j] for j in kept_cols])
-            # RES -= X Gamma in place, a block of rows at a time: the
-            # temporary is ROW_BLOCK rows, never n, and formed transposed so
-            # that it shares RES's F order
-            for at in range(0, n, ROW_BLOCK):
-                RES[at:at + ROW_BLOCK] -= (Gamma.T @ X[at:at + ROW_BLOCK].T).T
-        for j, m in enumerate(members):
-            resid[m] = np.ascontiguousarray(RES[:, j])
-
     sst_cache: dict[str, float] = {}
     out = []
-    for m, (frame, (iy, ixs)) in enumerate(zip(frames, sel_map)):
-        if isinstance(solved[m], Exception):
-            out.append(solved[m])
-            continue
-        iy, sol, kept_cols = solved[m]
+    for frame, (iy, ixs) in zip(frames, sel_map):
         try:
+            sol = solve_gram(G_all, iy, ixs, collin_tol, frame.x_names, scale=scale[ixs])
             dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
-            r = resid[m]
-            c = np.zeros(p)
-            c[iy] = 1.0
-            c[list(kept_cols)] -= sol.coef
-            ssr = sol.ssr if sol.ssr is not None else _wssr(r, w)
-            if frame.lhs_name not in sst_cache:
-                sst_cache[frame.lhs_name] = _sst(frame.shifted_y, w)
-            out.append(_fit_result(
-                frame, sol, frame.x_names, dres, list(kept_cols), c,
-                residuals=r, dof=dof, family="ols", lhs_name=frame.lhs_name,
-                ssr=ssr, sst=sst_cache[frame.lhs_name],
-                ssr_fe_only=float(G_all[iy, iy])))
         except EstimationError as exc:
             out.append(exc)
+            continue
+        kept_cols = [ixs[k] for k in sol.kept]
+        c = np.zeros(p)
+        c[iy] = 1.0
+        c[kept_cols] -= sol.coef
+        if frame.lhs_name not in sst_cache:
+            sst_cache[frame.lhs_name] = _sst(frame.shifted_y, w)
+        fit = _fit_result(
+            frame, sol, frame.x_names, dres, kept_cols, c, outcome=iy, dof=dof,
+            family="ols", lhs_name=frame.lhs_name, ssr=sol.ssr,
+            sst=sst_cache[frame.lhs_name], ssr_fe_only=float(G_all[iy, iy]))
+        if fit.ssr is None:
+            fit.ssr = _wssr(fit.residuals, w)
+        out.append(fit)
     return out
 
 
@@ -894,8 +871,8 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
         resid_map[ie] = 1.0
         ssr1 = sol.ssr if sol.ssr is not None else _wssr(R @ resid_map, w)
         first_stages.append(_fit_result(
-            frame, sol, stage1_names, dres, kept_pos, resid_map, outcome=cols[ie],
-            residuals=None, dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
+            frame, sol, stage1_names, dres, kept_pos, resid_map, y=cols[ie],
+            dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
             family="ols", lhs_name=frame.endo_names[j],
             ssr=ssr1, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie])))
 
@@ -922,7 +899,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
                      exog_names=[frame.x_names[k] for k in exog_kept])
     return _fit_result(
         frame, sol, names2, dres, T[:, [1 + k for k in sol.kept]], c,
-        residuals=r, dof=dof, family="2sls", lhs_name=frame.lhs_name,
+        dof=dof, family="2sls", lhs_name=frame.lhs_name,
         ssr=_wssr(r, w), sst=_sst(y, w), ssr_fe_only=float(G[0, 0]), iv_diag=iv_diag)
 
 
@@ -1112,7 +1089,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                        demean_factor=factor, irls_path=path)
     return _fit_result(
         frame, sol, frame.x_names, dres, [1 + k for k in sol.kept], c, convergence=conv,
-        residuals=r, _fitted=mu, dof=dof, family=family, lhs_name=frame.lhs_name,
+        _fitted=mu, dof=dof, family=family, lhs_name=frame.lhs_name,
         ssr=ssr, sst=_sst(y if family in FIXED_DISPERSION else frame.shifted_y,
                           frame.weights),  # as OLS for the gaussian family
         ssr_fe_only=float("nan"), deviance=dev)

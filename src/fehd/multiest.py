@@ -5,12 +5,17 @@ structure are pooled.  ``estimators.ols_targets`` lays out their distinct
 target columns, the outcomes less any offset first and then the regressors;
 the columns are demeaned in one batched call, and ``finish_ols_group`` solves
 each model's normal equations on the shared residuals.  Each target column
-runs its own demeaning iteration inside the batch and stops on its own, so
-pooled results match the standalone fits to rounding.  ``fit_ols`` takes the
-same layout and the same solve as a group of one, so a one-model group
-reproduces it bit for bit.  Every other model goes through
-``estimators.fit_model``, the one estimator dispatch: 2SLS, GLMs, and the
-error for an IV part under a GLM family.
+runs its own demeaning iteration inside the batch and stops on its own, and
+each fit forms its residuals from the shared block, which no fit writes
+into, as a standalone fit forms them from its own.  ``fit_ols`` takes the
+same layout and the same solve as a group of one.  So a pooled model gives
+the numbers of its standalone fit, bit for bit on the test panels in
+coefficients, residuals and a clustered vcov (``tests/test_multiest.py``).
+The one source of a last-digit difference left is the Gram: BLAS may sum a
+wider block's cross-products in another order (1.1e-17 in the coefficients
+of the 30-column pooled fit of ``tests/test_acceptance.py::test_08``).
+Every other model goes through ``estimators.fit_model``, the one estimator
+dispatch: 2SLS, GLMs, and the error for an IV part under a GLM family.
 """
 
 from __future__ import annotations

@@ -343,8 +343,10 @@ def _render_json(spec: TableSpec, cols) -> str:
 def plot_data(models: list, vcov_specs: Optional[list] = None,
               ci_level: float = 0.95, ds: Optional[Dataset] = None,
               keep: Optional[list] = None, drop: Optional[list] = None) -> str:
-    """Coefficient-plot data as CSV: point estimates and Student-t CIs."""
-    from scipy.special import stdtrit  # loaded by the first plot a run makes
+    """Coefficient-plot data as CSV: point estimates and CIs from the
+    distribution ``coeftable`` tests with, normal for the families of fixed
+    dispersion and Student t otherwise."""
+    from scipy.special import ndtri, stdtrit  # loaded by the first plot a run makes
     vcov_specs = vcov_specs or [VcovSpec("iid")]
     keep, drop = row_patterns(keep or []), row_patterns(drop or [])
     if not 0.0 <= ci_level < 1.0:
@@ -365,8 +367,13 @@ def plot_data(models: list, vcov_specs: Optional[list] = None,
                 names = [n for n in names if _match_any(n, keep)]
             if drop:
                 names = [n for n in names if not _match_any(n, drop)]
-            # the Student t quantile
-            tq = stdtrit(fit.dof.df_resid, 0.5 + ci_level / 2.0) if ci_level > 0 else 0.0
+            q = 0.5 + ci_level / 2.0
+            if ci_level == 0:
+                tq = 0.0
+            elif fit.family in FIXED_DISPERSION:
+                tq = ndtri(q)
+            else:
+                tq = stdtrit(fit.dof.df_resid, q)
             for r in rows:
                 if r["name"] not in names:
                     continue

@@ -15,6 +15,7 @@ from fehd.estimators import (FAMILIES, INNER_TOL_MAX, EstimationError, _gram, _m
                              fit_2sls, fit_glm_irls, fit_model, fit_ols, fixef, ols_targets)
 from fehd.formula import expand_models, parse_formula
 from fehd.inference import VcovSpec, compute_vcov
+from fehd.multiest import MultiOptions, run_multi
 
 from oracles import (connected_fe, dummy_design, dummy_irls, dummy_ols, random_instance,
                      scipubs_like)
@@ -55,7 +56,7 @@ class TestNumpySolves:
         upper = scipy.linalg.get_blas_funcs("syrk", (R,))(1.0, R, trans=1)
         assert np.array_equal(_gram(R, None), upper + np.triu(upper, 1).T)
 
-    def test_pooled_residual_update_has_no_n_row_temporary(self, rng):
+    def test_pooled_solve_reads_the_block_and_has_no_n_row_temporary(self, rng):
         n = 200_000
         x1, x2 = rng.normal(size=(2, n))
         ds = make_ds(f1=rng.integers(0, 2000, n), f2=rng.integers(0, 100, n), x1=x1,
@@ -71,11 +72,11 @@ class TestNumpySolves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the four residual columns are updated in place, a block of rows at
-        # a time: less than one n-row column is ever allocated
+        # the solve forms no residual: less than one n-row column is ever
+        # allocated, and the demeaned block is left as demean returned it
         assert peak < 8 * n
+        assert np.array_equal(dres.residuals, before)
         for k, fit in enumerate(fits):
-            assert np.shares_memory(fit.residuals, dres.residuals)
             want = before[:, k] - before[:, 4:] @ fit.coef
             assert np.allclose(fit.residuals, want, rtol=0, atol=1e-12)
 
@@ -870,6 +871,50 @@ def fe_rows(fit) -> np.ndarray:
     n = fit.dof.n_used
     return sum(np.einsum("ij,ij->i", fset.coef[dim.index.group_of_row], dim.design(n))
                for fset, dim in zip(coefs.values(), fit.design.dims))
+
+
+class TestDesignRule:
+    """A fit's residual is ``design.block @ design.resid_map``, and its block
+    is what ``demean`` returned for the fit's problem, untouched."""
+
+    FE2 = "indiv_id + firm_id"
+
+    def check(self, fit, block):
+        d = fit.design
+        r = fit.residuals
+        assert np.abs(d.block @ d.resid_map - r).max() <= 1e-12 * np.abs(r).max()
+        assert np.array_equal(d.block, block)
+
+    @pytest.mark.parametrize("formula, kw", [
+        (f"y ~ x1 + x2 | {FE2}", {}),
+        ("y ~ x1 + x2", {}),
+        (f"y ~ x1 + x2 | {FE2}", {"weights": "w"}),
+        (f"y ~ x1 | {FE2}", {"offset": "off"}),
+    ], ids=["fe", "no-fe", "weighted", "offset"])
+    def test_single_ols(self, difficult_panel, formula, kw):
+        fit = fit_ols(formula, difficult_panel, **kw)
+        frame = build_frame(difficult_panel, expand_models(parse_formula(formula))[0], **kw)
+        self.check(fit, demean(ols_targets([frame])[0]).residuals)
+
+    @pytest.mark.parametrize("rhs, models", [("x1 + x2", 2), ("csw(x1, x2)", 4)])
+    def test_pooled_ols(self, difficult_panel, rhs, models):
+        formula = f"c(y, e) ~ {rhs} | {self.FE2}"
+        multi = run_multi(formula, difficult_panel, MultiOptions())
+        assert multi.shared_work_report[0]["models"] == models
+        frames = [build_frame(difficult_panel, m)
+                  for m in expand_models(parse_formula(formula))]
+        block = demean(ols_targets(frames)[0]).residuals
+        for fit in multi.fits():
+            self.check(fit, block)
+
+    def test_2sls_and_its_first_stages(self, difficult_panel):
+        formula = f"y ~ x2 | {self.FE2} | e ~ z + x1"
+        fit = fit_2sls(formula, difficult_panel)
+        fr = build_frame(difficult_panel, expand_models(parse_formula(formula))[0])
+        cols = [fr.shifted_y] + fr.x_cols + fr.endo + fr.inst
+        block = demean(DemeanProblem(np.column_stack(cols), fr.dims)).residuals
+        for f in [fit] + fit.iv_diag.first_stages:
+            self.check(f, block)
 
 
 def test_fit_model_dispatch():

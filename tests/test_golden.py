@@ -13,6 +13,7 @@ means to move them:
 """
 
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -82,12 +83,17 @@ def write_panel(path: Path):
                    str(path))
 
 
-def run_case(name: str, tmp: Path) -> str:
+def run_case(name: str, tmp: Path, formula: str = None) -> str:
+    """The case's exit line, stdout and fe-coefs file; ``formula`` replaces
+    the case's formula."""
     csv_path = tmp / "panel.csv"
     if not csv_path.exists():
         write_panel(csv_path)
+    case = list(CASES[name])
+    if formula is not None:
+        case[case.index("--formula") + 1] = formula
     args = ["--threads", "1", "fit", "--data", str(csv_path)]
-    args += [a.replace("{tmp}", str(tmp)) for a in CASES[name]]
+    args += [a.replace("{tmp}", str(tmp)) for a in case]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
@@ -108,6 +114,21 @@ def panel_dir(tmp_path_factory):
 def test_golden_output(name, panel_dir):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert run_case(name, panel_dir) == expected
+
+
+def test_pooled_models_print_as_standalone_fits(panel_dir):
+    """The pooled case's models, whose four fits share one demeaning, print
+    what the four models fitted one by one print, byte for byte but for the
+    model labels."""
+    def models(text):
+        assert text.startswith("exit 0\n")
+        entries = json.loads(text.split("\n", 1)[1])["models"]
+        return [json.dumps({k: v for k, v in m.items() if k != "label"}) for m in entries]
+
+    standalone = [m for formula in (f"y ~ x1 | {FE2}", f"y ~ x1 + z | {FE2}",
+                                    f"x2 ~ x1 | {FE2}", f"x2 ~ x1 + z | {FE2}")
+                  for m in models(run_case("ols_pooled_ssc_none", panel_dir, formula))]
+    assert models(run_case("ols_pooled_ssc_none", panel_dir)) == standalone
 
 
 if __name__ == "__main__":

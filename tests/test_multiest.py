@@ -3,6 +3,7 @@ import pytest
 
 from fehd.data import Dataset, NumericColumn
 from fehd.estimators import EstimationError, fit_glm_irls, fit_ols
+from fehd.inference import VcovSpec, compute_vcov
 from fehd.multiest import MultiOptions, run_multi
 
 from oracles import scipubs_like
@@ -27,15 +28,21 @@ def panel(rng):
     return make_ds(y1=y1, y2=y2, x1=x1, x2=x2, f1=f1, f2=f2, region=region)
 
 
+def assert_same_fit(fit, solo, ds):
+    """Bit for bit: coefficients, residuals and a clustered vcov matrix."""
+    assert fit.coef_names == solo.coef_names
+    assert np.array_equal(fit.coef, solo.coef)
+    assert np.array_equal(fit.residuals, solo.residuals)
+    spec = VcovSpec("cluster", ("f1",))
+    assert np.array_equal(compute_vcov(fit, spec, ds).matrix,
+                          compute_vcov(solo, spec, ds).matrix)
+
+
 class TestPooling:
     def test_pooled_equals_standalone(self, panel):
         multi = run_multi("c(y1, y2) ~ x1 + x2 | f1 + f2", panel, MultiOptions())
-        solo1 = fit_ols("y1 ~ x1 + x2 | f1 + f2", panel)
-        solo2 = fit_ols("y2 ~ x1 + x2 | f1 + f2", panel)
-        fits = multi.fits()
-        assert np.abs(fits[0].coef - solo1.coef).max() <= 1e-12
-        assert np.abs(fits[1].coef - solo2.coef).max() <= 1e-12
-        assert np.abs(fits[0].residuals - solo1.residuals).max() <= 1e-12
+        for fit, lhs in zip(multi.fits(), ("y1", "y2")):
+            assert_same_fit(fit, fit_ols(f"{lhs} ~ x1 + x2 | f1 + f2", panel), panel)
 
     def test_pooled_collinear_drop_equals_standalone(self, panel):
         # x3 is dropped, so the kept design (x1, x2) is not a block of the
@@ -44,9 +51,8 @@ class TestPooling:
         multi = run_multi("c(y1, y2) ~ x1 + x3 + x2 | f1 + f2", ds, MultiOptions())
         for fit, lhs in zip(multi.fits(), ("y1", "y2")):
             solo = fit_ols(f"{lhs} ~ x1 + x3 + x2 | f1 + f2", ds)
-            assert fit.coef_names == solo.coef_names == ["x1", "x2"]
-            assert np.abs(fit.coef - solo.coef).max() <= 1e-12
-            assert np.abs(fit.residuals - solo.residuals).max() <= 1e-12
+            assert fit.coef_names == ["x1", "x2"]
+            assert_same_fit(fit, solo, ds)
 
     def test_one_batch_for_shared_structure(self, panel):
         multi = run_multi("c(y1, y2) ~ x1 | f1 + f2", panel, MultiOptions())

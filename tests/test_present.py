@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fehd.data import Dataset, NumericColumn
-from fehd.estimators import fit_ols
-from fehd.inference import VcovSpec
+from fehd.estimators import fit_glm_irls, fit_ols
+from fehd.inference import VcovSpec, compute_vcov
 from fehd.multiest import MultiOptions, run_multi
 from fehd.present import TableSpec, format_number, plot_data, render_table, row_patterns
 
@@ -138,10 +138,26 @@ class TestPlotData:
         line = [l for l in csv_text.splitlines() if ",x," in l][0]
         _, _, est, lo, hi, lvl = line.split(",")
         est, lo, hi = float(est), float(lo), float(hi)
-        from fehd.inference import compute_vcov
         se = np.sqrt(compute_vcov(fit, VcovSpec("iid")).matrix[1, 1])
         assert (hi - est) / se == pytest.approx(1.96, abs=0.01)
         assert lo <= est <= hi
+
+    @pytest.mark.parametrize("family", ["poisson", "logit"])
+    def test_glm_ci_is_normal_as_its_test(self, family):
+        # at df 298 a t quantile would give 1.9680 SE instead of 1.9600
+        rng = np.random.default_rng(3)
+        n = 300
+        x = rng.normal(size=n)
+        y = rng.poisson(np.exp(0.5 * x)) if family == "poisson" else \
+            rng.random(n) < 1.0 / (1.0 + np.exp(-x))
+        ds = Dataset(n_rows=n, columns={"y": NumericColumn(y.astype(float)),
+                                        "x": NumericColumn(x)})
+        fit = fit_glm_irls("y ~ x", ds, family=family)
+        line = [l for l in plot_data([fit]).splitlines() if ",x," in l][0]
+        _, _, est, lo, hi, _ = line.split(",")
+        se = np.sqrt(compute_vcov(fit, VcovSpec("iid")).matrix[1, 1])
+        assert (float(hi) - float(est)) / se == pytest.approx(1.959964, abs=1e-5)
+        assert (float(est) - float(lo)) / se == pytest.approx(1.959964, abs=1e-5)
 
     def test_level_zero_degenerate(self, sci_fits):
         ds, fits = sci_fits
