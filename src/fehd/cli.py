@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
     fit = sub.add_parser("fit", help="fit one or many models on a CSV file")
     fit.add_argument("--formula", required=True)
     fit.add_argument("--data", required=True)
-    fit.add_argument("--family", default=None, choices=["ols", "poisson", "logit", "gaussian"])
+    fit.add_argument("--family", default=None, choices=["ols", "poisson", "logit", "gaussian"],
+                     help="gaussian is fitted as OLS and labelled gaussian")
     fit.add_argument("--vcov", action="append", default=None,
                      help="iid|hc1|cluster=col|twoway=c1,c2|nw=unit,time[,lag]|dk=time[,lag]"
                           " (repeatable)")

@@ -164,6 +164,8 @@ class DemeanProblem:
                 raise DemeanError("weights must be strictly positive")
         if not 0 < self.tol < math.inf:  # NaN fails too
             raise DemeanError(f"demeaning tol must be finite and > 0, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise DemeanError(f"demeaning max_iter must be >= 1, got {self.max_iter!r}")
         n = self.targets.shape[0]
         for d in self.dims:
             if len(d.index.group_of_row) != n:

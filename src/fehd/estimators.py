@@ -9,15 +9,18 @@ order, by the rule that drops FE slope coefficients (``column_drops``).  By
 Frisch-Waugh-Lovell the 2SLS stages are solves on the Gram ``G`` of the
 demeaned block ``[y - offset, X, E, Z]`` or on ``T'GT`` for a map ``T`` of the
 block; IRLS solves each step on the Gram of ``[z, X]`` under the working
-weights.  Every fit keeps one ``Design`` record, from which inference forms
-the score rows at each call and ``fixef`` reads the fit's own fixed effects.
-``fit_model`` is the one estimator dispatch, ``ols_targets`` the one layout
-of OLS target columns, for single and pooled fits alike, and ``_fit_result``
-the one ``FitResult`` builder.  A fit stores no fact it can derive: its FE
-labels are its dimensions' labels, its residuals are formed from the design
-record at each read, and OLS and 2SLS fitted values on first use.  No code
-writes into a demeaning's residuals once ``demean`` returns, so a pooled fit
-reads the same block, and forms the same residuals, as a standalone fit.
+weights, d mu / d eta under the canonical link of Poisson and logit, the IRLS
+families.  A gaussian fit is an OLS fit.  Every fit keeps one ``Design``
+record, from which inference forms the score rows at each call and ``fixef``
+reads the fit's own fixed effects.  ``fit_model`` is the one estimator
+dispatch, ``ols_targets`` the one layout of OLS target columns, for single
+and pooled fits alike, and ``_fit_result`` the one ``FitResult`` builder.  A
+fit stores no fact it can derive: its FE labels are its dimensions' labels,
+its residuals are formed from the design record at each read (and its SSR
+from them, where its Gram gives none), and OLS and 2SLS fitted values on
+first use.  No code writes into a demeaning's residuals once ``demean``
+returns, so a pooled fit reads the same block, and forms the same residuals,
+as a standalone fit.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ SSR_GRAM_RTOL = 1e-4
 IRLS_MAX_ITER = 200
 # the loosest inner demeaning tolerance of an IRLS step (see fit_glm_irls)
 INNER_TOL_MAX = 1e-3
-ETA_BOUND = {"poisson": 500.0, "logit": 30.0, "gaussian": np.inf}
 # how far from its bound a row held at a bound starts (see _mu_at_bound): far
 # enough to stay inside _logit_dev's clip, near enough to beat init_eta
 MU_START_RANGE = (1e-10, 0.1)
@@ -78,9 +80,9 @@ class EstimationError(RuntimeError):
 class FamilySpec:
     name: str
     linkinv: Callable[[np.ndarray], np.ndarray]
-    # d mu / d eta at (eta, mu = linkinv(eta)); a family reuses mu where it can
+    # d mu / d eta at (eta, mu = linkinv(eta)), reusing mu where it can: under the
+    # canonical link, V(mu) and the IRLS working weight (McCullagh and Nelder 1989, 2.5)
     mu_eta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    variance: Callable[[np.ndarray], np.ndarray]
     # (y, user weights) -> the deviance at (eta, mu); what depends on y alone
     # is formed once per fit
     deviance: Callable[[np.ndarray, np.ndarray],
@@ -88,6 +90,7 @@ class FamilySpec:
     init_eta: Callable[[np.ndarray], np.ndarray]
     validate: Callable[[np.ndarray], Optional[str]]
     link: Callable[[np.ndarray], np.ndarray]
+    eta_bound: float  # |eta| past which IRLS stops as diverged (possible separation)
     # the ends of the mean's range an outcome can reach: a fixed-effect group
     # whose outcomes all sit at one has its ML effect at -inf or +inf
     bounds: tuple = ()
@@ -120,38 +123,29 @@ FAMILIES = {
         name="poisson",
         linkinv=np.exp,
         mu_eta=lambda eta, mu: mu,  # exp' = exp
-        variance=lambda mu: mu,
         deviance=_pois_dev,
         init_eta=lambda y: np.log(y + 0.1),
         validate=lambda y: None if (y >= 0).all() else "Poisson requires y >= 0",
         link=np.log,
+        eta_bound=500.0,
         bounds=(0.0,),
     ),
     "logit": FamilySpec(
         name="logit",
         linkinv=lambda eta: 1.0 / (1.0 + np.exp(-eta)),
         mu_eta=lambda eta, mu: mu * (1 - mu),
-        variance=lambda mu: mu * (1 - mu),
         deviance=_logit_dev,
         init_eta=lambda y: np.log((y + 0.5) / (1.5 - y)),
         validate=lambda y: None if np.isin(y, (0.0, 1.0)).all() else "logit requires y in {0, 1}",
         link=lambda mu: np.log(mu / (1 - mu)),
+        eta_bound=30.0,
         bounds=(0.0, 1.0),
-    ),
-    "gaussian": FamilySpec(
-        name="gaussian",
-        linkinv=lambda eta: eta,
-        mu_eta=lambda eta, mu: np.ones_like(eta),
-        variance=lambda mu: np.ones_like(mu),
-        deviance=lambda y, w: lambda eta, mu: float(np.sum(w * (y - mu) ** 2)),
-        init_eta=lambda y: y.copy(),
-        validate=lambda y: None,
-        link=lambda mu: mu,
     ),
 }
 # the families whose dispersion is fixed at 1: their IID variance is the
 # bread, their tests are z tests, and their null model keeps the offset
 FIXED_DISPERSION = ("poisson", "logit")
+_OLS_FAMILIES = ("ols", "gaussian")  # a Gaussian GLM with the identity link is OLS
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,7 @@ class FitResult:
     xtx_inv: np.ndarray               # the bread: the kept Gram's inverse
     dof: DofLedger
     convergence: Convergence
-    family: str                       # "ols", "2sls" or a FAMILIES key
+    family: str                       # "ols", "gaussian" (OLS), "2sls" or a FAMILIES key
     lhs_name: str
     mask: SampleMask
     ssr: float
@@ -677,11 +671,13 @@ def _fit_result(frame: ModelFrame, sol: GramSolve, names: list[str],
                 dres: DemeanResult, regressors: Union[list[int], np.ndarray],
                 resid_map: np.ndarray, outcome: Optional[int] = None,
                 y: Optional[np.ndarray] = None,
-                convergence: Optional[Convergence] = None, **kw) -> FitResult:
+                convergence: Optional[Convergence] = None,
+                ssr: Optional[float] = None, **kw) -> FitResult:
     """The one FitResult builder: fills what comes from the frame, the solve
     (of regressors ``names``) and the demeaning ``dres``; ``kw`` holds the
     rest.  ``outcome`` is ``Design.outcome``.  ``y`` replaces the frame's
-    outcome and offset, as a first stage's endogenous column does."""
+    outcome and offset, as a first stage's endogenous column does.  Without
+    an ``ssr`` the fit's SSR is summed over its residuals' rows."""
     if convergence is None:
         convergence = Convergence(demean_sweeps=dres.sweeps, demean_converged=dres.converged,
                                   demean_factor=dres.factor)
@@ -690,10 +686,13 @@ def _fit_result(frame: ModelFrame, sol: GramSolve, names: list[str],
                     offset=frame.offset if y is None else None,
                     demeaned=dres, regressors=regressors, resid_map=resid_map,
                     outcome=outcome)
-    return FitResult(coef=sol.coef, coef_names=[names[k] for k in sol.kept],
-                     dropped_collinear=[names[k] for k in sol.dropped],
-                     xtx_inv=sol.xtx_inv, convergence=convergence, mask=frame.mask,
-                     design=design, **kw)
+    fit = FitResult(coef=sol.coef, coef_names=[names[k] for k in sol.kept],
+                    dropped_collinear=[names[k] for k in sol.dropped],
+                    xtx_inv=sol.xtx_inv, convergence=convergence, mask=frame.mask,
+                    design=design, ssr=ssr, **kw)
+    if ssr is None:
+        fit.ssr = _wssr(fit.residuals, frame.weights)
+    return fit
 
 
 def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
@@ -809,8 +808,6 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
             frame, sol, frame.x_names, dres, kept_cols, c, outcome=iy, dof=dof,
             family="ols", lhs_name=frame.lhs_name, ssr=sol.ssr,
             sst=sst_cache[frame.lhs_name], ssr_fe_only=float(G_all[iy, iy]))
-        if fit.ssr is None:
-            fit.ssr = _wssr(fit.residuals, w)
         out.append(fit)
     return out
 
@@ -869,12 +866,11 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
         first_map[kept_pos, j] = sol.coef
         resid_map = -first_map[:, j]
         resid_map[ie] = 1.0
-        ssr1 = sol.ssr if sol.ssr is not None else _wssr(R @ resid_map, w)
         first_stages.append(_fit_result(
             frame, sol, stage1_names, dres, kept_pos, resid_map, y=cols[ie],
             dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
             family="ols", lhs_name=frame.endo_names[j],
-            ssr=ssr1, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie])))
+            ssr=sol.ssr, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie])))
 
     # second stage: y on [E_hat, X] = R @ T[:, 1:], solved from T'GT
     names2 = [f"fit_{e}" for e in frame.endo_names] + frame.x_names
@@ -890,7 +886,6 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     c = np.zeros(p)
     c[0] = 1.0
     c[orig_pos] = -sol.coef
-    r = R @ c
     dof = _dof(n, len(sol.kept), k_fe)
     exog_kept = [k - n_endo for k in sol.kept if k >= n_endo]
     iv_diag = IvDiag(endo_names=list(frame.endo_names), first_stages=first_stages,
@@ -900,7 +895,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     return _fit_result(
         frame, sol, names2, dres, T[:, [1 + k for k in sol.kept]], c,
         dof=dof, family="2sls", lhs_name=frame.lhs_name,
-        ssr=_wssr(r, w), sst=_sst(y, w), ssr_fe_only=float(G[0, 0]), iv_diag=iv_diag)
+        sst=_sst(y, w), ssr_fe_only=float(G[0, 0]), iv_diag=iv_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +963,8 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                  offset: Optional[str] = None) -> FitResult:
     """GLM by iteratively reweighted least squares on the demeaned ``[z, X]``.
 
-    The fit stops once a step moves the deviance by at most
+    ``family`` is a ``FAMILIES`` key (not gaussian, which ``fit_model``
+    fits as OLS).  The fit stops once a step moves the deviance by at most
     ``glm_tol * (|deviance| + 0.1)``.  With two or more FE dimensions the
     inner demeaning follows a tolerance schedule (Correia, Guimaraes and
     Zylkin 2020).  Step 1 runs at ``demean_tol``, since it decides
@@ -990,6 +986,8 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     """
     _check_tol("collin_tol", collin_tol, zero_ok=True)
     _check_tol("glm_tol", glm_tol)
+    if irls_max_iter < 1:
+        raise EstimationError(f"irls_max_iter must be >= 1, got {irls_max_iter!r}")
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     fam = FAMILIES.get(family)
     if fam is None:
@@ -1002,7 +1000,6 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     n = len(y)
     w_user = frame.weights if frame.weights is not None else np.ones(n)
     off = frame.offset if frame.offset is not None else 0.0
-    eta_bound = ETA_BOUND[family]
     deviance = fam.deviance(y, w_user)
     structure = FeStructure(frame.dims)
     schedule = len(frame.dims) > 1
@@ -1030,13 +1027,11 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     for it in range(1, irls_max_iter + 1):
         if at_bound is not None:  # rows at a bound are held (see _mu_at_bound)
             mu[at_bound] = mu_held
-        mue = fam.mu_eta(eta, mu)
-        var = fam.variance(mu)
-        w_work = mue * mue / var
+        w_work = fam.mu_eta(eta, mu)  # the canonical link's working weight
         u = y - mu
         if at_bound is not None:
             u[at_bound] = 0.0
-        z = eta + u / mue - off
+        z = eta + u / w_work - off
         wtot = w_user * w_work
         targets = _stack_f([z] + frame.x_cols)
         problem = DemeanProblem(targets=targets, dims=frame.dims, weights=wtot,
@@ -1056,8 +1051,8 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
             raise EstimationError("IRLS diverged: non-finite linear predictor")
         # a row in two groups at a bound sits near twice its start: only the
         # other rows can diverge
-        if np.abs(eta).max() > eta_bound and (
-                at_bound is None or np.abs(eta[~at_bound]).max() > eta_bound):
+        if np.abs(eta).max() > fam.eta_bound and (
+                at_bound is None or np.abs(eta[~at_bound]).max() > fam.eta_bound):
             raise EstimationError(
                 "IRLS diverged: unbounded coefficients (possible separation)")
         mu = fam.linkinv(eta)
@@ -1079,9 +1074,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     if not converged:
         raise EstimationError(f"IRLS did not converge within {irls_max_iter} iterations")
 
-    r = y - mu
     dof = _dof(n, len(sol.kept), _k_fe(frame.dims, dres.dropped))
-    ssr = float(np.sum(w_user * r * r))
     # every inner solve converged: _demean_converged raises otherwise
     conv = Convergence(demean_sweeps=sum(st.sweeps for st in path),
                        demean_converged=dres.converged,
@@ -1090,9 +1083,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
     return _fit_result(
         frame, sol, frame.x_names, dres, [1 + k for k in sol.kept], c, convergence=conv,
         _fitted=mu, dof=dof, family=family, lhs_name=frame.lhs_name,
-        ssr=ssr, sst=_sst(y if family in FIXED_DISPERSION else frame.shifted_y,
-                          frame.weights),  # as OLS for the gaussian family
-        ssr_fe_only=float("nan"), deviance=dev)
+        sst=_sst(y, frame.weights), ssr_fe_only=float("nan"), deviance=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -1105,16 +1096,19 @@ def fit_model(frame_or_model, ds: Optional[Dataset] = None, family: str = "ols",
     """Fit one model with its estimator; the one estimator dispatch of fehd.
 
     An IV part goes to ``fit_2sls`` and is an error under a GLM family; other
-    OLS models go to ``fit_ols`` and GLMs to ``fit_glm_irls``.  ``kw`` holds
-    the estimator's solver options.
+    OLS and gaussian models (``_OLS_FAMILIES``) go to ``fit_ols``, and the
+    fit keeps the family's label; Poisson and logit go to ``fit_glm_irls``.
+    ``kw`` holds the estimator's solver options.
     """
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     if frame.endo:
         if family != "ols":
             raise EstimationError("IV estimation is only available for OLS models")
         return fit_2sls(frame, **kw)
-    if family == "ols":
-        return fit_ols(frame, **kw)
+    if family in _OLS_FAMILIES:
+        fit = fit_ols(frame, **kw)
+        fit.family = family
+        return fit
     return fit_glm_irls(frame, family=family, **kw)
 
 

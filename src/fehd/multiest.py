@@ -1,13 +1,14 @@
 """Multiple estimations: multi-LHS, stepwise families, sample splits.
 
-OLS models without an IV part that share a sample mask and fixed-effect
-structure are pooled.  ``estimators.ols_targets`` lays out their distinct
-target columns, the outcomes less any offset first and then the regressors;
-the columns are demeaned in one batched call, and ``finish_ols_group`` solves
-each model's normal equations on the shared residuals.  Each target column
-runs its own demeaning iteration inside the batch and stops on its own, and
-each fit forms its residuals from the shared block, which no fit writes
-into, as a standalone fit forms them from its own.  ``fit_ols`` takes the
+OLS and gaussian (OLS under its own label) models without an IV part that
+share a sample mask and fixed-effect structure are pooled.
+``estimators.ols_targets`` lays out their distinct target columns, the
+outcomes less any offset first and then the regressors; the columns are
+demeaned in one batched call, and ``finish_ols_group`` solves each model's
+normal equations on the shared residuals.  Each target column runs its own
+demeaning iteration inside the batch and stops on its own, and each fit
+forms its residuals from the shared block, which no fit writes into, as a
+standalone fit forms them from its own.  ``fit_ols`` takes the
 same layout and the same solve as a group of one.  So a pooled model gives
 the numbers of its standalone fit, bit for bit on the test panels in
 coefficients, residuals and a clustered vcov (``tests/test_multiest.py``).
@@ -32,9 +33,9 @@ from .demean import DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanError
 # unused here; still bound because the benchmark's tracing test
 # (perfbench/tests/test_tracing.py) looks the name up in this module
 from .demean import demean  # noqa: F401
-from .estimators import (DEFAULT_COLLIN_TOL, EstimationError, FitResult, ModelFrame,
-                         _demean_converged, build_frame, finish_ols_group, fit_model,
-                         ols_targets)
+from .estimators import (_OLS_FAMILIES, DEFAULT_COLLIN_TOL, EstimationError, FitResult,
+                         ModelFrame, _demean_converged, build_frame, finish_ols_group,
+                         fit_model, ols_targets)
 
 __all__ = ["MultiOptions", "FitRecord", "MultiResult", "run_multi"]
 
@@ -124,7 +125,7 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
             records[ridx].error = str(exc)
             continue
         frames[ridx] = frame
-        if options.family == "ols" and not frame.endo:
+        if options.family in _OLS_FAMILIES and not frame.endo:
             key = (frame.mask.signature(), tuple(d.label for d in frame.dims))
             poolable.setdefault(key, []).append(ridx)
         else:
@@ -151,6 +152,7 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
                 records[r].error = str(res)
             else:
                 res.sample_label = records[r].provenance.sample_label
+                res.family = options.family
                 records[r].fit = res
         reports[g] = {"models": len(ridxs), "targets": dres.residuals.shape[1],
                       "fe": list(key[1]), "pooled": len(ridxs) > 1}

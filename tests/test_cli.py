@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,6 +205,23 @@ class TestFit:
                                   "--family", family, option, value])
         assert code == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("formula", ["y ~ x | g + h", "y ~ x"])
+    @pytest.mark.parametrize("family", ["ols", "poisson"])
+    def test_unusable_demean_maxiter_exit_two(self, tmp_path, value, formula, family):
+        # with FE it was reported as a demeaning that did not converge within
+        # -3 iterations, and without FE it was accepted without a word
+        rng = np.random.default_rng(5)
+        n = 400
+        y, x = rng.poisson(1.0, n), rng.normal(size=n)
+        path = tmp_path / "gh.csv"
+        path.write_text("y,x,g,h\n" + "".join(
+            f"{y[i]},{float(x[i])!r},{i % 20},{i % 15}\n" for i in range(n)))
+        code, out, err = run_cli(["fit", "--formula", formula, "--data", str(path),
+                                  "--family", family, "--demean-maxiter", value])
+        assert code == 2 and out == ""
+        assert f"demeaning max_iter must be >= 1, got {value}" in err
 
     @pytest.mark.parametrize("family", ["poisson", "logit"])
     def test_outcome_at_a_bound_everywhere_exit_two(self, tmp_path, family):
@@ -439,6 +457,31 @@ class TestIvAndGlmPlumbing:
         fe = _fe_csv_effects(fe_path, ["f1", "f2"], [f1, f2])
         x = load_csv(path).numeric("x")
         assert np.allclose(x * fit.coef[0] + fe, np.log(fit.fitted), atol=1e-6)
+
+    def test_gaussian_prints_what_ols_prints(self, tmp_path):
+        # a Gaussian GLM with the identity link is OLS: the same pooled fits,
+        # byte for byte, and only the family label apart
+        ds = simulate_panel(DgpConfig(n=2_000, seed=3))
+        rng = np.random.default_rng(9)
+        n = ds.n_rows
+        extra = {"w": rng.uniform(0.5, 2.0, n), "off": rng.normal(size=n),
+                 "z": rng.normal(size=n)}
+        path = str(tmp_path / "panel.csv")
+        dataset_to_csv(ds.with_columns({k: NumericColumn(v) for k, v in extra.items()}),
+                       path)
+        args = ["fit", "--formula", "c(y, x2) ~ csw(x1, z) | indiv_id + firm_id",
+                "--data", path, "--weights", "w", "--offset", "off",
+                "--vcov", "cluster=firm_id", "--fitstat", "n,r2,wr2,ll,apr2,sq.cor",
+                "--output", "json"]
+        out = {}
+        for family in ("ols", "gaussian"):
+            code, out[family], err = run_cli(args + ["--family", family])
+            assert code == 0, err
+        models = json.loads(out["gaussian"])["models"]
+        assert [m["family"] for m in models] == ["gaussian"] * 4
+        assert all(math.isfinite(m["fitstats"]["wr2"]) for m in models)
+        assert out["gaussian"].replace('"family": "gaussian"', '"family": "ols"') \
+            == out["ols"]
 
     @pytest.mark.parametrize("family", ["poisson", "logit", "gaussian"])
     def test_iv_part_under_glm_family_exit_two(self, tmp_path, family):

@@ -125,6 +125,15 @@ class TestDemean:
         with pytest.raises(DemeanError, match="demeaning tol must be finite and > 0"):
             DemeanProblem(targets=np.zeros(4), dims=[FeDim(fidx([0, 0, 1, 1]))], tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_problem_rejects_an_unusable_max_iter(self, max_iter):
+        with pytest.raises(DemeanError, match="demeaning max_iter must be >= 1"):
+            DemeanProblem(targets=np.zeros(4), dims=[FeDim(fidx([0, 0, 1, 1]))],
+                          max_iter=max_iter)
+        # no FE dimension: nothing to iterate, but the option is as unusable
+        with pytest.raises(DemeanError, match="demeaning max_iter must be >= 1"):
+            DemeanProblem(targets=np.zeros(4), dims=[], max_iter=max_iter)
+
     def test_orthogonality_to_fe_columns(self, rng):
         y, c1, c2 = random_two_fe(rng)
         w = rng.uniform(0.5, 2.0, len(y))

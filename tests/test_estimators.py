@@ -493,14 +493,14 @@ class TestGlm:
 
     def test_gaussian_family_equals_ols(self, rng):
         ds, formula, *_ = random_instance(rng, n_max=200, weighted=False)
-        g = fit_glm_irls(formula, ds, family="gaussian", demean_tol=1e-12)
+        g = fit_model(formula, ds, family="gaussian", demean_tol=1e-12)
         o = fit_ols(formula, ds, demean_tol=1e-12)
         assert np.abs(g.coef - o.coef).max() < 1e-8
 
     def test_gaussian_family_measures_r2_about_y_less_the_offset(self, rng):
         ds, formula, *_ = random_instance(rng, n_max=200, weighted=False)
         ds = ds.with_columns({"off": NumericColumn(rng.normal(size=ds.n_rows))})
-        g = fit_glm_irls(formula, ds, family="gaussian", offset="off", demean_tol=1e-12)
+        g = fit_model(formula, ds, family="gaussian", offset="off", demean_tol=1e-12)
         o = fit_ols(formula, ds, offset="off", demean_tol=1e-12)
         assert g.sst == pytest.approx(o.sst, rel=1e-12)
 
@@ -696,6 +696,18 @@ class TestIrlsSchedule:
         assert np.array_equal(pois.mu_eta(eta, pois.linkinv(eta)), np.exp(eta))
         m = 1.0 / (1.0 + np.exp(-eta))
         assert np.array_equal(logit.mu_eta(eta, logit.linkinv(eta)), m * (1 - m))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_link_is_canonical(self, rng, family):
+        # IRLS takes mu_eta as its working weight.  That weight is
+        # (d mu / d eta)^2 / V(mu), which is d mu / d eta only under the
+        # canonical link, where d mu / d eta = V(mu).  A family with another
+        # link, or with no variance function here, fails
+        variance = {"poisson": lambda mu: mu, "logit": lambda mu: mu * (1 - mu)}[family]
+        fam = FAMILIES[family]
+        eta = rng.uniform(-fam.eta_bound, fam.eta_bound, 10_000)
+        mu = fam.linkinv(eta)
+        np.testing.assert_allclose(fam.mu_eta(eta, mu), variance(mu), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("family", ["poisson", "logit"])
     def test_default_tolerance_matches_a_tight_fit(self, glm_panel, family):
@@ -921,6 +933,9 @@ def test_fit_model_dispatch():
     ds = make_ds(y=[1, 2, 3, 4, 5, 6], x=[0, 1, 0, 1, 0, 1], z=[1, 0, 1, 0, 1, 0])
     assert fit_model("y ~ x", ds).family == "ols"
     assert fit_model("y ~ x", ds, family="poisson").family == "poisson"
+    assert fit_model("y ~ x", ds, family="gaussian").family == "gaussian"
+    with pytest.raises(EstimationError, match="unknown family 'gaussian'"):
+        fit_glm_irls("y ~ x", ds, family="gaussian")
     assert fit_model("y ~ 1 | x ~ z", ds).family == "2sls"
     for family in ("poisson", "logit", "gaussian"):
         with pytest.raises(EstimationError, match="only available for OLS"):
@@ -1040,7 +1055,7 @@ class TestGroupsAtABound:
             assert fit.deviance == pytest.approx(without.deviance, rel=1e-7)
         # every row from init_eta, as before the rule: the same sample and,
         # for Poisson, the same coefficients in more steps; the logit groups
-        # of ones run past ETA_BOUND
+        # of ones run past the family's eta_bound
         monkeypatch.setattr(importlib.import_module("fehd.estimators"), "_rows_at_bound",
                             lambda *a: None)
         if family == "logit":
@@ -1128,6 +1143,12 @@ class TestTolerances:
         ds = make_ds(y=rng.poisson(1.0, 60), x=rng.normal(size=60))
         with pytest.raises(EstimationError, match="glm_tol must be finite and > 0"):
             fit_glm_irls("y ~ x", ds, family="poisson", glm_tol=value)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_irls_max_iter(self, rng, value):
+        ds = make_ds(y=rng.poisson(1.0, 60), x=rng.normal(size=60))
+        with pytest.raises(EstimationError, match=f"irls_max_iter must be >= 1, got {value}"):
+            fit_glm_irls("y ~ x", ds, family="poisson", irls_max_iter=value)
 
     def test_zero_collin_tol_is_allowed(self, rng):
         ds = make_ds(y=rng.normal(size=60), x=rng.normal(size=60), g=np.arange(60) % 5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fehd.data import Dataset, NumericColumn
-from fehd.estimators import EstimationError, fit_glm_irls, fit_ols
+from fehd.estimators import EstimationError, fit_glm_irls, fit_model, fit_ols
 from fehd.inference import VcovSpec, compute_vcov
 from fehd.multiest import MultiOptions, run_multi
 
@@ -111,6 +111,19 @@ class TestPooling:
             assert np.abs(rec.fit.residuals - solo.residuals).max() <= 1e-10
             assert np.abs(rec.fit.fitted + rec.fit.residuals
                           - panel.numeric(rec.fit.lhs_name)).max() <= 1e-10
+
+    def test_gaussian_models_pool_as_ols(self, panel):
+        # a Gaussian GLM with the identity link is OLS, and pools as OLS
+        multi = run_multi("c(y1, y2) ~ csw(x1, region) | f1 + f2", panel,
+                          MultiOptions(family="gaussian", offset="x2"))
+        assert [r["pooled"] for r in multi.shared_work_report] == [True]
+        formulas = [f"{lhs} ~ {rhs} | f1 + f2" for lhs in ("y1", "y2")
+                    for rhs in ("x1", "x1 + region")]
+        for rec, formula in zip(multi.results, formulas):
+            solo = fit_model(formula, panel, family="gaussian", offset="x2")
+            assert rec.fit.family == solo.family == "gaussian"
+            assert rec.fit.coef_names == solo.coef_names
+            assert np.array_equal(rec.fit.coef, solo.coef)
 
     def test_glm_never_pooled(self, panel):
         ds = panel.with_columns({"cnt": NumericColumn(
