@@ -147,6 +147,10 @@ class FeDim:
 
 @dataclass
 class DemeanProblem:
+    """Target columns to demean, in a block the problem owns: a list of 1-D
+    columns is stacked into it and an array is copied, F-order (cheap
+    per-column access).  ``demean`` writes the residuals into that block."""
+
     targets: np.ndarray  # (n_used, n_targets) float64
     dims: list[FeDim]
     weights: Optional[np.ndarray] = None
@@ -154,10 +158,14 @@ class DemeanProblem:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        arr = np.asarray(self.targets, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        self.targets = np.asfortranarray(arr)  # cheap per-column access
+        if isinstance(self.targets, list):
+            cols = self.targets
+            self.targets = np.empty((len(cols[0]), len(cols)), order="F")
+            for j, c in enumerate(cols):
+                self.targets[:, j] = c
+        else:
+            arr = np.asarray(self.targets, dtype=np.float64)
+            self.targets = np.array(arr[:, None] if arr.ndim == 1 else arr, order="F")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if (self.weights <= 0).any():
@@ -302,11 +310,11 @@ class _DimWork:
             return c / self.wsum
         return np.einsum("gab,gb->ga", self.Minv, c.reshape(self.G, self.L)).ravel()
 
-    def blocks(self, inverse: bool = False) -> np.ndarray:
-        """The per-group blocks of D'W D, or their pseudo-inverses, as (G, L, L)."""
+    def blocks(self) -> np.ndarray:
+        """The per-group blocks of D'W D as (G, L, L)."""
         if self.Z is None:
-            return (1.0 / self.wsum if inverse else self.wsum)[:, None, None]
-        return self.Minv if inverse else self.M
+            return self.wsum[:, None, None]
+        return self.M
 
     def gram(self, p: np.ndarray) -> np.ndarray:
         """D'W D p: the block-diagonal product with this dimension's own blocks."""
@@ -859,7 +867,6 @@ def _column_scales(targets: np.ndarray, w: Optional[np.ndarray],
 
 
 def demean(problem: DemeanProblem, accelerate: bool = True,
-           consume_targets: bool = False,
            structure: Optional[FeStructure] = None) -> DemeanResult:
     """Demean every target column against the problem's fixed-effect structure.
 
@@ -883,17 +890,17 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     runs its own iteration, so a batched run reproduces the single-column
     results bit for bit.  ``sweeps`` reports the slowest column's count and
     ``iterations`` its CG steps (sweeps - 1 in the plain mode); ``fe_coef``
-    the FE coefficients the residuals were formed with.  ``consume_targets``
-    lets the solver reuse (and destroy) the problem's target buffer; only
-    set it on throwaway problems.  ``structure`` carries the cross-tables,
-    what the fit learned about factoring A and the warm start (where the
-    last call ended) from one call to the next over the same dimensions, as
-    the steps of an IRLS fit do; without it the call starts cold.
+    the FE coefficients the residuals were formed with.  The residuals
+    overwrite the problem's own target block.  ``structure`` carries the
+    cross-tables, what the fit learned about factoring A and the warm start
+    (where the last call ended) from one call to the next over the same
+    dimensions, as the steps of an IRLS fit do; without it the call starts
+    cold.
     """
-    targets = problem.targets
-    n, T = targets.shape
+    r = problem.targets
+    n, T = r.shape
     if not problem.dims:
-        return DemeanResult(residuals=targets.copy(), converged=True)
+        return DemeanResult(residuals=r, converged=True)
 
     if structure is None:
         structure = FeStructure(problem.dims)
@@ -907,14 +914,8 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     if structure.state is not None and structure.state.shape == S.shape:
         S[:] = structure.state  # the warm start: where the last call ended
     coef0 = np.zeros((works[0].G * works[0].L, T))
-    # F-order for contiguous per-column views; copied unless the caller
-    # explicitly hands over ownership of the target buffer
-    if consume_targets and targets.flags.f_contiguous:
-        r = targets
-    else:
-        r = np.array(targets, order="F", copy=True)
     buf = np.empty(n)  # the one row buffer every gather goes through
-    scale, rms = _column_scales(targets, problem.weights, buf)
+    scale, rms = _column_scales(r, problem.weights, buf)  # before r is overwritten
     thr = np.maximum(problem.tol * scale, LEVEL_EPS * np.finfo(np.float64).eps * rms)
     if np.any(S):
         for j in range(T):

@@ -547,15 +547,6 @@ def _solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Linv.T @ (Linv @ b), Linv.T @ Linv
 
 
-def _stack_f(cols: list[np.ndarray]) -> np.ndarray:
-    """Stack 1-D columns into an F-order matrix (cheap column views later)."""
-    n = len(cols[0]) if cols else 0
-    out = np.empty((n, len(cols)), order="F")
-    for j, c in enumerate(cols):
-        out[:, j] = c
-    return out
-
-
 def _gram(R: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
     """The weighted cross-product R'WR of an F-order matrix.
 
@@ -708,7 +699,7 @@ def fit_ols(frame_or_model, ds: Optional[Dataset] = None,
     """
     frame = _as_frame(frame_or_model, ds, weights=weights, offset=offset)
     problem, sel_map = ols_targets([frame], demean_tol, demean_max_iter)
-    dres = _demean_converged(problem, consume_targets=True)
+    dres = _demean_converged(problem)
     fit = finish_ols_group([frame], sel_map, dres, collin_tol)[0]
     if isinstance(fit, Exception):
         raise fit
@@ -765,7 +756,7 @@ def ols_targets(frames: list[ModelFrame], tol: float = DEFAULT_TOL,
     sel_map = [(col_of[key], [col_of[nm] for nm in fr.x_names])
                for key, fr in zip(lhs_keys, frames)]
     base = frames[0]
-    problem = DemeanProblem(targets=_stack_f(columns), dims=base.dims,
+    problem = DemeanProblem(targets=columns, dims=base.dims,
                             weights=base.weights, tol=tol, max_iter=max_iter)
     return problem, sel_map
 
@@ -839,9 +830,9 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
 
     # the block [y - offset, X, E, Z]; every stage is a solve on its Gram
     cols = [y] + frame.x_cols + frame.endo + frame.inst
-    problem = DemeanProblem(targets=_stack_f(cols), dims=frame.dims, weights=w,
+    problem = DemeanProblem(targets=cols, dims=frame.dims, weights=w,
                             tol=demean_tol, max_iter=demean_max_iter)
-    dres = _demean_converged(problem, consume_targets=True)
+    dres = _demean_converged(problem)
     R = dres.residuals
     G = _gram(R, w)
     p = R.shape[1]
@@ -1033,10 +1024,9 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
             u[at_bound] = 0.0
         z = eta + u / w_work - off
         wtot = w_user * w_work
-        targets = _stack_f([z] + frame.x_cols)
-        problem = DemeanProblem(targets=targets, dims=frame.dims, weights=wtot,
+        problem = DemeanProblem(targets=[z] + frame.x_cols, dims=frame.dims, weights=wtot,
                                 tol=tol, max_iter=demean_max_iter)
-        dres = _demean_converged(problem, consume_targets=True, structure=structure)
+        dres = _demean_converged(problem, structure=structure)
         factor = dres.factor or factor
         # the weighted LS step on [z, X]; the kept columns stay those of step 1
         R = dres.residuals

@@ -720,6 +720,25 @@ def _level_sort_key(v):
     return (1, 0.0, str(v))
 
 
+def _level_codes(values) -> tuple[np.ndarray, list]:
+    """Each row's level code, -1 where the value is missing (None, NaN or
+    +-inf), and the level keys the codes index, sorted.  A numeric column
+    takes one ``np.unique``; any other column one pass over its rows."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biuf":
+        present = np.isfinite(values)
+        uniq, inv = np.unique(values[present], return_inverse=True)
+        codes = np.full(len(values), -1, dtype=np.int64)
+        codes[present] = inv
+        return codes, [_coerce_key(v) for v in uniq.tolist()]
+    index: dict = {}
+    codes = np.array([-1 if _is_missing(v) else index.setdefault(_coerce_key(v), len(index))
+                      for v in values.tolist()], dtype=np.int64)
+    keys = sorted(index, key=_level_sort_key)
+    rank = np.append(np.argsort([index[k] for k in keys]), -1)  # code -1 stays -1
+    return rank[codes], keys
+
+
 def expand_i(term: InteractionI, column: np.ndarray,
              interacting: Optional[np.ndarray] = None) -> list[tuple[str, np.ndarray]]:
     """Expand an ``i()`` term into named indicator (or indicator-product) columns.
@@ -728,72 +747,50 @@ def expand_i(term: InteractionI, column: np.ndarray,
     companion column when the term interacts.  Binning is applied before the
     reference levels are removed; when no reference is given the lowest level
     is used.  Returns ``(name, float64 column)`` pairs, one per retained level
-    (times the interacting levels for a categorical interaction).
+    (times the interacting levels for a categorical interaction).  Rows
+    missing in either column are NaN.
     """
-    values = np.asarray(column)
-    keys = [None if _is_missing(v) else _coerce_key(v) for v in values.tolist()]
+    codes, keys = _level_codes(column)
 
-    # binning: map member values to the bin label
+    # binning: map member values to the bin label, which sorts as its least member
     bin_of = {}
     bin_min_key = {}
     for label, members in term.bin:
-        for m in members:
-            bin_of[_coerce_key(m)] = label
-        bin_min_key[label] = min(_level_sort_key(m) for m in members)
-    binned = [None if v is None else bin_of.get(v, v) for v in keys]
-
-    observed = {v for v in keys if v is not None}
-    for label, members in term.bin:
         member_keys = {_coerce_key(m) for m in members}
-        if label in observed - member_keys:
+        if label in set(keys) - member_keys:
             raise FormulaError(
                 f"i({term.var}): bin label {label!r} collides with an existing level")
-
-    levels = sorted({v for v in binned if v is not None},
+        bin_of.update(dict.fromkeys(member_keys, label))
+        bin_min_key[label] = min(_level_sort_key(m) for m in members)
+    binned = [bin_of.get(k, k) for k in keys]
+    levels = sorted(dict.fromkeys(binned),
                     key=lambda v: bin_min_key.get(v, _level_sort_key(v)))
     if not levels:
         raise FormulaError(f"i({term.var}): no observed levels")
+    level_code = {lv: j for j, lv in enumerate(levels)}
+    codes = np.append([level_code[b] for b in binned], -1)[codes]
 
-    if term.ref:
-        ref_levels = []
-        for r in term.ref:
-            k = _coerce_key(r)
-            if k not in levels:
-                raise FormulaError(f"i({term.var}): unknown reference level {r!r}")
-            ref_levels.append(k)
-    else:
-        ref_levels = [levels[0]]
-    kept = [lv for lv in levels if lv not in ref_levels]
+    unknown = [r for r in term.ref if _coerce_key(r) not in level_code]
+    if unknown:
+        raise FormulaError(f"i({term.var}): unknown reference level {unknown[0]!r}")
+    ref_levels = [_coerce_key(r) for r in term.ref] or [levels[0]]
 
-    level_code = {lv: k for k, lv in enumerate(levels)}
-    codes = np.array([-1 if v is None else level_code[v] for v in binned], dtype=np.int64)
-
-    out = []
+    missing = codes < 0
+    z = icodes = None
+    tails = [""] if term.interact is None else [f":{term.interact}"]
     if term.interact is not None and term.interact_categorical:
-        ivalues = np.asarray(interacting)
-        ikeys = [None if _is_missing(v) else _coerce_key(v) for v in ivalues.tolist()]
-        ilevels = sorted({v for v in ikeys if v is not None}, key=_level_sort_key)
-        icode = {lv: k for k, lv in enumerate(ilevels)}
-        icodes = np.array([-1 if v is None else icode[v] for v in ikeys], dtype=np.int64)
-        for lv in kept:
-            for ilv in ilevels:
-                col = ((codes == level_code[lv]) & (icodes == icode[ilv])).astype(np.float64)
-                col[(codes < 0) | (icodes < 0)] = np.nan
-                out.append((f"{term.var}::{lv}:{term.interact}::{ilv}", col))
-        return out
-
-    z = None
-    if term.interact is not None:
+        icodes, ilevels = _level_codes(interacting)
+        missing |= icodes < 0
+        tails = [f":{term.interact}::{ilv}" for ilv in ilevels]
+    elif term.interact is not None:
         z = np.asarray(interacting, dtype=np.float64)
-    for lv in kept:
-        col = (codes == level_code[lv]).astype(np.float64)
-        col[codes < 0] = np.nan
-        if z is not None:
-            col = col * z
-            name = f"{term.var}::{lv}:{term.interact}"
-        else:
-            name = f"{term.var}::{lv}"
-        out.append((name, col))
+    out = []
+    for lv in [lv for lv in levels if lv not in ref_levels]:
+        hit = codes == level_code[lv]
+        for j, tail in enumerate(tails):
+            col = (hit if icodes is None else hit & (icodes == j)).astype(np.float64)
+            col[missing] = np.nan
+            out.append((f"{term.var}::{lv}{tail}", col if z is None else col * z))
     return out
 
 

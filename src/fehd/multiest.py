@@ -8,13 +8,16 @@ demeaned in one batched call, and ``finish_ols_group`` solves each model's
 normal equations on the shared residuals.  Each target column runs its own
 demeaning iteration inside the batch and stops on its own, and each fit
 forms its residuals from the shared block, which no fit writes into, as a
-standalone fit forms them from its own.  ``fit_ols`` takes the
-same layout and the same solve as a group of one.  So a pooled model gives
+standalone fit forms them from its own.  ``fit_ols`` takes the same layout
+and the same solve as a group of one.  So an unweighted pooled model gives
 the numbers of its standalone fit, bit for bit on the test panels in
 coefficients, residuals and a clustered vcov (``tests/test_multiest.py``).
-The one source of a last-digit difference left is the Gram: BLAS may sum a
-wider block's cross-products in another order (1.1e-17 in the coefficients
-of the 30-column pooled fit of ``tests/test_acceptance.py::test_08``).
+The one source of a last-digit difference left is the Gram, whose sums
+depend on the block's width.  Unweighted, BLAS may sum a wider block's
+cross-products in another order (1.1e-17 in the coefficients of the
+30-column pooled fit of ``tests/test_acceptance.py::test_08``).  Weighted,
+the Gram is a gemm, and about half of the weighted pooled models of the
+test panels differ from their standalone fits in the last digits.
 Every other model goes through ``estimators.fit_model``, the one estimator
 dispatch: 2SLS, GLMs, and the error for an IV part under a GLM family.
 """
@@ -138,11 +141,11 @@ def run_multi(spec, ds: Dataset, options: Optional[MultiOptions] = None) -> Mult
     def run_group(g):
         key, ridxs = group_items[g]
         group_frames = [frames[r] for r in ridxs]
-        problem, sel_map = ols_targets(group_frames, options.demean_tol,
-                                       options.demean_max_iter)
         try:
-            dres = _demean_converged(problem, consume_targets=True)
-        except EstimationError as exc:
+            problem, sel_map = ols_targets(group_frames, options.demean_tol,
+                                           options.demean_max_iter)
+            dres = _demean_converged(problem)
+        except (EstimationError, DemeanError) as exc:
             for r in ridxs:
                 records[r].error = str(exc)
             return

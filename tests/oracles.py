@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from fehd.data import Dataset, NumericColumn, CategoricalColumn
+from fehd.formula import FormulaError
 
 
 def dummy_design(X, fe_specs):
@@ -339,3 +340,99 @@ def scipubs_like(seed=0):
         "indiv": NumericColumn(indiv.astype(float)),
         "year": NumericColumn(year.astype(float)),
     }, panel=("indiv", "year"))
+
+
+# ---------------------------------------------------------------------------
+# i() expansion, coded row by row
+# ---------------------------------------------------------------------------
+
+def _level_sort_key(v):
+    if isinstance(v, (int, float, np.integer, np.floating)):
+        return (0, float(v), "")
+    return (1, 0.0, str(v))
+
+
+def _is_missing(v) -> bool:
+    return v is None or (isinstance(v, float) and not np.isfinite(v))
+
+
+def _coerce_key(v):
+    if isinstance(v, (np.integer,)):
+        return int(v)
+    if isinstance(v, (np.floating, float)):
+        f = float(v)
+        return int(f) if f == int(f) else f
+    if isinstance(v, (np.str_,)):
+        return str(v)
+    if isinstance(v, bytes):
+        return v.decode()
+    return v
+
+
+def expand_i_rows(term, column, interacting=None):
+    """``formula.expand_i`` coding each row's level in Python: names, columns
+    and errors as the package gives them, by the plainest route."""
+    values = np.asarray(column)
+    keys = [None if _is_missing(v) else _coerce_key(v) for v in values.tolist()]
+
+    bin_of = {}
+    bin_min_key = {}
+    for label, members in term.bin:
+        for m in members:
+            bin_of[_coerce_key(m)] = label
+        bin_min_key[label] = min(_level_sort_key(m) for m in members)
+    binned = [None if v is None else bin_of.get(v, v) for v in keys]
+
+    observed = {v for v in keys if v is not None}
+    for label, members in term.bin:
+        member_keys = {_coerce_key(m) for m in members}
+        if label in observed - member_keys:
+            raise FormulaError(
+                f"i({term.var}): bin label {label!r} collides with an existing level")
+
+    levels = sorted({v for v in binned if v is not None},
+                    key=lambda v: bin_min_key.get(v, _level_sort_key(v)))
+    if not levels:
+        raise FormulaError(f"i({term.var}): no observed levels")
+
+    if term.ref:
+        ref_levels = []
+        for r in term.ref:
+            k = _coerce_key(r)
+            if k not in levels:
+                raise FormulaError(f"i({term.var}): unknown reference level {r!r}")
+            ref_levels.append(k)
+    else:
+        ref_levels = [levels[0]]
+    kept = [lv for lv in levels if lv not in ref_levels]
+
+    level_code = {lv: k for k, lv in enumerate(levels)}
+    codes = np.array([-1 if v is None else level_code[v] for v in binned], dtype=np.int64)
+
+    out = []
+    if term.interact is not None and term.interact_categorical:
+        ivalues = np.asarray(interacting)
+        ikeys = [None if _is_missing(v) else _coerce_key(v) for v in ivalues.tolist()]
+        ilevels = sorted({v for v in ikeys if v is not None}, key=_level_sort_key)
+        icode = {lv: k for k, lv in enumerate(ilevels)}
+        icodes = np.array([-1 if v is None else icode[v] for v in ikeys], dtype=np.int64)
+        for lv in kept:
+            for ilv in ilevels:
+                col = ((codes == level_code[lv]) & (icodes == icode[ilv])).astype(np.float64)
+                col[(codes < 0) | (icodes < 0)] = np.nan
+                out.append((f"{term.var}::{lv}:{term.interact}::{ilv}", col))
+        return out
+
+    z = None
+    if term.interact is not None:
+        z = np.asarray(interacting, dtype=np.float64)
+    for lv in kept:
+        col = (codes == level_code[lv]).astype(np.float64)
+        col[codes < 0] = np.nan
+        if z is not None:
+            col = col * z
+            name = f"{term.var}::{lv}:{term.interact}"
+        else:
+            name = f"{term.var}::{lv}"
+        out.append((name, col))
+    return out

@@ -134,6 +134,20 @@ class TestDemean:
         with pytest.raises(DemeanError, match="demeaning max_iter must be >= 1"):
             DemeanProblem(targets=np.zeros(4), dims=[], max_iter=max_iter)
 
+    @pytest.mark.parametrize("layout", ["1-D", "F-order", "columns"])
+    def test_residuals_fill_the_problems_own_block(self, rng, layout):
+        y, c1, c2 = random_two_fe(rng)
+        x = rng.normal(size=len(y))
+        given = {"1-D": y, "F-order": np.asfortranarray(np.column_stack([y, x])),
+                 "columns": [y, x]}[layout]
+        inputs = given if layout == "columns" else [given]
+        before = [a.copy() for a in inputs]
+        problem = DemeanProblem(targets=given, dims=[FeDim(fidx(c1)), FeDim(fidx(c2))])
+        res = demean(problem)
+        assert res.residuals is problem.targets and res.residuals.flags.f_contiguous
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        assert np.abs(res.residuals[:, 0] - y).max() > 0.1
+
     def test_orthogonality_to_fe_columns(self, rng):
         y, c1, c2 = random_two_fe(rng)
         w = rng.uniform(0.5, 2.0, len(y))

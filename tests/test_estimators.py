@@ -64,7 +64,7 @@ class TestNumpySolves:
         frames = [build_frame(ds, m) for m in
                   expand_models(parse_formula("c(y0, y1, y2, y3) ~ x1 + x2 | f1 + f2"))]
         problem, sel_map = ols_targets(frames)
-        dres = demean(problem, consume_targets=True)
+        dres = demean(problem)
         before = dres.residuals.copy()
         tracemalloc.start()
         try:

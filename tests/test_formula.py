@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import expand_i_rows
+
 from fehd.formula import (FeTerm, FormulaError, FormulaSpec, InteractionI,
                           LagOp, Stepwise, Var, ast_to_dict, expand_i,
                           expand_models, format_formula, parse_formula)
@@ -286,3 +288,70 @@ class TestExpandI:
                        col, other)
         names = [n for n, _ in out]
         assert names == ["g::b:t::1", "g::b:t::2"]
+
+
+# Level values whose keys are pairwise distinct (integral floats key as ints),
+# so that bins drawn from disjoint slices never share a member: the labels of
+# two bins that share one tie in the level sort, and the row-by-row coding
+# breaks that tie by hash order
+FLOAT_LEVELS = (-2.0, -0.5, 0.0, 1.0, 2.5, 3.0, 7.0, 1e6)
+INT_LEVELS = (-3, 0, 1, 2, 5, 40)
+OBJ_LEVELS = ("a", "b", "c", "1", "2.5", "x y", 3, 4.5)
+MISSING_FLOATS = (np.nan, np.inf, -np.inf)
+
+
+def i_column(draw, kind, n):
+    """A column of ``n`` rows of one kind, with the level values it draws from."""
+    pool, extra, dtype = {
+        "float": (FLOAT_LEVELS, MISSING_FLOATS + (-0.0,), np.float64),
+        "int": (INT_LEVELS, (), np.int64),
+        "object": (OBJ_LEVELS, (None, np.nan), object)}[kind]
+    out = np.empty(n, dtype=dtype)
+    out[:] = draw(st.lists(st.sampled_from(pool + extra), min_size=n, max_size=n))
+    return out, pool
+
+
+KINDS = st.sampled_from(("float", "int", "object"))
+
+
+@st.composite
+def i_cases(draw):
+    """An ``i()`` term with its columns: refs (some unknown), bins (some
+    labels colliding with a level) and each kind of interaction."""
+    n = draw(st.integers(0, 25))
+    column, pool = i_column(draw, draw(KINDS), n)
+    refs = draw(st.lists(st.sampled_from(pool + (99, "zz")), max_size=2))
+    order = draw(st.permutations(range(len(pool))))
+    bins = []
+    for k in range(draw(st.integers(0, 2))):
+        members = tuple(pool[j] for j in order[3 * k:3 * k + draw(st.integers(1, 3))])
+        label = draw(st.sampled_from(("lo", "hi", "a", "c", "1", "8 - 9")))
+        bins.append((label, members))
+    interact = draw(st.sampled_from((None, "numeric", "categorical")))
+    interacting = None
+    if interact == "numeric":
+        interacting = np.array(draw(st.lists(
+            st.sampled_from((0.0, -0.0, 1.5, -2.0, np.nan, np.inf)), min_size=n, max_size=n)))
+    elif interact == "categorical":
+        interacting = i_column(draw, draw(KINDS), n)[0]
+    term = InteractionI("g", interact=interact and "t",
+                        interact_categorical=interact == "categorical",
+                        ref=tuple(refs), bin=tuple(bins))
+    return term, column, interacting
+
+
+def _expansion(fn, term, column, interacting):
+    try:
+        with np.errstate(invalid="ignore"):  # 0 * inf in a numeric interaction
+            out = fn(term, column, interacting)
+    except FormulaError as exc:
+        return str(exc)
+    return [(name, col.dtype, col.tobytes()) for name, col in out]
+
+
+@given(i_cases())
+@settings(max_examples=300, deadline=None)
+def test_expand_i_matches_row_by_row_coding(case):
+    """Names, columns bit for bit (NaN and -0.0 included) and error messages
+    equal those of the row-by-row coding in ``oracles.expand_i_rows``."""
+    assert _expansion(expand_i, *case) == _expansion(expand_i_rows, *case)

@@ -5,16 +5,19 @@ writes itself, and compares what it prints with ``tests/golden/<case>.txt``:
 a first line ``exit <code>``, then stdout, then (for a case that writes
 ``--fe-coefs``) a ``--- fe-coefs`` line and that file.  The cases cover every
 vcov kind, OLS, 2SLS, Poisson, logit and gaussian fits, an offset, a split,
-panel lags, a ``--subset``, ``--ssc none`` and each output format.  A change meant to leave the numbers
-alone must leave these files alone; regenerate them only for a change that
-means to move them:
+panel lags, a ``--subset``, ``--ssc none``, ``i()`` terms and each output
+format.  A change meant to leave the numbers alone must leave these files
+alone; regenerate them only for a change that means to move them:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each case, ``identical`` or how many numbers moved and
+the largest relative move.
 """
 
 import io
 import json
-import sys
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -65,6 +68,12 @@ CASES = {
     "lags_subset_nw_json": [
         "--formula", "y ~ x1 + l(x2, 1:2) | indiv_id", "--panel", "indiv_id,year",
         "--subset", "x2 > 0.5", "--vcov", "nw", "--output", "json"],
+    "i_ref_bin_interact_json": [
+        "--formula", f'y ~ x1 + i(year, ref=5, bin={{"9-10": 9:10}}) + i(grp, x2) | {FE2}',
+        "--vcov", "cluster=indiv_id", "--output", "json"],
+    "i_categorical_interaction_json": [
+        "--formula", "y ~ i(year, i.grp) | firm_id",
+        "--vcov", "cluster=indiv_id", "--output", "json"],
 }
 
 
@@ -105,6 +114,30 @@ def run_case(name: str, tmp: Path, formula: str = None) -> str:
     return text
 
 
+NUMBER = re.compile(r"-?\d+\.?\d*(?:[eE][+-]?\d+)?")
+
+
+def describe_move(old: str, new: str) -> str:
+    """``identical``, or how many numbers moved from ``old`` to ``new`` and
+    the largest relative move."""
+    if old == new:
+        return "identical"
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return "changed apart from its numbers"
+    moved = [(float(x), float(y)) for x, y in zip(a, b) if x != y]
+    rel = max(abs(y - x) / (max(abs(x), abs(y)) or 1.0) for x, y in moved)
+    return f"{len(moved)} numbers moved, largest relative move {rel:.2g}"
+
+
+def test_describe_move():
+    text = "exit 0\nx1 0.25 (1e-3)\n"
+    assert describe_move(text, text) == "identical"
+    assert describe_move(text, text.replace("0.25", "0.2500001")) == \
+        "1 numbers moved, largest relative move 4e-07"
+    assert describe_move(text, text.replace("(", "[")) == "changed apart from its numbers"
+
+
 @pytest.fixture(scope="module")
 def panel_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("golden")
@@ -136,5 +169,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as d:
         for case in sorted(CASES):
-            (GOLDEN / f"{case}.txt").write_text(run_case(case, Path(d)))
-            print(f"wrote {case}", file=sys.stderr)
+            path = GOLDEN / f"{case}.txt"
+            text = run_case(case, Path(d))
+            move = describe_move(path.read_text(), text) if path.exists() else "new"
+            path.write_text(text)
+            print(f"{case}: {move}")

@@ -212,6 +212,17 @@ class TestErrors:
                            "IV estimation is only available for OLS models"):
             run_multi("cnt ~ x1 | f1 | x2 ~ y2", ds, MultiOptions(family=family))
 
+    @pytest.mark.parametrize("family", ["ols", "gaussian", "poisson"])
+    def test_unusable_demean_max_iter_is_recorded_per_model(self, panel, family):
+        # a pooled group builds its demeaning problem where a single fit does,
+        # so the problem's own error is recorded as every family records it
+        ds = panel.with_columns({"cnt": NumericColumn((panel.numeric("y1") > 0) * 1.0)})
+        with pytest.raises(EstimationError) as exc:
+            run_multi("cnt ~ x1 | f1 + f2", ds,
+                      MultiOptions(family=family, demean_max_iter=-3))
+        assert str(exc.value) == ("every model failed; first error: "
+                                  "demeaning max_iter must be >= 1, got -3")
+
     def test_threads_give_same_results(self, panel):
         ds = panel.with_columns({"f3": NumericColumn(np.arange(panel.n_rows) % 7 * 1.0)})
         # one pooled group, then three groups that finish in any order
