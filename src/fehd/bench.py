@@ -200,8 +200,10 @@ def run_benchmark(sizes: list[int], cases: list[BenchCase], reps: int = 1,
                 cfg = DgpConfig(n=int(n), seed=seed + rep)
                 ds = simulate_panel(cfg)
                 if case.family == "poisson":
-                    ds = ds.with_columns({"ypois": NumericColumn(
-                        np.exp(ds.numeric("y")))})
+                    # Poisson(exp(y - 1)) counts, as perfbench draws ycount
+                    ypois = np.random.default_rng([cfg.seed, 1]).poisson(
+                        np.exp(ds.numeric("y") - 1.0))
+                    ds = ds.with_columns({"ypois": NumericColumn(ypois.astype(np.float64))})
                 t0 = time.perf_counter()
                 status = "ok"
                 iters = irls = switch_at = factor_s = -1

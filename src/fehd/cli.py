@@ -68,9 +68,13 @@ def _build_parser() -> _Parser:
     fit.add_argument("--output", default=None, choices=["text", "latex", "json", "plotdata"])
     fit.add_argument("--file", default=None, help="write output here instead of stdout")
     fit.add_argument("--dict", dest="labels", default=None, help="name=label,... display map")
-    fit.add_argument("--keep", action="append", default=None)
-    fit.add_argument("--drop", action="append", default=None)
-    fit.add_argument("--order", action="append", default=None)
+    fit.add_argument("--keep", action="append", default=None,
+                     help="show only rows matching this regex ('!' negates; "
+                          "repeatable); json shows every row")
+    fit.add_argument("--drop", action="append", default=None,
+                     help="hide rows matching (as --keep); json shows every row")
+    fit.add_argument("--order", action="append", default=None,
+                     help="put rows matching first (as --keep); text and latex only")
     fit.add_argument("--fitstat", default=None, help="comma list, e.g. n,r2,wr2")
     fit.add_argument("--ssc", default=None, choices=["default", "none"])
     fit.add_argument("--signif", dest="signif", action="store_true", default=None)
@@ -248,8 +252,8 @@ def cmd_fit(args, threads: int) -> int:
         _dump_fe_coefs(multi, args.fe_coefs)
 
     if args.output == "plotdata":
-        out = plot_data([f for f in fits], vcov_specs, ci_level=args.ci_level,
-                        ds=ds, keep=args.keep or None, drop=args.drop or None)
+        out = plot_data(fits, vcov_specs, ci_level=args.ci_level, ds=ds,
+                        keep=args.keep, drop=args.drop)
     else:
         table = TableSpec(models=fits, vcov_specs=vcov_specs, ds=ds, dict=labels,
                           keep=args.keep, drop=args.drop, order=args.order,

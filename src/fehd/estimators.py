@@ -568,6 +568,7 @@ def _wssr(r: np.ndarray, w: Optional[np.ndarray]) -> float:
 
 class GramSolve(NamedTuple):
     kept: list[int]        # positions in ``ixs`` of the kept regressors
+    cols: list[int]        # their positions in the Gram: ixs[k] for k in kept
     dropped: list[int]
     coef: np.ndarray       # aligned with ``kept``
     xtx_inv: np.ndarray    # inverse of the kept sub-Gram: the bread
@@ -606,8 +607,19 @@ def solve_gram(G: np.ndarray, iy: int, ixs, collin_tol: float,
     # r'Wr = y'Wy - coef'X'Wy at the solution of the normal equations; when
     # the fit leaves little of y the difference has lost too many digits
     ssr = float(G[iy, iy] - np.dot(xy[kept], coef))
-    return GramSolve(kept, dropped, coef, xtx_inv,
+    return GramSolve(kept, [ixs[k] for k in kept], dropped, coef, xtx_inv,
                      ssr if ssr > SSR_GRAM_RTOL * G[iy, iy] else None)
+
+
+def _residual_map(p: int, iy: int, sol: GramSolve,
+                 cols: Optional[list[int]] = None) -> np.ndarray:
+    """The combination c of a p-column block whose product with the block is
+    the residual of ``sol``: 1 at the outcome column ``iy`` and -coef at the
+    kept regressors' columns, ``sol.cols`` unless ``cols`` gives them."""
+    c = np.zeros(p)
+    c[iy] = 1.0
+    c[sol.cols if cols is None else cols] -= sol.coef
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -789,15 +801,11 @@ def finish_ols_group(frames: list[ModelFrame], sel_map: list[tuple[int, list[int
         except EstimationError as exc:
             out.append(exc)
             continue
-        kept_cols = [ixs[k] for k in sol.kept]
-        c = np.zeros(p)
-        c[iy] = 1.0
-        c[kept_cols] -= sol.coef
         if frame.lhs_name not in sst_cache:
             sst_cache[frame.lhs_name] = _sst(frame.shifted_y, w)
         fit = _fit_result(
-            frame, sol, frame.x_names, dres, kept_cols, c, outcome=iy, dof=dof,
-            family="ols", lhs_name=frame.lhs_name, ssr=sol.ssr,
+            frame, sol, frame.x_names, dres, sol.cols, _residual_map(p, iy, sol),
+            outcome=iy, dof=dof, family="ols", lhs_name=frame.lhs_name, ssr=sol.ssr,
             sst=sst_cache[frame.lhs_name], ssr_fe_only=float(G_all[iy, iy]))
         out.append(fit)
     return out
@@ -853,12 +861,9 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
             raise EstimationError(
                 f"instruments for {frame.endo_names[j]!r} are collinear with the "
                 f"exogenous regressors")
-        kept_pos = [stage1[k] for k in sol.kept]
-        first_map[kept_pos, j] = sol.coef
-        resid_map = -first_map[:, j]
-        resid_map[ie] = 1.0
+        first_map[sol.cols, j] = sol.coef
         first_stages.append(_fit_result(
-            frame, sol, stage1_names, dres, kept_pos, resid_map, y=cols[ie],
+            frame, sol, stage1_names, dres, sol.cols, _residual_map(p, ie, sol), y=cols[ie],
             dof=DofLedger(n_used=n, k_vars=len(sol.kept), k_fe=k_fe),
             family="ols", lhs_name=frame.endo_names[j],
             ssr=sol.ssr, sst=float(G[ie, ie]), ssr_fe_only=float(G[ie, ie])))
@@ -873,10 +878,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
     sol = solve_gram(T.T @ G @ T, 0, range(1, 1 + n_endo + kx), collin_tol, names2,
                      scale=scale[endo_pos + x_pos])
     # residuals at the ORIGINAL endogenous values, in one n-row product
-    orig_pos = [(endo_pos + x_pos)[k] for k in sol.kept]
-    c = np.zeros(p)
-    c[0] = 1.0
-    c[orig_pos] = -sol.coef
+    c = _residual_map(p, 0, sol, cols=[(endo_pos + x_pos)[k] for k in sol.kept])
     dof = _dof(n, len(sol.kept), k_fe)
     exog_kept = [k - n_endo for k in sol.kept if k >= n_endo]
     iv_diag = IvDiag(endo_names=list(frame.endo_names), first_stages=first_stages,
@@ -884,7 +886,7 @@ def fit_2sls(frame_or_model, ds: Optional[Dataset] = None,
                      exog_cols=[x_pos[k] for k in exog_kept],
                      exog_names=[frame.x_names[k] for k in exog_kept])
     return _fit_result(
-        frame, sol, names2, dres, T[:, [1 + k for k in sol.kept]], c,
+        frame, sol, names2, dres, T[:, sol.cols], c,
         dof=dof, family="2sls", lhs_name=frame.lhs_name,
         sst=_sst(y, w), ssr_fe_only=float(G[0, 0]), iv_diag=iv_diag)
 
@@ -1033,9 +1035,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
         sol = solve_gram(_gram(R, wtot), 0, range(1, R.shape[1]), collin_tol,
                          frame.x_names, kept=None if sol is None else sol.kept,
                          scale=_collin_scale(dres, wtot)[1:])
-        c = np.zeros(R.shape[1])
-        c[0] = 1.0
-        c[[1 + k for k in sol.kept]] = -sol.coef
+        c = _residual_map(R.shape[1], 0, sol)
         eta = off + (z - R @ c)  # R @ c is the working residual
         if not np.all(np.isfinite(eta)):
             raise EstimationError("IRLS diverged: non-finite linear predictor")
@@ -1071,7 +1071,7 @@ def fit_glm_irls(frame_or_model, ds: Optional[Dataset] = None,
                        irls_iterations=irls_iters, irls_converged=converged,
                        demean_factor=factor, irls_path=path)
     return _fit_result(
-        frame, sol, frame.x_names, dres, [1 + k for k in sol.kept], c, convergence=conv,
+        frame, sol, frame.x_names, dres, sol.cols, c, convergence=conv,
         _fitted=mu, dof=dof, family=family, lhs_name=frame.lhs_name,
         sst=_sst(y, frame.weights), ssr_fe_only=float("nan"), deviance=dev)
 

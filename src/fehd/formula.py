@@ -744,11 +744,11 @@ def expand_i(term: InteractionI, column: np.ndarray,
     """Expand an ``i()`` term into named indicator (or indicator-product) columns.
 
     ``column`` holds the categorical values (any dtype); ``interacting`` is the
-    companion column when the term interacts.  Binning is applied before the
-    reference levels are removed; when no reference is given the lowest level
-    is used.  Returns ``(name, float64 column)`` pairs, one per retained level
-    (times the interacting levels for a categorical interaction).  Rows
-    missing in either column are NaN.
+    companion column when the term interacts.  Binning, where a value may sit
+    in one bin only, is applied before the reference levels are removed; when
+    no reference is given the lowest level is used.  Returns ``(name, float64
+    column)`` pairs, one per retained level (times the interacting levels for
+    a categorical interaction).  Rows missing in either column are NaN.
     """
     codes, keys = _level_codes(column)
 
@@ -757,6 +757,11 @@ def expand_i(term: InteractionI, column: np.ndarray,
     bin_min_key = {}
     for label, members in term.bin:
         member_keys = {_coerce_key(m) for m in members}
+        shared = sorted((k for k in member_keys & bin_of.keys() if bin_of[k] != label),
+                        key=_level_sort_key)
+        if shared:
+            raise FormulaError(f"i({term.var}): value {shared[0]!r} is in bin "
+                               f"{bin_of[shared[0]]!r} and in bin {label!r}")
         if label in set(keys) - member_keys:
             raise FormulaError(
                 f"i({term.var}): bin label {label!r} collides with an existing level")

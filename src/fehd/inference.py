@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import DataError, Dataset, _time_values, make_factor_index, panel_pairs
 from .estimators import (DEFAULT_COLLIN_TOL, FIXED_DISPERSION, EstimationError,
-                         FitResult, _wssr, solve_gram)
+                         FitResult, _residual_map, _wssr, solve_gram)
 
 __all__ = [
     "VcovSpec",
@@ -296,20 +296,19 @@ def _f_sf(stat: float, df1: int, df2: int) -> float:
 
 
 def coeftable(fit: FitResult, vcov: VcovMatrix) -> list[dict]:
-    """Per-coefficient rows: estimate, se, t/z statistic, p-value."""
+    """Per-coefficient rows: estimate, se, t/z statistic, p-value and ``df``,
+    the one choice of distribution: the statistic is Student t on ``df``
+    degrees of freedom, or normal where ``df`` is None (fixed dispersion)."""
     from scipy.special import ndtr, stdtr  # loaded by the first tail a run computes
     se = np.sqrt(np.maximum(np.diag(vcov.matrix), 0.0))
+    df = None if fit.family in FIXED_DISPERSION else fit.dof.df_resid
     rows = []
-    student = fit.family not in FIXED_DISPERSION
     for name, est, s in zip(fit.coef_names, fit.coef, se):
         with np.errstate(divide="ignore", invalid="ignore"):
             stat = est / s if s > 0 else np.inf * np.sign(est) if est else np.nan
-        if student:
-            p = 2.0 * stdtr(fit.dof.df_resid, -abs(stat))  # Student t upper tail
-        else:
-            p = 2.0 * ndtr(-abs(stat))
+        p = 2.0 * (ndtr(-abs(stat)) if df is None else stdtr(df, -abs(stat)))
         rows.append({"name": name, "estimate": float(est), "se": float(s),
-                     "stat": float(stat), "p": float(p)})
+                     "stat": float(stat), "p": float(p), "df": df})
     return rows
 
 
@@ -446,14 +445,12 @@ def iv_tests(fit: FitResult, vcov_spec: Optional[VcovSpec] = None,
     names = diag.endo_names + diag.exog_names + [f"resid_{e}" for e in diag.endo_names]
     sol = solve_gram(np.block([[diag.gram, RWV], [RWV.T, V.T @ WV]]), 0, ixs,
                      DEFAULT_COLLIN_TOL, names)
-    v = [i for i, k in enumerate(sol.kept) if ixs[k] >= p]
+    v = [i for i, col in enumerate(sol.cols) if col >= p]
     g = sol.coef[v]
     ssr_gain = float(g @ np.linalg.solve(sol.xtx_inv[np.ix_(v, v)], g)) if v else 0.0
     ssr_u = sol.ssr
     if ssr_u is None:
-        c = np.zeros(p + q)
-        c[0] = 1.0
-        c[[ixs[k] for k in sol.kept]] = -sol.coef
+        c = _residual_map(p + q, 0, sol)
         ssr_u = _wssr(R @ c[:p] + V @ c[p:], w)
     df2 = fit.dof.n_used - fit.dof.k_fe - len(sol.kept)
     stat = (ssr_gain / q) / (ssr_u / df2)

@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import formula as fml
-from .data import CategoricalColumn, DataError, Dataset, _level_label, evaluate_subset
+from .data import (CategoricalColumn, DataError, Dataset, SampleMask, _factor_values,
+                   _level_label, evaluate_subset)
 from .demean import DEFAULT_MAX_ITER, DEFAULT_TOL, DemeanError
 # unused here; still bound because the benchmark's tracing test
 # (perfbench/tests/test_tracing.py) looks the name up in this module
@@ -78,7 +79,9 @@ class MultiResult:
 
 
 def _split_plans(ds: Dataset, options: MultiOptions):
-    """(label, keep-array-or-None) pairs, sorted by level display order."""
+    """(label, keep-array-or-None) pairs, sorted by level display order.  A
+    numeric split column follows the factor rule: its present values must be
+    integral."""
     var = options.fsplit or options.split
     if var is None:
         return [("", None)]
@@ -89,8 +92,9 @@ def _split_plans(ds: Dataset, options: MultiOptions):
             code = col.levels.index(label)
             plans.append((label, col.codes == code))
     else:
-        vals = col.values
-        for v in np.unique(vals[~col.missing]):
+        vals, present = col.values, ~col.missing
+        _factor_values(ds, SampleMask(keep=present), var)  # raises unless integral
+        for v in np.unique(vals[present]):
             plans.append((_level_label(v), vals == v))
     if options.fsplit:
         plans = [("Full sample", None)] + plans

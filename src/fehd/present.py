@@ -121,22 +121,19 @@ class _Col:
     stats: dict
 
 
-def _build_columns(spec: TableSpec) -> list[_Col]:
+def _build_columns(spec: TableSpec, stats: bool = True) -> list[_Col]:
+    """The column list every output reads: one per model and vcov kind, (1),
+    (2), ... unless labelled, with its rows by name and, under ``stats``, its
+    fit statistics."""
     cols = []
-    k = 0
     for entry in spec.models:
-        if isinstance(entry, tuple):
-            base_label, fit = entry
-        else:
-            base_label, fit = None, entry
+        base_label, fit = entry if isinstance(entry, tuple) else (None, entry)
         for vspec in spec.vcov_specs:
-            k += 1
             vc = compute_vcov(fit, vspec, spec.ds)
-            rows = {r["name"]: r for r in coeftable(fit, vc)}
-            stats_names = spec.fitstat_selection or _default_stats(fit)
-            stats = fit_stats(fit, stats_names, vcov=vc, ds=spec.ds)
-            cols.append(_Col(label=base_label or f"({k})", fit=fit, rows=rows,
-                             se_label=vc.label, stats=stats))
+            names = (spec.fitstat_selection or _default_stats(fit)) if stats else []
+            cols.append(_Col(label=base_label or f"({len(cols) + 1})", fit=fit,
+                             rows={r["name"]: r for r in coeftable(fit, vc)},
+                             se_label=vc.label, stats=fit_stats(fit, names, vc, spec.ds)))
     return cols
 
 
@@ -144,44 +141,33 @@ def _match_any(name: str, patterns: list[RowPattern]) -> bool:
     return any((p.regex.search(name) is not None) != p.negate for p in patterns)
 
 
-def _select_rows(names: list[str], spec: TableSpec) -> list[str]:
-    out = list(names)
-    if spec.keep:
-        out = [n for n in out if _match_any(n, spec.keep)]
-    if spec.drop:
-        out = [n for n in out if not _match_any(n, spec.drop)]
-    for pat in reversed(spec.order):
-        front = [n for n in out if _match_any(n, [pat])]
-        back = [n for n in out if not _match_any(n, [pat])]
-        out = front + back
+def _select_rows(names, spec: TableSpec) -> list[str]:
+    out = [n for n in names if (not spec.keep or _match_any(n, spec.keep))
+           and not _match_any(n, spec.drop)]
+    for pat in reversed(spec.order):  # a stable sort: matching rows first
+        out.sort(key=lambda n: not _match_any(n, [pat]))
     return out
 
 
+def _union(name_lists) -> list[str]:
+    """The names of ``name_lists`` in order of first appearance."""
+    return list(dict.fromkeys(n for names in name_lists for n in names))
+
+
 def render_table(spec: TableSpec) -> str:
+    """The table of ``spec.models`` as text, LaTeX or JSON.  Text and LaTeX
+    apply ``keep``, ``drop`` and ``order``; JSON applies none of them and
+    lists every coefficient (``plot_data`` applies keep and drop)."""
     if not spec.models:
         raise EstimationError("render_table requires at least one model")
     cols = _build_columns(spec)
-    coef_names: list[str] = []
-    for c in cols:
-        for n in c.rows:
-            if n not in coef_names:
-                coef_names.append(n)
-    coef_names = _select_rows(coef_names, spec)
-    fe_names: list[str] = []
-    for c in cols:
-        for f in c.fit.fe_labels:
-            if f not in fe_names:
-                fe_names.append(f)
-    stat_names: list[str] = []
-    for c in cols:
-        for s in c.stats:
-            if s not in stat_names:
-                stat_names.append(s)
     if spec.output == "json":
-        return _render_json(spec, cols)
-    if spec.output == "latex":
-        return _render_latex(spec, cols, coef_names, fe_names, stat_names)
-    return _render_text(spec, cols, coef_names, fe_names, stat_names)
+        return _render_json(cols)
+    coef_names = _select_rows(_union(c.rows for c in cols), spec)
+    fe_names = _union(c.fit.fe_labels for c in cols)
+    stat_names = _union(c.stats for c in cols)
+    render = _render_latex if spec.output == "latex" else _render_text
+    return render(spec, cols, coef_names, fe_names, stat_names)
 
 
 def _label(spec: TableSpec, name: str) -> str:
@@ -315,13 +301,10 @@ def _render_latex(spec, cols, coef_names, fe_names, stat_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(spec: TableSpec, cols) -> str:
+def _render_json(cols) -> str:
     models = []
     for c in cols:
         fit = c.fit
-        stats_out = {}
-        for k, v in c.stats.items():
-            stats_out[k] = v if not isinstance(v, dict) else dict(v)
         models.append({
             "label": c.label,
             "lhs": fit.lhs_name,
@@ -335,7 +318,7 @@ def _render_json(spec: TableSpec, cols) -> str:
                              for name, r in c.rows.items()},
             "dropped_collinear": fit.dropped_collinear,
             "fixed_effects": fit.fe_labels,
-            "fitstats": stats_out,
+            "fitstats": c.stats,
         })
     return json.dumps({"models": models}, indent=2, allow_nan=True) + "\n"
 
@@ -343,42 +326,24 @@ def _render_json(spec: TableSpec, cols) -> str:
 def plot_data(models: list, vcov_specs: Optional[list] = None,
               ci_level: float = 0.95, ds: Optional[Dataset] = None,
               keep: Optional[list] = None, drop: Optional[list] = None) -> str:
-    """Coefficient-plot data as CSV: point estimates and CIs from the
-    distribution ``coeftable`` tests with, normal for the families of fixed
-    dispersion and Student t otherwise."""
+    """Coefficient-plot data as CSV: per table column (model and vcov kind)
+    and row that ``keep`` and ``drop`` select (no ``order``), the estimate
+    and its ``ci_level`` interval in the distribution ``coeftable`` tests the
+    row with.  No fit statistic is computed."""
     from scipy.special import ndtri, stdtrit  # loaded by the first plot a run makes
-    vcov_specs = vcov_specs or [VcovSpec("iid")]
-    keep, drop = row_patterns(keep or []), row_patterns(drop or [])
+    spec = TableSpec(models=models, vcov_specs=vcov_specs or [VcovSpec("iid")], ds=ds,
+                     keep=keep or [], drop=drop or [])
     if not 0.0 <= ci_level < 1.0:
         raise EstimationError("ci_level must be in [0, 1)")
+    q = 0.5 + ci_level / 2.0
     lines = ["model,coef,estimate,ci_low,ci_high,level"]
-    k = 0
-    for entry in models:
-        label, fit = entry if isinstance(entry, tuple) else (None, entry)
-        for vspec in vcov_specs:
-            k += 1
-            mlabel = label or f"({k})"
-            if fit.sample_label:
-                mlabel = f"{mlabel} {fit.sample_label}"
-            vc = compute_vcov(fit, vspec, ds)
-            rows = coeftable(fit, vc)
-            names = [r["name"] for r in rows]
-            if keep:
-                names = [n for n in names if _match_any(n, keep)]
-            if drop:
-                names = [n for n in names if not _match_any(n, drop)]
-            q = 0.5 + ci_level / 2.0
-            if ci_level == 0:
-                tq = 0.0
-            elif fit.family in FIXED_DISPERSION:
-                tq = ndtri(q)
-            else:
-                tq = stdtrit(fit.dof.df_resid, q)
-            for r in rows:
-                if r["name"] not in names:
-                    continue
-                half = float(tq) * r["se"]
-                est = r["estimate"]
-                lines.append(f"{mlabel},{r['name']},{est!r},"
-                             f"{float(est - half)!r},{float(est + half)!r},{ci_level}")
+    for c in _build_columns(spec, stats=False):
+        label = f"{c.label} {c.fit.sample_label}" if c.fit.sample_label else c.label
+        for name in _select_rows(c.rows, spec):
+            r = c.rows[name]
+            tq = 0.0 if ci_level == 0 else ndtri(q) if r["df"] is None else stdtrit(r["df"], q)
+            half = float(tq) * r["se"]
+            est = r["estimate"]
+            lines.append(f"{label},{name},{est!r},"
+                         f"{float(est - half)!r},{float(est + half)!r},{ci_level}")
     return "\n".join(lines) + "\n"

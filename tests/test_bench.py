@@ -188,6 +188,22 @@ class TestRunBenchmark:
                               accelerate=False)
         assert acc[0]["demean_iterations"] < plain[0]["demean_iterations"]
 
+    def test_poisson_outcome_is_seeded_counts_with_zeros(self, monkeypatch):
+        seen = []
+        fit_case = bench._fit_case
+
+        def spy(ds, *args):
+            seen.append(ds.numeric("ypois"))
+            return fit_case(ds, *args)
+
+        monkeypatch.setattr(bench, "_fit_case", spy)
+        for _ in range(2):
+            rows = run_benchmark([2000], [BenchCase("simple", 2, "poisson")], seed=1)
+            assert rows[0]["status"] == "ok"
+        first, again = seen
+        assert np.array_equal(first, np.round(first)) and (first == 0).any()
+        assert np.array_equal(first, again)
+
     def test_plain_rejects_poisson(self):
         with pytest.raises(ValueError, match="plain mode times OLS"):
             run_benchmark([1000], [BenchCase("simple", 2, "poisson")], accelerate=False)

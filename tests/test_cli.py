@@ -123,6 +123,13 @@ class TestFit:
                                 "--split", "fe", "--fsplit", "fe"])
         assert code == 1
 
+    @pytest.mark.parametrize("option", ["--split", "--fsplit"])
+    def test_non_integral_split_column_exit_two_names_it(self, data_csv, option):
+        code, out, err = run_cli(["fit", "--formula", "y ~ x | fe", "--data", data_csv,
+                                  option, "x"])
+        assert code == 2 and out == ""
+        assert "'x'" in err and "every model failed" not in err
+
     def test_config_file_defaults(self, data_csv, tmp_path):
         cfg = tmp_path / "fehd.conf"
         cfg.write_text("output = json\n# comment\nvcov = hc1\n")

@@ -274,6 +274,21 @@ class TestExpandI:
             expand_i(InteractionI("g", bin=(("3", (1, 2)),)),
                      np.array(["1", "2", "3"], dtype=object))
 
+    @pytest.mark.parametrize("bins, column, message", [
+        ((("lo", (1, 5)), ("hi", (1, 2))), np.array([1.0, 2.0, 3.0, 5.0]),
+         "value 1 is in bin 'lo' and in bin 'hi'"),
+        ((("a", ("x",)), ("b", ("y", "x"))), np.array(["x", "y", "z"], dtype=object),
+         "value 'x' is in bin 'a' and in bin 'b'"),
+    ])
+    def test_value_in_two_bins_raises(self, bins, column, message):
+        with pytest.raises(FormulaError, match=message):
+            expand_i(InteractionI("g", bin=bins), column)
+
+    def test_value_named_twice_in_one_bin_label(self):
+        term = InteractionI("g", bin=(("lo", (1, 2)), ("lo", (2,))))
+        out = expand_i(term, np.array([1.0, 2.0, 3.0]))
+        assert [n for n, _ in out] == ["g::3"]
+
     def test_numeric_interaction(self):
         col = np.array(["a", "a", "b", "b"], dtype=object)
         z = np.array([1.0, 2.0, 3.0, 4.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fehd.data import Dataset, NumericColumn
+from fehd.data import DataError, Dataset, NumericColumn
 from fehd.estimators import EstimationError, fit_glm_irls, fit_model, fit_ols
 from fehd.inference import VcovSpec, compute_vcov
 from fehd.multiest import MultiOptions, run_multi
@@ -167,6 +167,12 @@ class TestSplit:
         multi = run_multi("y1 ~ x1 | f1", ds, MultiOptions(split="region"))
         assert [r.provenance.sample_label for r in multi.results] == ["0", "1"]
         assert multi.results[0].fit.dof.n_used == 199
+
+    @pytest.mark.parametrize("option", ["split", "fsplit"])
+    def test_non_integral_split_column_is_an_error(self, panel, option):
+        # one sample per distinct value would be one single-row fit per row
+        with pytest.raises(DataError, match="'x2'"):
+            run_multi("y1 ~ x1 | f1", panel, MultiOptions(**{option: "x2"}))
 
     def test_result_count_law(self, panel):
         multi = run_multi("c(y1, y2) ~ sw0(x2) | f1", panel,

@@ -175,6 +175,45 @@ class TestPlotData:
         assert len(labels) == 3
 
 
+class TestPlotDataReadsTheTable:
+    """Per (model, vcov) column, plot data's estimates are the JSON table's
+    and its half-widths the row's se times the quantile of the distribution
+    the row is tested with: Student t on df_resid, or normal for Poisson."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        rng = np.random.default_rng(5)
+        n = 600
+        g = rng.integers(0, 30, n).astype(float)
+        x1, x2 = rng.normal(size=(2, n))
+        y = rng.poisson(np.exp(0.3 * x1 - 0.2 * x2 + g / 30)).astype(float)
+        cols = {"y": y, "x1": x1, "x2": x2, "g": g, "s": (np.arange(n) % 2).astype(float)}
+        return Dataset(n_rows=n, columns={k: NumericColumn(v) for k, v in cols.items()})
+
+    @pytest.mark.parametrize("family", ["ols", "poisson"])
+    @pytest.mark.parametrize("keep, drop, names", [
+        ([], [], ["x1", "x2"]), (["x"], ["2$"], ["x1"]), (["!1"], [], ["x2"])])
+    def test_plot_data_agrees_with_json(self, counts, family, keep, drop, names):
+        from scipy import stats
+        fits = run_multi("y ~ x1 + x2 | g", counts,
+                         MultiOptions(family=family, split="s")).fits()
+        vcovs = [VcovSpec("iid"), VcovSpec("cluster", factors=("g",))]
+        table = json.loads(render_table(TableSpec(models=fits, vcov_specs=vcovs, ds=counts,
+                                                  output="json")))["models"]
+        lines = plot_data(fits, vcovs, ci_level=0.9, ds=counts, keep=keep,
+                          drop=drop).splitlines()[1:]
+        assert len(table) == 4 and len(lines) == 4 * len(names)
+        for k, m in enumerate(table):
+            q = stats.norm.ppf(0.95) if family == "poisson" else \
+                stats.t.ppf(0.95, m["df_resid"])
+            for line, name in zip(lines[k * len(names):], names):
+                label, coef, est, lo, hi, level = line.split(",")
+                row = m["coefficients"][name]
+                assert (label, coef, level) == (f"{m['label']} {m['sample']}", name, "0.9")
+                assert float(est) == row["estimate"]
+                assert (float(hi) - float(lo)) / 2 == pytest.approx(q * row["se"], rel=1e-9)
+
+
 class TestFormatNumber:
     def test_four_significant_digits(self):
         assert format_number(0.096365) == "0.09637"
