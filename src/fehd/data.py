@@ -7,8 +7,9 @@ reader of one follows the rules here:
 
 - presence: a value is present unless the column's ``missing`` says so
   (NaN, +-inf, or a categorical's code -1);
-- integers: a numeric factor or time must hold integral values on the rows
-  it is read over (``_factor_values``, ``_time_values``);
+- integers: a numeric factor or time must hold integral values inside the
+  64-bit integer range, below 2^63 in size, on the rows it is read over
+  (``_factor_values``, ``_time_values``);
 - codes: groups are numbered in order of first appearance
   (``make_factor_index``);
 - labels: a level prints as its category, or as its number with an integral
@@ -539,7 +540,7 @@ def _factor_values(ds: Dataset, mask: SampleMask, name: str) -> np.ndarray:
     rounded = np.rint(vals)
     if not np.array_equal(rounded, vals):
         raise DataError(f"numeric non-integer column {name!r} used as factor")
-    return rounded.astype(np.int64)
+    return _as_int64(rounded, f"factor {name!r}")
 
 
 def _time_values(ds: Dataset, mask: SampleMask, name: str) -> np.ndarray:
@@ -549,6 +550,14 @@ def _time_values(ds: Dataset, mask: SampleMask, name: str) -> np.ndarray:
     rounded = np.rint(vals)
     if mask.take(ds.column(name).missing).any() or not np.array_equal(rounded, vals):
         raise DataError(f"time column {name!r} must be integer-valued")
+    return _as_int64(rounded, f"time column {name!r}")
+
+
+def _as_int64(rounded: np.ndarray, what: str) -> np.ndarray:
+    """Integral floats as int64; a value of size 2^63 or more has no int64,
+    and the cast would fold such values into one."""
+    if rounded.size and max(-rounded.min(), rounded.max()) >= 2.0 ** 63:
+        raise DataError(f"{what} has values beyond the 64-bit integer range")
     return rounded.astype(np.int64)
 
 

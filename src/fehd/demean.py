@@ -18,21 +18,33 @@ every structure with two or more dimensions (Gaure 2013; Correia 2017):
   one ``np.bincount`` per table over a row -> entry map, since the pattern
   depends on the codes alone.  The map is built at that first refill, so a
   fit with one set of weights (OLS, 2SLS, pooled fits) never builds it;
-* conjugate gradients run on that system with block-Jacobi preconditioning
-  on K's diagonal blocks (group weights for intercept-only dimensions, the
-  per-group L x L blocks otherwise).  Each block is eliminated in column
-  order, intercept first, and a coefficient whose residual pivot is at most
-  ``PIVOT_RTOL`` relative to its own diagonal is dropped (fixed at 0) and
-  reported in ``DemeanResult.dropped`` (``column_drops``, the rule the
-  estimators apply to regressors too): a slope constant within its group is
-  dropped and its intercept kept, and units decide no drop;
-* a column whose remaining block-Jacobi work costs more than forming and
-  factoring A restarts CG with a sparse LU factorization of A as the
-  preconditioner.  That pays on sparse FE graphs, such as firms that share
-  workers only with their neighbours, where A is a small Laplacian-like
-  matrix (Kline, Saggio and Soelvsten 2020; Davis 2006) and block Jacobi
-  needs many products; random graphs shrink 30-50x per product and never
-  switch.  The decision weighs the products a column and the columns after
+* conjugate gradients run on that system.  The preconditioned residual on
+  K's diagonal blocks (group weights for intercept-only dimensions, the
+  per-group L x L blocks otherwise), block Jacobi on K, is the column's
+  move: the stopping test and the switch below read it in every case.  Each
+  block is eliminated in column order, intercept first, and a coefficient
+  whose residual pivot is at most ``PIVOT_RTOL`` relative to its own
+  diagonal is dropped (fixed at 0) and reported in ``DemeanResult.dropped``
+  (``column_drops``, the rule the estimators apply to regressors too): a
+  slope constant within its group is dropped and its intercept kept, and
+  units decide no drop;
+* CG's direction is preconditioned by block Jacobi on K too, except with
+  exactly two weighted intercept-only dimensions: there it is Jacobi on A's
+  own diagonal, d_A = k - (C1 o C1)' m1^-1 (``_schur_diagonal``; Saad 2003,
+  ch. 10), formed once per call.  d_A is smaller than K's diagonal k where a
+  group's weight sits on few dimension-1 groups, as IRLS weights make it;
+  on the paper's panel under such weights, individuals eliminated first,
+  CG then needs about half the products.  Unweighted, d_A is about a
+  constant times k and saved no product there, so it is not formed.  Should
+  p'Ap lose its sign on that direction, the column goes on from its
+  iterate on K's diagonal;
+* a column whose remaining diagonal-preconditioned work costs more than
+  forming and factoring A restarts CG with a sparse LU factorization of A
+  as the preconditioner.  That pays on sparse FE graphs, such as firms that
+  share workers only with their neighbours, where A is a small
+  Laplacian-like matrix (Kline, Saggio and Soelvsten 2020; Davis 2006) and
+  a diagonal preconditioner needs many products; random graphs shrink
+  30-50x per product and never switch.  The decision weighs the products a column and the columns after
   it are predicted to need against the flops of forming and factoring A
   (``_factor_pays``); A's nonzeros are estimated first, in O(nnz C1), and a
   dense A is refused unformed or priced out.  A is formed in one pass and
@@ -91,7 +103,7 @@ PIVOT_RTOL = 1e-12
 SCALE_FLOOR = 1e-7
 LEVEL_EPS = 64
 # The Schur complement factorization (see the module doc).  A column switches
-# to it once the block-Jacobi products it and the columns after it still need
+# to it once the unfactored products it and the columns after it still need
 # cost more than forming and factoring A (``_factor_pays``).  Costs are in
 # flops of a product with A, which reads each cross-table entry twice at 2
 # flops a read (about 2 Gflop/s on one 2.5 GHz core).  Forming A makes
@@ -114,7 +126,10 @@ FACTOR_SAMPLE = 8
 FACTOR_NNZ_BUDGET = 0.5
 FACTOR_SHIFT = 1e-10
 DENSE_COLS = 64  # a dimension with at most this many coefficients has dense blocks in A
-SCALE_SLICE = 1 << 16  # entries of C1' scaled at a time while A is formed
+SCALE_SLICE = 1 << 16  # entries of C1 read at a time while A or its diagonal is formed
+# A's diagonal entry of a group stands in for its K-diagonal entry, the group's
+# weight, unless it is at most DIAG_FLOOR times that weight (``_schur_diagonal``)
+DIAG_FLOOR = 1e-8
 
 
 class DemeanError(RuntimeError):
@@ -192,7 +207,7 @@ class FactorRecord:
     nnz: int        # nonzeros of A; when refused, the budget estimate's
     lu_nnz: int     # nonzeros of the LU factors; 0 when A was not factored
     seconds: float  # forming and factoring A
-    switch_at: int  # block-Jacobi products of the first column that switched
+    switch_at: int  # unfactored products of the first column that switched
     refused: bool = False  # the budget estimate refused A, which was not formed
 
 
@@ -296,7 +311,10 @@ class _DimWork:
 
     def sums(self, v: np.ndarray) -> np.ndarray:
         """D'W v: weighted per-group sums of one row vector (times each slope)."""
-        wv = v if self.w is None else self.w * v
+        return self.sums_of(v if self.w is None else self.w * v)
+
+    def sums_of(self, wv: np.ndarray) -> np.ndarray:
+        """D' wv: per-group sums of a row vector already weighted (times each slope)."""
         if self.Z is None:
             return np.bincount(self.g, weights=wv, minlength=self.G)
         out = np.empty((self.G, self.L))
@@ -547,6 +565,29 @@ def _schur_nnz_estimate(C1: list[sp.csr_matrix], widths: list[int]) -> int:
     return int(round(total))
 
 
+def _schur_diagonal(C1: sp.csr_matrix, m1: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The diagonal of A = K - C1' M1^-1 C1 for two intercept-only dimensions.
+
+    With m1 and k the group weights of dimensions 1 and 2, entry j is
+    d_A[j] = k[j] - sum_i C1[i, j]^2 / m1[i].  A group whose d_A is at most
+    ``DIAG_FLOOR`` times k[j] keeps k[j]: its weight sits on dimension-1
+    groups it alone links to, which with it form a component of their own,
+    and d_A there is roundoff.  C1's rows are read in runs of about
+    ``SCALE_SLICE`` entries, so that no temporary as large as C1 is held.
+    """
+    d = k.copy()
+    indptr = C1.indptr
+    cuts = np.searchsorted(indptr, np.arange(0, C1.nnz, SCALE_SLICE))
+    for r0, r1 in zip(cuts, [*cuts[1:], C1.shape[0]]):
+        lo, hi = indptr[r0], indptr[r1]
+        vals = C1.data[lo:hi]
+        # rows r0..r1 of C1 as the columns of a CSC view: one transposed product
+        run = sp.csc_matrix((vals * vals, C1.indices[lo:hi], indptr[r0:r1 + 1] - lo),
+                            shape=(len(k), r1 - r0))
+        d -= run @ (1.0 / m1[r0:r1])
+    return np.where(d > DIAG_FLOOR * k, d, k)
+
+
 def _schur_matrix(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
                   K: list) -> sp.csr_matrix:
     """A = K - C1' M1^+ C1 over the coefficients of dimensions 2..Q, in one pass.
@@ -626,7 +667,7 @@ def _factor_schur(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
     try:
         # P is symmetric up to roundoff, and P' is a CSC view of its arrays
         lu = splu((A + sp.diags(shift)).T, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError:  # exactly singular: stay on block Jacobi
+    except RuntimeError:  # exactly singular: stay unfactored
         lu = None
     record = FactorRecord(int(kept.sum()), A.nnz,
                           0 if lu is None else lu.L.nnz + lu.U.nnz,
@@ -645,7 +686,7 @@ def _factor_schur(w1: _DimWork, rest: list[_DimWork], C1: list[sp.csr_matrix],
 
 
 def _factor_pays(ratios: list[float], columns_after: int, costs: _SwitchCosts) -> bool:
-    """Whether a column on block Jacobi switches to the factored A now.
+    """Whether a column not yet on the factored A switches to it now.
 
     ``ratios`` holds the column's sup norm of z over its threshold: for its
     initial residual, then after each of its k products.  From k = 2 on, the
@@ -654,7 +695,7 @@ def _factor_pays(ratios: list[float], columns_after: int, costs: _SwitchCosts) -
     many as this one in all.  The mean includes the first product, which
     removes the fast modes: on small chains the sup norm stalls for a few
     products and then drops, and a recent rate would overstate what is left
-    there, switching where block Jacobi is cheaper.  The switch pays once
+    there, switching where the unfactored run is cheaper.  The switch pays once
     those products cost more than forming and factoring A and the factored
     run of each of these columns, as the module constants' comment prices
     them.  A's nonzeros are estimated only when the products alone outweigh
@@ -718,7 +759,7 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
               coef0: np.ndarray, r: np.ndarray, buf: np.ndarray,
               thr: np.ndarray, max_iter: int, structure: FeStructure
               ) -> tuple[np.ndarray, np.ndarray, Optional[FactorRecord]]:
-    """Block-Jacobi preconditioned CG on the Schur complement of dimension 1.
+    """Preconditioned CG on the Schur complement of dimension 1.
 
     With D1 the design of dimension 1 (dummies, times its slopes) and
     D = [D2 ... DQ] the stacked designs of the others, the coefficients b of
@@ -729,25 +770,31 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     blocks and C1 are sparse cross-tables with one entry per observed group
     pair, built or refilled once per call (``structure``), so a product with
     A reads no row.  The
-    preconditioner is block Jacobi on K's diagonal blocks, and the
-    preconditioned residual is exactly the move a plain sweep would make
-    from b when Q = 2; column j stops once its sup norm is at most
-    ``thr[j]``.
+    residual preconditioned by block Jacobi on K's diagonal blocks is the
+    column's move, exactly the move a plain sweep would make from b when
+    Q = 2; column j stops once its sup norm is at most ``thr[j]``.  CG's
+    direction takes the same preconditioner, except with two weighted
+    intercept-only dimensions, where it takes Jacobi on A's own diagonal
+    (``_schur_diagonal``, formed once per call); the stop and the switch
+    below still read the move on K's diagonal, so ``thr`` keeps its meaning.
     Forming the initial residual counts as one sweep and each product as
     one.  Dimension 1 follows the iterate in coefficient space
     (a = a0 - M1^+ C1 (b - b0)); the rows are read once for the initial
     residual and written once at the end, with y - D b - D1 a.
 
-    Before each product, a column still on block Jacobi records its ratio
-    sup|z| / thr[j] and asks ``_factor_pays`` whether to switch to the
-    factored A (``_factor_schur``, formed at the first column that switches
-    and reused by later ones, which switch at their first product, as do the
-    calls after it on the same ``structure``).  A switched column restarts
+    Before each product, a column not yet switched records the ratio
+    sup|z| / thr[j] of its move and asks ``_factor_pays`` whether to switch
+    to the factored A (``_factor_schur``, formed at the first column that
+    switches and reused by later ones, which switch at their first product,
+    as do the calls after it on the same ``structure``).  A switched column restarts
     CG from its initial residual, so where it switched changes no digit of
-    its result, and keeps the block-Jacobi stopping rule.  Once A is
+    its result, and keeps the stopping rule on K's diagonal.  Once A is
     refused or found singular, no column of this call or a later one
-    switches.  If a factored step finds no descent direction, the column
-    continues on block Jacobi.
+    switches.  If a step on the factored A or on A's diagonal finds no
+    descent direction (p'Ap is not positive, as on a group with almost no
+    weight), the column continues from its iterate on K's diagonal.
+    The weighted column w e is formed once, in the row buffer, and every
+    dimension's group sums read it.
 
     Precondition: r == targets - D S.  Mutates S, coef0 and r in place
     (r becomes the residuals).  Returns per-column (CG steps, converged) and
@@ -765,6 +812,17 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
         if len(rest) == 1:
             return rest[0].solve(res)
         return np.concatenate([wk.solve(res[blk]) for wk, blk in zip(rest, blocks)])
+
+    # the direction's preconditioner before any switch; None: K's diagonal.
+    # After a switch in this fit every column switches at its first product,
+    # so A's diagonal would go unread.
+    jacobi = None
+    if w1.w is not None and len(rest) == 1 and w1.Z is None and rest[0].Z is None \
+            and not structure.factor_pays:
+        d_A = _schur_diagonal(C1[0], w1.wsum, rest[0].wsum)
+
+        def jacobi(res):
+            return res / d_A
 
     def product(p):
         parts = [p[blk] for blk in blocks]
@@ -796,14 +854,15 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
     for j in range(T):
         e = r[:, j]
         db = np.zeros(S.shape[0])
-        a0 = w1.solve(w1.sums(e))
-        res0 = np.concatenate([wk.sums(e) - Ct @ a0 for wk, Ct in zip(rest, C1t)])
+        we = e if w1.w is None else np.multiply(w1.w, e, out=buf)
+        a0 = w1.solve(w1.sums_of(we))
+        res0 = np.concatenate([wk.sums_of(we) - Ct @ a0 for wk, Ct in zip(rest, C1t)])
         a, res = a0.copy(), res0.copy()
         z = precondition(res)
-        factored = None  # the factored preconditioner while this column runs on it
-        ratios = []  # sup|z| / thr[j] on block Jacobi, None once the column decided
-        p = z.copy()
-        rz = float(np.dot(res, z))
+        direct = jacobi  # the direction's preconditioner; None: K's diagonal, z
+        ratios = []  # sup|z| / thr[j] before the switch, None once the column decided
+        p = z.copy() if direct is None else direct(res)
+        rz = float(np.dot(res, p))
         k = 0
         while k < max_iter and (zmax := float(np.abs(z).max())) > thr[j]:
             if ratios is not None and structure.factor_pays is not False:
@@ -813,20 +872,20 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
                     if factor is None:
                         factor = _factor_schur(w1, rest, C1, K, structure.costs, k)
                         structure.factor_pays = factor[0] is not None
-                    factored = factor[0]
-                    if factored is not None:  # restart from the initial residual
+                    if factor[0] is not None:  # restart from the initial residual
+                        direct = factor[0]
                         db.fill(0.0)
                         a, res = a0.copy(), res0.copy()
                         z = precondition(res)
-                        p = factored(res)
+                        p = direct(res)
                         rz = float(np.dot(res, p))
             m, Ap = product(p)
             k += 1
             pAp = float(np.dot(p, Ap))
             if not pAp > 0.0:
-                if factored is None:
+                if direct is None:
                     break  # no descent direction left: report the column unconverged
-                factored = None  # continue on block Jacobi from the iterate
+                direct = None  # continue on K's diagonal from the iterate
                 p = z.copy()
                 rz = float(np.dot(res, z))
                 continue
@@ -835,7 +894,7 @@ def _schur_cg(works: list[_DimWork], bounds: list[int], S: np.ndarray,
             a -= alpha * m
             res -= alpha * Ap
             z = precondition(res)
-            zs = z if factored is None else factored(res)
+            zs = z if direct is None else direct(res)
             rz_new = float(np.dot(res, zs))
             p = zs + (rz_new / rz) * p
             rz = rz_new
@@ -872,11 +931,12 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
 
     With two or more dimensions and ``accelerate`` set, dimension 1 is
     eliminated in closed form and the coefficients of dimensions 2..Q are
-    found by block-Jacobi preconditioned conjugate gradients on their Schur
-    complement A (``_schur_cg``); a sweep is the initial residual or one
+    found by conjugate gradients on their Schur complement A, preconditioned
+    by block Jacobi on K or, for two weighted intercept-only dimensions, by
+    A's own diagonal (``_schur_cg``); a sweep is the initial residual or one
     operator product on the cross-tables.  A column whose predicted
-    block-Jacobi products cost more than forming and factoring A restarts
-    with a sparse LU factorization of A as the preconditioner; its products
+    products cost more than forming and factoring A restarts with a sparse
+    LU factorization of A as the preconditioner; its products
     still count as sweeps, and forming and factoring A, once per call, is
     reported in ``factor`` (``FactorRecord``: A's order and nonzeros, the
     factors' nonzeros, the seconds spent and the products the first column
@@ -885,12 +945,12 @@ def demean(problem: DemeanProblem, accelerate: bool = True,
     dimension, plain alternating sweeps over the rows run to their fixed
     point; a sweep is one group-sum and one gather per dimension.  A column
     stops once the move a plain sweep would make (for CG: the sup norm of
-    the preconditioned residual) is at most ``tol`` times its ``scale``,
-    its weighted SD floored as the module doc says.  Each target column
-    runs its own iteration, so a batched run reproduces the single-column
-    results bit for bit.  ``sweeps`` reports the slowest column's count and
-    ``iterations`` its CG steps (sweeps - 1 in the plain mode); ``fe_coef``
-    the FE coefficients the residuals were formed with.  The residuals
+    the residual preconditioned by block Jacobi on K) is at most ``tol``
+    times its ``scale``, its weighted SD floored as the module doc says.
+    Each target column runs its own iteration, so a batched run reproduces
+    the single-column results bit for bit.  ``sweeps`` reports the slowest
+    column's count and ``iterations`` its CG steps (sweeps - 1 in the plain
+    mode); ``fe_coef`` the FE coefficients the residuals were formed with.  The residuals
     overwrite the problem's own target block.  ``structure`` carries the
     cross-tables, what the fit learned about factoring A and the warm start
     (where the last call ended) from one call to the next over the same

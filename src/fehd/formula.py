@@ -752,7 +752,8 @@ def expand_i(term: InteractionI, column: np.ndarray,
     """
     codes, keys = _level_codes(column)
 
-    # binning: map member values to the bin label, which sorts as its least member
+    # binning: map member values to the bin label, which sorts as its least
+    # member over all of the label's bins
     bin_of = {}
     bin_min_key = {}
     for label, members in term.bin:
@@ -766,7 +767,8 @@ def expand_i(term: InteractionI, column: np.ndarray,
             raise FormulaError(
                 f"i({term.var}): bin label {label!r} collides with an existing level")
         bin_of.update(dict.fromkeys(member_keys, label))
-        bin_min_key[label] = min(_level_sort_key(m) for m in members)
+        least = min(_level_sort_key(m) for m in members)
+        bin_min_key[label] = min(bin_min_key.get(label, least), least)
     binned = [bin_of.get(k, k) for k in keys]
     levels = sorted(dict.fromkeys(binned),
                     key=lambda v: bin_min_key.get(v, _level_sort_key(v)))

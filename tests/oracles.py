@@ -376,11 +376,13 @@ def expand_i_rows(term, column, interacting=None):
     keys = [None if _is_missing(v) else _coerce_key(v) for v in values.tolist()]
 
     bin_of = {}
-    bin_min_key = {}
     for label, members in term.bin:
         for m in members:
             bin_of[_coerce_key(m)] = label
-        bin_min_key[label] = min(_level_sort_key(m) for m in members)
+    # a label sorts as its least member over all of its bins
+    bin_min_key = {label: min(_level_sort_key(m) for lab, members in term.bin
+                              if lab == label for m in members)
+                   for label, _ in term.bin}
     binned = [None if v is None else bin_of.get(v, v) for v in keys]
 
     observed = {v for v in keys if v is not None}

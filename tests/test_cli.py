@@ -567,6 +567,16 @@ class TestInfiniteFactorValues:
             assert expected in proc.stderr.splitlines()
 
 
+def test_factor_beyond_int64_is_a_named_error(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "big.csv"
+    path.write_text("y,x,g\n" + "".join(
+        f"{rng.normal()!r},{rng.normal()!r},{(1e20, 3e20)[i % 2]!r}\n" for i in range(40)))
+    code, out, err = run_cli(["fit", "--formula", "y ~ x | g", "--data", str(path)])
+    assert (code, out) == (2, "")
+    assert "factor 'g' has values beyond the 64-bit integer range" in err
+
+
 def test_exp_overflow_drops_the_row_without_a_warning(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("y,x\n1.0,0.1\n2.5,0.4\n2.0,0.3\n4.0,0.9\n3.0,800\n")

@@ -414,6 +414,16 @@ class TestFactorIndex:
         with pytest.raises(DataError, match="non-integer"):
             make_factor_index(ds, build_mask(ds, {}), ["g"])
 
+    @pytest.mark.parametrize("big", [1e20, 2.0 ** 63, -2.0 ** 64])
+    def test_factor_beyond_int64_rejected(self, big):
+        # cast to int64, these values would all fall into one group
+        rng = np.random.default_rng(0)
+        ds = Dataset(n_rows=40, columns={
+            "y": NumericColumn(rng.normal(size=40)), "x": NumericColumn(rng.normal(size=40)),
+            "g": NumericColumn(np.where(np.arange(40) % 2 == 0, big, 3.0 * big))})
+        with pytest.raises(DataError, match="factor 'g' has values beyond the 64-bit"):
+            fit_ols("y ~ x | g", ds)
+
     @pytest.mark.parametrize("whole", [True, False], ids=["whole", "masked"])
     @pytest.mark.parametrize("column, message", [
         pytest.param(NumericColumn(np.array([1.0, np.nan, 3.0, 4.0])),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fehd.bench import DgpConfig, simulate_panel
 from fehd.data import FactorIndex, first_appearance_codes
 from fehd.demean import (PIVOT_RTOL, DemeanError, DemeanProblem, FactorRecord, FeDim, FeStructure,
-                         _DimWork, column_drops, demean, recover_fixef)
+                         _DimWork, _schur_diagonal, column_drops, demean, recover_fixef)
 from fehd.estimators import build_frame
 from fehd.formula import expand_models, parse_formula
 
@@ -271,6 +271,78 @@ class TestTwoFeConjugateGradient:
         unshuffled = np.empty_like(shuffled.residuals)
         unshuffled[perm] = shuffled.residuals
         assert np.abs(unshuffled - base.residuals).max() <= 1e-12
+
+def dense_schur_diagonal(c1, c2, w):
+    """diag(K - C1' M1^-1 C1) from the dummy matrices of two dimensions, with
+    C1, M1's diagonal and K's diagonal."""
+    D1, D2 = np.eye(c1.max() + 1)[c1], np.eye(c2.max() + 1)[c2]
+    W = np.diag(w)
+    K, C1, M1 = D2.T @ W @ D2, D1.T @ W @ D2, D1.T @ W @ D1
+    A = K - C1.T @ np.linalg.inv(M1) @ C1
+    return np.diag(A), sp.csr_matrix(C1), np.diag(M1), np.diag(K)
+
+
+class TestSchurDiagonal:
+    """A's own diagonal, the direction's preconditioner for two weighted
+    intercept-only dimensions."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("run", [1 << 16, 7], ids=["one-run", "runs-of-7"])
+    def test_matches_the_dense_formula(self, rng, monkeypatch, weighted, run):
+        monkeypatch.setattr(importlib.import_module("fehd.demean"), "SCALE_SLICE", run)
+        _, c1, c2 = random_two_fe(rng, n=400, g1=30, g2=12)
+        w = rng.lognormal(0.0, 2.0, len(c1)) if weighted else np.ones(len(c1))
+        dense, C1, m1, k = dense_schur_diagonal(c1, c2, w)
+        assert (dense > 1e-3 * k).all()  # no group near the floor
+        assert np.abs(_schur_diagonal(C1, m1, k) / dense - 1).max() <= 1e-12
+
+    def test_floor_keeps_the_group_weight(self):
+        C1 = sp.csr_matrix(np.eye(2))
+        k = np.array([1 + 1e-9, 1 + 1e-7])
+        d = _schur_diagonal(C1, np.ones(2), k)
+        assert d[0] == k[0] and d[1] == pytest.approx(1e-7, rel=1e-6)
+
+    def test_group_of_a_component_of_its_own_keeps_its_weight(self, rng):
+        # dimension-2 group 6 holds the rows of dimension-1 group 9 and no other
+        _, c1, c2 = random_two_fe(rng, n=300, g1=9, g2=6)
+        c1, c2 = np.append(c1, [9, 9, 9]), np.append(c2, [6, 6, 6])
+        w = rng.uniform(0.5, 2.0, len(c1))
+        dense, C1, m1, k = dense_schur_diagonal(c1, c2, w)
+        assert abs(dense[6]) <= 1e-8 * k[6]
+        d = _schur_diagonal(C1, m1, k)
+        assert d[6] == k[6] and np.abs(d[:6] / dense[:6] - 1).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [4, 10, 22])
+    def test_near_weightless_group_converges_cold_and_warm(self, seed):
+        # IRLS drives the weights of a group with no counts down step by step:
+        # group 0 of dimension 2 ends at about 1e-9 of the others' weight.
+        # Warm-started there, a step on A's diagonal loses the sign of pAp
+        # and the column goes on from its iterate on K's diagonal.
+        rng = np.random.default_rng(seed)
+        n = 900
+        c1, c2 = rng.integers(0, 40, n), rng.integers(0, 6, n)
+        x = rng.normal(size=n, scale=0.4)
+        a, b = rng.normal(size=40, scale=0.3), rng.normal(size=6, scale=0.3)
+        dims = [FeDim(fidx(c1)), FeDim(fidx(c2))]
+        structure = FeStructure(dims)
+        held = c2 == 0
+        for depth in (17.0, 20.7):  # cold, then warm from where the cold call ended
+            eta = 0.5 * x + a[c1] + b[c2] - depth * held
+            w = np.exp(eta)
+            Y = np.column_stack([eta - 1.0, x])
+            res = demean(DemeanProblem(targets=Y, dims=dims, weights=w, tol=1e-12),
+                         structure=structure)
+            assert res.converged
+            assert np.bincount(c2, weights=w)[0] <= 2e-9 * np.exp(20.7 - depth) * w.sum()
+            # the dense solve loses digits on the held rows as the weight
+            # ratio; there each group's weighted mean residual is checked
+            oracle = dummy_residualize(Y, specs((c1, None), (c2, None)), weights=w)
+            assert np.abs(res.residuals - oracle)[~held].max() <= 1e-8
+            for c in (c1, c2):
+                means = [np.bincount(c, weights=w * r) / np.bincount(c, weights=w)
+                         for r in res.residuals.T]
+                assert np.abs(means).max() <= 1e-10 * np.abs(Y).max()
+
 
 def chain_three_fe(rng, n=600, g3=5):
     """The two-FE chain plus a third, year-like dimension crossed with the first."""

@@ -284,6 +284,14 @@ class TestExpandI:
         with pytest.raises(FormulaError, match=message):
             expand_i(InteractionI("g", bin=bins), column)
 
+    def test_label_split_over_bins_sorts_as_its_least_member(self):
+        # the label sorts at 1 either way, so it is the dropped reference
+        col = np.array([1.0, 5.0, 9.0, 5.0, 1.0, 9.0])
+        split = expand_i(InteractionI("g", bin=(("lo", (1,)), ("lo", (9,)))), col)
+        whole = expand_i(InteractionI("g", bin=(("lo", (1, 9)),)), col)
+        assert [n for n, _ in split] == [n for n, _ in whole] == ["g::5"]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(split, whole))
+
     def test_value_named_twice_in_one_bin_label(self):
         term = InteractionI("g", bin=(("lo", (1, 2)), ("lo", (2,))))
         out = expand_i(term, np.array([1.0, 2.0, 3.0]))
